@@ -356,8 +356,12 @@ def bench_variation(quick: bool) -> dict:
     ).sample_vt_shifts()
 
     # Before: the per-sample path — the full characterization call
-    # chain (effective-V_T resolve, drive solve, stack bisections) runs
-    # once per V_T sample, exactly as the analyzer did pre-plan.
+    # chain (effective-V_T resolve, drive solve, stack solve) runs once
+    # per V_T sample, exactly as the analyzer did pre-plan.  Both sides
+    # share one StackSolver kernel, which dominates the leakage half,
+    # so this ratio only measures the per-sample overhead the plan
+    # hoists: it fell from ~7x (when the per-sample path paid an
+    # ~13k-evaluation nested bisection per stack) to well under 2x.
     reference = CellCharacterizer(technology)
     ref_delays, ref_delay_seconds = _timed(
         lambda: [

@@ -12,7 +12,8 @@ SOI/SOIAS devices and SPICE decks.  It provides:
 * :mod:`~repro.device.technology` — named process corners used across
   the library (bulk CMOS, low-V_T SOI, SOIAS, MTCMOS dual-V_T).
 * :mod:`~repro.device.leakage` — gate- and stack-level leakage,
-  including the series-stack effect.
+  including the series-stack effect (one Newton stack solve,
+  :class:`~repro.device.leakage.StackSolver`).
 """
 
 from repro.device.mosfet import Mosfet, MosfetParameters, fit_i_spec_for_off_current, fit_k_drive_for_on_current
@@ -36,6 +37,7 @@ from repro.device.technology import (
 )
 from repro.device.leakage import (
     StackLeakageModel,
+    StackSolver,
     gate_leakage_current,
     stack_leakage_current,
 )
@@ -58,6 +60,7 @@ __all__ = [
     "soias_technology",
     "mtcmos_technology",
     "StackLeakageModel",
+    "StackSolver",
     "gate_leakage_current",
     "stack_leakage_current",
 ]

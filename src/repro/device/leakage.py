@@ -8,8 +8,10 @@ matter for the tools it calls for:
 * *series* off devices leak far less than one off device (the "stack
   effect"): the intermediate node floats up, reverse-biasing the upper
   device's V_gs and adding DIBL relief.  This is also why MTCMOS sleep
-  devices work.  :func:`stack_leakage_current` solves the series stack
-  self-consistently.
+  devices work.  :class:`StackSolver` solves the series stack
+  self-consistently; it is the one stack solve behind the scalar
+  characterizer and both batched plans (:mod:`repro.tech.batch`,
+  :mod:`repro.tech.opplan`).
 """
 
 from __future__ import annotations
@@ -17,47 +19,342 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.device.mosfet import Mosfet, MosfetParameters
+from repro import obs as _obs
+from repro.device.mosfet import _MAX_EXP_ARG, Mosfet, MosfetParameters
 from repro.errors import DeviceModelError
 
 __all__ = [
+    "StackSolver",
     "stack_leakage_current",
     "gate_leakage_current",
     "StackLeakageModel",
 ]
 
-_BISECTION_STEPS = 80
+#: Both Newton levels stop once |residual| (in ln-current) is this small.
+_RESIDUAL_TOL = 1e-13
+#: The solve brackets the stack current between the weakest device's
+#: off current and this fraction of it.
+_BRACKET_FLOOR = 1e-12
+#: Largest ln V_ds Newton step tried before bisecting instead: e^40
+#: spans more than femtovolts to volts, so a wider step comes from a
+#: flat (saturated) region and would land in denormal V_ds.
+_MAX_LOG_STEP = 40.0
 
 
-def _vds_for_current(
-    device: Mosfet,
-    source_voltage: float,
-    target_current: float,
-    vdd: float,
-    vt_shift: float,
-) -> float:
-    """Smallest V_ds at which an off device carries ``target_current``.
+class StackSolver:
+    """Decoded leakage solve for one series stack of one flavour.
 
-    The device's gate is grounded, its source sits at ``source_voltage``
-    (so V_gs = -source_voltage).  Current is monotone increasing in
-    V_ds, so bisection applies.  Returns ``vdd`` if the device cannot
-    carry the target current even with the full supply across it.
+    The stack hangs between V_DD and ground with every gate grounded;
+    one current flows through all devices and each intermediate node
+    settles where current continuity puts it.  A solver is built once
+    per ``(parameters, widths)`` pair and hoists every V_DD- and
+    shift-invariant constant (per-device ``i_spec * W``,
+    ``ln(i_spec * W)`` and ``k_drive * W``, the flavour's ``n * phi_t``).
+
+    A single device is the closed-form ``Mosfet.off_current``, evaluated
+    with the same float operations, so it is bit-identical to it.
+    Deeper stacks solve for ``x = ln I`` in the bracket
+    ``[ln(upper * 1e-12), ln(upper)]``, where ``upper`` is the weakest
+    device's off current.  The outer safeguarded Newton iteration works
+    on the residual ``ln I_top(S, V_DD - S) - x``: ``S`` sums the V_ds
+    the lower devices need to carry ``exp(x)``, and the top device must
+    carry it with what is left.  Each lower V_ds comes from an inner
+    safeguarded Newton iteration on ``ln I(V_ds) - x``, seeded by the
+    subthreshold closed form.  The outer slope follows the implicit
+    chain of ``d ln I / d V_ds`` and ``d ln I / d V_S`` through every
+    device, strong-inversion branch included.  A lower device that
+    cannot carry ``exp(x)`` even with all the supply left to it means
+    ``x`` is too high.  Both levels keep a bisection bracket and take its
+    midpoint whenever a Newton step would leave it, or would not be at
+    most half the step before last (which breaks Newton cycles around a
+    regime change, where iterates can alternate sides of the root while
+    the bracket barely shrinks).  Both stop at the current iterate once
+    ``|residual| <= 1e-13``; the outer level also stops once its Newton
+    step is that small (its slope is at least 1 in magnitude, so the
+    step bounds the error in ``x``, while a steep residual cannot always
+    get below the tolerance at ``x``'s float resolution), and the inner
+    one once a step rounds to no change.
     """
-    vgs = -source_voltage
 
-    def current(vds: float) -> float:
-        return device.drain_current(vgs, vds, vt_shift)
+    __slots__ = (
+        "widths_key",
+        "_devices",
+        "_knee",
+        "_vt0",
+        "_dibl",
+        "_n_phi",
+        "_phi_t",
+        "_alpha",
+        "_half_alpha",
+        "_vdsat_coeff",
+        "_clm",
+    )
 
-    if current(vdd) <= target_current:
-        return vdd
-    low, high = 0.0, vdd
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (low + high)
-        if current(mid) < target_current:
-            low = mid
+    def __init__(
+        self, parameters: MosfetParameters, widths_um: Sequence[float]
+    ):
+        if not widths_um:
+            raise DeviceModelError("stack must contain at least one device")
+        # Mosfet construction validates each width (and its error).
+        devices = [Mosfet(parameters, width_um=w) for w in widths_um]
+        self.widths_key = tuple(round(w, 6) for w in widths_um)
+        self._devices = tuple(
+            (
+                parameters.i_spec * d.width_um,
+                math.log(parameters.i_spec * d.width_um),
+                parameters.k_drive * d.width_um,
+            )
+            for d in devices
+        )
+        # ln of the drain factor at phi_t / (depth - 1), about where a
+        # uniform stack's bottom node settles (seeds the outer solve).
+        self._knee = 0.0
+        if len(devices) > 1:
+            self._knee = math.log(-math.expm1(-1.0 / (len(devices) - 1)))
+        phi_t = parameters.thermal_voltage
+        self._vt0 = parameters.vt0
+        self._dibl = parameters.dibl
+        self._n_phi = parameters.ideality * phi_t
+        self._phi_t = phi_t
+        self._alpha = parameters.alpha
+        self._half_alpha = parameters.alpha / 2.0
+        self._vdsat_coeff = parameters.vdsat_coeff
+        self._clm = parameters.channel_length_modulation
+
+    def _off_current(
+        self, device: tuple, vdd: float, vt_shift: float
+    ) -> float:
+        """``Mosfet.off_current(vdd, vt_shift)``, float op for float op."""
+        iw, _, kw = device
+        vt = (self._vt0 + vt_shift) - self._dibl * vdd
+        gate_drive = 0.0 - vt
+        overdrive = gate_drive
+        if gate_drive > 0.0:
+            gate_drive = 0.0
+        exponent = gate_drive / self._n_phi
+        if exponent < -_MAX_EXP_ARG:
+            exponent = -_MAX_EXP_ARG
+        drain_arg = -vdd / self._phi_t
+        if drain_arg < -_MAX_EXP_ARG:
+            drain_arg = -_MAX_EXP_ARG
+        current = iw * math.exp(exponent) * (1.0 - math.exp(drain_arg))
+        if overdrive > 0.0:
+            i_dsat = kw * overdrive**self._alpha
+            vdsat = self._vdsat_coeff * overdrive**self._half_alpha
+            if vdd >= vdsat:
+                current += i_dsat * (1.0 + self._clm * (vdd - vdsat))
+            else:
+                ratio = vdd / vdsat
+                current += i_dsat * ratio * (2.0 - ratio)
+        return current
+
+    def _log_current(
+        self, device: tuple, vt0s: float, source: float, vds: float
+    ) -> tuple:
+        """``(ln I, d ln I / d V_ds, d ln I / d V_S)`` of one off device.
+
+        The gate is grounded and the source sits at ``source``
+        (V_gs = -source); ``vt0s`` is ``vt0 + vt_shift``.  Where the
+        current underflows to zero, ``ln I`` is ``-inf`` with zero
+        partials.
+        """
+        iw, ln_iw, kw = device
+        phi_t = self._phi_t
+        overdrive = self._dibl * vds - source - vt0s
+        drain_arg = -vds / phi_t
+        if drain_arg < -_MAX_EXP_ARG:
+            tail = 0.0
+            drain_factor = 1.0 - math.exp(-_MAX_EXP_ARG)
         else:
-            high = mid
-    return 0.5 * (low + high)
+            # expm1 keeps ln(df) smooth at tiny V_ds, where 1 - exp()
+            # cancels; elsewhere the two agree to the last bit or so.
+            tail = math.exp(drain_arg)
+            drain_factor = -math.expm1(drain_arg)
+        if drain_factor <= 0.0:
+            return -math.inf, 0.0, 0.0
+        if overdrive <= 0.0:
+            # Subthreshold only: ln I = ln(i_spec W) + exponent + ln(df).
+            n_phi = self._n_phi
+            exponent = overdrive / n_phi
+            d_vds = tail / (phi_t * drain_factor)
+            if exponent < -_MAX_EXP_ARG:
+                return (
+                    ln_iw - _MAX_EXP_ARG + math.log(drain_factor),
+                    d_vds,
+                    0.0,
+                )
+            return (
+                ln_iw + exponent + math.log(drain_factor),
+                d_vds + self._dibl / n_phi,
+                -1.0 / n_phi,
+            )
+        # Above threshold the subthreshold floor is pinned at its
+        # V_gs = V_T value and the alpha-power branch adds on top.
+        i_dsat = kw * overdrive**self._alpha
+        vdsat = self._vdsat_coeff * overdrive**self._half_alpha
+        di_dsat = self._alpha * i_dsat / overdrive
+        dvdsat = self._half_alpha * vdsat / overdrive
+        clm = self._clm
+        if vds >= vdsat:
+            gain = 1.0 + clm * (vds - vdsat)
+            strong = i_dsat * gain
+            d_overdrive = di_dsat * gain - i_dsat * clm * dvdsat
+            d_explicit = i_dsat * clm
+        else:
+            ratio = vds / vdsat
+            shape = ratio * (2.0 - ratio)
+            d_shape = 2.0 * (1.0 - ratio)
+            strong = i_dsat * shape
+            d_overdrive = (
+                di_dsat * shape - i_dsat * d_shape * ratio * dvdsat / vdsat
+            )
+            d_explicit = i_dsat * d_shape / vdsat
+        total = iw * drain_factor + strong
+        return (
+            math.log(total),
+            (iw * tail / phi_t + d_overdrive * self._dibl + d_explicit)
+            / total,
+            -d_overdrive / total,
+        )
+
+    def _drop(
+        self, device: tuple, vt0s: float, source: float, x: float, span: float
+    ) -> tuple:
+        """V_ds at which ``device``, source at ``source``, carries exp(x).
+
+        Returns ``(vds, d ln I / d V_ds, d ln I / d V_S, evaluations)``.
+        ``vds`` is ``None`` when the device cannot carry ``exp(x)`` even
+        with all of ``span`` across it, which means ``x`` is too high.
+        """
+        log_current = self._log_current
+        phi_t = self._phi_t
+        # Seed: the subthreshold closed form ln(1 - exp(-V_ds / phi_t))
+        # = -a without DIBL, then once more with the seed's DIBL gain.
+        a = device[1] - max(source + vt0s, 0.0) / self._n_phi - x
+        vds = 0.5 * span
+        if a > 0.0:
+            guess = -phi_t * math.log(-math.expm1(-a))
+            guess = -phi_t * math.log(
+                -math.expm1(-(a + self._dibl / self._n_phi * guess))
+            )
+            if 0.0 < guess < span:
+                vds = guess
+        # ``span`` is only known to carry exp(x) once checked, which
+        # happens when a Newton step first reaches it.
+        low, high, checked = 0.0, span, False
+        evaluations = 0
+        moved = previous = span
+        while True:
+            f, d_vds, d_src = log_current(device, vt0s, source, vds)
+            evaluations += 1
+            f -= x
+            if abs(f) <= _RESIDUAL_TOL:
+                return vds, d_vds, d_src, evaluations
+            if f < 0.0:
+                low = vds
+            else:
+                high, checked = vds, True
+            # Newton in ln V_ds: ln I is close to linear in ln V_ds both
+            # across the drain-factor knee and in the linear region.
+            older, previous = previous, moved
+            if 0.0 < d_vds < math.inf:
+                step = -f / (vds * d_vds)
+                if abs(step) < _MAX_LOG_STEP:
+                    trial = vds * math.exp(step)
+                    if trial == vds:
+                        return vds, d_vds, d_src, evaluations
+                    if trial >= high and not checked:
+                        evaluations += 1
+                        if log_current(device, vt0s, source, span)[0] <= x:
+                            return None, 0.0, 0.0, evaluations
+                        checked = True
+                    moving = abs(trial - vds)
+                    if low < trial < high and moving <= 0.5 * older:
+                        moved = moving
+                        vds = trial
+                        continue
+            trial = 0.5 * (low + high)
+            moved = abs(trial - vds)
+            if trial == low or trial == high:
+                return (vds if checked else None), d_vds, d_src, evaluations
+            vds = trial
+
+    def current(self, vdd: float, vt_shift: float = 0.0) -> float:
+        """Stack leakage current at one (V_DD, shift) corner [A]."""
+        if vdd <= 0.0:
+            raise DeviceModelError(f"vdd must be positive, got {vdd}")
+        devices = self._devices
+        if len(devices) == 1:
+            return self._off_current(devices[0], vdd, vt_shift)
+        upper = min(self._off_current(d, vdd, vt_shift) for d in devices)
+        if upper <= 0.0:
+            return 0.0
+        evaluations = len(devices)
+        log_current = self._log_current
+        drop = self._drop
+        lower, top = devices[:-1], devices[-1]
+        vt0s = self._vt0 + vt_shift
+        low, high = math.log(upper * _BRACKET_FLOOR), math.log(upper)
+        # First iterate: the bottom device's subthreshold current at the
+        # knee, capped at the weakest device's off current scaled alike.
+        knee = self._knee
+        x = min(
+            devices[0][1] + knee - max(vt0s, 0.0) / self._n_phi, high + knee
+        )
+        if not low < x < high:
+            x = 0.5 * (low + high)
+        step = previous = high - low
+        while True:
+            # Residual ln I_top(S, V_DD - S) - x (None: x is too high)
+            # and its slope, with d_source = dS/dx.
+            source = d_source = 0.0
+            residual = None
+            for device in lower:
+                vds, d_vds, d_src, used = drop(
+                    device, vt0s, source, x, vdd - source
+                )
+                evaluations += used
+                if vds is None:
+                    break
+                # Along the solution dx = d_vds dV_ds + d_src dS.
+                if d_vds > 0.0:
+                    d_source += (1.0 - d_src * d_source) / d_vds
+                else:
+                    d_source = math.nan
+                source += vds
+            else:
+                f, d_vds, d_src = log_current(top, vt0s, source, vdd - source)
+                evaluations += 1
+                if f > -math.inf:
+                    residual = f - x
+                    slope = (d_src - d_vds) * d_source - 1.0
+            if residual is not None and abs(residual) <= _RESIDUAL_TOL:
+                break
+            if residual is None or residual < 0.0:
+                high = x
+            else:
+                low = x
+            older, previous = previous, step
+            if residual is not None and -math.inf < slope:
+                step = residual / slope
+                if abs(step) <= _RESIDUAL_TOL:
+                    # |slope| >= 1, so this bounds x's error as well; a
+                    # steep residual can stay above the tolerance at x's
+                    # float resolution.
+                    break
+                trial = x - step
+                if low < trial < high and abs(step) <= 0.5 * abs(older):
+                    x = trial
+                    continue
+            step = 0.5 * (high - low)
+            trial = 0.5 * (low + high)
+            if trial == low or trial == high:
+                break
+            x = trial
+        if _obs.ENABLED:
+            _obs.incr("leakage.stack_solves")
+            _obs.incr("leakage.device_evals", evaluations)
+        return math.exp(x)
 
 
 def stack_leakage_current(
@@ -67,12 +364,6 @@ def stack_leakage_current(
     vt_shift: float = 0.0,
 ) -> float:
     """Leakage through a series stack of all-off devices.
-
-    The stack hangs between V_DD and ground with every gate grounded.
-    A single current flows through all devices; each intermediate node
-    voltage follows from current continuity.  We bisect on the current
-    (log domain): for a trial current, accumulate the V_ds each device
-    needs, then compare the total against V_DD.
 
     Parameters
     ----------
@@ -88,42 +379,10 @@ def stack_leakage_current(
     Returns
     -------
     float
-        Stack leakage current [A].  For a single device this equals
-        ``Mosfet.off_current``.
+        Stack leakage current [A], solved by :class:`StackSolver`.  For
+        a single device this equals ``Mosfet.off_current``.
     """
-    if not widths_um:
-        raise DeviceModelError("stack must contain at least one device")
-    if vdd <= 0.0:
-        raise DeviceModelError(f"vdd must be positive, got {vdd}")
-    devices = [Mosfet(parameters, width_um=w) for w in widths_um]
-    if len(devices) == 1:
-        return devices[0].off_current(vdd, vt_shift)
-
-    # Bracket the answer: at most the weakest single-device off current,
-    # at least that value suppressed by many decades.
-    upper = min(d.off_current(vdd, vt_shift) for d in devices)
-    if upper <= 0.0:
-        return 0.0
-    lower = upper * 1e-12
-
-    def total_drop(current: float) -> float:
-        source = 0.0
-        for device in devices:
-            vds = _vds_for_current(device, source, current, vdd, vt_shift)
-            source += vds
-            if source >= vdd:
-                break
-        return source
-
-    # total_drop is increasing in current; find current where drop == vdd.
-    log_low, log_high = math.log(lower), math.log(upper)
-    for _ in range(_BISECTION_STEPS):
-        log_mid = 0.5 * (log_low + log_high)
-        if total_drop(math.exp(log_mid)) < vdd:
-            log_low = log_mid
-        else:
-            log_high = log_mid
-    return math.exp(0.5 * (log_low + log_high))
+    return StackSolver(parameters, widths_um).current(vdd, vt_shift)
 
 
 def gate_leakage_current(
@@ -162,7 +421,10 @@ class StackLeakageModel:
     """Cached stack-effect evaluator for one transistor flavour.
 
     Characterization sweeps ask for the same (depth, width, V_DD, shift)
-    tuples repeatedly; this memoizes the bisection.
+    tuples repeatedly; this memoizes the :class:`StackSolver` solve.
+    The batched plans of :mod:`repro.tech.batch` and
+    :mod:`repro.tech.opplan` share ``_cache`` and its rounded keys, so
+    every path serves and fills the same entries.
     """
 
     def __init__(self, parameters: MosfetParameters):
@@ -182,6 +444,26 @@ class StackLeakageModel:
                 self.parameters, widths_um, vdd, vt_shift
             )
         return self._cache[key]
+
+    def lookup(
+        self,
+        solver: StackSolver,
+        vdd: float,
+        vt_shift: float,
+        shift_key: float,
+    ) -> float:
+        """:meth:`current` through a prebuilt solver of this flavour.
+
+        Same memo, same rounded key; ``shift_key`` is the caller's
+        hoisted ``round(vt_shift, 6)``.  The batched plans decode their
+        solvers once and come through here.
+        """
+        key = (solver.widths_key, round(vdd, 6), shift_key)
+        value = self._cache.get(key)
+        if value is None:
+            value = solver.current(vdd, vt_shift)
+            self._cache[key] = value
+        return value
 
     def suppression_factor(
         self, depth: int, width_um: float, vdd: float, vt_shift: float = 0.0

@@ -4,14 +4,15 @@ Monte-Carlo variation analysis asks one question thousands of times:
 *the same cell, at the same (V_DD, load) corner, under a different
 ``vt_shift``*.  The per-sample path re-resolves everything on every
 call — attribute chains, capacitance views, thermal voltage, the
-stack-leakage closures — even though only the shift changes.
+stack-leakage solver constants — even though only the shift changes.
 
 :class:`VariationPlan` is the decode/run split of the ISA engine
 applied to characterization: :meth:`CellCharacterizer.plan_variation
 <repro.tech.characterize.CellCharacterizer.plan_variation>` resolves
 every V_T-invariant quantity once (output capacitance, the
-``0.7 * C * V`` delay numerator, per-flavour drive prefactors, the
-leakage stack constants), and :meth:`VariationPlan.delays` /
+``0.7 * C * V`` delay numerator, per-flavour drive prefactors, one
+:class:`~repro.device.leakage.StackSolver` per polarity), and
+:meth:`VariationPlan.delays` /
 :meth:`VariationPlan.leakages` then evaluate a whole vector of shifts
 in a tight loop that recomputes only the shift-dependent terms.
 
@@ -20,7 +21,9 @@ The batched results are **bit-identical** to the per-sample
 partial product preserves the reference float-op association order
 (``a*b*c*d`` folds left, so hoisting ``a*b`` is exact), the inlined
 ``_bounded_exp`` clamps reproduce ``max(-60, min(60, x))`` on the
-reachable side, and the leakage path *shares* the characterizer's
+reachable side, and the leakage path runs the same
+:class:`~repro.device.leakage.StackSolver` kernel as the per-sample
+path and *shares* the characterizer's
 :class:`~repro.device.leakage.StackLeakageModel` memo dicts — key
 construction included — so the rounded-key reuse semantics of the
 per-sample path are replicated exactly.  The differential tests in
@@ -34,7 +37,7 @@ import math
 from typing import List, Sequence
 
 from repro import obs as _obs
-from repro.device.leakage import _BISECTION_STEPS
+from repro.device.leakage import StackSolver
 from repro.device.mosfet import Mosfet, MosfetParameters
 from repro.errors import CharacterizationError
 from repro.tech.characterize import _DELAY_CONSTANT
@@ -73,195 +76,14 @@ def _drive_constants(
     )
 
 
-class _StackPlan:
-    """Decoded leakage-stack evaluator for one polarity of one cell.
-
-    Shares the owning characterizer's ``StackLeakageModel._cache`` so
-    the rounded-key memo behaves exactly as on the per-sample path:
-    a shift that rounds onto an already-cached key is served the cached
-    value, in the same evaluation order.
-    """
-
-    __slots__ = (
-        "cache",
-        "widths_key",
-        "vdd",
-        "vdd_key",
-        "devices",
-        "vt0",
-        "dibl",
-        "dibl_vdd",
-        "n_phi",
-        "phi_t",
-        "drain_factor_vdd",
-        "alpha",
-        "half_alpha",
-        "vdsat_coeff",
-        "clm",
-    )
-
-    def __init__(
-        self,
-        parameters: MosfetParameters,
-        widths_um: Sequence[float],
-        vdd: float,
-        cache: dict,
-    ):
-        # Same construction (and validation) as stack_leakage_current.
-        devices = [Mosfet(parameters, width_um=w) for w in widths_um]
-        self.cache = cache
-        self.widths_key = tuple(round(w, 6) for w in widths_um)
-        self.vdd = vdd
-        self.vdd_key = round(vdd, 6)
-        self.devices = [
-            (parameters.i_spec * d.width_um, parameters.k_drive * d.width_um)
-            for d in devices
-        ]
-        phi_t = parameters.thermal_voltage
-        self.vt0 = parameters.vt0
-        self.dibl = parameters.dibl
-        self.dibl_vdd = parameters.dibl * vdd
-        self.n_phi = parameters.ideality * phi_t
-        self.phi_t = phi_t
-        exp_arg = -vdd / phi_t
-        if exp_arg < -_MAX_EXP_ARG:
-            exp_arg = -_MAX_EXP_ARG
-        self.drain_factor_vdd = 1.0 - math.exp(exp_arg)
-        self.alpha = parameters.alpha
-        self.half_alpha = parameters.alpha / 2.0
-        self.vdsat_coeff = parameters.vdsat_coeff
-        self.clm = parameters.channel_length_modulation
-
-    # ------------------------------------------------------------------
-    # Inlined device evaluations (see repro.device.mosfet for the
-    # reference float-op sequences these replicate verbatim)
-    # ------------------------------------------------------------------
-    def _off_current(self, iw: float, kw: float, vt_shift: float) -> float:
-        """``Mosfet.off_current(vdd, vt_shift)`` with hoisted constants."""
-        exp = math.exp
-        vt = (self.vt0 + vt_shift) - self.dibl_vdd
-        gate_drive = 0.0 - vt
-        overdrive = gate_drive
-        if gate_drive > 0.0:
-            gate_drive = 0.0
-        exponent = gate_drive / self.n_phi
-        if exponent < -_MAX_EXP_ARG:
-            exponent = -_MAX_EXP_ARG
-        current = iw * exp(exponent) * self.drain_factor_vdd
-        if overdrive > 0.0:
-            i_dsat = kw * overdrive**self.alpha
-            vdsat = self.vdsat_coeff * overdrive**self.half_alpha
-            if self.vdd >= vdsat:
-                current += i_dsat * (1.0 + self.clm * (self.vdd - vdsat))
-            else:
-                ratio = self.vdd / vdsat
-                current += i_dsat * ratio * (2.0 - ratio)
-        return current
-
-    def _vds_for_current(
-        self,
-        iw: float,
-        kw: float,
-        source_voltage: float,
-        target_current: float,
-        vt0s: float,
-    ) -> float:
-        """Inlined twin of ``repro.device.leakage._vds_for_current``.
-
-        ``vt0s`` is the precomputed ``vt0 + vt_shift``; the drain
-        current at each trial V_ds is evaluated inline (zero function
-        calls in the 80-step bisection).
-        """
-        exp = math.exp
-        vgs = -source_voltage
-        dibl = self.dibl
-        n_phi = self.n_phi
-        phi_t = self.phi_t
-        alpha = self.alpha
-        half_alpha = self.half_alpha
-        vdsat_coeff = self.vdsat_coeff
-        clm = self.clm
-        vdd = self.vdd
-
-        # Probe vds == vdd first: a device that cannot carry the target
-        # even fully open drops the whole supply.
-        vds = vdd
-        low = high = 0.0
-        probing = True
-        for _ in range(_BISECTION_STEPS + 1):
-            vt = vt0s - dibl * vds
-            gate_drive = vgs - vt
-            overdrive = gate_drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / n_phi
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            drain_arg = -vds / phi_t
-            if drain_arg < -_MAX_EXP_ARG:
-                drain_arg = -_MAX_EXP_ARG
-            current = iw * exp(exponent) * (1.0 - exp(drain_arg))
-            if overdrive > 0.0:
-                i_dsat = kw * overdrive**alpha
-                vdsat = vdsat_coeff * overdrive**half_alpha
-                if vds >= vdsat:
-                    current += i_dsat * (1.0 + clm * (vds - vdsat))
-                else:
-                    ratio = vds / vdsat
-                    current += i_dsat * ratio * (2.0 - ratio)
-
-            if probing:
-                if current <= target_current:
-                    return vdd
-                probing = False
-                low, high = 0.0, vdd
-            elif current < target_current:
-                low = vds
-            else:
-                high = vds
-            vds = 0.5 * (low + high)
-        return 0.5 * (low + high)
-
-    def current(self, vt_shift: float) -> float:
-        """``stack_leakage_current`` for this stack, decoded."""
-        devices = self.devices
-        if len(devices) == 1:
-            iw, kw = devices[0]
-            return self._off_current(iw, kw, vt_shift)
-        upper = min(
-            self._off_current(iw, kw, vt_shift) for iw, kw in devices
-        )
-        if upper <= 0.0:
-            return 0.0
-        lower = upper * 1e-12
-        vdd = self.vdd
-        vt0s = self.vt0 + vt_shift
-        vds_for_current = self._vds_for_current
-        log = math.log
-        exp = math.exp
-        log_low, log_high = log(lower), log(upper)
-        for _ in range(_BISECTION_STEPS):
-            log_mid = 0.5 * (log_low + log_high)
-            trial = exp(log_mid)
-            source = 0.0
-            for iw, kw in devices:
-                source += vds_for_current(iw, kw, source, trial, vt0s)
-                if source >= vdd:
-                    break
-            if source < vdd:
-                log_low = log_mid
-            else:
-                log_high = log_mid
-        return exp(0.5 * (log_low + log_high))
-
-
 class VariationPlan:
     """A (cell, V_DD, load) corner decoded for vectorized V_T sweeps.
 
     Produced by :meth:`CellCharacterizer.plan_variation
     <repro.tech.characterize.CellCharacterizer.plan_variation>`; holds
-    only plain floats (plus the shared stack memo dicts), so evaluating
-    a shift vector touches no model objects at all.
+    only plain floats plus, per polarity, a stack solver and the shared
+    stack memo dict, so evaluating a shift vector builds no model
+    objects at all.
     """
 
     __slots__ = (
@@ -285,8 +107,8 @@ class VariationPlan:
         numerator: float,
         nmos_drive: tuple,
         pmos_drive: tuple,
-        nmos_stack: _StackPlan,
-        pmos_stack: _StackPlan,
+        nmos_stack: tuple,
+        pmos_stack: tuple,
     ):
         self.cell_name = cell_name
         self.vdd = vdd
@@ -333,17 +155,13 @@ class VariationPlan:
                 cell.series_equivalent_width(cell.pmos_path_widths_um),
                 vdd,
             ),
-            nmos_stack=_StackPlan(
-                nmos,
-                cell.nmos_path_widths_um,
-                vdd,
-                characterizer._nmos_stacks._cache,
+            nmos_stack=(
+                characterizer._nmos_stacks,
+                StackSolver(nmos, cell.nmos_path_widths_um),
             ),
-            pmos_stack=_StackPlan(
-                pmos,
-                cell.pmos_path_widths_um,
-                vdd,
-                characterizer._pmos_stacks._cache,
+            pmos_stack=(
+                characterizer._pmos_stacks,
+                StackSolver(pmos, cell.pmos_path_widths_um),
             ),
         )
 
@@ -417,26 +235,15 @@ class VariationPlan:
         """
         p_high = self.output_high_probability
         p_low = 1.0 - p_high
-        nmos = self._nmos_stack
-        pmos = self._pmos_stack
-        n_cache = nmos.cache
-        p_cache = pmos.cache
-        n_key = (nmos.widths_key, nmos.vdd_key)
-        p_key = (pmos.widths_key, pmos.vdd_key)
+        vdd = self.vdd
+        n_stacks, n_solver = self._nmos_stack
+        p_stacks, p_solver = self._pmos_stack
         out: List[float] = []
         append = out.append
         for shift in vt_shifts:
             shift_key = round(shift, 6)
-            key = n_key + (shift_key,)
-            nmos_leak = n_cache.get(key)
-            if nmos_leak is None:
-                nmos_leak = nmos.current(shift)
-                n_cache[key] = nmos_leak
-            key = p_key + (shift_key,)
-            pmos_leak = p_cache.get(key)
-            if pmos_leak is None:
-                pmos_leak = pmos.current(shift)
-                p_cache[key] = pmos_leak
+            nmos_leak = n_stacks.lookup(n_solver, vdd, shift, shift_key)
+            pmos_leak = p_stacks.lookup(p_solver, vdd, shift, shift_key)
             append(p_high * nmos_leak + p_low * pmos_leak)
         if _obs.ENABLED and out:
             _obs.incr("variation.samples_batched", len(out))

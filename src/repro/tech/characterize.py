@@ -72,7 +72,8 @@ class CellCharacterizer:
     tuple ``(cell, vdd, vt_shift, load, ...)``: the model functions are
     pure, so a cache hit returns the very same float the first call
     computed — results are bit-identical with caching on or off.  The
-    stack-leakage bisection is additionally memoized per polarity inside
+    stack-leakage solve (:class:`~repro.device.leakage.StackSolver`) is
+    additionally memoized per polarity inside
     :class:`~repro.device.leakage.StackLeakageModel`.  Pass
     ``cache=False`` to benchmark the uncached evaluation cost.
 

@@ -13,7 +13,8 @@ Mosfet constructions although none of them depend on V_DD.
 supply axis: :meth:`CellCharacterizer.plan_operating
 <repro.tech.characterize.CellCharacterizer.plan_operating>` resolves
 every V_DD-invariant quantity once (gate/junction geometry products,
-per-flavour drive prefactors, the leakage stack constants), and
+per-flavour drive prefactors, one
+:class:`~repro.device.leakage.StackSolver` per polarity), and
 :meth:`OperatingPlan.delays` / :meth:`OperatingPlan.leakages` /
 :meth:`OperatingPlan.energies` then evaluate a whole vector of
 supplies in a tight loop that recomputes only the V_DD-dependent
@@ -26,7 +27,8 @@ exact), the non-linear ``switched_capacitance`` views are evaluated
 once per point through the *same* model methods the per-point path
 calls, the inlined ``_bounded_exp`` clamps reproduce
 ``max(-60, min(60, x))`` on the reachable side, and the leakage path
-*shares* the characterizer's
+runs the same stack solver as the per-point path and *shares* the
+characterizer's
 :class:`~repro.device.leakage.StackLeakageModel` memo dicts — key
 construction included — so the rounded-key reuse semantics of the
 per-point path are replicated exactly.  The differential tests in
@@ -40,7 +42,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
-from repro.device.leakage import stack_leakage_current
+from repro.device.leakage import StackSolver
 from repro.device.mosfet import Mosfet, MosfetParameters
 from repro.errors import CharacterizationError, DeviceModelError
 from repro.tech.characterize import _DELAY_CONSTANT
@@ -74,114 +76,6 @@ def _drive_constants(parameters: MosfetParameters, width_um: float) -> tuple:
     )
 
 
-class _StackPlan:
-    """Decoded leakage-stack evaluator for one polarity of one cell.
-
-    Unlike its fixed-V_DD twin in :mod:`repro.tech.batch`, this plan is
-    *parameterized* by V_DD: single-device stacks (every inverter, and
-    therefore every ring-oscillator probe) evaluate the inlined
-    ``off_current`` with per-point DIBL and drain-factor terms, while
-    multi-device stacks fall through to the reference
-    :func:`~repro.device.leakage.stack_leakage_current` bisection —
-    both share the owning characterizer's ``StackLeakageModel._cache``
-    with the same rounded keys as the per-point path.
-    """
-
-    __slots__ = (
-        "parameters",
-        "cache",
-        "widths",
-        "widths_key",
-        "single",
-        "vt0",
-        "dibl",
-        "n_phi",
-        "phi_t",
-        "iw",
-        "kw",
-        "alpha",
-        "half_alpha",
-        "vdsat_coeff",
-        "clm",
-    )
-
-    def __init__(
-        self,
-        parameters: MosfetParameters,
-        widths_um: Sequence[float],
-        cache: dict,
-    ):
-        if not widths_um:
-            # Same guard (and error) as stack_leakage_current, hoisted
-            # to decode time.
-            raise DeviceModelError("stack must contain at least one device")
-        # Same construction (and validation) as stack_leakage_current.
-        devices = [Mosfet(parameters, width_um=w) for w in widths_um]
-        self.parameters = parameters
-        self.cache = cache
-        self.widths = tuple(widths_um)
-        self.widths_key = tuple(round(w, 6) for w in widths_um)
-        self.single = len(devices) == 1
-        phi_t = parameters.thermal_voltage
-        self.vt0 = parameters.vt0
-        self.dibl = parameters.dibl
-        self.n_phi = parameters.ideality * phi_t
-        self.phi_t = phi_t
-        self.iw = parameters.i_spec * devices[0].width_um
-        self.kw = parameters.k_drive * devices[0].width_um
-        self.alpha = parameters.alpha
-        self.half_alpha = parameters.alpha / 2.0
-        self.vdsat_coeff = parameters.vdsat_coeff
-        self.clm = parameters.channel_length_modulation
-
-    def _off_current(self, vdd: float, vt_shift: float) -> float:
-        """``Mosfet.off_current(vdd, vt_shift)`` with hoisted constants.
-
-        See :mod:`repro.device.mosfet` for the reference float-op
-        sequence this replicates verbatim (V_gs = 0, V_ds = V_DD).
-        """
-        exp = math.exp
-        vt = (self.vt0 + vt_shift) - self.dibl * vdd
-        gate_drive = 0.0 - vt
-        overdrive = gate_drive
-        if gate_drive > 0.0:
-            gate_drive = 0.0
-        exponent = gate_drive / self.n_phi
-        if exponent < -_MAX_EXP_ARG:
-            exponent = -_MAX_EXP_ARG
-        drain_arg = -vdd / self.phi_t
-        if drain_arg < -_MAX_EXP_ARG:
-            drain_arg = -_MAX_EXP_ARG
-        current = self.iw * exp(exponent) * (1.0 - exp(drain_arg))
-        if overdrive > 0.0:
-            i_dsat = self.kw * overdrive**self.alpha
-            vdsat = self.vdsat_coeff * overdrive**self.half_alpha
-            if vdd >= vdsat:
-                current += i_dsat * (1.0 + self.clm * (vdd - vdsat))
-            else:
-                ratio = vdd / vdsat
-                current += i_dsat * ratio * (2.0 - ratio)
-        return current
-
-    def lookup(self, vdd: float, vt_shift: float, shift_key: float) -> float:
-        """``StackLeakageModel.current`` with the shift key precomputed.
-
-        Consults (and fills) the shared memo with the same rounded key
-        the per-point path builds.
-        """
-        key = (self.widths_key, round(vdd, 6), shift_key)
-        value = self.cache.get(key)
-        if value is None:
-            if self.single:
-                value = self._off_current(vdd, vt_shift)
-            else:
-                value = stack_leakage_current(
-                    self.parameters, self.widths, vdd, vt_shift
-                )
-            self.cache[key] = value
-        return value
-
-
 class OperatingPlan:
     """A (cell, load) pair decoded for vectorized V_DD sweeps.
 
@@ -189,7 +83,8 @@ class OperatingPlan:
     <repro.tech.characterize.CellCharacterizer.plan_operating>`; holds
     only plain floats, the two capacitance models (their non-linear
     ``switched_capacitance`` views are the only model calls left in the
-    kernels) and the shared stack memo dicts.
+    kernels) and, per polarity, a stack solver with the shared stack
+    memo it fills.
 
     The load is specified either as a fixed external ``load_f`` [F]
     (mirroring :meth:`~repro.tech.characterize.CellCharacterizer.
@@ -230,8 +125,8 @@ class OperatingPlan:
         drain_area_p: float,
         nmos_drive: tuple,
         pmos_drive: tuple,
-        nmos_stack: _StackPlan,
-        pmos_stack: _StackPlan,
+        nmos_stack: tuple,
+        pmos_stack: tuple,
     ):
         self.cell_name = cell_name
         self.load_f = load_f
@@ -304,15 +199,13 @@ class OperatingPlan:
                 pmos,
                 cell.series_equivalent_width(cell.pmos_path_widths_um),
             ),
-            nmos_stack=_StackPlan(
-                nmos,
-                cell.nmos_path_widths_um,
-                characterizer._nmos_stacks._cache,
+            nmos_stack=(
+                characterizer._nmos_stacks,
+                StackSolver(nmos, cell.nmos_path_widths_um),
             ),
-            pmos_stack=_StackPlan(
-                pmos,
-                cell.pmos_path_widths_um,
-                characterizer._pmos_stacks._cache,
+            pmos_stack=(
+                characterizer._pmos_stacks,
+                StackSolver(pmos, cell.pmos_path_widths_um),
             ),
         )
 
@@ -435,8 +328,8 @@ class OperatingPlan:
         """
         p_high = self.output_high_probability
         p_low = 1.0 - p_high
-        nmos = self._nmos_stack
-        pmos = self._pmos_stack
+        n_stacks, n_solver = self._nmos_stack
+        p_stacks, p_solver = self._pmos_stack
         shift_key = round(vt_shift, 6)
         out: List[float] = []
         append = out.append
@@ -445,8 +338,8 @@ class OperatingPlan:
                 raise CharacterizationError(
                     f"vdd must be positive, got {vdd}"
                 )
-            nmos_leak = nmos.lookup(vdd, vt_shift, shift_key)
-            pmos_leak = pmos.lookup(vdd, vt_shift, shift_key)
+            nmos_leak = n_stacks.lookup(n_solver, vdd, vt_shift, shift_key)
+            pmos_leak = p_stacks.lookup(p_solver, vdd, vt_shift, shift_key)
             append(p_high * nmos_leak + p_low * pmos_leak)
         if _obs.ENABLED and out:
             _obs.incr("opplan.points_batched", len(out))
@@ -467,8 +360,8 @@ class OperatingPlan:
         """
         p_high = self.output_high_probability
         p_low = 1.0 - p_high
-        nmos = self._nmos_stack
-        pmos = self._pmos_stack
+        n_stacks, n_solver = self._nmos_stack
+        p_stacks, p_solver = self._pmos_stack
         shift_key = round(vt_shift, 6)
         load_and_cout = self._load_and_cout
         out: List[Tuple[float, float]] = []
@@ -477,8 +370,8 @@ class OperatingPlan:
             load, cout = load_and_cout(vdd)
             total = load + cout
             transition = total * vdd * vdd
-            nmos_leak = nmos.lookup(vdd, vt_shift, shift_key)
-            pmos_leak = pmos.lookup(vdd, vt_shift, shift_key)
+            nmos_leak = n_stacks.lookup(n_solver, vdd, vt_shift, shift_key)
+            pmos_leak = p_stacks.lookup(p_solver, vdd, vt_shift, shift_key)
             leak = p_high * nmos_leak + p_low * pmos_leak
             append((transition, leak))
         if _obs.ENABLED and out:
@@ -515,8 +408,8 @@ class OperatingPlan:
         p_vt0s = p_vt0 + vt_shift
         p_high = self.output_high_probability
         p_low = 1.0 - p_high
-        nmos = self._nmos_stack
-        pmos = self._pmos_stack
+        n_stacks, n_solver = self._nmos_stack
+        p_stacks, p_solver = self._pmos_stack
         shift_key = round(vt_shift, 6)
         out: List[Tuple[float, Optional[float], Optional[float]]] = []
         append = out.append
@@ -577,8 +470,8 @@ class OperatingPlan:
                 append((delay, None, None))
                 continue
             transition = total_load * vdd * vdd
-            nmos_leak = nmos.lookup(vdd, vt_shift, shift_key)
-            pmos_leak = pmos.lookup(vdd, vt_shift, shift_key)
+            nmos_leak = n_stacks.lookup(n_solver, vdd, vt_shift, shift_key)
+            pmos_leak = p_stacks.lookup(p_solver, vdd, vt_shift, shift_key)
             leak = p_high * nmos_leak + p_low * pmos_leak
             append((delay, transition, leak))
         if _obs.ENABLED and out:

@@ -4,6 +4,7 @@ import functools
 
 import pytest
 
+from repro import obs
 from repro.core.flow import LowVoltageDesignFlow
 from repro.core.scenarios import (
     continuous_scenario,
@@ -13,6 +14,7 @@ from repro.core.scenarios import (
 from repro.errors import AnalysisError
 from repro.isa.profiler import profile_program
 from repro.isa.workloads import espresso_like, idea, li_like
+from repro.switchsim.simulator import SwitchLevelSimulator
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,25 @@ class TestStages:
         unit = datapath["adder"]
         report = flow.unit_activity(unit.netlist, unit.vectors)
         assert report.mean_activity() > 0.0
+
+    def test_activity_stage_matches_reference_simulator(self, flow):
+        # The flow runs the indexed fast simulator; its report must equal
+        # the reference event-driven run under the same active-mode bias.
+        unit = standard_datapath(width=8, stimulus_vectors=80)["multiplier"]
+        technology = flow.technology
+        shift = technology.back_gate.vt_shift_at(
+            min(
+                technology.back_gate_swing,
+                technology.back_gate.max_back_gate_bias,
+            )
+        )
+        reference = SwitchLevelSimulator(
+            unit.netlist, technology, flow.vdd, vt_shift=shift
+        ).run_vectors(unit.vectors)
+        with obs.enabled_scope():
+            report = flow.unit_activity(unit.netlist, unit.vectors)
+            assert obs.counter_value("simulator.runs.fast") == 1
+        assert report == reference
 
     def test_module_parameter_stage(self, flow, datapath):
         unit = datapath["adder"]

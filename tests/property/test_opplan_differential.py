@@ -4,10 +4,14 @@ Random (cell, load, V_DD-vector, V_T-shift) corners are evaluated
 through both the decoded :class:`OperatingPlan` and the per-point
 ``propagation_delay``/``fanout_delay``/``leakage_current``/
 ``energy_per_transition`` chain; the results must be bit-identical —
-not approximately equal.  Mirrors
+not approximately equal.  The leakage values are also checked against
+the nested-bisection oracle (``tests/device/stack_oracle.py``) at its
+declared relative tolerance.  Mirrors
 ``tests/property/test_variation_differential.py``, which covers the
 V_T-variation axis of the same decode/run split.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from repro.device.technology import bulk_cmos_06um, soi_low_vt
 from repro.tech.characterize import CellCharacterizer
 from repro.tech.cells import standard_cells
+from tests.device.stack_oracle import ORACLE_RTOL, oracle_cell_leakage
 
 _CELLS = standard_cells()
 
@@ -93,6 +98,14 @@ class TestPlanMatchesPerPointPath:
             for vdd in vdds
         ]
         assert plan.leakages(vdds, shift) == expected
+        # A supply whose rounded stack-memo key repeats is served the
+        # first one's value, so check each key's first point only.
+        first = {}
+        for vdd, value in zip(vdds, expected):
+            first.setdefault(round(vdd, 6), (vdd, value))
+        for vdd, value in first.values():
+            oracle = oracle_cell_leakage(reference.technology, cell, vdd, shift)
+            assert math.isclose(value, oracle, rel_tol=ORACLE_RTOL)
 
     @settings(deadline=None, max_examples=15)
     @given(

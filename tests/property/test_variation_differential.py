@@ -3,11 +3,16 @@
 Random (cell, V_DD, load, shift-vector) corners are evaluated through
 both the decoded :class:`VariationPlan` and the per-sample
 ``propagation_delay``/``leakage_current`` chain; the results must be
-bit-identical — not approximately equal.  A second suite checks that
+bit-identical — not approximately equal.  Both paths share one stack
+solve, so the leakage samples are also checked against the
+nested-bisection oracle (``tests/device/stack_oracle.py``) at its
+declared relative tolerance.  A second suite checks that
 adaptive contour refinement evaluates exactly the same values a
 uniform finest-resolution grid would, and resolves the same
 zero-crossing cells.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +25,7 @@ from repro.device.technology import bulk_cmos_06um, soi_low_vt
 from repro.power.energy import ModuleEnergyParameters
 from repro.tech.characterize import CellCharacterizer
 from repro.tech.cells import standard_cells
+from tests.device.stack_oracle import ORACLE_RTOL, oracle_cell_leakage
 
 _CELLS = standard_cells()
 
@@ -77,6 +83,14 @@ class TestPlanMatchesPerSamplePath:
             for s in shifts
         ]
         assert plan.leakages(shifts) == expected
+        # A shift whose rounded stack-memo key repeats is served the
+        # first one's value, so check each key's first sample only.
+        first = {}
+        for shift, value in zip(shifts, expected):
+            first.setdefault(round(shift, 6), (shift, value))
+        for shift, value in first.values():
+            oracle = oracle_cell_leakage(reference.technology, cell, vdd, shift)
+            assert math.isclose(value, oracle, rel_tol=ORACLE_RTOL)
 
     @settings(deadline=None, max_examples=10)
     @given(name=cell_names, vdd=vdds, shifts=shift_vectors)
