@@ -23,10 +23,11 @@ optimizers are bit-identical to the purely nominal behavior.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro import obs
 from repro.device.technology import Technology
@@ -43,7 +44,11 @@ __all__ = [
     "ModuleThroughputOptimizer",
 ]
 
+#: Bisection steps a supply solve takes at most: a 70-step bisection of
+#: the V_DD bounds defines which root the solve returns.
 _BISECTION_STEPS = 70
+#: The secant phase stops once ``|ln(delay / target)|`` is this small.
+_RESIDUAL_TOL = 1e-13
 #: Coarse-scan resolution used to bracket the global energy basin
 #: before golden-section refinement.  Clamping at the low V_DD bound
 #: splits the landscape into two regimes — a clamped boundary branch
@@ -93,6 +98,102 @@ def _bracketed_golden_minimum(energy, low, high, tolerance):
     return min(candidates, key=lambda pair: (pair[0], pair[1]))[1]
 
 
+def _solve_supply(
+    delay_at: Callable[[float], float],
+    target: float,
+    low: float,
+    high: float,
+    breaks: Optional[Sequence[float]],
+) -> Optional[float]:
+    """Supply in ``[low, high]`` at which ``delay_at`` meets ``target``.
+
+    Returns ``None`` when the delay still exceeds the target at
+    ``high`` (the caller raises, with its own context), and ``low``
+    when the delay is already below the target there: the circuit
+    simply runs faster than required at the minimum supply
+    (``optimizer.low_bound_clamps``).
+
+    The delay need not be monotone in between.  ``breaks`` are the
+    supplies where it stops falling (see
+    :meth:`repro.tech.opplan.OperatingPlan.delay_breaks`): it rises
+    for a band above each, so a target in that band has three roots.
+    While a break lies strictly inside the bracket the solve takes
+    exactly the steps of a 70-step bisection of ``[low, high]``, so it
+    settles on the same root.  Once none does, the bracket holds one
+    root, and a bracketed Illinois secant on ``ln(delay / target)``
+    finishes: it takes the midpoint whenever a step would leave the
+    bracket and stops once ``|ln(delay / target)| <= 1e-13`` or the
+    bracket reaches float resolution.  With ``breaks=None`` (shape
+    unknown) it bisects throughout and returns the 70-step result
+    exactly, stopping early once the midpoint rounds to an endpoint,
+    after which further steps cannot change it.
+
+    ``optimizer.supply_evals`` counts the delay evaluations, bracket
+    checks included, in one increment per solve.
+    """
+    evaluations = 0
+    try:
+        evaluations += 1
+        delay_high = delay_at(high)
+        if delay_high > target:
+            return None
+        evaluations += 1
+        delay_low = delay_at(low)
+        if delay_low < target:
+            if obs.ENABLED:
+                obs.incr("optimizer.low_bound_clamps")
+            return low
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (low + high)
+            if mid == low or mid == high:
+                return mid
+            if breaks is not None and not any(
+                low < point < high for point in breaks
+            ):
+                break
+            evaluations += 1
+            delay_mid = delay_at(mid)
+            if delay_mid > target:
+                low, delay_low = mid, delay_mid
+            else:
+                high, delay_high = mid, delay_mid
+        else:
+            return 0.5 * (low + high)
+        f_low = math.log(delay_low / target)
+        f_high = math.log(delay_high / target)
+        # +1 after a step that moved ``low``, -1 after one that moved
+        # ``high``: an endpoint kept twice in a row has its residual
+        # halved (the Illinois rule), so the next step leans toward it.
+        moved = 0
+        while True:
+            mid = 0.5 * (low + high)
+            if mid == low or mid == high:
+                return mid
+            vdd = mid
+            if f_low > f_high:
+                trial = high - f_high * (high - low) / (f_high - f_low)
+                if low < trial < high:
+                    vdd = trial
+            evaluations += 1
+            delay = delay_at(vdd)
+            residual = math.log(delay / target)
+            if abs(residual) <= _RESIDUAL_TOL:
+                return vdd
+            if delay > target:
+                low, f_low = vdd, residual
+                if moved > 0:
+                    f_high *= 0.5
+                moved = 1
+            else:
+                high, f_high = vdd, residual
+                if moved < 0:
+                    f_low *= 0.5
+                moved = -1
+    finally:
+        if obs.ENABLED:
+            obs.incr("optimizer.supply_evals", evaluations)
+
+
 def _percentile(values: Sequence[float], p: float) -> float:
     """Linear-interpolated percentile, p in [0, 100].
 
@@ -124,8 +225,9 @@ class VariationSpec:
         device polarities per sample (die-to-die variation).
     n_samples:
         Monte-Carlo samples per solve.  The shift vector is drawn once
-        per solve and reused across every probed V_DD, which keeps the
-        percentile delay monotone in V_DD (bisection stays valid).
+        per solve and reused across every probed V_DD, so every probe
+        of one solve prices the same corners and the percentile delay
+        is one fixed function of V_DD for the solve to bisect.
     seed:
         Deterministic sampling seed; the draw matches
         :meth:`repro.analysis.variation.MonteCarloAnalyzer.
@@ -242,19 +344,21 @@ class RingOscillatorModel:
         self._corners: "OrderedDict[float, CellCharacterizer]" = OrderedDict()
         self._corner_hits = 0
         self._corner_misses = 0
-        # Most-recent corner, kept out of the OrderedDict lookup:
-        # bisection probes the same V_T dozens of times consecutively,
-        # so the common hit is a float compare, not an LRU reorder.
+        # Most-recent corner, kept out of the OrderedDict lookup: a
+        # locus point queries the same V_T several times in a row (a
+        # yield solve once per probe), so the common hit is a float
+        # compare, not an LRU reorder.
         self._last_vt: Optional[float] = None
         self._last_corner: Optional[CellCharacterizer] = None
 
     def _corner(self, vt: float) -> CellCharacterizer:
         """Memoized characterizer for the V_T corner (bounded LRU).
 
-        Bisection revisits the same V_T dozens of times per
-        ``solve_vdd_for_delay`` call; sharing one characterizer per
-        corner lets its internal (cell, vdd, load) memo accumulate
-        across the whole sweep instead of being rebuilt per query.
+        A locus point revisits its V_T for the supply solve's plan, the
+        energy query and the delay re-probe (a yield solve once per
+        probe); sharing one characterizer per corner lets its decoded
+        plans and (cell, vdd, load) memo accumulate across the whole
+        sweep instead of being rebuilt per query.
         The least-recently-used corner is evicted beyond
         ``max_corners``, bounding memory on long-lived models.
         """
@@ -351,7 +455,16 @@ class RingOscillatorModel:
     ) -> float:
         """Supply voltage giving the target stage delay (Fig. 3).
 
-        Delay decreases monotonically with V_DD, so bisection applies.
+        The delay is not monotone in V_DD: above the kink at
+        ``V_DD = V_T / (1 + DIBL)`` (:meth:`~repro.tech.opplan.
+        OperatingPlan.delay_breaks`) it rises for a band of about 1 mV
+        at V_T = 0.5 V, 6 mV at 0.2 V and 40 mV at 0.05 V before it
+        falls again, so a target inside that band is met at three
+        supplies.  The solve returns the one a bisection of the V_DD
+        bounds lands on (within 1e-9 relative), which is not always the
+        lowest: it bisects while the kink is inside the bracket, then
+        finishes with a secant on the single root left.
+
         If the ring already meets the target at the *low* V_DD bound,
         the solve clamps and returns ``low`` — the structure simply
         runs faster than required at the minimum supply (the same
@@ -374,33 +487,24 @@ class RingOscillatorModel:
             raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
         if obs.ENABLED:
             obs.incr("optimizer.vdd_solves")
-        # One decoded plan serves the bracket checks and every
-        # bisection step: the V_DD-invariant drive constants and
-        # capacitance geometry are resolved once per solve instead of
-        # once per probe, and each probe is bit-identical to a
-        # stage_delay call at the same corner.
+        # One decoded plan serves every probe of the solve: the
+        # V_DD-invariant drive constants and capacitance geometry are
+        # resolved once per solve instead of once per probe, each probe
+        # is bit-identical to a stage_delay call at the same corner, and
+        # the plan knows where its delay curve kinks.  Plan-kernel
+        # probes bypass the characterizer memo, so
+        # ``optimizer.delay_probes`` keeps matching the characterizer's
+        # fanout-family traffic.
         plan = self._corner(vt).plan_operating(self._inverter, fanout=1)
-        delay_at = plan.delay
-        if delay_at(high) > target_stage_delay_s:
+        vdd = _solve_supply(
+            plan.delay, target_stage_delay_s, low, high, plan.delay_breaks()
+        )
+        if vdd is None:
             raise OptimizationError(
                 f"target {target_stage_delay_s:.3e} s unreachable: still "
                 f"slower at V_DD = {high} V (V_T = {vt} V)"
             )
-        if delay_at(low) < target_stage_delay_s:
-            if obs.ENABLED:
-                obs.incr("optimizer.low_bound_clamps")
-            return low
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (low + high)
-            if delay_at(mid) > target_stage_delay_s:
-                low = mid
-            else:
-                high = mid
-        # Plan-kernel probes bypass the characterizer memo, so
-        # ``optimizer.delay_probes`` keeps matching the characterizer's
-        # fanout-family traffic: both drop the solve's internal probes
-        # together.
-        return 0.5 * (low + high)
+        return vdd
 
     def energy_per_cycle(
         self, vdd: float, vt: float, cycle_time_s: float
@@ -467,11 +571,14 @@ class RingOscillatorModel:
 
         The yield-constrained twin of :meth:`solve_vdd_for_delay`: the
         shift vector is drawn **once per solve** and reused across
-        every probed V_DD, so each sample's delay — and therefore every
-        order statistic of the distribution — decreases monotonically
-        with V_DD and bisection applies.  Clamping at the low bound
-        keeps the nominal solve's semantics: the p-th percentile corner
-        is already fast enough at the minimum supply.
+        every probed V_DD.  Each sample's delay rises in its own band
+        above its own kink ``(V_T + shift) / (1 + DIBL)``, so the
+        percentile delay is not monotone near the kinks; the solve
+        bisects throughout and returns exactly what a 70-step bisection
+        of the V_DD bounds returns.
+        Clamping at the low bound keeps the nominal solve's semantics:
+        the p-th percentile corner is already fast enough at the
+        minimum supply.
 
         Raises
         ------
@@ -493,32 +600,20 @@ class RingOscillatorModel:
         if obs.ENABLED:
             obs.incr("optimizer.yield_solves")
         shifts = spec.draw_shifts()
-        if (
-            self._stage_delay_percentile(high, vt, shifts, percentile)
-            > target_stage_delay_s
-        ):
+        vdd = _solve_supply(
+            lambda v: self._stage_delay_percentile(v, vt, shifts, percentile),
+            target_stage_delay_s,
+            low,
+            high,
+            None,
+        )
+        if vdd is None:
             raise OptimizationError(
                 f"p{percentile:g} target {target_stage_delay_s:.3e} s "
                 f"unreachable: still slower at V_DD = {high} V "
                 f"(V_T = {vt} V, sigma = {vt_sigma} V)"
             )
-        if (
-            self._stage_delay_percentile(low, vt, shifts, percentile)
-            < target_stage_delay_s
-        ):
-            if obs.ENABLED:
-                obs.incr("optimizer.low_bound_clamps")
-            return low
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (low + high)
-            if (
-                self._stage_delay_percentile(mid, vt, shifts, percentile)
-                > target_stage_delay_s
-            ):
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
+        return vdd
 
     def statistical_energy_per_cycle(
         self,
@@ -648,10 +743,10 @@ class FixedThroughputOptimizer:
 
         Each V_T's solve and energy evaluation run through that
         corner's decoded :class:`~repro.tech.opplan.OperatingPlan`
-        (built once per corner, reused by the bracket checks, all
-        bisection steps and the energy query), so the whole axis is
-        evaluated through batched kernels while staying bit-identical
-        to the scalar per-probe chain.
+        (built once per corner, reused by every probe of the supply
+        solve and by the energy query), so the whole axis is evaluated
+        through batched kernels, each probe bit-identical to the
+        scalar per-probe chain.
         """
         if not vts:
             raise OptimizationError("empty V_T sweep")
@@ -784,7 +879,11 @@ class ModuleThroughputOptimizer:
         Clamps to the low V_DD bound when the module is already faster
         than the target there (the shared low-bound semantics — see
         :meth:`RingOscillatorModel.solve_vdd_for_delay`); raises only
-        when the target is unreachable at the *high* bound.
+        when the target is unreachable at the *high* bound.  Every cell
+        delay on a path rises in a band above the kink at
+        ``V_DD = V_T / (1 + DIBL)``, so the critical-path delay is not
+        monotone there either; the solve bisects throughout and returns
+        exactly what a 70-step bisection of the V_DD bounds returns.
         """
         if target_delay_s <= 0.0:
             raise OptimizationError("target delay must be positive")
@@ -795,22 +894,15 @@ class ModuleThroughputOptimizer:
             raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
         if obs.ENABLED:
             obs.incr("optimizer.vdd_solves")
-        if self.delay(high, vt) > target_delay_s:
+        vdd = _solve_supply(
+            lambda v: self.delay(v, vt), target_delay_s, low, high, None
+        )
+        if vdd is None:
             raise OptimizationError(
                 f"target {target_delay_s:.3e} s unreachable at "
                 f"V_DD = {high} V (V_T = {vt} V)"
             )
-        if self.delay(low, vt) < target_delay_s:
-            if obs.ENABLED:
-                obs.incr("optimizer.low_bound_clamps")
-            return low
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (low + high)
-            if self.delay(mid, vt) > target_delay_s:
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
+        return vdd
 
     def _delay_percentile(
         self,
@@ -856,10 +948,12 @@ class ModuleThroughputOptimizer:
 
         The module-level twin of
         :meth:`RingOscillatorModel.solve_vdd_for_yield`: one shift
-        vector per solve, reused across probed supplies, so every order
-        statistic of the delay distribution is monotone decreasing in
-        V_DD and bisection applies.  Low-bound clamp and unreachable
-        semantics mirror :meth:`solve_vdd_for_delay`.
+        vector per solve, reused across probed supplies.  Like
+        :meth:`solve_vdd_for_delay` it bisects throughout, since the
+        delay rises above each sample's kink, and returns exactly what
+        a 70-step bisection of the V_DD bounds returns.  Low-bound
+        clamp and unreachable semantics mirror
+        :meth:`solve_vdd_for_delay`.
         """
         if target_delay_s <= 0.0:
             raise OptimizationError("target delay must be positive")
@@ -875,32 +969,20 @@ class ModuleThroughputOptimizer:
         if obs.ENABLED:
             obs.incr("optimizer.yield_solves")
         ordered = sorted(spec.draw_shifts())
-        if (
-            self._delay_percentile(high, vt, ordered, percentile)
-            > target_delay_s
-        ):
+        vdd = _solve_supply(
+            lambda v: self._delay_percentile(v, vt, ordered, percentile),
+            target_delay_s,
+            low,
+            high,
+            None,
+        )
+        if vdd is None:
             raise OptimizationError(
                 f"p{percentile:g} target {target_delay_s:.3e} s "
                 f"unreachable: still slower at V_DD = {high} V "
                 f"(V_T = {vt} V, sigma = {vt_sigma} V)"
             )
-        if (
-            self._delay_percentile(low, vt, ordered, percentile)
-            < target_delay_s
-        ):
-            if obs.ENABLED:
-                obs.incr("optimizer.low_bound_clamps")
-            return low
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (low + high)
-            if (
-                self._delay_percentile(mid, vt, ordered, percentile)
-                > target_delay_s
-            ):
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
+        return vdd
 
     def energy_per_operation(
         self, vdd: float, vt: float, operation_time_s: float

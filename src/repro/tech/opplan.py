@@ -3,11 +3,19 @@
 The Fig. 3/4 experiments ask the mirror image of the variation
 question answered by :mod:`repro.tech.batch`: *the same cell, under
 the same load, at many supply voltages*.  Every optimizer probe —
-bisection steps in ``solve_vdd_for_delay``, energy evaluations along
-the optimum locus, whole (V_DD, V_T) surface grids — walks the scalar
-``fanout_delay`` / ``propagation_delay`` / ``leakage_current`` chain,
-re-resolving attribute chains, capacitance views, thermal voltage and
-Mosfet constructions although none of them depend on V_DD.
+the delay probes of the supply solve in ``solve_vdd_for_delay``,
+energy evaluations along the optimum locus, whole (V_DD, V_T) surface
+grids — walks the scalar ``fanout_delay`` / ``propagation_delay`` /
+``leakage_current`` chain, re-resolving attribute chains, capacitance
+views, thermal voltage and Mosfet constructions although none of them
+depend on V_DD.
+
+The delay is *not* monotone in V_DD.  Where the gate drive crosses
+zero the on-current's slope collapses, and the delay rises for a band
+of about 1–40 mV above that kink (wider at lower V_T) before it falls
+again.  :meth:`OperatingPlan.delay_breaks` reports the kink so the
+supply solve can bisect across it and land on the same root as a
+plain bisection.
 
 :class:`OperatingPlan` is the decode/run split applied along the
 supply axis: :meth:`CellCharacterizer.plan_operating
@@ -477,6 +485,43 @@ class OperatingPlan:
         if _obs.ENABLED and out:
             _obs.incr("opplan.points_batched", len(out))
         return out
+
+    def delay_breaks(
+        self, vt_shift: float = 0.0
+    ) -> Optional[Tuple[float]]:
+        """The supply where :meth:`delays` stops falling, or ``None``.
+
+        The on-current blends the subthreshold exponential with the
+        alpha-power term, which starts at zero where the gate drive
+        ``V_DD - (V_T0 + vt_shift - DIBL * V_DD)`` crosses zero, at
+        ``V_DD = (V_T0 + vt_shift) / (1 + DIBL)``.  Above that kink
+        the exponential has saturated and the alpha-power term is still
+        flat, so the delay *rises* with V_DD, for about 1 mV at
+        V_T = 0.5 V up to about 40 mV at V_T = 0.05 V, before it falls
+        again: below the kink the delay falls monotonically, above it
+        it rises to one local maximum and then falls.
+
+        That holds when the two polarities differ by nothing but a
+        common drive scale (every technology built from a matched
+        N/P pair): then the weaker one sets the delay at every supply.
+        The scale is compared to 1e-12 relative, the float rounding of
+        the width and mobility products.  For any other pair the
+        delay's shape is not known here and the result is ``None``.
+        """
+        nmos = self._nmos_drive
+        pmos = self._pmos_drive
+        # _drive_constants order: (vt0, dibl, n*phi_t, phi_t) and
+        # (alpha, alpha/2, vdsat_coeff, clm) must match exactly, and the
+        # drive prefactors (i_spec*W, k_drive*W) must share one ratio.
+        if (
+            nmos[:4] != pmos[:4]
+            or nmos[6:] != pmos[6:]
+            or not math.isclose(
+                pmos[4] / nmos[4], pmos[5] / nmos[5], rel_tol=1e-12
+            )
+        ):
+            return None
+        return ((nmos[0] + vt_shift) / (1.0 + nmos[1]),)
 
     # Single-point conveniences (tests and spot checks).
     def delay(self, vdd: float, vt_shift: float = 0.0) -> float:
