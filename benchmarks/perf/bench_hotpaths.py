@@ -3,11 +3,12 @@
 Times the three paths the performance layer optimizes and writes the
 measurements to ``BENCH_hotpaths.json`` at the repo root:
 
-1. **Switch-level simulation** — the reference event loop
-   (``run_vectors``) vs the table-driven fast path
-   (``run_vectors_fast``) on a ripple-carry adder under identical
-   random stimulus.  The fast path must produce a bit-identical
-   :class:`ActivityReport`.
+1. **Switch-level simulation** — the dict-keyed reference event loop
+   (the test-only oracle in ``tests/switchsim/event_oracle.py``) vs the
+   indexed event kernel behind ``SwitchLevelSimulator.run_vectors``, on
+   a ripple-carry adder and on the Fig. 10 8-bit array multiplier at 80
+   vectors, under identical random stimulus.  The kernel must produce a
+   bit-identical :class:`ActivityReport`.
 2. **Fixed-throughput optimizer V_T sweep** (Figs. 3-4) — the seed's
    behavior (a fresh, uncached :class:`CellCharacterizer` per corner
    query) vs the corner-cached ring model, measured both cold (first
@@ -72,7 +73,7 @@ from repro.isa.machine import Machine
 from repro.isa.profiler import profile_program
 from repro.isa.workloads import build as build_workload
 from repro.analysis.variation import MonteCarloAnalyzer
-from repro.circuits.builders import ripple_carry_adder
+from repro.circuits.builders import array_multiplier, ripple_carry_adder
 from repro.core.flow import LowVoltageDesignFlow
 from repro.device.technology import soi_low_vt, soias_technology
 from repro.power.energy import ModuleEnergyParameters
@@ -99,34 +100,50 @@ def _timed(fn):
 
 
 # ----------------------------------------------------------------------
-# 1. Simulator: reference event loop vs fast path
+# 1. Simulator: dict-keyed reference loop vs the indexed event kernel
 # ----------------------------------------------------------------------
-def bench_simulator(quick: bool) -> dict:
-    width = 8
-    count = 60 if quick else 400
-    netlist = ripple_carry_adder(width)
-    vectors = random_bus_vectors(
-        {"a": width, "b": width}, count=count, seed=42
-    )
+def _bench_simulator_on(reference_cls, netlist, vectors) -> dict:
     technology = soi_low_vt()
-
-    reference = SwitchLevelSimulator(netlist, technology, vdd=1.0)
-    fast = SwitchLevelSimulator(netlist, technology, vdd=1.0)
+    reference = reference_cls(netlist, technology, vdd=1.0)
+    kernel = SwitchLevelSimulator(netlist, technology, vdd=1.0)
 
     ref_report, ref_seconds = _timed(lambda: reference.run_vectors(vectors))
-    fast_report, fast_seconds = _timed(
-        lambda: fast.run_vectors_fast(vectors)
-    )
-    identical = ref_report == fast_report
+    report, seconds = _timed(lambda: kernel.run_vectors(vectors))
+    count = len(vectors)
     return {
         "circuit": netlist.name,
         "vectors": count,
         "reference_seconds": ref_seconds,
-        "fast_seconds": fast_seconds,
+        "kernel_seconds": seconds,
         "reference_vectors_per_s": count / ref_seconds,
-        "fast_vectors_per_s": count / fast_seconds,
-        "speedup": ref_seconds / fast_seconds,
-        "reports_identical": identical,
+        "kernel_vectors_per_s": count / seconds,
+        "speedup": ref_seconds / seconds,
+        "reports_identical": ref_report == report,
+    }
+
+
+def bench_simulator(quick: bool) -> dict:
+    # The reference loop is a test-only oracle, imported from tests/.
+    sys.path.insert(0, str(REPO_ROOT))
+    from tests.switchsim.event_oracle import ReferenceSimulator
+
+    width = 8
+    buses = {"a": width, "b": width}
+    runs = [
+        _bench_simulator_on(
+            ReferenceSimulator,
+            ripple_carry_adder(width),
+            random_bus_vectors(buses, count=60 if quick else 400, seed=42),
+        ),
+        _bench_simulator_on(
+            ReferenceSimulator,
+            array_multiplier(width),
+            random_bus_vectors(buses, count=80, seed=42),
+        ),
+    ]
+    return {
+        "circuits": runs,
+        "reports_identical": all(run["reports_identical"] for run in runs),
     }
 
 
@@ -704,9 +721,7 @@ def bench_observability(workers: int) -> dict:
 
         netlist = ripple_carry_adder(4)
         vectors = random_bus_vectors({"a": 4, "b": 4}, count=20, seed=1)
-        SwitchLevelSimulator(netlist, technology, vdd=1.0).run_vectors_fast(
-            vectors
-        )
+        SwitchLevelSimulator(netlist, technology, vdd=1.0).run_vectors(vectors)
 
         module = _bench_grid_module()
         grid = [i / 8 for i in range(1, 9)]
@@ -785,12 +800,13 @@ def main(argv=None) -> int:
     sched = results["scheduler"]
     surf = results["surface"]
     print(f"wrote {args.out}")
-    print(
-        f"simulator       {sim['speedup']:6.2f}x  "
-        f"({sim['reference_vectors_per_s']:.0f} -> "
-        f"{sim['fast_vectors_per_s']:.0f} vectors/s, "
-        f"identical={sim['reports_identical']})"
-    )
+    for circuit in sim["circuits"]:
+        print(
+            f"simulator       {circuit['speedup']:6.2f}x  "
+            f"({circuit['reference_vectors_per_s']:.0f} -> "
+            f"{circuit['kernel_vectors_per_s']:.0f} vectors/s on "
+            f"{circuit['circuit']}, identical={circuit['reports_identical']})"
+        )
     print(
         f"optimizer sweep {opt['speedup']:6.2f}x amortized over "
         f"{opt['repetitions']} sweeps "

@@ -251,7 +251,7 @@ def _cmd_activity(args: argparse.Namespace) -> int:
             fixed_widths={n: buses[n] for n in fixed},
         )
     simulator = SwitchLevelSimulator(netlist, technology, args.vdd)
-    report = simulator.run_vectors_fast(vectors)
+    report = simulator.run_vectors(vectors)
     edges, counts = report.histogram(bins=args.bins)
     rows = [
         [f"{edges[i]:.3f}-{edges[i + 1]:.3f}", counts[i]]

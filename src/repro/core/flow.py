@@ -162,11 +162,7 @@ class LowVoltageDesignFlow:
         netlist: Netlist,
         vectors: Sequence[Mapping[str, int]],
     ) -> ActivityReport:
-        """Switch-level simulation of a unit under stimulus.
-
-        Runs :meth:`SwitchLevelSimulator.run_vectors_fast`, whose report
-        is identical to the reference :meth:`run_vectors`.
-        """
+        """Switch-level simulation of a unit under stimulus."""
         active_shift = 0.0
         if self.technology.is_back_gated:
             active_shift = self.technology.back_gate.vt_shift_at(
@@ -179,7 +175,7 @@ class LowVoltageDesignFlow:
             netlist, self.technology, self.vdd, vt_shift=active_shift
         )
         with obs.span("flow.unit_activity"):
-            return simulator.run_vectors_fast(vectors)
+            return simulator.run_vectors(vectors)
 
     # ------------------------------------------------------------------
     # Stage 3: module electrical parameters

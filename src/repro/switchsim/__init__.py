@@ -6,7 +6,9 @@ a switch-level simulator.  This package provides the same observable:
 * :class:`~repro.switchsim.simulator.SwitchLevelSimulator` — an
   event-driven gate-level simulator with inertial delays derived from
   the cell characterizer, so late-arriving inputs re-evaluate gates and
-  produce the glitch transitions visible in the paper's Figs. 8-9.
+  produce the glitch transitions visible in the paper's Figs. 8-9.  One
+  indexed event kernel (integer nets, base-3 gate tables, time-bucketed
+  inertial queue) runs every entry point.
 * :mod:`~repro.switchsim.stimulus` — random, correlated and counting
   input-pattern generators.
 * :class:`~repro.switchsim.activity.ActivityReport` — per-node
@@ -14,7 +16,6 @@ a switch-level simulator.  This package provides the same observable:
   histograms of Figs. 8-9.
 """
 
-from repro.switchsim.events import Event, EventQueue
 from repro.switchsim.simulator import SwitchLevelSimulator
 from repro.switchsim.activity import ActivityReport
 from repro.switchsim.stimulus import (
@@ -25,8 +26,6 @@ from repro.switchsim.stimulus import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "SwitchLevelSimulator",
     "ActivityReport",
     "random_bus_vectors",

@@ -11,27 +11,58 @@ The simulator exposes two levels of use:
   quiescence, and return the per-net transition counts of that vector.
 * :meth:`SwitchLevelSimulator.run_vectors` — apply a stimulus sequence
   and accumulate an :class:`~repro.switchsim.activity.ActivityReport`.
+
+Every entry point runs one indexed event kernel:
+
+* **Decoded loads.** Nets and gates are integers.  Each net carries one
+  ``(gate, pin weight, output net, delay, table)`` entry per gate it
+  drives; a gate that takes the net on several pins gets one entry
+  whose weight sums those pins.
+* **Three-valued gate tables.** Each cell type has one table indexed in
+  base 3, digit ``i`` being input ``i``'s value (0, 1, or 2 for
+  unknown), built from :meth:`Cell.evaluate`.  Every gate keeps its
+  current index, so an input change is one add per load and an
+  evaluation one lookup.
+* **Inertial queue.** Per net: the value it is destined for and the id
+  of its one live event, so a newer event (or an unknown result)
+  supersedes the pending one.  Events wait in per-time FIFO buckets
+  under a heap of distinct times; every delay is at least 1 fs, so a
+  bucket never grows while it is being fired and bucket order is
+  exactly (time, schedule) order.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.circuits.netlist import Netlist
 from repro.device.technology import Technology
 from repro.errors import SimulationError
 from repro.switchsim.activity import ActivityReport
-from repro.switchsim.events import EventQueue
+from repro.tech.cells import Cell
 from repro.tech.characterize import CellCharacterizer
 
 __all__ = ["SwitchLevelSimulator"]
 
 _FS_PER_S = 1e15
 
-#: Fast-path sentinel for "no pending event" (0/1 are live values).
-_NO_PENDING = object()
+#: Digit of an unknown value, in net values and gate-table indices.
+_X = 2
+
+
+def _ternary_table(cell: Cell) -> Tuple[int, ...]:
+    """``cell``'s output for every base-3 input index (2 = unknown)."""
+    table = []
+    for index in range(3**cell.n_inputs):
+        operands = []
+        for _ in range(cell.n_inputs):
+            index, digit = divmod(index, 3)
+            operands.append(None if digit == _X else digit)
+        value = cell.evaluate(operands)
+        table.append(_X if value is None else value)
+    return tuple(table)
 
 
 class SwitchLevelSimulator:
@@ -63,61 +94,92 @@ class SwitchLevelSimulator:
         self.vt_shift = vt_shift
         self.wire_length_per_fanout_um = wire_length_per_fanout_um
 
+        names = netlist.nets()
+        ids = {name: i for i, name in enumerate(names)}
+        instances = list(netlist.instances.values())
+        gate = {instance.name: k for k, instance in enumerate(instances)}
+        fanouts = [
+            [(gate[instance.name], pin) for instance, pin in netlist.fanout(name)]
+            for name in names
+        ]
+        pin_cap: Dict[int, float] = {}
+        tables: Dict[int, Tuple[int, ...]] = {}
+        for instance in instances:
+            cell = instance.cell
+            if id(cell) not in tables:
+                pin_cap[id(cell)] = cell.input_capacitance(technology, vdd)
+                tables[id(cell)] = _ternary_table(cell)
+        self._outs = [ids[instance.output] for instance in instances]
+        self._tables = [tables[id(instance.cell)] for instance in instances]
+
+        # An output's external load: its pins' input capacitance summed
+        # in fanout order, plus the wire.
+        caps = [pin_cap[id(instance.cell)] for instance in instances]
         characterizer = CellCharacterizer(technology)
+        wire = technology.wire_cap
         self._delay_fs: Dict[str, int] = {}
-        for instance in netlist.instances.values():
-            external = self._external_load(instance.output)
+        self._delays: List[int] = []
+        for instance, out in zip(instances, self._outs):
+            fanout = fanouts[out]
+            external = sum([caps[k] for k, _ in fanout]) + wire.wire_capacitance(
+                wire_length_per_fanout_um * max(len(fanout), 1)
+            )
             delay_s = characterizer.propagation_delay(
                 instance.cell, vdd, external, vt_shift
             )
-            self._delay_fs[instance.name] = max(int(delay_s * _FS_PER_S), 1)
+            delay_fs = max(int(delay_s * _FS_PER_S), 1)
+            self._delay_fs[instance.name] = delay_fs
+            self._delays.append(delay_fs)
 
-        self.state: Dict[str, Optional[int]] = {
-            net: None for net in netlist.nets()
-        }
-        self.state.update(netlist.constants)
-        self.now_fs = 0
-        self._queue = EventQueue()
-        self._rising: Dict[str, int] = {net: 0 for net in self.state}
-        self._falling: Dict[str, int] = {net: 0 for net in self.state}
+        self._names = names
+        self._ids = ids
+        self._inputs = frozenset(netlist.primary_inputs)
+        self._pins: List[Tuple[Tuple[int, int], ...]] = [
+            tuple((ids[net], 3**pin) for pin, net in enumerate(instance.inputs))
+            for instance in instances
+        ]
+        self._loads: List[Tuple[Tuple[int, int, int, int, tuple], ...]] = []
+        for fanout in fanouts:
+            weights: Dict[int, int] = {}
+            for k, pin in fanout:
+                weights[k] = weights.get(k, 0) + 3**pin
+            self._loads.append(
+                tuple(
+                    (k, w, self._outs[k], self._delays[k], self._tables[k])
+                    for k, w in weights.items()
+                )
+            )
+
+        n = len(names)
+        self._unset = [_X] * n
+        for net, value in netlist.constants.items():
+            self._unset[ids[net]] = value
+        self._vals = list(self._unset)
+        self._dest = list(self._unset)
+        self._live = [0] * n
+        self._idx = [0] * len(instances)
+        self._rising = [0] * n
+        self._falling = [0] * n
         self._vectors_applied = 0
-        self._build_fast_tables()
+        self._buckets: Dict[int, List[int]] = {}
+        self._times: List[int] = []
+        # Event ids are ``seq + net`` with ``seq`` a multiple of the
+        # stride, so an id names its net; ``seq`` restarts at 0 whenever
+        # the queue drains.  ``_fired`` counts live events fired since.
+        self._stride = max(n, 1)
+        self._seq = 0
+        self._fired = 0
+        self._superseded = 0
+        self.now_fs = 0
+        self._sync()
 
-    def _build_fast_tables(self) -> None:
-        """Precompute integer net ids and per-net fanout tuples.
-
-        The reference event loop resolves net names through dicts and
-        re-walks ``Netlist.fanout`` per event; the batched fast path
-        (:meth:`run_vectors_fast`) works entirely on these indexed
-        tables.  Net ids follow ``Netlist.nets()`` order and fanout
-        tuples preserve ``Netlist.fanout`` insertion order, so event
-        scheduling order — and therefore every glitch count — is
-        identical between the two paths.
-        """
-        netlist = self.netlist
-        names: List[str] = list(netlist.nets())
-        self._net_names = names
-        self._net_ids: Dict[str, int] = {n: i for i, n in enumerate(names)}
-        instances = list(netlist.instances.values())
-        self._inst_list = instances
-        self._inst_inputs: List[Tuple[int, ...]] = [
-            tuple(self._net_ids[n] for n in inst.inputs) for inst in instances
-        ]
-        self._inst_output: List[int] = [
-            self._net_ids[inst.output] for inst in instances
-        ]
-        self._inst_delay: List[int] = [
-            self._delay_fs[inst.name] for inst in instances
-        ]
-        self._inst_table: List[Tuple[int, ...]] = [
-            inst.cell.truth_table for inst in instances
-        ]
-        index_of = {inst.name: k for k, inst in enumerate(instances)}
-        self._fanout_ids: List[Tuple[int, ...]] = [
-            tuple(index_of[inst.name] for inst, _ in netlist.fanout(name))
-            for name in names
-        ]
-        self._pi_names = frozenset(netlist.primary_inputs)
+    @property
+    def state(self) -> Dict[str, Optional[int]]:
+        """Snapshot of net name -> current value, ``None`` while unknown."""
+        return {
+            name: None if value == _X else value
+            for name, value in zip(self._names, self._vals)
+        }
 
     # ------------------------------------------------------------------
     # Initialization
@@ -132,30 +194,45 @@ class SwitchLevelSimulator:
         ring oscillators).  Settling transitions are *not* counted as
         activity.
         """
-        for net in self.state:
-            self.state[net] = None
-        self.state.update(self.netlist.constants)
-        if preset:
-            for net, value in preset.items():
-                if net not in self.state:
-                    raise SimulationError(f"preset for unknown net {net!r}")
-                self.state[net] = value
-        self._set_inputs(input_values)
+        vals = self._vals
+        vals[:] = self._unset
+        try:
+            if preset:
+                for net, value in preset.items():
+                    if net not in self._ids:
+                        raise SimulationError(f"preset for unknown net {net!r}")
+                    if value not in (0, 1):
+                        raise SimulationError(
+                            f"preset {net!r} must be 0/1, got {value}"
+                        )
+                    vals[self._ids[net]] = int(value)
+            for net, value in input_values.items():
+                vals[self._input_id(net, value)] = int(value)
+        except SimulationError:
+            self._sync()
+            raise
         # Three-valued relaxation to a fixpoint: repeatedly evaluate
         # every gate until nothing changes.  Gates whose output was
         # preset keep their preset if evaluation is consistent-unknown.
-        for _ in range(len(self.netlist.instances) + 2):
+        outs, tables = self._outs, self._tables
+        for _ in range(len(outs) + 2):
             changed = False
-            for instance in self.netlist.instances.values():
-                operands = [self.state[n] for n in instance.inputs]
-                value = instance.cell.evaluate(operands)
-                if value is not None and self.state[instance.output] != value:
-                    self.state[instance.output] = value
+            for k, pins in enumerate(self._pins):
+                index = 0
+                for i, weight in pins:
+                    index += vals[i] * weight
+                value = tables[k][index]
+                if value != _X and vals[outs[k]] != value:
+                    vals[outs[k]] = value
                     changed = True
             if not changed:
                 break
         self.now_fs = 0
-        self._queue = EventQueue()
+        self._buckets = {}
+        self._times = []
+        self._live[:] = [0] * len(vals)
+        self._seq = self._fired = self._superseded = 0
+        self._sync()
 
     # ------------------------------------------------------------------
     # Vector application
@@ -170,10 +247,9 @@ class SwitchLevelSimulator:
         Returns the number of value-change events processed (a glitchy
         vector processes more events than the functional minimum).
         """
-        changed = self._set_inputs(input_values, count=True, propagate=True)
-        processed = self._drain(max_events)
+        events = self._settle(self._input_changes(input_values), max_events)
         self._vectors_applied += 1
-        return processed + changed
+        return events
 
     def run_vectors(
         self,
@@ -192,179 +268,11 @@ class SwitchLevelSimulator:
             raise SimulationError("stimulus must contain at least one vector")
         self.initialize(first)
         self.reset_activity()
-        total_events = 0
-        with obs.span("simulator.run_vectors"):
+        events = 0
+        with obs.span("simulator.run"):
             for vector in iterator:
-                total_events += self.apply(
-                    vector, max_events=max_events_per_vector
-                )
-        if obs.ENABLED:
-            obs.incr("simulator.runs.reference")
-            obs.incr("simulator.vectors", self._vectors_applied)
-            obs.incr("simulator.events", total_events)
-        return self.activity_report()
-
-    def run_vectors_fast(
-        self,
-        vectors: Iterable[Mapping[str, int]],
-        max_events_per_vector: int = 1_000_000,
-    ) -> ActivityReport:
-        """Batched :meth:`run_vectors` on the precomputed index tables.
-
-        Semantically identical to :meth:`run_vectors` (same event
-        ordering, same inertial cancellation, same counts — the
-        equivalence is asserted in the test suite); the difference is
-        purely mechanical: net names become integer ids, per-event
-        fanout walks become tuple scans, and all per-vector state (the
-        value/counter arrays and the heap) is allocated once for the
-        whole batch.
-        """
-        iterator = iter(vectors)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            raise SimulationError("stimulus must contain at least one vector")
-        self.initialize(first)
-        self.reset_activity()
-
-        net_ids = self._net_ids
-        names = self._net_names
-        n_nets = len(names)
-        state: List[int] = [-1] * n_nets
-        for i, name in enumerate(names):
-            value = self.state[name]
-            if value is not None:
-                state[i] = value
-        rising = [0] * n_nets
-        falling = [0] * n_nets
-        heap: List[Tuple[int, int, int, int, int]] = []
-        generation = [0] * n_nets
-        pending: List[object] = [_NO_PENDING] * n_nets
-        sequence = 0
-        now = 0
-
-        inst_inputs = self._inst_inputs
-        inst_output = self._inst_output
-        inst_delay = self._inst_delay
-        inst_table = self._inst_table
-        fanout_ids = self._fanout_ids
-        instances = self._inst_list
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        def evaluate_and_schedule(k: int) -> None:
-            nonlocal sequence
-            index = 0
-            unknown = False
-            for bit, i in enumerate(inst_inputs[k]):
-                value = state[i]
-                if value < 0:
-                    unknown = True
-                    break
-                index |= value << bit
-            if unknown:
-                new_value = instances[k].cell.evaluate(
-                    [
-                        None if state[i] < 0 else state[i]
-                        for i in inst_inputs[k]
-                    ]
-                )
-            else:
-                new_value = inst_table[k][index]
-            out = inst_output[k]
-            was_pending = pending[out] is not _NO_PENDING
-            if was_pending:
-                destined = pending[out]
-            elif state[out] < 0:
-                destined = None
-            else:
-                destined = state[out]
-            if new_value == destined:
-                return
-            if new_value is None:
-                if was_pending:
-                    generation[out] += 1
-                    pending[out] = _NO_PENDING
-                return
-            generation[out] += 1
-            pending[out] = new_value
-            sequence += 1
-            heappush(
-                heap,
-                (now + inst_delay[k], sequence, out, new_value, generation[out]),
-            )
-
-        vectors_applied = 0
-        total_events = 0
-        span = obs.span("simulator.run_vectors_fast")
-        span.__enter__()
-        try:
-            for vector in iterator:
-                for net, value in vector.items():
-                    if net not in self._pi_names:
-                        raise SimulationError(
-                            f"{net!r} is not a primary input of "
-                            f"{self.netlist.name!r}"
-                        )
-                    if value not in (0, 1):
-                        raise SimulationError(
-                            f"input {net!r} must be 0/1, got {value}"
-                        )
-                    i = net_ids[net]
-                    old = state[i]
-                    if old == value:
-                        continue
-                    state[i] = value
-                    total_events += 1
-                    if old >= 0:
-                        if value == 1:
-                            rising[i] += 1
-                        else:
-                            falling[i] += 1
-                    for k in fanout_ids[i]:
-                        evaluate_and_schedule(k)
-                processed = 0
-                while heap:
-                    time_fs, _, i, value, gen = heappop(heap)
-                    if generation[i] != gen:
-                        continue
-                    pending[i] = _NO_PENDING
-                    processed += 1
-                    if processed > max_events_per_vector:
-                        raise SimulationError(
-                            f"event budget {max_events_per_vector} "
-                            f"exhausted; netlist {self.netlist.name!r} "
-                            "may oscillate"
-                        )
-                    now = time_fs
-                    old = state[i]
-                    if old == value:
-                        continue
-                    state[i] = value
-                    if old >= 0:
-                        if value == 1:
-                            rising[i] += 1
-                        else:
-                            falling[i] += 1
-                    for k in fanout_ids[i]:
-                        evaluate_and_schedule(k)
-                total_events += processed
-                vectors_applied += 1
-        finally:
-            span.__exit__(None, None, None)
-            # Mirror the batch back into the reference-path state so
-            # apply()/activity_report() keep working afterwards.
-            for i, name in enumerate(names):
-                self.state[name] = None if state[i] < 0 else state[i]
-                self._rising[name] = rising[i]
-                self._falling[name] = falling[i]
-            self.now_fs = now
-            self._queue = EventQueue()
-            self._vectors_applied = vectors_applied
-        if obs.ENABLED:
-            obs.incr("simulator.runs.fast")
-            obs.incr("simulator.vectors", vectors_applied)
-            obs.incr("simulator.events", total_events)
+                events += self.apply(vector, max_events=max_events_per_vector)
+        self._record(events)
         return self.activity_report()
 
     def clock_cycle(
@@ -384,21 +292,21 @@ class SwitchLevelSimulator:
                 f"netlist {self.netlist.name!r} has no registers; "
                 "use apply()"
             )
-        captured = {
-            register.output: self.state[register.data_input]
-            for register in self.netlist.registers.values()
-        }
-        for net, value in captured.items():
-            if value is None:
+        vals, ids = self._vals, self._ids
+        captured = []
+        for register in self.netlist.registers.values():
+            value = vals[ids[register.data_input]]
+            if value == _X:
                 raise SimulationError(
-                    f"register D value for {net!r} is unknown; "
+                    f"register D value for {register.output!r} is unknown; "
                     "initialize() the circuit first"
                 )
-        changed = self._set_inputs(input_values, count=True, propagate=True)
-        changed += self._set_register_outputs(captured)
-        processed = self._drain(max_events)
+            captured.append((ids[register.output], value))
+        changes = self._input_changes(input_values)
+        changes += [(i, value) for i, value in captured if vals[i] != value]
+        events = self._settle(changes, max_events)
         self._vectors_applied += 1
-        return processed + changed
+        return events
 
     def run_clocked(
         self,
@@ -419,26 +327,14 @@ class SwitchLevelSimulator:
             first, preset=self.netlist.initial_register_state()
         )
         self.reset_activity()
-        for vector in iterator:
-            self.clock_cycle(vector, max_events=max_events_per_vector)
+        events = 0
+        with obs.span("simulator.run"):
+            for vector in iterator:
+                events += self.clock_cycle(
+                    vector, max_events=max_events_per_vector
+                )
+        self._record(events)
         return self.activity_report()
-
-    def _set_register_outputs(self, captured: Mapping[str, int]) -> int:
-        changed = 0
-        for net, value in captured.items():
-            old = self.state[net]
-            if old == value:
-                continue
-            self.state[net] = value
-            changed += 1
-            if old is not None:
-                if value == 1:
-                    self._rising[net] += 1
-                else:
-                    self._falling[net] += 1
-            for instance, _ in self.netlist.fanout(net):
-                self._evaluate_and_schedule(instance)
-        return changed
 
     def run_free(
         self,
@@ -450,27 +346,21 @@ class SwitchLevelSimulator:
 
         The preset seeds the loop; simulation stops at ``duration_fs``.
         The report's ``cycles`` field is 1 — use raw transition counts.
+        Raises once ``max_events`` events have fired.
         """
         self.initialize({net: 0 for net in self.netlist.primary_inputs},
                         preset=preset)
         self.reset_activity()
-        # Kick every gate once so inconsistent preset values propagate.
-        for instance in self.netlist.instances.values():
-            self._evaluate_and_schedule(instance)
-        processed = 0
-        while processed < max_events:
-            next_time = self._queue.peek_time()
-            if next_time is None or next_time > duration_fs:
-                break
-            event = self._queue.pop()
-            assert event is not None
-            self._commit(event, count=True)
-            processed += 1
-        else:
+        budget = max(max_events, 0)
+        with obs.span("simulator.run"):
+            self._kick()
+            events = self._drain(budget, until=duration_fs)
+        if events == budget:
             raise SimulationError(
                 f"event budget {max_events} exhausted in free-run"
             )
         self._vectors_applied = 1
+        self._record(events)
         return self.activity_report()
 
     # ------------------------------------------------------------------
@@ -478,9 +368,8 @@ class SwitchLevelSimulator:
     # ------------------------------------------------------------------
     def reset_activity(self) -> None:
         """Zero the transition counters."""
-        for net in self._rising:
-            self._rising[net] = 0
-            self._falling[net] = 0
+        self._rising[:] = [0] * len(self._rising)
+        self._falling[:] = [0] * len(self._falling)
         self._vectors_applied = 0
 
     def activity_report(self) -> ActivityReport:
@@ -488,101 +377,209 @@ class SwitchLevelSimulator:
         return ActivityReport(
             netlist_name=self.netlist.name,
             cycles=max(self._vectors_applied, 1),
-            rising=dict(self._rising),
-            falling=dict(self._falling),
+            rising=dict(zip(self._names, self._rising)),
+            falling=dict(zip(self._names, self._falling)),
             primary_inputs=tuple(self.netlist.primary_inputs),
             constants=tuple(self.netlist.constants),
         )
 
+    def _record(self, events: int) -> None:
+        """Add one finished run to the ``simulator.*`` counters."""
+        if obs.ENABLED:
+            pending = sum(1 for event in self._live if event)
+            obs.incr("simulator.runs")
+            obs.incr("simulator.vectors", self._vectors_applied)
+            obs.incr("simulator.events", events)
+            obs.incr(
+                "simulator.superseded",
+                self._superseded
+                + self._seq // self._stride
+                - self._fired
+                - pending,
+            )
+
     # ------------------------------------------------------------------
-    # Internals
+    # Kernel
     # ------------------------------------------------------------------
-    def _set_inputs(
-        self,
-        input_values: Mapping[str, int],
-        count: bool = False,
-        propagate: bool = False,
-    ) -> int:
-        changed = 0
-        for net, value in input_values.items():
-            if net not in self.netlist.primary_inputs:
-                raise SimulationError(
-                    f"{net!r} is not a primary input of "
-                    f"{self.netlist.name!r}"
-                )
-            if value not in (0, 1):
-                raise SimulationError(
-                    f"input {net!r} must be 0/1, got {value}"
-                )
-            old = self.state[net]
-            if old == value:
+    def _input_id(self, net: str, value: int) -> int:
+        if net not in self._inputs:
+            raise SimulationError(
+                f"{net!r} is not a primary input of {self.netlist.name!r}"
+            )
+        if value not in (0, 1):
+            raise SimulationError(f"input {net!r} must be 0/1, got {value}")
+        return self._ids[net]
+
+    def _input_changes(
+        self, input_values: Mapping[str, int]
+    ) -> List[Tuple[int, int]]:
+        """(net id, value) for each input that changes, in order.
+
+        An invalid entry raises after the changes before it have been
+        committed and their loads scheduled, as the inputs are applied
+        one at a time.
+        """
+        vals = self._vals
+        changes = []
+        try:
+            for net, value in input_values.items():
+                i = self._input_id(net, value)
+                if vals[i] != value:
+                    changes.append((i, int(value)))
+        except SimulationError:
+            self._post(changes)
+            self._drain(len(changes))
+            raise
+        return changes
+
+    def _settle(self, changes: List[Tuple[int, int]], max_events: int) -> int:
+        """Commit ``changes`` now, then simulate to quiescence.
+
+        Returns the changes plus the events fired after them; raises
+        when more than ``max_events`` events follow the changes.
+        """
+        self._post(changes)
+        fired = self._drain(len(changes) + max(max_events, 0))
+        if self._times:
+            # Event max_events + 1 is due: consume it uncommitted.
+            e = self._buckets[self._times[0]][0]
+            net = e % self._stride
+            self._live[net] = 0
+            self._dest[net] = self._vals[net]
+            self._fired += 1
+            raise SimulationError(
+                f"event budget {max_events} exhausted; netlist "
+                f"{self.netlist.name!r} may oscillate"
+            )
+        return fired
+
+    def _post(self, changes: Sequence[Tuple[int, int]]) -> None:
+        """Queue ``changes`` as events due now, ahead of any already due."""
+        if not changes:
+            return
+        n = self._stride
+        seq = self._seq
+        events = []
+        for i, value in changes:
+            seq += n
+            self._live[i] = seq + i
+            self._dest[i] = value
+            events.append(seq + i)
+        self._seq = seq
+        bucket = self._buckets.get(self.now_fs)
+        if bucket is None:
+            self._buckets[self.now_fs] = events
+            heappush(self._times, self.now_fs)
+        else:
+            bucket[:0] = events
+
+    def _kick(self) -> None:
+        """Evaluate every gate once and schedule its output if it moves.
+
+        Runs right after :meth:`initialize`, so no event is pending and
+        an unknown result has nothing to cancel.
+        """
+        dest, live, idx = self._dest, self._live, self._idx
+        n = self._stride
+        for k, out in enumerate(self._outs):
+            value = self._tables[k][idx[k]]
+            if value == dest[out] or value == _X:
                 continue
-            self.state[net] = value
-            changed += 1
-            if count and old is not None:
-                if value == 1:
-                    self._rising[net] += 1
-                else:
-                    self._falling[net] += 1
-            if propagate:
-                for instance, _ in self.netlist.fanout(net):
-                    self._evaluate_and_schedule(instance)
-        return changed
-
-    def _evaluate_and_schedule(self, instance) -> None:
-        operands = [self.state[n] for n in instance.inputs]
-        new_value = instance.cell.evaluate(operands)
-        output = instance.output
-        destined = (
-            self._queue.pending_value(output)
-            if self._queue.has_pending(output)
-            else self.state[output]
-        )
-        if new_value == destined:
-            return
-        if new_value is None:
-            # Do not schedule transitions to unknown after init.
-            self._queue.cancel(output)
-            return
-        self._queue.schedule(
-            self.now_fs + self._delay_fs[instance.name], output, new_value
-        )
-
-    def _commit(self, event, count: bool) -> None:
-        self.now_fs = event.time_fs
-        old = self.state[event.net]
-        if old == event.value:
-            return
-        self.state[event.net] = event.value
-        if count and old is not None and event.value is not None:
-            if event.value == 1:
-                self._rising[event.net] += 1
+            dest[out] = value
+            self._seq += n
+            live[out] = self._seq + out
+            when = self.now_fs + self._delays[k]
+            bucket = self._buckets.get(when)
+            if bucket is None:
+                self._buckets[when] = [live[out]]
+                heappush(self._times, when)
             else:
-                self._falling[event.net] += 1
-        for instance, _ in self.netlist.fanout(event.net):
-            self._evaluate_and_schedule(instance)
+                bucket.append(live[out])
 
-    def _drain(self, max_events: int) -> int:
-        processed = 0
-        while True:
-            event = self._queue.pop()
-            if event is None:
-                return processed
-            processed += 1
-            if processed > max_events:
-                raise SimulationError(
-                    f"event budget {max_events} exhausted; netlist "
-                    f"{self.netlist.name!r} may oscillate"
-                )
-            self._commit(event, count=True)
+    def _drain(self, max_events: int, until: Optional[int] = None) -> int:
+        """Fire live events in (time, schedule) order; return how many.
 
-    def _external_load(self, net: str) -> float:
-        loads = self.netlist.fanout(net)
-        capacitance = sum(
-            instance.cell.input_capacitance(self.technology, self.vdd)
-            for instance, _ in loads
-        )
-        wire = self.technology.wire_cap.wire_capacitance(
-            self.wire_length_per_fanout_um * max(len(loads), 1)
-        )
-        return capacitance + wire
+        Stops when the queue is empty, when the next event is due after
+        ``until``, or before firing a live event beyond ``max_events``,
+        which then stays queued.
+        """
+        vals, dest, live, idx = self._vals, self._dest, self._live, self._idx
+        loads, rising, falling = self._loads, self._rising, self._falling
+        buckets, times = self._buckets, self._times
+        n = self._stride
+        seq = self._seq
+        now = self.now_fs
+        fired = 0
+        while times:
+            t = times[0]
+            if until is not None and t > until:
+                break
+            heappop(times)
+            bucket = buckets.pop(t)
+            for e in bucket:
+                net = e % n
+                if live[net] != e:
+                    continue
+                if fired == max_events:
+                    buckets[t] = bucket[bucket.index(e):]
+                    heappush(times, t)
+                    break
+                live[net] = 0
+                fired += 1
+                now = t
+                value = dest[net]
+                old = vals[net]
+                if old == value:
+                    continue
+                vals[net] = value
+                if old != _X:
+                    if value:
+                        rising[net] += 1
+                    else:
+                        falling[net] += 1
+                delta = value - old
+                for k, weight, out, delay, table in loads[net]:
+                    index = idx[k] + weight * delta
+                    idx[k] = index
+                    new = table[index]
+                    if new == dest[out]:
+                        continue
+                    if new == _X:
+                        if live[out]:
+                            live[out] = 0
+                            dest[out] = vals[out]
+                        continue
+                    dest[out] = new
+                    seq += n
+                    live[out] = event = seq + out
+                    when = now + delay
+                    pending = buckets.get(when)
+                    if pending is None:
+                        buckets[when] = [event]
+                        heappush(times, when)
+                    else:
+                        pending.append(event)
+            else:
+                continue
+            break
+        self.now_fs = now
+        self._fired += fired
+        if times:
+            self._seq = seq
+        else:
+            self._superseded += seq // n - self._fired
+            self._seq = self._fired = 0
+        return fired
+
+    def _sync(self) -> None:
+        """Recompute every gate's table index, and the destined value of
+        every net without a live event, from the current net values."""
+        vals, dest, live = self._vals, self._dest, self._live
+        for k, pins in enumerate(self._pins):
+            index = 0
+            for i, weight in pins:
+                index += vals[i] * weight
+            self._idx[k] = index
+        for i, value in enumerate(vals):
+            if not live[i]:
+                dest[i] = value

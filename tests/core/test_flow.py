@@ -14,7 +14,7 @@ from repro.core.scenarios import (
 from repro.errors import AnalysisError
 from repro.isa.profiler import profile_program
 from repro.isa.workloads import espresso_like, idea, li_like
-from repro.switchsim.simulator import SwitchLevelSimulator
+from tests.switchsim.event_oracle import ReferenceSimulator
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +62,8 @@ class TestStages:
         assert report.mean_activity() > 0.0
 
     def test_activity_stage_matches_reference_simulator(self, flow):
-        # The flow runs the indexed fast simulator; its report must equal
-        # the reference event-driven run under the same active-mode bias.
+        # The flow's report must equal the dict-keyed reference
+        # simulator's under the same active-mode bias.
         unit = standard_datapath(width=8, stimulus_vectors=80)["multiplier"]
         technology = flow.technology
         shift = technology.back_gate.vt_shift_at(
@@ -72,12 +72,18 @@ class TestStages:
                 technology.back_gate.max_back_gate_bias,
             )
         )
-        reference = SwitchLevelSimulator(
+        oracle = ReferenceSimulator(
             unit.netlist, technology, flow.vdd, vt_shift=shift
-        ).run_vectors(unit.vectors)
+        )
+        reference = oracle.run_vectors(unit.vectors)
         with obs.enabled_scope():
             report = flow.unit_activity(unit.netlist, unit.vectors)
-            assert obs.counter_value("simulator.runs.fast") == 1
+            assert obs.counter_value("simulator.runs") == 1
+            assert obs.counter_value("simulator.vectors") == 79
+            assert (
+                obs.counter_value("simulator.superseded") == oracle.superseded
+            )
+        assert oracle.superseded > 0
         assert report == reference
 
     def test_module_parameter_stage(self, flow, datapath):

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.switchsim.events import EventQueue
+from tests.switchsim.event_oracle import EventQueue
 from repro.switchsim.stimulus import (
     gray_code_bus_vectors,
     random_bus_vectors,

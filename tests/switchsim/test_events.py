@@ -1,9 +1,9 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the event queue of the test-only reference simulator."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.switchsim.events import EventQueue
+from tests.switchsim.event_oracle import EventQueue
 
 
 class TestOrdering:

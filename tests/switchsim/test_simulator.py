@@ -148,6 +148,13 @@ class TestRingOscillator:
             2 * stages * stage_fs, rel=0.15
         )
 
+    def test_preset_validated(self, tech):
+        sim = SwitchLevelSimulator(ring_oscillator(3), tech, 1.0)
+        with pytest.raises(SimulationError, match="unknown net"):
+            sim.run_free(preset={"nosuch": 0}, duration_fs=100)
+        with pytest.raises(SimulationError, match="0/1"):
+            sim.run_free(preset={"ro[0]": 2}, duration_fs=100)
+
     def test_event_budget_guards_oscillation(self, tech):
         ring = ring_oscillator(3)
         sim = SwitchLevelSimulator(ring, tech, 1.0)

@@ -1,7 +1,7 @@
 """Equivalence tests for the hot-path performance layer.
 
 Every fast path in the performance layer — the characterizer memo, the
-table-driven simulator loop, the process-pool grid fan-out, and the
+indexed simulator kernel, the process-pool grid fan-out, and the
 corner-cached optimizer — must be *bit-identical* to the reference
 path it accelerates.  These tests pin that contract.
 """
@@ -28,6 +28,7 @@ from repro.switchsim.simulator import SwitchLevelSimulator
 from repro.switchsim.stimulus import random_bus_vectors
 from repro.tech.cells import standard_cells
 from repro.tech.characterize import CellCharacterizer
+from tests.switchsim.event_oracle import ReferenceSimulator
 
 
 @pytest.fixture(scope="module")
@@ -126,45 +127,47 @@ class TestCharacterizerCacheEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Simulator fast path vs reference event loop
+# Simulator event kernel vs the dict-keyed reference loop
 # ----------------------------------------------------------------------
 class TestSimulatorFastPathEquivalence:
     def test_ripple_carry_adder_reports_identical(self, tech):
         netlist = ripple_carry_adder(8)
         vectors = random_bus_vectors({"a": 8, "b": 8}, count=80, seed=7)
-        reference = SwitchLevelSimulator(netlist, tech, 1.0)
-        fast = SwitchLevelSimulator(netlist, tech, 1.0)
-        assert reference.run_vectors(vectors) == fast.run_vectors_fast(
-            vectors
-        )
+        reference = ReferenceSimulator(netlist, tech, 1.0)
+        kernel = SwitchLevelSimulator(netlist, tech, 1.0)
+        assert reference.run_vectors(vectors) == kernel.run_vectors(vectors)
 
     def test_registered_circuit_reports_identical(self, tech):
         netlist = pipelined_adder(8, stages=2)
         vectors = random_bus_vectors({"a": 8, "b": 8}, count=40, seed=3)
-        reference = SwitchLevelSimulator(netlist, tech, 1.0)
-        fast = SwitchLevelSimulator(netlist, tech, 1.0)
-        assert reference.run_vectors(vectors) == fast.run_vectors_fast(
-            vectors
-        )
+        reference = ReferenceSimulator(netlist, tech, 1.0)
+        kernel = SwitchLevelSimulator(netlist, tech, 1.0)
+        assert reference.run_vectors(vectors) == kernel.run_vectors(vectors)
+        assert reference.run_clocked(vectors) == kernel.run_clocked(vectors)
 
     def test_final_state_matches_reference(self, tech):
         netlist = ripple_carry_adder(4)
         vectors = random_bus_vectors({"a": 4, "b": 4}, count=25, seed=11)
-        reference = SwitchLevelSimulator(netlist, tech, 1.0)
-        fast = SwitchLevelSimulator(netlist, tech, 1.0)
+        reference = ReferenceSimulator(netlist, tech, 1.0)
+        kernel = SwitchLevelSimulator(netlist, tech, 1.0)
         reference.run_vectors(vectors)
-        fast.run_vectors_fast(vectors)
-        assert fast.state == reference.state
-        assert fast.now_fs == reference.now_fs
+        kernel.run_vectors(vectors)
+        assert kernel.state == reference.state
+        assert kernel.now_fs == reference.now_fs
 
     def test_fast_path_validates_inputs_like_reference(self, tech):
         netlist = ripple_carry_adder(4)
-        simulator = SwitchLevelSimulator(netlist, tech, 1.0)
         good = random_bus_vectors({"a": 4, "b": 4}, count=1, seed=0)[0]
-        with pytest.raises(SimulationError):
-            simulator.run_vectors_fast([dict(good, nosuch=1)])
-        with pytest.raises(SimulationError):
-            simulator.run_vectors_fast([dict(good, **{"a[0]": 2})])
+        for bad in (dict(good, nosuch=1), dict(good, **{"a[0]": 2})):
+            messages = []
+            for simulator in (
+                ReferenceSimulator(netlist, tech, 1.0),
+                SwitchLevelSimulator(netlist, tech, 1.0),
+            ):
+                with pytest.raises(SimulationError) as error:
+                    simulator.run_vectors([bad])
+                messages.append(str(error.value))
+            assert messages[0] == messages[1]
 
 
 # ----------------------------------------------------------------------
