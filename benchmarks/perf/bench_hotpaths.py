@@ -22,12 +22,13 @@ measurements to ``BENCH_hotpaths.json`` at the repo root:
    (on a single-CPU host process fan-out *loses* to serial — the
    point of the record is scaling on real multi-core machines).
 4. **ISA interpreter** — the reference per-step loop (``run``) vs the
-   pre-decoded closure-dispatch engine (``run_fast``) on the Table-2
-   li-like workload.  Architectural state must be bit-identical.
+   decoded block-dispatch engine (``run_fast``) on the Table-2 li-like
+   workload, and on matmul, which retires most of its instructions in
+   translated blocks.  Architectural state must be bit-identical.
 5. **ATOM profiler** — the hook-instrumented reference profile vs the
    counter-based decoded profile (``run_counted`` +
-   ``profile_from_counts``) on the same workload.  Profiles must be
-   identical; the acceptance target is a >=5x speedup.
+   ``profile_from_counts``) on the same two workloads.  Profiles must
+   be identical; the acceptance target is a >=5x speedup.
 6. **Batched variation engine** — the per-sample Monte-Carlo path (one
    full ``propagation_delay``/``leakage_current`` call chain per V_T
    sample) vs the decoded :class:`VariationPlan` batch path on the
@@ -287,17 +288,22 @@ def bench_monte_carlo(quick: bool, workers: int) -> dict:
 # 4. ISA interpreter: reference stepper vs decoded dispatch engine
 # ----------------------------------------------------------------------
 _BENCH_WORKLOAD = "li"  # the Table-2 workload named by the target
+#: The workload that retires most of its instructions in translated
+#: blocks (a hot 23-instruction self-looping inner product).
+_TRANSLATED_WORKLOAD = "matmul"
 
 
-def _bench_program(quick: bool):
-    return build_workload(_BENCH_WORKLOAD, scale=64 if quick else 192)
+def _bench_program(quick: bool, name: str = _BENCH_WORKLOAD):
+    if name == _BENCH_WORKLOAD:
+        return build_workload(name, scale=64 if quick else 192)
+    return build_workload(name, scale=48 if quick else 96)
 
 
-def bench_interpreter(quick: bool) -> dict:
-    reference = Machine(_bench_program(quick))
+def _bench_interpreter_on(quick: bool, name: str) -> dict:
+    reference = Machine(_bench_program(quick, name))
     retired, ref_seconds = _timed(lambda: reference.run())
 
-    fast = Machine(_bench_program(quick))
+    fast = Machine(_bench_program(quick, name))
     # Decode ahead of the timed run so its one-time cost is reported
     # separately from the steady-state dispatch rate.
     _, decode_seconds = _timed(lambda: fast.decode())
@@ -311,7 +317,7 @@ def bench_interpreter(quick: bool) -> dict:
         and fast.halted == reference.halted
     )
     return {
-        "workload": _BENCH_WORKLOAD,
+        "workload": name,
         "instructions": retired,
         "reference_seconds": ref_seconds,
         "fast_seconds": fast_seconds,
@@ -323,16 +329,24 @@ def bench_interpreter(quick: bool) -> dict:
     }
 
 
+def bench_interpreter(quick: bool) -> dict:
+    return {
+        **_bench_interpreter_on(quick, _BENCH_WORKLOAD),
+        _TRANSLATED_WORKLOAD: _bench_interpreter_on(
+            quick, _TRANSLATED_WORKLOAD
+        ),
+    }
+
+
 # ----------------------------------------------------------------------
 # 5. ATOM profiler: per-instruction hook vs decoded transition counters
 # ----------------------------------------------------------------------
-def bench_profiler(quick: bool) -> dict:
-    ref_profile, ref_seconds = _timed(
-        lambda: profile_program(_bench_program(quick), engine="reference")
-    )
-    fast_profile, fast_seconds = _timed(
-        lambda: profile_program(_bench_program(quick), engine="fast")
-    )
+def _bench_profiler_on(quick: bool, name: str) -> dict:
+    def profile(engine):
+        return profile_program(_bench_program(quick, name), engine=engine)
+
+    ref_profile, ref_seconds = _timed(lambda: profile("reference"))
+    fast_profile, fast_seconds = _timed(lambda: profile("fast"))
     identical = (
         fast_profile.total_instructions == ref_profile.total_instructions
         and all(
@@ -341,7 +355,7 @@ def bench_profiler(quick: bool) -> dict:
         )
     )
     return {
-        "workload": _BENCH_WORKLOAD,
+        "workload": name,
         "instructions": ref_profile.total_instructions,
         "reference_seconds": ref_seconds,
         "fast_seconds": fast_seconds,
@@ -355,6 +369,13 @@ def bench_profiler(quick: bool) -> dict:
         "profiles_identical": identical,
         "adder_fga": fast_profile.fga("adder"),
         "adder_bga": fast_profile.bga("adder"),
+    }
+
+
+def bench_profiler(quick: bool) -> dict:
+    return {
+        **_bench_profiler_on(quick, _BENCH_WORKLOAD),
+        _TRANSLATED_WORKLOAD: _bench_profiler_on(quick, _TRANSLATED_WORKLOAD),
     }
 
 
@@ -828,19 +849,22 @@ def main(argv=None) -> int:
         f"workers={mc['workers']} "
         f"(identical={mc['distributions_identical']})"
     )
-    print(
-        f"interpreter     {interp['speedup']:6.2f}x  "
-        f"({interp['reference_instructions_per_s']:.0f} -> "
-        f"{interp['fast_instructions_per_s']:.0f} instr/s on "
-        f"{interp['workload']}-like, "
-        f"identical={interp['state_identical']})"
-    )
-    print(
-        f"profiler        {prof['speedup']:6.2f}x  "
-        f"({prof['reference_instructions_per_s']:.0f} -> "
-        f"{prof['fast_instructions_per_s']:.0f} instr/s profiled, "
-        f"identical={prof['profiles_identical']})"
-    )
+    for section in (interp, interp[_TRANSLATED_WORKLOAD]):
+        print(
+            f"interpreter     {section['speedup']:6.2f}x  "
+            f"({section['reference_instructions_per_s']:.0f} -> "
+            f"{section['fast_instructions_per_s']:.0f} instr/s on "
+            f"{section['workload']}, "
+            f"identical={section['state_identical']})"
+        )
+    for section in (prof, prof[_TRANSLATED_WORKLOAD]):
+        print(
+            f"profiler        {section['speedup']:6.2f}x  "
+            f"({section['reference_instructions_per_s']:.0f} -> "
+            f"{section['fast_instructions_per_s']:.0f} instr/s profiled "
+            f"on {section['workload']}, "
+            f"identical={section['profiles_identical']})"
+        )
     print(
         f"variation       {var['speedup']:6.2f}x  "
         f"(delay {var['delay_speedup']:.2f}x, "
@@ -886,7 +910,9 @@ def main(argv=None) -> int:
         and grid["grids_identical"]
         and mc["distributions_identical"]
         and interp["state_identical"]
+        and interp[_TRANSLATED_WORKLOAD]["state_identical"]
         and prof["profiles_identical"]
+        and prof[_TRANSLATED_WORKLOAD]["profiles_identical"]
         and var["identical"]
         and contour["identical"]
         and contour["contour_match"]

@@ -11,9 +11,11 @@ provides the offline equivalent:
   instructions use the ALU adder").
 * :mod:`~repro.isa.assembler` — a two-pass assembler.
 * :mod:`~repro.isa.machine` — an interpreter with an ATOM-style
-  per-instruction instrumentation hook (the reference path) and a
-  pre-decoded closure-dispatch engine (``run_fast`` /
-  ``run_counted``) that is bit-identical and much faster.
+  per-instruction instrumentation hook (the reference path) and one
+  decoded engine (``run_counted``, with ``run_fast`` a thin wrapper)
+  that is bit-identical and much faster: it dispatches basic blocks,
+  counts their entries the way Pixie does, and runs hot blocks as
+  generated code (:mod:`~repro.isa.translate`).
 * :mod:`~repro.isa.profiler` — turns an execution trace into
   per-functional-unit ``fga``/``bga`` numbers (Tables 1-3), by hook
   or — the default — by folding the decoded engine's unit-class

@@ -11,12 +11,14 @@ Two execution engines share one architectural state:
 * the **reference** path — :meth:`Machine.step` / :meth:`Machine.run` —
   dispatches each retired instruction through a mnemonic if/elif chain
   and invokes every attached hook.  It is the specification.
-* the **decoded** path — :meth:`Machine.run_fast` /
-  :meth:`Machine.run_counted` — compiles each instruction once into a
-  specialized closure (operands bound as locals, register file and
-  memory captured directly, signed/shift helpers inlined) and
-  dispatches through a flat ``pc -> closure`` list with the
-  instruction-budget check hoisted out of the per-step path.  It is
+* the **decoded** path — :meth:`Machine.run_counted`, with
+  :meth:`Machine.run_fast` a thin wrapper over it — compiles each
+  instruction once into a specialized closure (operands bound as
+  locals, register file and memory captured directly, signed/shift
+  helpers inlined) and dispatches one basic block at a time, counting
+  block entries the way Pixie does.  A block entered ``_TIER_UP``
+  times is replaced by one generated function
+  (:mod:`repro.isa.translate`).  It is
   bit-identical to the reference in architectural state, retirement
   counts, and error behavior.  Hooks are the ATOM contract of the
   reference path: :meth:`run_fast` transparently falls back to
@@ -30,12 +32,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple,
+)
 
 from repro import obs
 from repro.errors import MachineError
 from repro.isa.assembler import Program
 from repro.isa.instructions import Instruction
+
+if TYPE_CHECKING:
+    from repro.isa.translate import BlockTable
 
 __all__ = ["Machine", "UnitClassCounts"]
 
@@ -43,15 +50,45 @@ _WORD_MASK = 0xFFFFFFFF
 _SIGN_BIT = 0x80000000
 _TWO_32 = 0x100000000
 
-#: Instructions dispatched per budget check in the decoded engine.  The
-#: reference path compares the budget before every step; the decoded
-#: loop runs unchecked bursts of at most this many retirements (clamped
-#: to the remaining budget, so the raise point is identical).
-_DISPATCH_CHUNK = 65536
+#: Entries a basic block runs on its closures before the decoded engine
+#: translates it into one generated function (see
+#: :mod:`repro.isa.translate`).  Chosen by measurement: compiling a
+#: short block costs what a few hundred of its entries save, so lower
+#: thresholds translate blocks of the short workloads just before they
+#: stop; 768 is the lowest tried that keeps every bundled workload's
+#: build+profile within 10 % of the per-instruction loop it replaced
+#: (docs/performance.md, "How _TIER_UP was chosen").
+_TIER_UP = 768
 
 #: Hook signature: (pc, instruction) -> None, called as each
 #: instruction retires.
 InstrumentationHook = Callable[[int, Instruction], None]
+
+
+class Halt(Exception):
+    """A decoded HALT retired; ``next_pc`` is the pc after it."""
+
+    def __init__(self, next_pc: int):
+        super().__init__(next_pc)
+        self.next_pc = next_pc
+
+
+class StoreFault(Exception):
+    """The decoded SW at ``pc`` would exceed the memory footprint; it
+    did not retire."""
+
+    def __init__(self, pc: int):
+        super().__init__(pc)
+        self.pc = pc
+
+
+class PcFault(Exception):
+    """A decoded branch or jump retired and went to ``pc``, below the
+    program."""
+
+    def __init__(self, pc: int):
+        super().__init__(pc)
+        self.pc = pc
 
 
 def _to_signed(value: int) -> int:
@@ -85,6 +122,18 @@ def _nop_slot(pc: int) -> int:
     return pc + 1
 
 
+def _guard_negative(slot: Callable[[int], int]) -> Callable[[int], int]:
+    """Wrap the slot of a branch or jump to a negative pc: taken, it
+    raises :class:`PcFault` instead of returning a pc that would index
+    the dispatch table from its end."""
+    def guarded(pc):
+        next_pc = slot(pc)
+        if next_pc < 0:
+            raise PcFault(next_pc)
+        return next_pc
+    return guarded
+
+
 def _compile_instruction(
     instruction: Instruction,
     regs: List[int],
@@ -98,9 +147,10 @@ def _compile_instruction(
     signed/shift helpers are inlined.  Closures assume the register-
     file invariant that every entry is already masked to 32 bits and
     ``regs[0] == 0`` — maintained by every machine API and restored by
-    the dispatch entry points.  A halt slot returns the bitwise
-    complement of the next pc (always negative) so the dispatch loop
-    detects it without a per-step flag check.
+    the dispatch entry points.  The halt slot raises :class:`Halt`, a
+    store over the memory footprint raises :class:`StoreFault` and a
+    branch or jump to a negative pc raises :class:`PcFault`, so the
+    dispatch loop checks none of them per step.
     """
     mnemonic = instruction.spec.mnemonic
     ops = instruction.operands
@@ -259,10 +309,7 @@ def _compile_instruction(
                 address not in memory
                 and len(memory) >= machine.memory_limit_words
             ):
-                raise MachineError(
-                    f"memory footprint exceeded "
-                    f"{machine.memory_limit_words} words"
-                )
+                raise StoreFault(pc)
             memory[address] = regs[rd]
             return pc + 1
         return slot
@@ -295,7 +342,7 @@ def _compile_instruction(
         else:  # BGEU
             def slot(pc, regs=regs, rs1=rs1, rs2=rs2, target=target):
                 return target if regs[rs1] >= regs[rs2] else pc + 1
-        return slot
+        return _guard_negative(slot) if target < 0 else slot
 
     if mnemonic == "JAL":
         rd, target = ops
@@ -306,7 +353,7 @@ def _compile_instruction(
             def slot(pc, regs=regs, rd=rd, target=target):
                 regs[rd] = pc + 1
                 return target
-        return slot
+        return _guard_negative(slot) if target < 0 else slot
 
     if mnemonic == "JALR":
         rd, rs1, imm = ops
@@ -323,7 +370,7 @@ def _compile_instruction(
     if mnemonic == "HALT":
         def slot(pc, machine=machine):
             machine.halted = True
-            return ~(pc + 1)
+            raise Halt(pc + 1)
         return slot
 
     if mnemonic == "NOP":
@@ -355,10 +402,12 @@ class Machine:
         self.instructions_retired = 0
         self.memory_limit_words = memory_limit_words
         self._hooks: List[InstrumentationHook] = []
-        # Decoded-engine state, built lazily on first fast run.
+        # Decoded-engine state, built lazily on first decoded run; the
+        # block table keeps this machine's translations.
         self._decoded: Optional[List[Callable[[int], int]]] = None
         self._class_ids: Optional[List[int]] = None
         self._unit_classes: Optional[Tuple[FrozenSet[str], ...]] = None
+        self._blocks: Optional[BlockTable] = None
 
     # ------------------------------------------------------------------
     # Instrumentation (the ATOM analogue)
@@ -483,9 +532,18 @@ class Machine:
                     class_index[units] = cid
                     classes.append(units)
                 class_ids.append(cid)
+            # Imported here, not at module level, so that importing the
+            # toolkit does not load the translator; only decoded runs
+            # use it.
+            from repro.isa.translate import BlockTable
+
             self._decoded = decoded
             self._class_ids = class_ids
             self._unit_classes = tuple(classes)
+            self._blocks = BlockTable(
+                self.program.instructions, decoded, class_ids, len(classes),
+                {"regs": regs, "memory": memory, "machine": self},
+            )
 
     def _normalize_registers(self) -> None:
         """Restore the register-file invariant the closures rely on.
@@ -507,55 +565,17 @@ class Machine:
         Bit-identical to :meth:`run` in architectural state
         (registers, memory, pc, ``halted``, ``instructions_retired``)
         and in error behavior (same :class:`MachineError` messages at
-        the same machine states).  If any instrumentation hook is
-        attached, this transparently falls back to the reference path
-        so the ATOM contract — every hook sees every retired
-        instruction — is preserved.
+        the same machine states).  It is :meth:`run_counted`'s block
+        dispatch with the profile left unfolded.  If any
+        instrumentation hook is attached, this transparently falls back
+        to the reference path so the ATOM contract — every hook sees
+        every retired instruction — is preserved.
         """
         if self._hooks:
             return self.run(max_instructions)
-        if self._decoded is None:
-            self.decode()
-        decoded = self._decoded
-        self._normalize_registers()
-        start = self.instructions_retired
         started = time.perf_counter() if obs.ENABLED else 0.0
-        remaining = max_instructions
-        pc = self.pc
-        limit = len(decoded)
-        while not self.halted:
-            if remaining <= 0:
-                self.pc = pc
-                raise MachineError(
-                    f"instruction budget {max_instructions} exhausted "
-                    f"(pc={pc})"
-                )
-            if not 0 <= pc < limit:
-                self.pc = pc
-                raise MachineError(f"PC {pc} outside program")
-            chunk = remaining if remaining < _DISPATCH_CHUNK \
-                else _DISPATCH_CHUNK
-            executed = 0
-            try:
-                for executed in range(1, chunk + 1):
-                    pc = decoded[pc](pc)
-                    if pc < 0:
-                        break
-            except IndexError:
-                # The fetch at an out-of-range pc did not retire; the
-                # bounds check above raises on the next pass.
-                executed -= 1
-            except MachineError:
-                # The faulting instruction did not retire, but the
-                # reference path had already advanced the pc past it.
-                self.instructions_retired += executed - 1
-                self.pc = pc + 1
-                raise
-            self.instructions_retired += executed
-            remaining -= executed
-            if pc < 0 and self.halted:
-                pc = ~pc  # decode the halt slot's ~(pc + 1) sentinel
-        self.pc = pc
+        start = self.instructions_retired
+        self._dispatch(max_instructions, 0)
         retired = self.instructions_retired - start
         if obs.ENABLED:
             self._record_run_metrics(
@@ -568,12 +588,14 @@ class Machine:
     ) -> UnitClassCounts:
         """Decoded run that also counts unit-class transitions.
 
-        The profiling twin of :meth:`run_fast`: identical dispatch and
-        architectural behavior, plus one flat-array increment per
-        retirement recording the (previous class, current class)
-        transition.  The result is everything the ATOM profiler's
-        per-instruction hook would have observed, without calling any
-        Python hook — see
+        Dispatches one basic block at a time (see
+        :mod:`repro.isa.translate`) and counts block entries the way
+        Pixie does: one increment per entry, keyed by (predecessor
+        class, block).  At the end the counts are folded, through each
+        block's fixed internal transitions, into the k x k
+        (previous class, current class) matrix — everything the ATOM
+        profiler's per-instruction hook would have observed, without
+        calling any Python hook — see
         :func:`repro.isa.profiler.profile_from_counts`.
 
         ``start_class`` seeds the predecessor state (class 0, the
@@ -592,55 +614,17 @@ class Machine:
             )
         if self._decoded is None:
             self.decode()
-        decoded = self._decoded
-        class_ids = self._class_ids
         classes = self._unit_classes
         k = len(classes)
         if not 0 <= start_class < k:
             raise MachineError(
                 f"start_class {start_class} outside unit classes (k={k})"
             )
-        self._normalize_registers()
-        transitions = [0] * (k * k)
-        prev_base = start_class * k
-        start = self.instructions_retired
         started = time.perf_counter() if obs.ENABLED else 0.0
-        remaining = max_instructions
-        pc = self.pc
-        limit = len(decoded)
-        while not self.halted:
-            if remaining <= 0:
-                self.pc = pc
-                raise MachineError(
-                    f"instruction budget {max_instructions} exhausted "
-                    f"(pc={pc})"
-                )
-            if not 0 <= pc < limit:
-                self.pc = pc
-                raise MachineError(f"PC {pc} outside program")
-            chunk = remaining if remaining < _DISPATCH_CHUNK \
-                else _DISPATCH_CHUNK
-            executed = 0
-            try:
-                for executed in range(1, chunk + 1):
-                    cid = class_ids[pc]
-                    transitions[prev_base + cid] += 1
-                    prev_base = cid * k
-                    pc = decoded[pc](pc)
-                    if pc < 0:
-                        break
-            except IndexError:
-                executed -= 1
-            except MachineError:
-                self.instructions_retired += executed - 1
-                self.pc = pc + 1
-                raise
-            self.instructions_retired += executed
-            remaining -= executed
-            if pc < 0 and self.halted:
-                pc = ~pc
-        self.pc = pc
+        start = self.instructions_retired
+        final_class = self._dispatch(max_instructions, start_class)
         retired = self.instructions_retired - start
+        transitions = self._blocks.fold()
         if obs.ENABLED:
             self._record_run_metrics(
                 "machine.run_counted", retired,
@@ -650,8 +634,43 @@ class Machine:
             classes=classes,
             transitions=tuple(transitions),
             retired=retired,
-            final_class=prev_base // k,
+            final_class=final_class,
         )
+
+    def _dispatch(self, max_instructions: int, start_class: int) -> int:
+        """The decoded engine's run; returns the final class.
+
+        Runs the block table's dispatch loop (see
+        :meth:`~repro.isa.translate.BlockTable.run`), which leaves the
+        run's Pixie block-entry counts behind, and maps its stop to the
+        machine state and :class:`MachineError` the reference path
+        leaves at the same stop.
+        """
+        if self._decoded is None:
+            self.decode()
+        self._normalize_registers()
+        if self.halted:
+            self._blocks.reset()  # nothing runs: empty counts
+            return start_class
+        stop, pc, retired, final_class = self._blocks.run(
+            self.pc, max_instructions, start_class
+        )
+        self.instructions_retired += retired
+        if stop == "store":
+            # The faulting store did not retire, but the reference path
+            # had already advanced the pc past it.
+            self.pc = pc + 1
+            raise MachineError(
+                f"memory footprint exceeded {self.memory_limit_words} words"
+            )
+        self.pc = pc
+        if stop == "pc":
+            raise MachineError(f"PC {pc} outside program")
+        if stop == "budget":
+            raise MachineError(
+                f"instruction budget {max_instructions} exhausted (pc={pc})"
+            )
+        return final_class
 
     @staticmethod
     def _record_run_metrics(

@@ -19,13 +19,14 @@ Two engines produce the same numbers:
 * the **reference** engine attaches an :class:`AtomProfiler` hook and
   steps the machine — analysis code interposed per retired
   instruction, the original ATOM picture;
-* the **fast** engine (the default) follows ATOM's actual design
-  point — the analysis is *compiled into* the instrumented program:
-  the machine's decoded dispatch loop tags each slot with a
-  functional-unit class id and counts class transitions in a flat
-  array (:meth:`~repro.isa.machine.Machine.run_counted`), and
-  :func:`profile_from_counts` folds the transition matrix into the
-  identical per-unit uses/runs afterwards.  No Python hook runs.
+* the **fast** engine (the default) follows Pixie's and ATOM's actual
+  design point — the analysis is *compiled into* the instrumented
+  program: the machine's decoded dispatch loop counts basic-block
+  entries by predecessor functional-unit class and folds them into a
+  class-transition matrix
+  (:meth:`~repro.isa.machine.Machine.run_counted`), and
+  :func:`profile_from_counts` folds that matrix into the identical
+  per-unit uses/runs afterwards.  No Python hook runs.
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import MachineError
 from repro.isa.assembler import assemble
-from repro.isa.machine import Machine
+from repro.isa.machine import Machine, _TIER_UP
+from repro.isa.profiler import AtomProfiler, profile_from_counts
+from repro.isa.translate import LOOP_PASSES, block_ends
 
 
 def run(source, max_instructions=100_000):
@@ -236,6 +239,44 @@ SW r2, 0(r1)
 HALT
 """
 
+#: Where budget stops go, in entries of a loop below, and the loops'
+#: trip count.  The engine runs the tail of a budget, up to
+#: ``LOOP_PASSES`` times its longest block, on closures; a stop at entry
+#: ``STOP`` leaves well over ``_TIER_UP`` entries before that tail, so
+#: the loop is translated by then.
+STOP = 2 * _TIER_UP + LOOP_PASSES
+HOT = STOP + _TIER_UP
+
+#: ``loop`` is a hot block whose branch targets its own entry.
+SELF_LOOP_SOURCE = f"""
+LI r1, {HOT}
+loop: ADDI r2, r2, 3
+XORI r3, r2, 5
+ADD r4, r4, r3
+ADDI r1, r1, -1
+BNE r1, zero, loop
+HALT
+"""
+
+#: ``loop`` ends in a forward BEQ and ``even`` in a BNE back to
+#: ``loop``: hot blocks that never branch to their own entry.
+STRAIGHT_SOURCE = f"""
+LI r1, {HOT}
+loop: ADDI r2, r2, 1
+ANDI r3, r2, 1
+SLLI r5, r2, 2
+BEQ r3, zero, even
+ADDI r4, r4, 7
+even: SUB r6, r5, r4
+ADDI r1, r1, -1
+BNE r1, zero, loop
+HALT
+"""
+
+#: Each address repeats often enough that the store loop is translated
+#: long before it touches its hundredth word.
+_REPEAT_SHIFT = (2 * _TIER_UP // 100).bit_length()
+
 
 def _state(machine):
     return (
@@ -245,6 +286,44 @@ def _state(machine):
         list(machine.registers),
         dict(machine.memory),
     )
+
+
+def _translated(run):
+    """Call ``run()`` with metrics on; return the blocks it translated."""
+    with obs.enabled_scope(fresh=True):
+        run()
+        return obs.counter_value("machine.translations")
+
+
+def _same_error_and_state(source, budget=50_000_000, **machine_kwargs):
+    """Run ``source`` into its error on the reference path and on both
+    decoded entry points; return the blocks the decoded runs translated."""
+    reference = Machine(assemble(source), **machine_kwargs)
+    with pytest.raises(MachineError) as ref_err:
+        reference.run(max_instructions=budget)
+    with obs.enabled_scope(fresh=True):
+        for entry_point in ("run_fast", "run_counted"):
+            fast = Machine(assemble(source), **machine_kwargs)
+            with pytest.raises(MachineError) as fast_err:
+                getattr(fast, entry_point)(max_instructions=budget)
+            assert str(fast_err.value) == str(ref_err.value), entry_point
+            assert _state(fast) == _state(reference), entry_point
+        return obs.counter_value("machine.translations")
+
+
+def _entry_retirements(source, label):
+    """Instructions retired before each execution of ``label``, and the
+    length of the block entered there."""
+    program = assemble(source)
+    machine = Machine(program)
+    entry = program.labels[label]
+    retired = []
+    machine.add_hook(
+        lambda pc, instr: pc == entry
+        and retired.append(machine.instructions_retired - 1)
+    )
+    machine.run()
+    return retired, block_ends(program.instructions)[entry] - entry + 1
 
 
 class TestDecodedEngine:
@@ -272,6 +351,17 @@ class TestDecodedEngine:
             fast.run_fast(max_instructions=1000)
         assert str(fast_err.value) == str(ref_err.value)
         assert _state(fast) == _state(reference)
+        # A budget ending at every offset of a translated block, both a
+        # self-looping one and straight ones.
+        for source, label in (
+            (SELF_LOOP_SOURCE, "loop"),
+            (STRAIGHT_SOURCE, "loop"),
+            (STRAIGHT_SOURCE, "even"),
+        ):
+            starts, length = _entry_retirements(source, label)
+            for offset in range(length + 1):
+                budget = starts[STOP] + offset
+                assert _same_error_and_state(source, budget) > 0
 
     def test_budget_error_beyond_one_chunk(self):
         # The decoded loop checks the budget per chunk, not per step;
@@ -290,6 +380,24 @@ class TestDecodedEngine:
             fast.run_fast()
         assert str(fast_err.value) == str(ref_err.value)
         assert _state(fast) == _state(reference)
+        # A taken branch or jump to a negative pc retires, then stops
+        # the run at that pc.  The reference checks the budget first,
+        # so a budget the branch spent wins.
+        for exit_line in ("BEQ r0, r0, -1", "J -2"):
+            source = f"ADDI r1, r1, 1\n{exit_line}\nHALT"
+            for budget in (50_000_000, 2):
+                assert _same_error_and_state(source, budget) == 0
+        # A translated block's conditional branch to a negative pc,
+        # taken on the loop's last pass.
+        source = f"""
+        LI r1, {HOT}
+        loop: ADDI r1, r1, -1
+        ADDI r2, r2, 3
+        BEQ r1, zero, -1
+        J loop
+        HALT
+        """
+        assert _same_error_and_state(source) > 0
 
     def test_memory_footprint_error_matches_reference(self):
         source = "LI r1, 0\nloop: SW r1, 0(r1)\nADDI r1, r1, 1\nJ loop"
@@ -301,6 +409,16 @@ class TestDecodedEngine:
             fast.run_fast()
         assert str(fast_err.value) == str(ref_err.value)
         assert _state(fast) == _state(reference)
+        # The same loop storing each address many times, so the store
+        # faults inside translated code: a self-looping block, then a
+        # straight one.
+        shift = f"SRLI r2, r1, {_REPEAT_SHIFT}"
+        for source in (
+            f"LI r1, 0\nloop: {shift}\nSW r1, 0(r2)\nADDI r1, r1, 1\nJ loop",
+            f"LI r1, 0\nloop: {shift}\nJ store\n"
+            "store: SW r1, 0(r2)\nADDI r1, r1, 1\nJ loop",
+        ):
+            assert _same_error_and_state(source, memory_limit_words=100) > 0
 
     def test_hooks_fall_back_to_reference_path(self):
         machine = Machine(assemble(LOOP_SOURCE))
@@ -322,6 +440,128 @@ class TestDecodedEngine:
         assert counts.retired == machine.instructions_retired
         assert sum(counts.transitions) == counts.retired
         assert counts.classes[0] == frozenset()
+
+    def test_jalr_into_translated_block_matches_reference(self):
+        # ``loop`` is translated; the JALR then lands on ``mid``, inside
+        # it, which enters a block of its own.
+        source = f"""
+        LI r1, {HOT}
+        loop: ADDI r2, r2, 1
+        mid: ADDI r3, r3, 2
+        ADDI r1, r1, -1
+        BNE r1, zero, loop
+        BNE r7, zero, done
+        LI r7, 1
+        LI r1, 2
+        LA r5, mid
+        JALR r6, r5, 0
+        done: HALT
+        """
+        reference = Machine(assemble(source))
+        reference.run()
+        fast = Machine(assemble(source))
+        assert _translated(fast.run_fast) > 0
+        assert _state(fast) == _state(reference)
+        hooked = Machine(assemble(source))
+        profiler = AtomProfiler()
+        hooked.add_hook(profiler)
+        hooked.run()
+        counted = Machine(assemble(source))
+        counts = []
+        assert _translated(lambda: counts.append(counted.run_counted())) > 0
+        assert (
+            profile_from_counts("jalr", counts[0]).units
+            == profiler.profile("jalr").units
+        )
+
+    def test_translations_persist_across_runs(self):
+        # A HALT block, a block that runs off the end of the program and
+        # blocks that branch or jump to a negative pc are entered once
+        # per run; rerunning the same machines reaches their tier-up and
+        # then runs them as generated code.
+        for exit_line in ("HALT", "", "BEQ r0, r0, -1", "J -2"):
+            source = f"ADDI r1, r1, 1\nADD r2, r2, r1\n{exit_line}"
+            machines = {
+                entry_point: Machine(assemble(source))
+                for entry_point in ("run", "run_fast", "run_counted")
+            }
+            with obs.enabled_scope(fresh=True):
+                for _ in range(_TIER_UP + 3):
+                    messages = set()
+                    for entry_point, machine in machines.items():
+                        machine.pc = 0
+                        machine.halted = False
+                        try:
+                            getattr(machine, entry_point)()
+                        except MachineError as error:
+                            messages.add(str(error))
+                        else:
+                            messages.add(None)
+                        assert _state(machine) == _state(machines["run"])
+                    assert len(messages) == 1
+                assert obs.counter_value("machine.translations") == 2
+
+    def test_start_class_chains_across_calls(self):
+        # Two halting segments with a translated loop each; the second
+        # call continues from the first call's final class.
+        program = assemble(f"""
+        LI r1, {HOT}
+        first: ADDI r2, r2, 3
+        MUL r3, r2, r2
+        ADDI r1, r1, -1
+        BNE r1, zero, first
+        HALT
+        LI r1, {HOT}
+        second: SLLI r4, r2, 1
+        SW r4, 0(r1)
+        ADDI r1, r1, -1
+        BNE r1, zero, second
+        HALT
+        """)
+        machine = Machine(program)
+        head = machine.pc
+        first = machine.run_counted()
+        machine.halted = False
+        resume = machine.pc
+        runs = []
+        assert _translated(
+            lambda: runs.append(
+                machine.run_counted(start_class=first.final_class)
+            )
+        ) > 0
+        second = runs[0]
+        chained = type(first)(
+            classes=first.classes,
+            transitions=tuple(
+                a + b for a, b in zip(first.transitions, second.transitions)
+            ),
+            retired=first.retired + second.retired,
+            final_class=second.final_class,
+        )
+        hooked = Machine(program)
+        profiler = AtomProfiler()
+        hooked.add_hook(profiler)
+        hooked.run()
+        hooked.halted = False
+        hooked.run()
+        assert hooked.pc == machine.pc and head != resume
+        assert (
+            profile_from_counts("chained", chained).units
+            == profiler.profile("chained").units
+        )
+        # Any start class only moves the second call's first transition.
+        k = len(first.classes)
+        entry_class = first.classes.index(program.instructions[resume].units)
+        for start_class in range(k):
+            again = Machine(program)
+            again.run_counted()
+            again.halted = False
+            counts = again.run_counted(start_class=start_class)
+            expected = list(second.transitions)
+            expected[first.final_class * k + entry_class] -= 1
+            expected[start_class * k + entry_class] += 1
+            assert list(counts.transitions) == expected
+            assert counts.retired == second.retired
 
 
 class TestOriImmediateMasking:

@@ -2,15 +2,19 @@
 
 Random short programs (every mnemonic reachable, loops bounded) are
 executed on both engines; architectural state, retirement counts and
-the full functional-unit profile must be bit-identical.
+the full functional-unit profile must be bit-identical.  Some loops
+run past the decoded engine's tier-up point, so their blocks are
+checked as generated code too.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.errors import MachineError
 from repro.isa.assembler import assemble
 from repro.isa.instructions import FUNCTIONAL_UNITS, instruction_set
-from repro.isa.machine import Machine
+from repro.isa.machine import Machine, _TIER_UP
 from repro.isa.profiler import profile_program
 
 # Register conventions for generated programs: r1 is the memory base,
@@ -81,11 +85,23 @@ def segments(draw, index):
         lines.extend(skipped)
         lines.append(f"skip_{index}:")
     elif kind == "loop":
-        count = draw(st.integers(1, 5))
+        count = draw(
+            st.one_of(
+                st.integers(1, 5), st.integers(_TIER_UP + 1, _TIER_UP + 40)
+            )
+        )
         body = [draw(alu_lines()) for _ in range(draw(st.integers(1, 3)))]
         lines.append(f"ADDI r{_COUNTER}, r0, {count}")
         lines.append(f"loop_{index}:")
         lines.extend(body)
+        if draw(st.booleans()):
+            # A data-dependent skip: the loop's blocks then end in
+            # branches that do not target their own entry.
+            op = draw(st.sampled_from(_BRANCH_OPS))
+            rs1, rs2 = draw(registers_r), draw(registers_r)
+            lines.append(f"{op} r{rs1}, r{rs2}, inner_{index}")
+            lines.append(draw(alu_lines()))
+            lines.append(f"inner_{index}:")
         lines.append(f"ADDI r{_COUNTER}, r{_COUNTER}, -1")
         lines.append(f"BNE r{_COUNTER}, r0, loop_{index}")
     else:  # call — a leaf subroutine placed after HALT
@@ -159,14 +175,46 @@ class TestDifferentialExecution:
     def test_random_programs_same_profile(self, source):
         _assert_same_profile(source)
 
+    @given(programs(), st.integers(0, 3 * _TIER_UP), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_programs_same_stops(self, source, budget, words):
+        # A budget or a memory footprint that may stop the program,
+        # possibly inside translated code: every engine raises the same
+        # error (or none) and leaves the same state.
+        for machine_kwargs, run_kwargs in (
+            ({}, {"max_instructions": budget}),
+            ({"memory_limit_words": words}, {}),
+        ):
+            outcomes = []
+            for entry_point in ("run", "run_fast", "run_counted"):
+                program = assemble(source, name="diff")
+                machine = Machine(program, **machine_kwargs)
+                try:
+                    getattr(machine, entry_point)(**run_kwargs)
+                    error = None
+                except MachineError as exc:
+                    error = str(exc)
+                outcomes.append((
+                    error, machine.registers, machine.memory, machine.pc,
+                    machine.halted, machine.instructions_retired,
+                ))
+            assert outcomes[1] == outcomes[0]
+            assert outcomes[2] == outcomes[0]
+
     def test_every_mnemonic_covered_differentially(self):
         # One deterministic program touching all 34 mnemonics, so the
-        # decoded compiler can never silently miss an opcode.
-        source = """
+        # decoded compiler can never silently miss an opcode, with the
+        # ordered compares also run on equal operands.  The outer loop
+        # runs past the tier-up point, and no jump or branch in it
+        # starts its block, so every mnemonic but HALT also runs as
+        # generated code.
+        source = f"""
         LUI r1, 0
         ORI r1, r1, 1024
         LUI r2, 43981
         ORI r2, r2, 17185
+        ADDI r20, r0, {_TIER_UP + 2}
+        outer: LUI r21, 4660
         ADDI r3, r2, -5
         ADD r4, r2, r3
         SUB r5, r4, r2
@@ -192,20 +240,42 @@ class TestDifferentialExecution:
         NOP
         BEQ r2, r2, t1
         NOP
-        t1: BNE r2, r3, t2
+        t1: ADDI r22, r22, 1
+        BNE r2, r3, t2
         NOP
-        t2: BLT r3, r2, t3
+        t2: ADDI r22, r22, 1
+        BLT r3, r2, t3
         NOP
-        t3: BGE r2, r3, t4
+        t3: ADDI r22, r22, 1
+        BGE r2, r3, t4
         NOP
-        t4: BLTU r3, r2, t5
+        t4: ADDI r22, r22, 1
+        BLTU r3, r2, t5
         NOP
-        t5: BGEU r2, r3, t6
+        t5: ADDI r22, r22, 1
+        BGEU r2, r3, t6
         NOP
-        t6: JAL r15, sub
+        t6: SLT r10, r3, r3
+        SLTU r11, r3, r3
+        SLTI r12, r0, 0
+        BLT r2, r2, t7
+        ADDI r22, r10, 1
+        BLTU r2, r2, t7
+        ADDI r22, r11, 2
+        BNE r3, r3, t7
+        ADDI r22, r12, 3
+        BGE r3, r3, t7
+        NOP
+        t7: ADDI r22, r22, 1
+        BGEU r3, r3, t8
+        NOP
+        t8: ADDI r22, r22, 1
+        JAL r15, sub
         ADDI r14, r0, 2
         again: ADDI r14, r14, -1
         BNE r14, r0, again
+        ADDI r20, r20, -1
+        BNE r20, r0, outer
         HALT
         sub: ADDI r12, r12, 1
         JALR r0, r15, 0
@@ -216,7 +286,9 @@ class TestDifferentialExecution:
             if line.strip()
         }
         assert mnemonics >= set(instruction_set())
-        reference, fast = _run_both(source)
+        with obs.enabled_scope(fresh=True):
+            reference, fast = _run_both(source)
+            assert obs.counter_value("machine.translations") > 0
         _assert_same_state(reference, fast)
         _assert_same_profile(source)
 

@@ -312,6 +312,28 @@ class TestMachineInstrumentation:
         assert snap["counters"]["machine.instructions"] == counts.retired
         assert snap["timers"]["machine.run_counted"]["count"] == 1
 
+    def test_translation_metrics(self):
+        from repro.isa.assembler import assemble
+        from repro.isa.machine import Machine, _TIER_UP
+
+        source = (
+            f"LI r1, {2 * _TIER_UP}\nloop: ADDI r2, r2, 3\n"
+            "ADDI r1, r1, -1\nBNE r1, zero, loop\nHALT"
+        )
+        with obs.enabled_scope(fresh=True):
+            counts = Machine(assemble(source)).run_counted()
+            snap = obs.snapshot()
+        # The first pass runs in the block entered at the LI; the loop
+        # block is entered for the other 2 * _TIER_UP - 1 passes and
+        # translated on its _TIER_UP-th entry, so its last _TIER_UP - 1
+        # passes (3 instructions each) run in generated code.
+        assert snap["counters"]["machine.translations"] == 1
+        assert snap["timers"]["machine.translate"]["count"] == 1
+        assert snap["counters"]["machine.translated_instructions"] == (
+            3 * (_TIER_UP - 1)
+        )
+        assert snap["counters"]["machine.instructions"] == counts.retired
+
     def test_decode_span_recorded_once(self):
         machine = self._machine()
         with obs.enabled_scope(fresh=True):

@@ -8,6 +8,7 @@ path it accelerates.  These tests pin that contract.
 
 import pytest
 
+from repro import obs
 from repro.analysis.contour import energy_ratio_surface
 from repro.analysis.parallel import map_grid, map_items, resolve_workers
 from repro.analysis.sweep import sweep_2d
@@ -364,3 +365,32 @@ class TestDecodedInterpreterEquivalence:
         assert fast.total_instructions == ref.total_instructions
         for unit in FUNCTIONAL_UNITS:
             assert fast.stats(unit) == ref.stats(unit), (name, unit)
+
+    @pytest.mark.parametrize("name", ("matmul", "espresso"))
+    def test_translated_workload_identical(self, name):
+        # At the fig10 scale these two run much of their work in
+        # generated code; state and class transitions must still be
+        # exactly what the reference stepper sees.
+        fast = Machine(build_workload(name, scale=48))
+        with obs.enabled_scope(fresh=True):
+            counts = fast.run_counted()
+            assert obs.counter_value("machine.translations") > 0
+        reference = Machine(build_workload(name, scale=48))
+        k = len(counts.classes)
+        transitions = [0] * (k * k)
+        previous = [0]
+
+        def count_transition(pc, instruction):
+            current = counts.classes.index(instruction.units)
+            transitions[previous[0] * k + current] += 1
+            previous[0] = current
+
+        reference.add_hook(count_transition)
+        reference.run()
+        assert counts.transitions == tuple(transitions)
+        assert counts.retired == reference.instructions_retired
+        assert counts.final_class == previous[0]
+        assert fast.registers == reference.registers
+        assert fast.memory == reference.memory
+        assert fast.pc == reference.pc
+        assert fast.halted == reference.halted
