@@ -396,10 +396,11 @@ def bench_variation(quick: bool) -> dict:
     # Before: the per-sample path — the full characterization call
     # chain (effective-V_T resolve, drive solve, stack solve) runs once
     # per V_T sample, exactly as the analyzer did pre-plan.  Both sides
-    # share one StackSolver kernel, which dominates the leakage half,
-    # so this ratio only measures the per-sample overhead the plan
-    # hoists: it fell from ~7x (when the per-sample path paid an
-    # ~13k-evaluation nested bisection per stack) to well under 2x.
+    # run the characterizer's one StackSolver per stack, which solves
+    # the shift-0 reference once per V_DD and answers every in-window
+    # shift with one exp, so the leakage ratio only measures the
+    # per-sample call overhead the plan hoists (~1.3x); the delay half
+    # (~6x) carries the overall ratio.
     reference = CellCharacterizer(technology)
     ref_delays, ref_delay_seconds = _timed(
         lambda: [

@@ -147,15 +147,16 @@ class InverterDcAnalysis:
         """Unity-gain-point noise margins.
 
         V_IL / V_IH are where the VTC slope crosses -1 on either side
-        of the switching threshold; if the peak gain never reaches 1
-        (deep low-voltage collapse) both margins come back negative
-        via a degenerate V_IL = V_IH = V_M.
+        of the switching threshold.  If the peak gain never exceeds 1
+        (deep low-voltage collapse) the gate does not regenerate: V_IL
+        is set to V_OL and V_IH to V_OH, so both margins are exactly 0
+        and ``is_regenerative`` is False.
         """
         vol = self.output_voltage(vdd, vdd)
         voh = self.output_voltage(0.0, vdd)
-        vm = self.switching_threshold(vdd)
         if self.peak_gain(vdd) <= 1.0:
-            return NoiseMargins(vdd=vdd, vol=vol, voh=voh, vil=vm, vih=vm)
+            return NoiseMargins(vdd=vdd, vol=vol, voh=voh, vil=vol, vih=voh)
+        vm = self.switching_threshold(vdd)
         vil = self._unity_gain_point(vdd, 0.0, vm, vm)
         vih = self._unity_gain_point(vdd, vm, vdd, vm)
         return NoiseMargins(vdd=vdd, vol=vol, voh=voh, vil=vil, vih=vih)

@@ -275,9 +275,12 @@ def evaluate_policy(
     total = sum(p.duration_cycles for p in trace)
     busy = sum(p.duration_cycles for p in trace if p.busy)
     t = costs.cycle_time_s
-    always_on = (
-        busy * costs.active_power_w + (total - busy) * costs.idle_power_w
-    ) * t
+    # Summed period by period, exactly as _policy_energy sums a policy
+    # that never sleeps, so such a policy saves exactly nothing.
+    always_on = 0.0
+    for period in trace:
+        power = costs.active_power_w if period.busy else costs.idle_power_w
+        always_on += period.duration_cycles * power * t
     energy, off_cycles, wakeups, latency = _policy_energy(
         trace, policy, costs
     )

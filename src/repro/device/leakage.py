@@ -9,9 +9,11 @@ matter for the tools it calls for:
   effect"): the intermediate node floats up, reverse-biasing the upper
   device's V_gs and adding DIBL relief.  This is also why MTCMOS sleep
   devices work.  :class:`StackSolver` solves the series stack
-  self-consistently; it is the one stack solve behind the scalar
-  characterizer and both batched plans (:mod:`repro.tech.batch`,
-  :mod:`repro.tech.opplan`).
+  self-consistently, once per V_DD: a V_T shift that keeps the stack
+  in subthreshold only rescales that solution by
+  ``exp(-shift / (n phi_t))``.  :class:`StackLeakageModel` owns one
+  solver per stack, shared by the scalar characterizer and both
+  batched plans (:mod:`repro.tech.batch`, :mod:`repro.tech.opplan`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ _BRACKET_FLOOR = 1e-12
 #: spans more than femtovolts to volts, so a wider step comes from a
 #: flat (saturated) region and would land in denormal V_ds.
 _MAX_LOG_STEP = 40.0
+#: A V_DD whose reference root has not been looked for yet.
+_UNSOLVED = object()
 
 
 class StackSolver:
@@ -49,7 +53,8 @@ class StackSolver:
     settles where current continuity puts it.  A solver is built once
     per ``(parameters, widths)`` pair and hoists every V_DD- and
     shift-invariant constant (per-device ``i_spec * W``,
-    ``ln(i_spec * W)`` and ``k_drive * W``, the flavour's ``n * phi_t``).
+    ``ln(i_spec * W)`` and ``k_drive * W``, the flavour's ``n * phi_t``;
+    the solve's seed and window constants only for deeper stacks).
 
     A single device is the closed-form ``Mosfet.off_current``, evaluated
     with the same float operations, so it is bit-identical to it.
@@ -69,11 +74,31 @@ class StackSolver:
     most half the step before last (which breaks Newton cycles around a
     regime change, where iterates can alternate sides of the root while
     the bracket barely shrinks).  Both stop at the current iterate once
-    ``|residual| <= 1e-13``; the outer level also stops once its Newton
-    step is that small (its slope is at least 1 in magnitude, so the
-    step bounds the error in ``x``, while a steep residual cannot always
-    get below the tolerance at ``x``'s float resolution), and the inner
-    one once a step rounds to no change.
+    ``|residual| <= 1e-13``.  The outer level also stops at an iterate
+    whose Newton step is that small, because a steep residual cannot
+    always get below the tolerance at ``x``'s float resolution, but only
+    once the step's end (at least the next float) confirms it by
+    crossing the root or meeting the tolerance; if it does neither and
+    has not halved the residual, the level bisects.  With every exponent
+    clamped, a lower device's current nears a ceiling in V_ds, and the
+    slope at ``x`` can be far steeper than between ``x`` and the root.
+    The inner level also stops once a step rounds to no change.
+
+    A V_T shift enters every subthreshold device exponent alike, as
+    ``-shift / (n phi_t)``, so the node voltages that balance the stack
+    at shift 0 balance it at any shift and ``ln I`` just moves by that
+    term.  The solver therefore keeps one reference root
+    ``x0 = ln I(V_DD, 0)`` per V_DD it sees and answers a shift inside
+    that V_DD's window with ``exp(x0 - shift / (n phi_t))``.  The window
+    is read from the inputs: ``shift >= DIBL V_DD - V_T0`` keeps every
+    device below threshold (its V_ds is at most V_DD and its source at
+    least 0 V), ``shift <= DIBL V_DD - V_T0 + 60 n phi_t`` keeps the
+    off currents that set the bracket off the exponent clamp, and
+    ``x0 - shift / (n phi_t) >= max ln(i_spec W) - 60`` keeps every
+    device at the solution off it.  Any other shift, and every shift at
+    a V_DD whose shift 0 is itself outside the window, runs the Newton
+    solve.  The reference is always shift 0, so a corner's result does
+    not depend on which corners were asked before it.
     """
 
     __slots__ = (
@@ -88,6 +113,9 @@ class StackSolver:
         "_half_alpha",
         "_vdsat_coeff",
         "_clm",
+        "_clamp_shift",
+        "_x_floor",
+        "_references",
     )
 
     def __init__(
@@ -106,11 +134,6 @@ class StackSolver:
             )
             for d in devices
         )
-        # ln of the drain factor at phi_t / (depth - 1), about where a
-        # uniform stack's bottom node settles (seeds the outer solve).
-        self._knee = 0.0
-        if len(devices) > 1:
-            self._knee = math.log(-math.expm1(-1.0 / (len(devices) - 1)))
         phi_t = parameters.thermal_voltage
         self._vt0 = parameters.vt0
         self._dibl = parameters.dibl
@@ -120,6 +143,18 @@ class StackSolver:
         self._half_alpha = parameters.alpha / 2.0
         self._vdsat_coeff = parameters.vdsat_coeff
         self._clm = parameters.channel_length_modulation
+        if len(devices) > 1:
+            # ln of the drain factor at phi_t / (depth - 1), about where
+            # a uniform stack's bottom node settles (seeds the solve).
+            self._knee = math.log(-math.expm1(-1.0 / (len(devices) - 1)))
+            # Shift-identity window (see above): the span of shifts
+            # above the lower edge before an off current clamps, and the
+            # lowest ln I at which no device exponent clamps.
+            self._clamp_shift = _MAX_EXP_ARG * self._n_phi
+            self._x_floor = max(d[1] for d in self._devices) - _MAX_EXP_ARG
+            #: V_DD -> ln I(V_DD, shift 0), or None where shift 0 is
+            #: outside the window.
+            self._references: dict = {}
 
     def _off_current(
         self, device: tuple, vdd: float, vt_shift: float
@@ -286,9 +321,39 @@ class StackSolver:
         devices = self._devices
         if len(devices) == 1:
             return self._off_current(devices[0], vdd, vt_shift)
+        # The window, read from the inputs: below ``lowest`` a device
+        # may be above threshold, and ``_clamp_shift`` above it an off
+        # current clamps.
+        lowest = self._dibl * vdd - self._vt0
+        if lowest <= vt_shift <= lowest + self._clamp_shift:
+            reference = self._references.get(vdd, _UNSOLVED)
+            solved = reference is _UNSOLVED
+            if solved:
+                reference = self._reference(vdd, lowest)
+            if reference is not None:
+                x = reference - vt_shift / self._n_phi
+                if x >= self._x_floor:
+                    if _obs.ENABLED and not solved:
+                        _obs.incr("leakage.shift_scaled")
+                    return math.exp(x)
+        return math.exp(self._solve(vdd, vt_shift))
+
+    def _reference(self, vdd: float, lowest: float):
+        """Solve and keep ``ln I(vdd, 0)``, or ``None`` off the window."""
+        reference = None
+        if lowest <= 0.0 <= lowest + self._clamp_shift:
+            reference = self._solve(vdd, 0.0)
+            if reference < self._x_floor:
+                reference = None
+        self._references[vdd] = reference
+        return reference
+
+    def _solve(self, vdd: float, vt_shift: float) -> float:
+        """``ln`` of the stack current, by the safeguarded Newton solve."""
+        devices = self._devices
         upper = min(self._off_current(d, vdd, vt_shift) for d in devices)
         if upper <= 0.0:
-            return 0.0
+            return -math.inf
         evaluations = len(devices)
         log_current = self._log_current
         drop = self._drop
@@ -304,6 +369,10 @@ class StackSolver:
         if not low < x < high:
             x = 0.5 * (low + high)
         step = previous = high - low
+        # An iterate whose Newton step fell below the tolerance, kept
+        # until the step's end confirms it (see below), and its residual.
+        candidate = None
+        candidate_residual = 0.0
         while True:
             # Residual ln I_top(S, V_DD - S) - x (None: x is too high)
             # and its slope, with d_source = dS/dx.
@@ -328,21 +397,51 @@ class StackSolver:
                 if f > -math.inf:
                     residual = f - x
                     slope = (d_src - d_vds) * d_source - 1.0
+            too_high = residual is None or residual < 0.0
+            newton = residual is not None and -math.inf < slope
+            if candidate is not None:
+                # x is the candidate's Newton step.  If it crossed the
+                # root, the candidate is within that step of it; if its
+                # residual is within the tolerance, within two (|slope|
+                # >= 1 turns a residual into a bound on x's error).
+                if too_high != (candidate_residual < 0.0) or (
+                    residual is not None and abs(residual) <= _RESIDUAL_TOL
+                ):
+                    x = candidate
+                    break
+                # Otherwise Newton goes on from x only if the step at
+                # least halved the residual; if not, the slope at the
+                # candidate overstated the one toward the root: bisect.
+                newton = newton and abs(residual) <= 0.5 * abs(
+                    candidate_residual
+                )
+                candidate = None
             if residual is not None and abs(residual) <= _RESIDUAL_TOL:
                 break
-            if residual is None or residual < 0.0:
+            if too_high:
                 high = x
             else:
                 low = x
             older, previous = previous, step
-            if residual is not None and -math.inf < slope:
+            if newton:
                 step = residual / slope
-                if abs(step) <= _RESIDUAL_TOL:
-                    # |slope| >= 1, so this bounds x's error as well; a
-                    # steep residual can stay above the tolerance at x's
-                    # float resolution.
-                    break
                 trial = x - step
+                if abs(step) <= _RESIDUAL_TOL:
+                    # A steep residual can stay above the tolerance at
+                    # x's float resolution, so a step this small ends the
+                    # solve at x, but only once its end (at least the
+                    # next float) confirms it: near a device's current
+                    # ceiling the slope at x can be far steeper than
+                    # between x and the root.
+                    if trial == x:
+                        trial = math.nextafter(
+                            x, -math.inf if step > 0.0 else math.inf
+                        )
+                    if not low < trial < high:
+                        break
+                    candidate, candidate_residual = x, residual
+                    x = trial
+                    continue
                 if low < trial < high and abs(step) <= 0.5 * abs(older):
                     x = trial
                     continue
@@ -354,7 +453,7 @@ class StackSolver:
         if _obs.ENABLED:
             _obs.incr("leakage.stack_solves")
             _obs.incr("leakage.device_evals", evaluations)
-        return math.exp(x)
+        return x
 
 
 def stack_leakage_current(
@@ -421,15 +520,26 @@ class StackLeakageModel:
     """Cached stack-effect evaluator for one transistor flavour.
 
     Characterization sweeps ask for the same (depth, width, V_DD, shift)
-    tuples repeatedly; this memoizes the :class:`StackSolver` solve.
-    The batched plans of :mod:`repro.tech.batch` and
-    :mod:`repro.tech.opplan` share ``_cache`` and its rounded keys, so
-    every path serves and fills the same entries.
+    tuples repeatedly; this memoizes the :class:`StackSolver` solve and
+    owns one solver per widths tuple, so the V_DD reference roots those
+    solvers keep serve every caller.  The batched plans of
+    :mod:`repro.tech.batch` and :mod:`repro.tech.opplan` take their
+    solvers from :meth:`solver` and share ``_cache`` and its rounded
+    keys, so every path serves and fills the same entries.
     """
 
     def __init__(self, parameters: MosfetParameters):
         self.parameters = parameters
         self._cache: dict = {}
+        self._solvers: dict = {}
+
+    def solver(self, widths_um: Sequence[float]) -> StackSolver:
+        """This flavour's one :class:`StackSolver` for ``widths_um``."""
+        key = tuple(widths_um)
+        solver = self._solvers.get(key)
+        if solver is None:
+            solver = self._solvers[key] = StackSolver(self.parameters, key)
+        return solver
 
     def current(
         self,
@@ -438,12 +548,9 @@ class StackLeakageModel:
         vt_shift: float = 0.0,
     ) -> float:
         """Stack leakage, memoized on the rounded argument tuple."""
-        key = (tuple(round(w, 6) for w in widths_um), round(vdd, 6), round(vt_shift, 6))
-        if key not in self._cache:
-            self._cache[key] = stack_leakage_current(
-                self.parameters, widths_um, vdd, vt_shift
-            )
-        return self._cache[key]
+        return self.lookup(
+            self.solver(widths_um), vdd, vt_shift, round(vt_shift, 6)
+        )
 
     def lookup(
         self,
@@ -452,7 +559,7 @@ class StackLeakageModel:
         vt_shift: float,
         shift_key: float,
     ) -> float:
-        """:meth:`current` through a prebuilt solver of this flavour.
+        """:meth:`current` through a solver from :meth:`solver`.
 
         Same memo, same rounded key; ``shift_key`` is the caller's
         hoisted ``round(vt_shift, 6)``.  The batched plans decode their

@@ -10,8 +10,9 @@ stack-leakage solver constants — even though only the shift changes.
 applied to characterization: :meth:`CellCharacterizer.plan_variation
 <repro.tech.characterize.CellCharacterizer.plan_variation>` resolves
 every V_T-invariant quantity once (output capacitance, the
-``0.7 * C * V`` delay numerator, per-flavour drive prefactors, one
-:class:`~repro.device.leakage.StackSolver` per polarity), and
+``0.7 * C * V`` delay numerator, per-flavour drive prefactors, and per
+polarity the characterizer's own
+:class:`~repro.device.leakage.StackSolver` for the cell's stack), and
 :meth:`VariationPlan.delays` /
 :meth:`VariationPlan.leakages` then evaluate a whole vector of shifts
 in a tight loop that recomputes only the shift-dependent terms.
@@ -21,14 +22,16 @@ The batched results are **bit-identical** to the per-sample
 partial product preserves the reference float-op association order
 (``a*b*c*d`` folds left, so hoisting ``a*b`` is exact), the inlined
 ``_bounded_exp`` clamps reproduce ``max(-60, min(60, x))`` on the
-reachable side, and the leakage path runs the same
-:class:`~repro.device.leakage.StackSolver` kernel as the per-sample
-path and *shares* the characterizer's
-:class:`~repro.device.leakage.StackLeakageModel` memo dicts — key
-construction included — so the rounded-key reuse semantics of the
-per-sample path are replicated exactly.  The differential tests in
-``tests/property/test_variation_differential.py`` assert equality
-sample for sample.
+reachable side, and the leakage path runs the very
+:class:`~repro.device.leakage.StackSolver` the per-sample path runs
+(taken from :meth:`StackLeakageModel.solver
+<repro.device.leakage.StackLeakageModel.solver>`, so both serve
+in-window shifts from the same V_DD reference root) and *shares* the
+characterizer's :class:`~repro.device.leakage.StackLeakageModel` memo
+dicts — key construction included — so the rounded-key reuse
+semantics of the per-sample path are replicated exactly.  The
+differential tests in ``tests/property/test_variation_differential.py``
+assert equality sample for sample.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import math
 from typing import List, Sequence
 
 from repro import obs as _obs
-from repro.device.leakage import StackSolver
 from repro.device.mosfet import Mosfet, MosfetParameters
 from repro.errors import CharacterizationError
 from repro.tech.characterize import _DELAY_CONSTANT
@@ -81,9 +83,9 @@ class VariationPlan:
 
     Produced by :meth:`CellCharacterizer.plan_variation
     <repro.tech.characterize.CellCharacterizer.plan_variation>`; holds
-    only plain floats plus, per polarity, a stack solver and the shared
-    stack memo dict, so evaluating a shift vector builds no model
-    objects at all.
+    only plain floats plus, per polarity, the characterizer's stack
+    model and its solver for the cell's stack, so evaluating a shift
+    vector builds no model objects at all.
     """
 
     __slots__ = (
@@ -157,11 +159,11 @@ class VariationPlan:
             ),
             nmos_stack=(
                 characterizer._nmos_stacks,
-                StackSolver(nmos, cell.nmos_path_widths_um),
+                characterizer._nmos_stacks.solver(cell.nmos_path_widths_um),
             ),
             pmos_stack=(
                 characterizer._pmos_stacks,
-                StackSolver(pmos, cell.pmos_path_widths_um),
+                characterizer._pmos_stacks.solver(cell.pmos_path_widths_um),
             ),
         )
 

@@ -21,8 +21,8 @@ plain bisection.
 supply axis: :meth:`CellCharacterizer.plan_operating
 <repro.tech.characterize.CellCharacterizer.plan_operating>` resolves
 every V_DD-invariant quantity once (gate/junction geometry products,
-per-flavour drive prefactors, one
-:class:`~repro.device.leakage.StackSolver` per polarity), and
+per-flavour drive prefactors, and per polarity the characterizer's own
+:class:`~repro.device.leakage.StackSolver` for the cell's stack), and
 :meth:`OperatingPlan.delays` / :meth:`OperatingPlan.leakages` /
 :meth:`OperatingPlan.energies` then evaluate a whole vector of
 supplies in a tight loop that recomputes only the V_DD-dependent
@@ -35,8 +35,10 @@ exact), the non-linear ``switched_capacitance`` views are evaluated
 once per point through the *same* model methods the per-point path
 calls, the inlined ``_bounded_exp`` clamps reproduce
 ``max(-60, min(60, x))`` on the reachable side, and the leakage path
-runs the same stack solver as the per-point path and *shares* the
-characterizer's
+runs the very stack solver the per-point path runs (taken from
+:meth:`StackLeakageModel.solver
+<repro.device.leakage.StackLeakageModel.solver>`, with its per-V_DD
+reference roots) and *shares* the characterizer's
 :class:`~repro.device.leakage.StackLeakageModel` memo dicts — key
 construction included — so the rounded-key reuse semantics of the
 per-point path are replicated exactly.  The differential tests in
@@ -50,7 +52,6 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
-from repro.device.leakage import StackSolver
 from repro.device.mosfet import Mosfet, MosfetParameters
 from repro.errors import CharacterizationError, DeviceModelError
 from repro.tech.characterize import _DELAY_CONSTANT
@@ -91,8 +92,8 @@ class OperatingPlan:
     <repro.tech.characterize.CellCharacterizer.plan_operating>`; holds
     only plain floats, the two capacitance models (their non-linear
     ``switched_capacitance`` views are the only model calls left in the
-    kernels) and, per polarity, a stack solver with the shared stack
-    memo it fills.
+    kernels) and, per polarity, the characterizer's stack model with
+    its solver for the cell's stack.
 
     The load is specified either as a fixed external ``load_f`` [F]
     (mirroring :meth:`~repro.tech.characterize.CellCharacterizer.
@@ -209,11 +210,11 @@ class OperatingPlan:
             ),
             nmos_stack=(
                 characterizer._nmos_stacks,
-                StackSolver(nmos, cell.nmos_path_widths_um),
+                characterizer._nmos_stacks.solver(cell.nmos_path_widths_um),
             ),
             pmos_stack=(
                 characterizer._pmos_stacks,
-                StackSolver(pmos, cell.pmos_path_widths_um),
+                characterizer._pmos_stacks.solver(cell.pmos_path_widths_um),
             ),
         )
 

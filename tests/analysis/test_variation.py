@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.analysis.variation import (
     Distribution,
     MonteCarloAnalyzer,
@@ -93,6 +94,41 @@ class TestLeakageAmplification:
         measured = analyzer.leakage_amplification(inverter, 1.0)
         predicted = lognormal_leakage_amplification(0.03, 0.066)
         assert measured == pytest.approx(predicted, rel=0.25)
+
+    def test_stacked_cell_amplification_is_mean_shift_factor(self):
+        # In the subthreshold window a common shift scales every off
+        # device, stacked or single, by exp(-dVT / (n phi_t)) (both soi
+        # flavours share n phi_t), so the measured amplification is
+        # exactly the sample mean of that factor; the lognormal closed
+        # form estimates the same mean.
+        technology = soi_low_vt()
+        nmos = technology.transistors.nmos
+        n_phi = nmos.ideality * nmos.thermal_voltage
+        vdd = 0.6
+        analyzer = MonteCarloAnalyzer(
+            technology, vt_sigma=0.03, n_samples=400, seed=5
+        )
+        shifts = analyzer.sample_vt_shifts()
+        assert min(shifts) > nmos.dibl * vdd - nmos.vt0
+        with obs.enabled_scope():
+            measured = analyzer.leakage_amplification(
+                standard_cells()["NAND3"], vdd
+            )
+            # All draws in the window: only the shift-0 reference solves.
+            assert obs.counter_value("leakage.stack_solves") == 1
+        # The stack memo keys shifts to 1e-6 V, so a later draw in the
+        # same bucket is served the first one's value.
+        first = {}
+        for s in shifts:
+            first.setdefault(round(s, 6), s)
+        expected = math.fsum(
+            math.exp(-first[round(s, 6)] / n_phi) for s in shifts
+        ) / len(shifts)
+        assert measured == pytest.approx(expected, rel=1e-12)
+        assert measured == pytest.approx(
+            lognormal_leakage_amplification(0.03, nmos.subthreshold_swing),
+            rel=0.25,
+        )
 
     def test_amplification_grows_with_sigma(self, inverter):
         small = MonteCarloAnalyzer(

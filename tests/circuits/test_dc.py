@@ -84,6 +84,18 @@ class TestGainAndMargins:
         assert small.low < big.low
         assert small.high < big.high
 
+    @pytest.mark.parametrize("vdd", [0.02, 0.03])
+    def test_non_regenerative_inverter_has_zero_margins(self, dc, vdd):
+        # Peak gain 0.42 at 20 mV and 0.69 at 30 mV: the VTC never
+        # reaches unity gain, so there are no unity-gain points and the
+        # gate restores nothing.
+        assert dc.peak_gain(vdd) <= 1.0
+        margins = dc.noise_margins(vdd)
+        assert (margins.vil, margins.vih) == (margins.vol, margins.voh)
+        assert margins.low == 0.0
+        assert margins.high == 0.0
+        assert not margins.is_regenerative
+
     def test_bulk_inverter_margins_at_3v(self):
         dc = InverterDcAnalysis(bulk_cmos_06um())
         margins = dc.noise_margins(3.3)
@@ -97,6 +109,11 @@ class TestMinimumSupply:
         # below 1 V; the regeneration floor is ~100 mV class.
         floor = dc.minimum_supply(margin_fraction=0.3)
         assert 0.03 < floor < 0.2
+
+    def test_floor_is_above_the_non_regenerative_supplies(self, dc):
+        # With zero margins below unity gain the 10 % floor can no
+        # longer sit on the 20 mV search bound.
+        assert dc.minimum_supply(0.1) > 0.03
 
     def test_stricter_margin_raises_floor(self, dc):
         assert dc.minimum_supply(0.35) > dc.minimum_supply(0.25)

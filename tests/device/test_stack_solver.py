@@ -10,6 +10,7 @@ bisection-like cost fails :class:`TestEvaluationBudget`.
 import math
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +95,25 @@ class TestOracleAgreement:
             oracle,
         )
 
+    @pytest.mark.parametrize(
+        "vdd, vt_shift",
+        [(1.0, 1.55), (1.0, 2.0), (1.0, 3.0), (0.96875, 2.0), (1.2, 2.0)],
+    )
+    def test_fully_clamped_stack_matches_oracle(self, vdd, vt_shift):
+        # Past the clamp every exponent sits at -60, so each device's
+        # current rises to a ceiling in V_ds and the root (V_ds split
+        # evenly) lies ~1e-10 to ~1e-8 below the bottom device's
+        # ceiling.  Near that ceiling the residual's slope reaches
+        # 1e9-1e12, so a Newton step there, tiny or even below x's float
+        # resolution, once stopped the solve that far off the root.
+        parameters = bulk_cmos_06um().transistors.nmos
+        kernel = StackSolver(parameters, [1.0, 1.0]).current(vdd, vt_shift)
+        oracle = oracle_stack_current(parameters, [1.0, 1.0], vdd, vt_shift)
+        assert math.isclose(kernel, oracle, rel_tol=ORACLE_RTOL), (
+            kernel,
+            oracle,
+        )
+
     @settings(deadline=None, max_examples=40)
     @given(
         technology=st.sampled_from(sorted(TECHNOLOGIES)),
@@ -108,6 +128,136 @@ class TestOracleAgreement:
         assert StackSolver(parameters, [width]).current(
             vdd, vt_shift
         ) == Mosfet(parameters, width_um=width).off_current(vdd, vt_shift)
+
+
+def _identity_window(parameters, widths, vdd, nominal):
+    """Shifts at which the stack leaks ``nominal * e^(-dVT / (n phi_t))``.
+
+    Returns ``(lowest, highest, has_reference)``.  Read from the device
+    model: below ``lowest`` a device can be above threshold; above
+    ``highest`` an off-current or device exponent reaches the -60 clamp.
+    ``has_reference`` says whether shift 0, the solver's reference, is
+    itself inside.
+    """
+    n_phi = parameters.ideality * parameters.thermal_voltage
+    lowest = parameters.dibl * vdd - parameters.vt0
+    x_floor = max(math.log(parameters.i_spec * w) for w in widths) - 60.0
+    x0 = math.log(nominal)
+    highest = min(lowest + 60.0 * n_phi, n_phi * (x0 - x_floor))
+    return lowest, highest, lowest <= 0.0 <= highest
+
+
+class TestShiftIdentity:
+    """Shift-0 reference root scaled by one exp inside the window."""
+
+    #: Shifts this close to an edge may land on either side in floats.
+    EDGE_SLACK = 1e-9
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        technology=st.sampled_from(sorted(TECHNOLOGIES)),
+        polarity=st.sampled_from(["nmos", "pmos"]),
+        widths=st.lists(st.floats(0.5, 8.0), min_size=2, max_size=4),
+        vdd=st.floats(0.05, 3.3),
+        edge=st.sampled_from(["lowest", "highest"]),
+        offset=st.floats(-0.05, 0.05),
+    )
+    @example("soi-vt0.02", "nmos", [2.0, 2.0], 1.2, "lowest", 0.01)
+    @example("soi", "nmos", [2.0, 2.0, 2.0], 0.6, "lowest", -0.01)
+    @example("bulk", "pmos", [4.0, 4.0], 3.3, "highest", 0.001)
+    @example("bulk", "nmos", [1.0, 1.0], 1.0, "highest", 0.03125)
+    @example("bulk", "nmos", [1.0, 1.0], 0.96875, "highest", 0.03125)
+    @example("soias", "nmos", [4.0, 1.0, 4.0], 0.3, "highest", -0.001)
+    def test_scaled_inside_solved_outside(
+        self, technology, polarity, widths, vdd, edge, offset
+    ):
+        parameters = _parameters(technology, polarity)
+        n_phi = parameters.ideality * parameters.thermal_voltage
+        solver = StackSolver(parameters, widths)
+        nominal = solver.current(vdd, 0.0)
+        lowest, highest, has_reference = _identity_window(
+            parameters, widths, vdd, nominal
+        )
+        shift = (lowest if edge == "lowest" else highest) + offset
+        with obs.enabled_scope():
+            result = solver.current(vdd, shift)
+            solves = obs.counter_value("leakage.stack_solves")
+            scaled = obs.counter_value("leakage.shift_scaled")
+        assert solves + scaled == 1
+        slack = self.EDGE_SLACK
+        if has_reference and lowest + slack < shift < highest - slack:
+            assert scaled == 1
+            assert math.isclose(
+                result, nominal * math.exp(-shift / n_phi), rel_tol=1e-12
+            )
+            direct = math.exp(solver._solve(vdd, shift))
+            assert math.isclose(result, direct, rel_tol=1e-12)
+        elif not has_reference or not (
+            lowest - slack <= shift <= highest + slack
+        ):
+            assert solves == 1
+        oracle = oracle_stack_current(parameters, widths, vdd, shift)
+        assert math.isclose(result, oracle, rel_tol=ORACLE_RTOL), (
+            result,
+            oracle,
+        )
+
+    def test_one_solve_serves_every_in_window_shift(self):
+        parameters = soi_low_vt().transistors.nmos
+        solver = StackSolver(
+            parameters, standard_cells()["NAND3"].nmos_path_widths_um
+        )
+        vdd = 0.7
+        rng = random.Random(3)
+        shifts = [rng.gauss(0.0, 0.04) for _ in range(40)]
+        lowest = parameters.dibl * vdd - parameters.vt0
+        assert min(shifts) > lowest
+        with obs.enabled_scope():
+            for shift in shifts:
+                solver.current(vdd, shift)
+            assert obs.counter_value("leakage.stack_solves") == 1
+            assert obs.counter_value("leakage.shift_scaled") == 39
+            # Below the lower edge a device may conduct: one direct
+            # solve, and the reference is not solved again.
+            solver.current(vdd, lowest - 0.01)
+            assert obs.counter_value("leakage.stack_solves") == 2
+            assert obs.counter_value("leakage.shift_scaled") == 39
+
+    def test_below_window_first_shift_wastes_no_reference_solve(self):
+        parameters = soi_low_vt().transistors.nmos
+        solver = StackSolver(parameters, [2.0, 2.0])
+        vdd = 0.5
+        below = parameters.dibl * vdd - parameters.vt0 - 0.05
+        with obs.enabled_scope():
+            solver.current(vdd, below)
+            assert obs.counter_value("leakage.stack_solves") == 1
+            solver.current(vdd, 0.01)
+            solver.current(vdd, -0.02)
+            assert obs.counter_value("leakage.stack_solves") == 2
+            assert obs.counter_value("leakage.shift_scaled") == 1
+
+    def test_shift_zero_outside_window_solves_every_shift(self):
+        # soi_low_vt(vt0=0.02) at 1.2 V: DIBL V_DD - V_T0 > 0, so shift 0
+        # may be above threshold and no reference is kept.
+        parameters = TECHNOLOGIES["soi-vt0.02"].transistors.nmos
+        solver = StackSolver(parameters, [2.0, 2.0])
+        vdd = 1.2
+        assert parameters.dibl * vdd - parameters.vt0 > 0.0
+        with obs.enabled_scope():
+            for shift in (0.0, 0.03, 0.05, 0.0):
+                solver.current(vdd, shift)
+            assert obs.counter_value("leakage.stack_solves") == 4
+            assert obs.counter_value("leakage.shift_scaled") == 0
+
+    def test_result_independent_of_call_order(self):
+        parameters = soi_low_vt().transistors.pmos
+        widths = standard_cells()["NOR3"].pmos_path_widths_um
+        corners = [(0.4, 0.02), (0.4, -0.3), (0.9, 0.0), (0.9, 0.05)]
+        forward = StackSolver(parameters, widths)
+        backward = StackSolver(parameters, widths)
+        ahead = [forward.current(v, s) for v, s in corners]
+        behind = [backward.current(v, s) for v, s in reversed(corners)]
+        assert ahead == behind[::-1]
 
 
 class TestEvaluationBudget:

@@ -151,6 +151,38 @@ class TestCharacterizerCacheInfo:
         assert counters["characterizer.hits.delay"] >= 1
 
 
+class TestLeakageInstrumentation:
+    def test_reference_solve_then_shift_scaled(self):
+        # One NAND2 corner: 40 in-window shifts through the plan and the
+        # scalar nominal share the pull-down stack's one reference solve,
+        # made by the first shift; the other 40 leakages are scaled.
+        characterizer = CellCharacterizer(soi_low_vt())
+        nand2 = standard_cells()["NAND2"]
+        shifts = [0.001 * i - 0.0205 for i in range(40)]
+        with obs.enabled_scope():
+            plan = characterizer.plan_variation(nand2, 0.6)
+            plan.leakages(shifts)
+            characterizer.leakage_current(nand2, 0.6)
+            counters = obs.snapshot()["counters"]
+        assert counters["leakage.stack_solves"] == 1
+        assert counters["leakage.shift_scaled"] == 40
+        assert counters["leakage.device_evals"] > 2
+
+    def test_variation_metrics_report_shift_scaled(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            [
+                "variation", "--cell", "NAND3", "--samples", "24",
+                "--vdd", "0.8", "--metrics",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "leakage.stack_solves" in output
+        assert "leakage.shift_scaled" in output
+
+
 class TestRingCornerCacheBound:
     def test_corner_lru_respects_bound(self):
         ring = RingOscillatorModel(soi_low_vt(), stages=11, max_corners=4)
