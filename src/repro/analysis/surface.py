@@ -4,10 +4,11 @@ Figs. 3 and 4 of the paper study a fixed-throughput ring oscillator:
 for each (V_DD, V_T) pair the ring either meets the cycle-time budget
 or it does not, and where it does, the cycle energy is the Fig. 4
 switching-plus-leakage sum.  This module samples that plane on a
-(V_T, V_DD) grid — each V_T row shares one characterizer corner and
-one decoded :class:`~repro.tech.opplan.OperatingPlan`, which is what
-makes whole-axis evaluation cheap — and marks infeasible cells (stage
-delay above the per-stage budget) as ``None``.
+(V_T, V_DD) grid — one decoded :class:`~repro.tech.opplan.
+OperatingPlan` per call serves every row with the V_T as its shift,
+and the V_DD axis's loads are computed once for all rows, which is
+what makes whole-plane evaluation cheap — and marks infeasible cells
+(stage delay above the per-stage budget) as ``None``.
 
 The interesting structure is one-dimensional: per V_T row, energy
 falls with V_DD until leakage-vs-delay trade-off turns it around, so
@@ -21,7 +22,7 @@ without re-sampling the flat high-energy regions.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,54 +39,16 @@ from repro.errors import AnalysisError
 
 __all__ = ["EnergySurface", "energy_surface"]
 
-#: Per-worker decoded operating plans, keyed by (technology, vt).
-#: Mirrors the CLI locus fan-out's model cache: a pool worker handed
-#: many (V_T, V_DD) cells decodes each V_T corner once and pushes every
-#: V_DD through the plan's kernels.  The serial path shares the same
-#: cache, so a V_T-major grid decodes one plan per row.  Bounded like
-#: the ring model's corner LRU so long-lived processes cannot leak.
-_WORKER_PLANS: "OrderedDict" = OrderedDict()
-_MAX_WORKER_PLANS = 256
-
-#: The ring probe cell, resolved once per process — ``standard_cells``
-#: rebuilds the whole library on every call, which at one call per V_T
-#: corner was a measurable slice of the decode cost.
-_INVERTER = None
-
-
-def _inverter():
-    global _INVERTER
-    if _INVERTER is None:
-        from repro.tech.cells import standard_cells
-
-        _INVERTER = standard_cells()["INV"]
-    return _INVERTER
-
-
-def _corner_plan(technology: Technology, vt: float):
-    """The fanout-1 inverter :class:`OperatingPlan` for one V_T corner."""
-    key = (technology, vt)
-    plan = _WORKER_PLANS.get(key)
-    if plan is None:
-        from repro.tech.characterize import CellCharacterizer
-
-        characterizer = CellCharacterizer(technology.with_vt(vt))
-        plan = characterizer.plan_operating(_inverter(), fanout=1)
-        while len(_WORKER_PLANS) >= _MAX_WORKER_PLANS:
-            _WORKER_PLANS.popitem(last=False)
-        _WORKER_PLANS[key] = plan
-    else:
-        _WORKER_PLANS.move_to_end(key)
-    return plan
-
-
 class _EnergyCell:
     """One (V_T, V_DD) surface cell; a class so the fan-out can pickle it.
 
     Returns the ring's cycle energy [J] when the stage delay meets the
-    per-stage budget, ``None`` where the corner is infeasible.  The
+    per-stage budget, ``None`` where the corner is infeasible.  Like
+    :class:`~repro.power.optimizer.RingOscillatorModel`, a cell decodes
+    once: the fanout-1 inverter plan at ``V_T0 = 0``, built on first
+    use and never pickled, takes every V_T as its kernels' shift.  The
     plan kernels and the association below are float-for-float the
-    :meth:`~repro.power.optimizer.RingOscillatorModel.stage_delay` /
+    ring's :meth:`~repro.power.optimizer.RingOscillatorModel.stage_delay` /
     :meth:`~repro.power.optimizer.RingOscillatorModel.energy_per_cycle`
     chain (pinned by ``tests/analysis/test_surface.py``), minus the
     per-point memo traffic — a pure function of its coordinates, so
@@ -99,6 +62,7 @@ class _EnergyCell:
         "activity",
         "t_cycle_s",
         "target_stage_delay_s",
+        "_plan",
     )
 
     def __init__(
@@ -114,28 +78,38 @@ class _EnergyCell:
         self.activity = activity
         self.t_cycle_s = t_cycle_s
         self.target_stage_delay_s = target_stage_delay_s
+        self._plan = None
+
+    @property
+    def plan(self):
+        """The fanout-1 inverter plan at ``V_T0 = 0``, decoded once."""
+        if self._plan is None:
+            from repro.power.optimizer import _zero_threshold_decode
+
+            _, self._plan = _zero_threshold_decode(self.technology)
+        return self._plan
 
     def __call__(self, vt: float, vdd: float) -> Optional[float]:
-        plan = _corner_plan(self.technology, vt)
-        if plan.delay(vdd) > self.target_stage_delay_s:
+        plan = self.plan
+        if plan.delay(vdd, vt) > self.target_stage_delay_s:
             return None
-        switching_per_stage, leak_per_stage = plan.energies((vdd,))[0]
+        switching_per_stage, leak_per_stage = plan.energies((vdd,), vt)[0]
         switching = self.stages * self.activity * switching_per_stage
         leakage_current = self.stages * leak_per_stage
         return switching + leakage_current * vdd * self.t_cycle_s
 
     def row(
-        self, vt: float, vdds: Sequence[float]
+        self, vt: float, vdds: Sequence[float], loads: Sequence[tuple]
     ) -> Tuple[Optional[float], ...]:
-        """One whole V_T row through the plan's batched kernels.
+        """One whole V_T row through the plan's batched kernel.
 
-        Bit-identical to calling the cell per point — the kernels
-        evaluate points independently — but the decode and the loop
-        setup are paid once per row instead of once per cell.
+        ``loads`` is ``plan.loads(vdds)``: C(V) does not depend on V_T,
+        so a grid computes its V_DD axis's loads once for every row.
+        Bit-identical to calling the cell per point — the kernel
+        evaluates points independently.
         """
-        plan = _corner_plan(self.technology, vt)
-        points = plan.operating_points(
-            vdds, max_delay_s=self.target_stage_delay_s
+        points = self.plan.operating_points(
+            vdds, vt, self.target_stage_delay_s, loads
         )
         stages = self.stages
         stages_activity = stages * self.activity
@@ -154,11 +128,12 @@ class _EnergyCell:
         return tuple(out)
 
     def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
 
     def __setstate__(self, state):
         for name, value in zip(self.__slots__, state):
             setattr(self, name, value)
+        self._plan = None
 
 
 @dataclass(frozen=True)
@@ -216,11 +191,12 @@ def _row_batched_grid(
 ) -> Sweep2D:
     """Serial base grid, one batched kernel pass per V_T row."""
     vdds = [float(vdd) for vdd in vdd_values]
+    loads = cell.plan.loads(vdds)
     total = len(vt_values) * len(vdds)
     done = 0
     rows = []
     for vt in vt_values:
-        rows.append(cell.row(vt, vdds))
+        rows.append(cell.row(vt, vdds, loads))
         done += len(vdds)
         if progress is not None:
             progress(done, total)
@@ -405,8 +381,9 @@ def energy_surface(
     :meth:`repro.core.flow.LowVoltageDesignFlow.throughput_optimizer`).
     Cells whose stage delay misses the budget come back as ``None``.
 
-    Rows share a V_T corner: the grid is evaluated V_T-major, so each
-    row is one decoded operating plan swept along the whole V_DD axis.
+    The grid is evaluated V_T-major through one decoded operating plan
+    per call, each row one kernel pass along the whole V_DD axis with
+    the V_T as the plan's shift; nothing is cached across calls.
     ``workers`` fans rows' cells across processes (0 = serial; ring
     cells are expensive enough that the small-grid serial gate is
     disabled here) and the sampled surface is identical for any worker
@@ -431,12 +408,16 @@ def energy_surface(
     queue; ``workers`` is then ignored and the surface stays
     bit-identical to the serial path.
     """
-    if t_cycle_s <= 0.0:
+    if not 0.0 < t_cycle_s < math.inf:
         raise AnalysisError(
-            f"cycle time must be positive, got {t_cycle_s}"
+            f"cycle time must be positive and finite, got {t_cycle_s}"
         )
-    if any(vdd <= 0.0 for vdd in vdd_values):
-        raise AnalysisError("vdd values must be positive")
+    if not 0.0 < activity <= 2.0:
+        raise AnalysisError(f"activity must be in (0, 2], got {activity}")
+    if not all(math.isfinite(vt) for vt in vt_values):
+        raise AnalysisError("vt values must be finite")
+    if not all(0.0 < vdd < math.inf for vdd in vdd_values):
+        raise AnalysisError("vdd values must be positive and finite")
     if cycle_stages is None:
         cycle_stages = 2 * stages
     if cycle_stages < 1:

@@ -119,13 +119,6 @@ def _record_run(
     )
 
 
-#: Per-process ring-model cache for the parallel optimize path — a
-#: worker re-solving V_DD at many V_T corners reuses one model (and
-#: its corner characterizer memos) across its whole chunk.
-_WORKER_RINGS: dict = {}
-_MAX_WORKER_RINGS = 4
-
-
 def _locus_task(task):
     """One fixed-delay locus point; module-level so workers can pickle it.
 
@@ -137,15 +130,7 @@ def _locus_task(task):
     from repro.errors import OptimizationError
 
     technology, stages, activity, cycle_stages, vt, target, variation = task
-    key = (technology, stages, activity)
-    ring = _WORKER_RINGS.get(key)
-    if ring is None:
-        while len(_WORKER_RINGS) >= _MAX_WORKER_RINGS:
-            _WORKER_RINGS.pop(next(iter(_WORKER_RINGS)))
-        ring = RingOscillatorModel(
-            technology, stages=stages, activity=activity
-        )
-        _WORKER_RINGS[key] = ring
+    ring = RingOscillatorModel(technology, stages=stages, activity=activity)
     optimizer = FixedThroughputOptimizer(
         ring, cycle_stages=cycle_stages, variation=variation
     )

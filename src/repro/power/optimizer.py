@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -58,6 +57,44 @@ _RESIDUAL_TOL = 1e-13
 #: wrong basin.
 _SCAN_POINTS = 25
 _GOLDEN = 0.6180339887498949
+#: The ring's inverter, built once: ``standard_cells`` rebuilds the
+#: whole library on every call.
+_INVERTER = standard_cells()["INV"]
+
+
+def _zero_threshold_decode(technology: Technology, store=None):
+    """``(characterizer, plan)``: the ring inverter decoded at V_T0 = 0.
+
+    The characterizer is of ``technology.with_vt(0.0)`` and the plan is
+    its fanout-1 inverter :class:`~repro.tech.opplan.OperatingPlan`;
+    callers pass each V_T as the kernels' ``vt_shift``.  The device
+    kernels see a threshold only as ``V_T0 + shift``, and ``0.0 + V_T``
+    is exactly ``V_T``, so every delay, energy, leakage, delay kink and
+    solved supply is the very float a characterizer of
+    ``technology.with_vt(V_T)`` produces: both polarities sit at V_T,
+    whatever the base process's N and P thresholds were.
+
+    Only inverters take this route.  A stacked cell's
+    :class:`~repro.device.leakage.StackSolver` answers shifts from a
+    shift-0 reference root that lies outside its window once
+    ``V_T0 = 0``, so every shift would run the Newton solve.
+    """
+    characterizer = CellCharacterizer(technology.with_vt(0.0), store=store)
+    return characterizer, characterizer.plan_operating(_INVERTER, fanout=1)
+
+
+def _check_target(target_delay_s: float) -> None:
+    """Reject a delay target that is not a positive, finite time."""
+    if not 0.0 < target_delay_s < math.inf:
+        raise OptimizationError(
+            f"target delay must be positive and finite, got {target_delay_s}"
+        )
+
+
+def _check_vt(vt: float) -> None:
+    """Reject a non-finite threshold before it reaches a kernel."""
+    if not math.isfinite(vt):
+        raise OptimizationError(f"V_T must be finite, got {vt}")
 
 
 def _bracketed_golden_minimum(energy, low, high, tolerance):
@@ -65,8 +102,13 @@ def _bracketed_golden_minimum(energy, low, high, tolerance):
 
     Scans ``_SCAN_POINTS`` evenly spaced probes to find the best
     basin, then golden-section refines inside the bracketing pair of
-    neighbours.  ``energy`` returns +inf for infeasible V_T.
+    neighbours.  ``energy`` returns +inf for infeasible V_T.  The
+    refinement also stops once its golden points no longer fall
+    strictly inside the bracket in order, which a ``tolerance`` at or
+    below the float spacing of V_T would otherwise never allow.
     """
+    if not tolerance > 0.0:
+        raise OptimizationError(f"tolerance must be positive, got {tolerance}")
     grid = [
         low + (high - low) * i / (_SCAN_POINTS - 1)
         for i in range(_SCAN_POINTS)
@@ -82,7 +124,7 @@ def _bracketed_golden_minimum(energy, low, high, tolerance):
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = energy(c), energy(d)
-    while b - a > tolerance:
+    while b - a > tolerance and a < c < d < b:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -298,27 +340,37 @@ class StatisticalOperatingPoint(OperatingPoint):
 class RingOscillatorModel:
     """Analytical ring-oscillator: the paper's measurement structure.
 
+    The model decodes once, at construction: one characterizer of the
+    base process moved to ``V_T0 = 0`` and its fanout-1 inverter plan,
+    which take every query's V_T as their shift and return the very
+    floats a corner ``technology.with_vt(V_T)`` would (see
+    :func:`_zero_threshold_decode`).  No nominal V_T probe builds a
+    technology, a characterizer or a plan.  The one memo does span
+    V_T: its leakage keys round V_DD and the threshold to 1e-6 V, so
+    two V_T probes closer than that, at one rounded supply, share a
+    leakage value.  Yield mode prices its sampled leakage on a
+    per-call corner instead (see :meth:`statistical_energy_per_cycle`).
+
     Parameters
     ----------
     technology:
-        Base process; V_T is varied via ``with_vt``.
+        Base process; ``vt`` arguments are absolute logic thresholds
+        applied to both polarities, as ``technology.with_vt(vt)``.
     stages:
         Inverters in the ring (odd; the paper used ~101-stage rings).
     activity:
         Average node transition activity of the *module* the ring
         stands in for (1.0 for the ring itself, lower for logic).
-    max_corners:
-        Bound on the per-corner characterizer LRU.  Golden-section
-        probes visit a fresh V_T per step, and each corner carries its
-        own (cell, vdd, load) memo — without a bound a long-lived
-        model leaks memory across repeated ``optimum`` calls.  The
-        default comfortably covers one sweep plus one golden-section
-        search with no evictions.
     store:
-        Optional :class:`repro.store.ResultStore`.  Each corner's
-        characterizer loads previously flushed entries for its exact
-        (technology, V_T) pair and :meth:`flush_store` persists them —
-        a warm store turns repeat optimizations into pure lookups.
+        Optional :class:`repro.store.ResultStore`.  The characterizer
+        loads the entries previously flushed for its zero-threshold
+        technology and :meth:`flush_store` persists them — a warm
+        store turns repeat optimizations into pure lookups.
+
+    The characterizer's memo grows with the distinct (V_DD, V_T)
+    probes answered, like any characterizer's; a model that serves
+    many independent optimizations can simply be rebuilt, since
+    construction is one decode.
     """
 
     def __init__(
@@ -326,121 +378,47 @@ class RingOscillatorModel:
         technology: Technology,
         stages: int = 101,
         activity: float = 1.0,
-        max_corners: int = 64,
         store=None,
     ):
         if stages < 3 or stages % 2 == 0:
             raise OptimizationError("stages must be odd and >= 3")
         if not 0.0 < activity <= 2.0:
             raise OptimizationError("activity must be in (0, 2]")
-        if max_corners < 1:
-            raise OptimizationError("max_corners must be >= 1")
         self.technology = technology
         self.stages = stages
         self.activity = activity
-        self.max_corners = max_corners
         self.store = store
-        self._inverter = standard_cells()["INV"]
-        self._corners: "OrderedDict[float, CellCharacterizer]" = OrderedDict()
-        self._corner_hits = 0
-        self._corner_misses = 0
-        # Most-recent corner, kept out of the OrderedDict lookup: a
-        # locus point queries the same V_T several times in a row (a
-        # yield solve once per probe), so the common hit is a float
-        # compare, not an LRU reorder.
-        self._last_vt: Optional[float] = None
-        self._last_corner: Optional[CellCharacterizer] = None
-
-    def _corner(self, vt: float) -> CellCharacterizer:
-        """Memoized characterizer for the V_T corner (bounded LRU).
-
-        A locus point revisits its V_T for the supply solve's plan, the
-        energy query and the delay re-probe (a yield solve once per
-        probe); sharing one characterizer per corner lets its decoded
-        plans and (cell, vdd, load) memo accumulate across the whole
-        sweep instead of being rebuilt per query.
-        The least-recently-used corner is evicted beyond
-        ``max_corners``, bounding memory on long-lived models.
-        """
-        if vt == self._last_vt:
-            self._corner_hits += 1
-            if obs.ENABLED:
-                obs.incr("ring.corner_hits")
-            return self._last_corner
-        corner = self._corners.get(vt)
-        if corner is None:
-            self._corner_misses += 1
-            if obs.ENABLED:
-                obs.incr("ring.corner_misses")
-            corner = CellCharacterizer(
-                self.technology.with_vt(vt), store=self.store
-            )
-            self._corners[vt] = corner
-            if len(self._corners) > self.max_corners:
-                evicted_vt, _ = self._corners.popitem(last=False)
-                if evicted_vt == self._last_vt:
-                    self._last_vt = None
-                    self._last_corner = None
-                if obs.ENABLED:
-                    obs.incr("ring.corner_evictions")
-        else:
-            self._corner_hits += 1
-            if obs.ENABLED:
-                obs.incr("ring.corner_hits")
-            self._corners.move_to_end(vt)
-        self._last_vt = vt
-        self._last_corner = corner
-        return corner
-
-    def cache_info(self) -> obs.CacheInfo:
-        """``lru_cache``-style statistics for the corner LRU."""
-        return obs.CacheInfo(
-            hits=self._corner_hits,
-            misses=self._corner_misses,
-            currsize=len(self._corners),
-            maxsize=self.max_corners,
+        self._characterizer, self._plan = _zero_threshold_decode(
+            technology, store
         )
-
-    def clear_corners(self) -> None:
-        """Drop every cached corner and zero the LRU statistics."""
-        self._corners.clear()
-        self._last_vt = None
-        self._last_corner = None
-        self._corner_hits = 0
-        self._corner_misses = 0
 
     def flush_store(self) -> int:
-        """Persist every live corner's characterization memo.
+        """Persist the characterization memo.
 
-        Returns the total number of entries written (0 without a
-        store).  Corners already evicted from the LRU are not
-        re-flushed — call this at natural boundaries (end of a sweep
-        or ``optimum``) rather than once per probe.
+        Returns the number of entries written (0 without a store).
+        Call it at natural boundaries (end of a sweep or ``optimum``)
+        rather than once per probe.
         """
-        if self.store is None:
-            return 0
-        return sum(
-            corner.flush_store() for corner in self._corners.values()
-        )
+        return self._characterizer.flush_store()
 
     def stage_delay(self, vdd: float, vt: float) -> float:
         """Fanout-1 inverter delay at a corner [s].
 
         Every call is exactly one characterizer fanout-delay query
-        (served through the corner's decoded
-        :class:`~repro.tech.opplan.OperatingPlan` — same memo family,
-        same floats), and ``optimizer.delay_probes`` counts it here —
-        at the query site — so the counter matches the actual
-        characterizer traffic even for probes issued outside a solve
+        (served through the decoded plan — same memo family, same
+        floats), and ``optimizer.delay_probes`` counts it here — at the
+        query site — so the counter matches the actual characterizer
+        traffic even for probes issued outside a solve
         (``energy_per_cycle``'s re-probe, ``locus_point``, direct
         calls).
         """
         if vdd <= 0.0:
             raise OptimizationError("vdd must be positive")
+        _check_vt(vt)
         if obs.ENABLED:
             obs.incr("optimizer.delay_probes")
-        return self._corner(vt).planned_fanout_delay(
-            self._inverter, vdd, fanout=1
+        return self._characterizer.planned_fanout_delay(
+            _INVERTER, vdd, fanout=1, vt_shift=vt
         )
 
     def oscillation_period(self, vdd: float, vt: float) -> float:
@@ -478,8 +456,8 @@ class RingOscillatorModel:
             If the target is unreachable inside the bounds (too slow
             even at max V_DD).
         """
-        if target_stage_delay_s <= 0.0:
-            raise OptimizationError("target delay must be positive")
+        _check_target(target_stage_delay_s)
+        _check_vt(vt)
         if vdd_bounds is None:
             vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
         low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
@@ -487,17 +465,18 @@ class RingOscillatorModel:
             raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
         if obs.ENABLED:
             obs.incr("optimizer.vdd_solves")
-        # One decoded plan serves every probe of the solve: the
-        # V_DD-invariant drive constants and capacitance geometry are
-        # resolved once per solve instead of once per probe, each probe
-        # is bit-identical to a stage_delay call at the same corner, and
-        # the plan knows where its delay curve kinks.  Plan-kernel
-        # probes bypass the characterizer memo, so
-        # ``optimizer.delay_probes`` keeps matching the characterizer's
-        # fanout-family traffic.
-        plan = self._corner(vt).plan_operating(self._inverter, fanout=1)
+        # Every probe goes through the decoded plan: bit-identical to a
+        # stage_delay call at the same corner, and the plan knows where
+        # its delay curve kinks.  Plan-kernel probes bypass the
+        # characterizer memo, so ``optimizer.delay_probes`` keeps
+        # matching the characterizer's fanout-family traffic.
+        plan = self._plan
         vdd = _solve_supply(
-            plan.delay, target_stage_delay_s, low, high, plan.delay_breaks()
+            lambda v: plan.delay(v, vt),
+            target_stage_delay_s,
+            low,
+            high,
+            plan.delay_breaks(vt),
         )
         if vdd is None:
             raise OptimizationError(
@@ -518,12 +497,14 @@ class RingOscillatorModel:
         """
         if cycle_time_s <= 0.0:
             raise OptimizationError("cycle time must be positive")
+        _check_vt(vt)
         # The plan's energies kernel returns the raw (E_transition,
         # I_leak) pair — the same floats the scalar input_capacitance /
         # energy_per_transition / leakage_current chain produced — so
         # the stages/activity/cycle association below is unchanged.
-        plan = self._corner(vt).plan_operating(self._inverter, fanout=1)
-        switching_per_stage, leak_per_stage = plan.energies((vdd,))[0]
+        switching_per_stage, leak_per_stage = self._plan.energies(
+            (vdd,), vt
+        )[0]
         switching = self.stages * self.activity * switching_per_stage
         leakage_current = self.stages * leak_per_stage
         leakage = leakage_current * vdd * cycle_time_s
@@ -545,17 +526,19 @@ class RingOscillatorModel:
     ) -> float:
         """p-th percentile of the batched stage-delay distribution [s].
 
-        One :class:`~repro.tech.batch.VariationPlan` per probed
-        (V_T, V_DD) corner; the whole shift vector is evaluated through
-        its tight loop per probe.  A plan delay at shift 0 is
+        One :class:`~repro.tech.batch.VariationPlan` per probed V_DD,
+        shared by every V_T, evaluates the sampled thresholds
+        ``vt + shift`` in its tight loop.  A plan delay at shift 0 is
         bit-identical to :meth:`stage_delay` at the same corner.
         """
-        corner = self._corner(vt)
-        load = corner._input_capacitance(self._inverter, vdd)
-        plan = corner.plan_variation(self._inverter, vdd, load)
+        characterizer = self._characterizer
+        load = characterizer._input_capacitance(_INVERTER, vdd)
+        plan = characterizer.plan_variation(_INVERTER, vdd, load)
         if obs.ENABLED:
             obs.incr("optimizer.mc_probes")
-        return _percentile(plan.delays(shifts), percentile)
+        return _percentile(
+            plan.delays([vt + shift for shift in shifts]), percentile
+        )
 
     def solve_vdd_for_yield(
         self,
@@ -586,8 +569,8 @@ class RingOscillatorModel:
             If the p-th percentile corner still misses the target at
             the high V_DD bound.
         """
-        if target_stage_delay_s <= 0.0:
-            raise OptimizationError("target delay must be positive")
+        _check_target(target_stage_delay_s)
+        _check_vt(vt)
         spec = VariationSpec(
             percentile=percentile, vt_sigma=vt_sigma,
             n_samples=n_samples, seed=seed,
@@ -636,19 +619,25 @@ class RingOscillatorModel:
 
         if cycle_time_s <= 0.0:
             raise OptimizationError("cycle time must be positive")
+        _check_vt(vt)
         shifts = variation.draw_shifts()
-        corner = self._corner(vt)
-        load = self._inverter.input_capacitance(corner.technology, vdd)
+        # Priced on a throwaway corner at this V_T, once per locus
+        # point.  The model's memo keys leakage by the threshold
+        # ``vt + shift`` rounded to 1e-6 V: there, the samples of two V_T
+        # probes solved to one supply (a clamped yield locus) would
+        # share entries, and every sample would add one for good.
+        corner = CellCharacterizer(self.technology.with_vt(vt))
+        load = _INVERTER.input_capacitance(corner.technology, vdd)
         switching_per_stage = corner.energy_per_transition(
-            self._inverter, vdd, load
+            _INVERTER, vdd, load
         )
         switching = self.stages * self.activity * switching_per_stage
-        leakage_plan = corner.plan_variation(self._inverter, vdd, 0.0)
+        leakage_plan = corner.plan_variation(_INVERTER, vdd, 0.0)
         if obs.ENABLED:
             obs.incr("optimizer.mc_probes")
         leakages = leakage_plan.leakages(shifts)
         mean_leakage = sum(leakages) / len(leakages)
-        nominal_leakage = corner.leakage_current(self._inverter, vdd)
+        nominal_leakage = corner.leakage_current(_INVERTER, vdd)
         amplification = (
             mean_leakage / nominal_leakage if nominal_leakage > 0.0 else 1.0
         )
@@ -741,15 +730,18 @@ class FixedThroughputOptimizer:
     ) -> List[OperatingPoint]:
         """Fig. 3/4 data: the fixed-delay locus over a V_T list.
 
-        Each V_T's solve and energy evaluation run through that
-        corner's decoded :class:`~repro.tech.opplan.OperatingPlan`
-        (built once per corner, reused by every probe of the supply
-        solve and by the energy query), so the whole axis is evaluated
-        through batched kernels, each probe bit-identical to the
-        scalar per-probe chain.
+        Every V_T's solve and energy evaluation run through the ring's
+        one decoded :class:`~repro.tech.opplan.OperatingPlan`, with the
+        V_T as the kernels' shift, each probe bit-identical to the
+        scalar per-probe chain at that corner.  A non-finite V_T or
+        target is a configuration error and raises even with
+        ``skip_infeasible``.
         """
         if not vts:
             raise OptimizationError("empty V_T sweep")
+        _check_target(target_stage_delay_s)
+        for vt in vts:
+            _check_vt(vt)
         points: List[OperatingPoint] = []
         with obs.span("optimizer.sweep"):
             for vt in vts:
@@ -782,6 +774,7 @@ class FixedThroughputOptimizer:
         low, high = float(vt_bounds[0]), float(vt_bounds[1])
         if not low < high:
             raise OptimizationError(f"bad vt bounds [{low}, {high}]")
+        _check_target(target_stage_delay_s)
 
         def energy(vt: float) -> float:
             if obs.ENABLED:
@@ -854,6 +847,7 @@ class ModuleThroughputOptimizer:
         self._wire = wire_length_per_fanout_um
 
     def _shift(self, vt: float) -> float:
+        _check_vt(vt)
         return vt - self._base_vt
 
     def delay(self, vdd: float, vt: float) -> float:
@@ -885,8 +879,7 @@ class ModuleThroughputOptimizer:
         monotone there either; the solve bisects throughout and returns
         exactly what a 70-step bisection of the V_DD bounds returns.
         """
-        if target_delay_s <= 0.0:
-            raise OptimizationError("target delay must be positive")
+        _check_target(target_delay_s)
         if vdd_bounds is None:
             vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
         low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
@@ -955,8 +948,7 @@ class ModuleThroughputOptimizer:
         clamp and unreachable semantics mirror
         :meth:`solve_vdd_for_delay`.
         """
-        if target_delay_s <= 0.0:
-            raise OptimizationError("target delay must be positive")
+        _check_target(target_delay_s)
         spec = VariationSpec(
             percentile=percentile, vt_sigma=vt_sigma,
             n_samples=n_samples, seed=seed,
@@ -1115,6 +1107,9 @@ class ModuleThroughputOptimizer:
         """
         if not vts:
             raise OptimizationError("empty V_T sweep")
+        _check_target(target_delay_s)
+        for vt in vts:
+            _check_vt(vt)
         points = []
         with obs.span("optimizer.module_sweep"):
             for vt in vts:
@@ -1147,6 +1142,7 @@ class ModuleThroughputOptimizer:
         low, high = float(vt_bounds[0]), float(vt_bounds[1])
         if not low < high:
             raise OptimizationError(f"bad vt bounds [{low}, {high}]")
+        _check_target(target_delay_s)
 
         def energy(vt: float) -> float:
             if obs.ENABLED:

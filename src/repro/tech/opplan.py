@@ -248,6 +248,15 @@ class OperatingPlan:
         )
         return load, cout
 
+    def loads(self, vdds: Sequence[float]) -> List[Tuple[float, float]]:
+        """``(external load, output capacitance)`` at every supply [F].
+
+        C(V) does not depend on the V_T shift, so a caller evaluating
+        many shifts over one supply axis computes these once and hands
+        them to :meth:`operating_points`.
+        """
+        return [self._load_and_cout(vdd) for vdd in vdds]
+
     # ------------------------------------------------------------------
     # Batched evaluation
     # ------------------------------------------------------------------
@@ -392,6 +401,7 @@ class OperatingPlan:
         vdds: Sequence[float],
         vt_shift: float = 0.0,
         max_delay_s: Optional[float] = None,
+        loads: Optional[Sequence[Tuple[float, float]]] = None,
     ) -> List[Tuple[float, Optional[float], Optional[float]]]:
         """Fused ``(delay, E_transition, I_leak)`` triples per supply.
 
@@ -400,7 +410,8 @@ class OperatingPlan:
         capacitance views are pure functions of V_DD, so sharing the
         ``load + cout`` floats between the delay numerator and the
         ``C * V^2`` transition energy reproduces both per-point chains
-        bit-identically.
+        bit-identically.  ``loads`` is :meth:`loads` of ``vdds``, passed
+        by callers that sweep many shifts over one supply axis.
 
         When ``max_delay_s`` is given, points whose delay exceeds it
         return ``(delay, None, None)`` and skip the leakage-stack
@@ -408,7 +419,8 @@ class OperatingPlan:
         consume their energies, so eliding the work changes nothing.
         """
         exp = math.exp
-        load_and_cout = self._load_and_cout
+        if loads is None:
+            loads = self.loads(vdds)
         n_vt0, n_dibl, n_phi_n, n_phi_t, n_iw, n_kw, n_alpha, \
             n_half_alpha, n_vdsat_c, n_clm = self._nmos_drive
         p_vt0, p_dibl, n_phi_p, p_phi_t, p_iw, p_kw, p_alpha, \
@@ -422,8 +434,7 @@ class OperatingPlan:
         shift_key = round(vt_shift, 6)
         out: List[Tuple[float, Optional[float], Optional[float]]] = []
         append = out.append
-        for vdd in vdds:
-            load, cout = load_and_cout(vdd)
+        for vdd, (load, cout) in zip(vdds, loads):
             total_load = load + cout
             numerator = _DELAY_CONSTANT * total_load * vdd
             # Pull-down (NMOS) on-current.

@@ -109,14 +109,28 @@ class TestSurfaceGrid:
 
 class TestValidation:
     def test_nonpositive_cycle_rejected(self):
-        with pytest.raises(AnalysisError, match="cycle time"):
-            energy_surface(soi_low_vt(), _vts(), _vdds(), 0.0)
+        for t_cycle in (0.0, float("nan"), float("inf")):
+            with pytest.raises(AnalysisError, match="cycle time"):
+                energy_surface(soi_low_vt(), _vts(), _vdds(), t_cycle)
 
     def test_nonpositive_vdd_rejected(self):
-        with pytest.raises(AnalysisError, match="vdd values"):
-            energy_surface(
-                soi_low_vt(), _vts(), [0.0, 0.5], T_CYCLE, stages=STAGES
-            )
+        for vdds in ([0.0, 0.5], [float("nan"), 0.5], [0.5, float("inf")]):
+            with pytest.raises(AnalysisError, match="vdd values"):
+                energy_surface(
+                    soi_low_vt(), _vts(), vdds, T_CYCLE, stages=STAGES
+                )
+
+    def test_nonfinite_vt_rejected(self):
+        for vts in ([0.2, float("nan")], [float("-inf"), 0.2]):
+            with pytest.raises(AnalysisError, match="vt values"):
+                energy_surface(
+                    soi_low_vt(), vts, _vdds(), T_CYCLE, stages=STAGES
+                )
+
+    def test_bad_activity_rejected(self):
+        for activity in (0.0, 2.5, float("nan")):
+            with pytest.raises(AnalysisError, match="activity"):
+                _surface(activity=activity)
 
     def test_bad_cycle_stages_rejected(self):
         with pytest.raises(AnalysisError, match="cycle_stages"):

@@ -1,0 +1,127 @@
+"""Per-V_T ring corners: the test-only oracle for the one ring decode.
+
+Before :class:`repro.power.optimizer.RingOscillatorModel` decoded its
+inverter once at ``V_T0 = 0``, every V_T probe built the corner
+``technology.with_vt(vt)``: a new technology, characterizer and plan.
+:class:`PerVtRing` is that chain, uncached and rebuilt per query, so
+nothing it answers depends on what it was asked before.  The ring must
+match it bit for bit.
+"""
+
+from __future__ import annotations
+
+from repro.analysis.variation import lognormal_leakage_amplification
+from repro.errors import OptimizationError
+from repro.power.optimizer import (
+    OperatingPoint,
+    StatisticalOperatingPoint,
+    VariationSpec,
+    _percentile,
+    _solve_supply,
+)
+from repro.tech.cells import standard_cells
+from repro.tech.characterize import CellCharacterizer
+
+
+class PerVtRing:
+    """Test-only oracle: the ring as one uncached characterizer of
+    ``technology.with_vt(vt)`` per query, asked at shift 0.
+
+    Duck-types the :class:`RingOscillatorModel` methods
+    :class:`FixedThroughputOptimizer` calls.
+    """
+
+    def __init__(self, technology, stages=101, activity=1.0):
+        self.technology = technology
+        self.stages = stages
+        self.activity = activity
+        self.inverter = standard_cells()["INV"]
+        self.bounds = (technology.min_vdd, technology.max_vdd)
+
+    def corner(self, vt):
+        return CellCharacterizer(self.technology.with_vt(vt), cache=False)
+
+    def stage_delay(self, vdd, vt):
+        return self.corner(vt).fanout_delay(self.inverter, vdd, fanout=1)
+
+    def solve_vdd_for_delay(self, target, vt):
+        plan = self.corner(vt).plan_operating(self.inverter, fanout=1)
+        vdd = _solve_supply(
+            plan.delay, target, *self.bounds, plan.delay_breaks()
+        )
+        if vdd is None:
+            raise OptimizationError("unreachable")
+        return vdd
+
+    def energy_per_cycle(self, vdd, vt, cycle_time_s):
+        corner = self.corner(vt)
+        load = corner._input_capacitance(self.inverter, vdd)
+        switching = (
+            self.stages
+            * self.activity
+            * corner.energy_per_transition(self.inverter, vdd, load)
+        )
+        leakage_current = self.stages * corner.leakage_current(
+            self.inverter, vdd
+        )
+        leakage = leakage_current * vdd * cycle_time_s
+        return OperatingPoint(
+            vt=vt,
+            vdd=vdd,
+            stage_delay_s=self.stage_delay(vdd, vt),
+            energy_per_cycle_j=switching + leakage,
+            switching_energy_j=switching,
+            leakage_energy_j=leakage,
+        )
+
+    def _percentile_delay(self, corner, vdd, shifts, percentile):
+        load = corner._input_capacitance(self.inverter, vdd)
+        plan = corner.plan_variation(self.inverter, vdd, load)
+        return _percentile(plan.delays(shifts), percentile)
+
+    def solve_vdd_for_yield(
+        self, target, vt, percentile, vt_sigma, n_samples, seed
+    ):
+        shifts = VariationSpec(
+            percentile, vt_sigma, n_samples, seed
+        ).draw_shifts()
+        corner = self.corner(vt)
+        vdd = _solve_supply(
+            lambda v: self._percentile_delay(corner, v, shifts, percentile),
+            target,
+            *self.bounds,
+            None,
+        )
+        if vdd is None:
+            raise OptimizationError("unreachable")
+        return vdd
+
+    def statistical_energy_per_cycle(self, vdd, vt, cycle_time_s, spec):
+        shifts = spec.draw_shifts()
+        corner = self.corner(vt)
+        nominal = self.energy_per_cycle(vdd, vt, cycle_time_s)
+        leakages = corner.plan_variation(self.inverter, vdd, 0.0).leakages(
+            shifts
+        )
+        mean_leakage = sum(leakages) / len(leakages)
+        leakage = self.stages * mean_leakage * vdd * cycle_time_s
+        predicted = lognormal_leakage_amplification(
+            spec.vt_sigma,
+            self.technology.transistors.nmos.subthreshold_swing,
+        )
+        return StatisticalOperatingPoint(
+            vt=vt,
+            vdd=vdd,
+            stage_delay_s=nominal.stage_delay_s,
+            energy_per_cycle_j=nominal.switching_energy_j + leakage,
+            switching_energy_j=nominal.switching_energy_j,
+            leakage_energy_j=leakage,
+            percentile=spec.percentile,
+            delay_percentile_s=self._percentile_delay(
+                corner, vdd, shifts, spec.percentile
+            ),
+            leakage_amplification=(
+                mean_leakage / corner.leakage_current(self.inverter, vdd)
+            ),
+            lognormal_amplification=predicted,
+        )

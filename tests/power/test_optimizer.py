@@ -80,6 +80,20 @@ class TestVddSolve:
         with pytest.raises(OptimizationError, match="bounds"):
             ring.solve_vdd_for_delay(target, 0.2, vdd_bounds=(1.0, 0.5))
 
+    def test_nonfinite_target_rejected(self, ring):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(OptimizationError, match="target delay"):
+                ring.solve_vdd_for_delay(bad, 0.2)
+
+    def test_nonfinite_vt_rejected(self, ring, target):
+        for vt in (float("nan"), float("inf")):
+            with pytest.raises(OptimizationError, match="V_T must be finite"):
+                ring.solve_vdd_for_delay(target, vt)
+            with pytest.raises(OptimizationError, match="V_T must be finite"):
+                ring.stage_delay(0.8, vt)
+            with pytest.raises(OptimizationError, match="V_T must be finite"):
+                ring.energy_per_cycle(0.8, vt, 1e-8)
+
 
 class TestEnergyModel:
     def test_energy_components_positive(self, ring):
@@ -167,6 +181,18 @@ class TestModuleThroughputOptimizer:
     def test_validation(self, module_optimizer, module_target):
         with pytest.raises(OptimizationError):
             module_optimizer.solve_vdd_for_delay(-1.0, 0.2)
+        with pytest.raises(OptimizationError, match="target delay"):
+            module_optimizer.solve_vdd_for_delay(float("nan"), 0.2)
+        with pytest.raises(OptimizationError, match="target delay"):
+            module_optimizer.solve_vdd_for_yield(float("nan"), 0.2)
+        with pytest.raises(OptimizationError, match="V_T must be finite"):
+            module_optimizer.solve_vdd_for_delay(
+                module_target, float("nan")
+            )
+        with pytest.raises(OptimizationError, match="V_T must be finite"):
+            module_optimizer.sweep([float("nan"), 0.2], module_target)
+        with pytest.raises(OptimizationError, match="target delay"):
+            module_optimizer.optimum(float("nan"))
         with pytest.raises(OptimizationError):
             module_optimizer.locus_point(0.2, module_target, utilization=0.0)
         with pytest.raises(OptimizationError):
@@ -223,6 +249,18 @@ class TestFixedThroughputSweep:
         with pytest.raises(OptimizationError):
             optimizer.sweep([], target)
 
+    def test_nonfinite_sweep_inputs_rejected(self, optimizer, target):
+        # A NaN is a configuration error, not an infeasible corner the
+        # default ``skip_infeasible`` may drop.
+        with pytest.raises(OptimizationError, match="V_T must be finite"):
+            optimizer.sweep([float("nan"), 0.2], target)
+        with pytest.raises(OptimizationError, match="target delay"):
+            optimizer.sweep([0.1, 0.2], float("nan"))
+        with pytest.raises(OptimizationError, match="target delay"):
+            optimizer.optimum(float("nan"))
+        with pytest.raises(OptimizationError, match="vt bounds"):
+            optimizer.optimum(target, vt_bounds=(0.02, float("nan")))
+
     def test_all_infeasible_sweep_rejected(self, optimizer):
         with pytest.raises(OptimizationError, match="no feasible"):
             optimizer.sweep([0.1, 0.2], 1e-18)
@@ -264,6 +302,39 @@ class TestGoldenTieBreaking:
         best = optimizer.optimum(target, vt_bounds=(0.2, 0.201))
         assert 0.2 <= best.vt <= 0.201
         assert best.energy_per_cycle_j > 0.0
+
+
+def _bounded_energy(minimum_at=0.1234, max_calls=10_000):
+    """Convex energy that fails the test instead of letting it hang."""
+    calls = [0]
+
+    def energy(vt):
+        calls[0] += 1
+        if calls[0] > max_calls:
+            raise AssertionError("golden-section search did not terminate")
+        return (vt - minimum_at) ** 2
+
+    return energy
+
+
+class TestGoldenTermination:
+    @pytest.mark.parametrize("tolerance", [1e-18, 5e-324])
+    def test_tolerance_below_float_spacing_terminates(self, tolerance):
+        from repro.power.optimizer import _bracketed_golden_minimum
+
+        best = _bracketed_golden_minimum(
+            _bounded_energy(), 0.02, 0.45, tolerance
+        )
+        assert best == pytest.approx(0.1234, abs=1e-12)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_tolerance_rejected(self, tolerance):
+        from repro.power.optimizer import _bracketed_golden_minimum
+
+        with pytest.raises(OptimizationError, match="tolerance"):
+            _bracketed_golden_minimum(
+                _bounded_energy(), 0.02, 0.45, tolerance
+            )
 
 
 class TestModuleSweepSkipInfeasible:

@@ -129,6 +129,10 @@ class TestRingYieldSolve:
     def test_validation(self, ring, target):
         with pytest.raises(OptimizationError, match="positive"):
             ring.solve_vdd_for_yield(-1.0, 0.2)
+        with pytest.raises(OptimizationError, match="positive"):
+            ring.solve_vdd_for_yield(float("nan"), 0.2)
+        with pytest.raises(OptimizationError, match="V_T must be finite"):
+            ring.solve_vdd_for_yield(target, float("nan"))
         with pytest.raises(OptimizationError, match="bounds"):
             ring.solve_vdd_for_yield(
                 target, 0.2, vdd_bounds=(1.0, 0.5)

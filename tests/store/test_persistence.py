@@ -112,10 +112,7 @@ class TestRingStore:
         warm_ring = RingOscillatorModel(technology, store=store)
         warm = FixedThroughputOptimizer(warm_ring).optimum(target)
         assert warm == cold
-        assert any(
-            corner.store_restored > 0
-            for corner in warm_ring._corners.values()
-        )
+        assert warm_ring._characterizer.store_restored > 0
 
     def test_flush_without_store_is_noop(self):
         ring = RingOscillatorModel(soi_low_vt())

@@ -234,6 +234,22 @@ class TestOptimizeCommand:
         assert "yield" not in manifest["inputs"]
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--stages", "11", "--delay-factor", "nan"],
+            ["surface", "--grid", "3", "--stages", "11", "--clock", "nan"],
+            ["surface", "--grid", "3", "--stages", "11", "--activity", "nan"],
+        ],
+    )
+    def test_exits_with_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "nan" not in captured.out
+
+
 class TestCompareCommand:
     def test_reports_all_technologies(self, capsys):
         code = main(

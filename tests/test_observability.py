@@ -6,7 +6,6 @@ import pytest
 
 from repro import obs
 from repro.device.technology import soi_low_vt
-from repro.errors import OptimizationError
 from repro.power.optimizer import FixedThroughputOptimizer, RingOscillatorModel
 from repro.tech.cells import standard_cells
 from repro.tech.characterize import CellCharacterizer
@@ -183,57 +182,23 @@ class TestLeakageInstrumentation:
         assert "leakage.shift_scaled" in output
 
 
-class TestRingCornerCacheBound:
-    def test_corner_lru_respects_bound(self):
-        ring = RingOscillatorModel(soi_low_vt(), stages=11, max_corners=4)
-        for i in range(10):
-            ring.stage_delay(1.0, 0.05 + 0.02 * i)
-        info = ring.cache_info()
-        assert info.currsize <= 4
-        assert info.maxsize == 4
-        assert info.misses == 10
-
-    def test_eviction_is_least_recently_used(self):
-        ring = RingOscillatorModel(soi_low_vt(), stages=11, max_corners=2)
-        ring.stage_delay(1.0, 0.1)  # miss: {0.1}
-        ring.stage_delay(1.0, 0.2)  # miss: {0.1, 0.2}
-        ring.stage_delay(1.0, 0.1)  # hit, 0.1 becomes most recent
-        ring.stage_delay(1.0, 0.3)  # miss, evicts 0.2
-        assert 0.1 in ring._corners
-        assert 0.3 in ring._corners
-        assert 0.2 not in ring._corners
-
-    def test_bounded_cache_is_bit_identical_to_fresh_model(self):
-        # Cache-bound regression: evictions must never change results.
-        bounded = RingOscillatorModel(soi_low_vt(), stages=11, max_corners=2)
-        fresh = RingOscillatorModel(soi_low_vt(), stages=11)
-        vts = [0.05, 0.15, 0.25, 0.05, 0.15, 0.25]
-        bounded_delays = [bounded.stage_delay(0.8, vt) for vt in vts]
-        fresh_delays = [fresh.stage_delay(0.8, vt) for vt in vts]
-        assert bounded_delays == fresh_delays
-        assert bounded.cache_info().currsize <= 2
-
-    def test_clear_corners(self):
+class TestRingHistoryIndependence:
+    def test_revisited_vts_match_fresh_models(self):
+        # One decode serves every V_T: answers must not depend on which
+        # corners the model was asked before.
         ring = RingOscillatorModel(soi_low_vt(), stages=11)
-        ring.stage_delay(1.0, 0.2)
-        ring.clear_corners()
-        info = ring.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        vts = [0.05, 0.15, 0.25, 0.05, 0.15, 0.25]
 
-    def test_bad_max_corners_rejected(self):
-        with pytest.raises(OptimizationError):
-            RingOscillatorModel(soi_low_vt(), max_corners=0)
-
-    def test_eviction_counter(self):
-        with obs.enabled_scope():
-            ring = RingOscillatorModel(
-                soi_low_vt(), stages=11, max_corners=2
+        def answer(model, vt):
+            return (
+                model.stage_delay(0.8, vt),
+                model.energy_per_cycle(0.8, vt, 1e-8),
             )
-            for i in range(5):
-                ring.stage_delay(1.0, 0.05 + 0.05 * i)
-            counters = obs.snapshot()["counters"]
-        assert counters["ring.corner_evictions"] == 3
-        assert counters["ring.corner_misses"] == 5
+
+        assert [answer(ring, vt) for vt in vts] == [
+            answer(RingOscillatorModel(soi_low_vt(), stages=11), vt)
+            for vt in vts
+        ]
 
 
 class TestOptimizerInstrumentation:
@@ -251,6 +216,23 @@ class TestOptimizerInstrumentation:
         assert counters["optimizer.golden_probes"] > 0
         assert snap["timers"]["optimizer.sweep"]["count"] == 1
         assert snap["timers"]["optimizer.optimum"]["count"] == 1
+
+    def test_one_plan_decode_per_ring_and_per_surface(self):
+        from repro.analysis.surface import energy_surface
+
+        with obs.enabled_scope():
+            ring = RingOscillatorModel(soi_low_vt(), stages=11)
+            optimizer = FixedThroughputOptimizer(ring, cycle_stages=22)
+            target = 4.0 * ring.stage_delay(1.0, 0.2)
+            optimizer.sweep([0.1, 0.2, 0.3], target)
+            optimizer.optimum(target, vt_bounds=(0.05, 0.45))
+            assert obs.counter_value("optimizer.plan_builds") == 1
+            obs.reset()
+            energy_surface(
+                soi_low_vt(), [0.1, 0.2, 0.3], [0.4, 0.7, 1.0], 5e-8,
+                stages=11,
+            )
+            assert obs.counter_value("optimizer.plan_builds") == 1
 
     def test_low_bound_clamp_counted(self):
         ring = RingOscillatorModel(soi_low_vt(), stages=11)

@@ -1,9 +1,9 @@
 """Equivalence tests for the hot-path performance layer.
 
 Every fast path in the performance layer — the characterizer memo, the
-indexed simulator kernel, the process-pool grid fan-out, and the
-corner-cached optimizer — must be *bit-identical* to the reference
-path it accelerates.  These tests pin that contract.
+indexed simulator kernel, the process-pool grid fan-out, and the ring
+optimizer's one zero-threshold decode — must be *bit-identical* to the
+reference path it accelerates.  These tests pin that contract.
 """
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from repro import obs
 from repro.analysis.contour import energy_ratio_surface
 from repro.analysis.parallel import map_grid, map_items, resolve_workers
+from repro.analysis.surface import energy_surface
 from repro.analysis.sweep import sweep_2d
 from repro.analysis.variation import MonteCarloAnalyzer
 from repro.circuits.builders import pipelined_adder, ripple_carry_adder
@@ -24,11 +25,13 @@ from repro.power.energy import ModuleEnergyParameters
 from repro.power.optimizer import (
     FixedThroughputOptimizer,
     RingOscillatorModel,
+    VariationSpec,
 )
 from repro.switchsim.simulator import SwitchLevelSimulator
 from repro.switchsim.stimulus import random_bus_vectors
 from repro.tech.cells import standard_cells
 from repro.tech.characterize import CellCharacterizer
+from tests.power.pervt_oracle import PerVtRing
 from tests.switchsim.event_oracle import ReferenceSimulator
 
 
@@ -316,27 +319,105 @@ class TestParallelEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Corner-cached optimizer vs seed-style uncached corners
+# Zero-threshold ring decode vs uncached per-V_T corners
 # ----------------------------------------------------------------------
+#: The oracle's processes: the paper's two, plus one whose N and P
+#: thresholds differ, where only ``with_vt``'s meaning (both polarities
+#: at V_T) is right and a shift from the base thresholds is not.
+ORACLE_TECHNOLOGIES = {
+    "soi": soi_low_vt,
+    "soias": soias_technology,
+    "unmatched": lambda: soi_low_vt().with_vt(0.2, 0.3),
+}
+
+
 class TestOptimizerCornerCacheEquivalence:
-    def test_sweep_identical_to_uncached_corners(self, tech):
-        vts = [0.06 + 0.06 * i for i in range(5)]
+    """The one zero-threshold decode answers every V_T probe with the
+    float a fresh, uncached characterizer of ``with_vt(vt)`` gives."""
 
-        def run(ring):
-            optimizer = FixedThroughputOptimizer(ring, cycle_stages=202)
-            target = 4.0 * ring.stage_delay(1.0, 0.2)
-            return [
-                (p.vt, p.vdd, p.energy_per_cycle_j, p.leakage_energy_j)
-                for p in optimizer.sweep(vts, target)
-            ]
+    VTS = (0.04, 0.1, 0.1765, 0.25, 0.37, 0.45)
 
-        cached_ring = RingOscillatorModel(tech, stages=101)
-        uncached_ring = RingOscillatorModel(tech, stages=101)
-        uncached_ring._corner = lambda vt: CellCharacterizer(
-            tech.with_vt(vt), cache=False
+    @staticmethod
+    def _pair(name, stages=101, activity=1.0):
+        technology = ORACLE_TECHNOLOGIES[name]()
+        return (
+            RingOscillatorModel(technology, stages=stages, activity=activity),
+            PerVtRing(technology, stages=stages, activity=activity),
         )
-        assert run(cached_ring) == run(uncached_ring)
-        assert len(cached_ring._corners) > 0
+
+    @pytest.mark.parametrize("name", ORACLE_TECHNOLOGIES)
+    def test_stage_delay_and_energy_identical(self, name):
+        ring, oracle = self._pair(name, activity=0.3)
+        for vt in self.VTS:
+            for vdd in (0.05, 0.17, 0.4, 0.93, 1.5):
+                assert ring.stage_delay(vdd, vt) == oracle.stage_delay(
+                    vdd, vt
+                )
+                assert ring.energy_per_cycle(
+                    vdd, vt, 3e-8
+                ) == oracle.energy_per_cycle(vdd, vt, 3e-8)
+
+    def test_sweep_identical_to_uncached_corners(self):
+        for name in ORACLE_TECHNOLOGIES:
+            ring, oracle = self._pair(name)
+            target = 4.0 * ring.stage_delay(1.0, 0.2)
+            vts = [0.04 + 0.02 * i for i in range(20)]
+            assert FixedThroughputOptimizer(ring, cycle_stages=202).sweep(
+                vts, target
+            ) == FixedThroughputOptimizer(oracle, cycle_stages=202).sweep(
+                vts, target
+            ), name
+
+    @pytest.mark.parametrize("name", ORACLE_TECHNOLOGIES)
+    def test_optimum_identical(self, name):
+        ring, oracle = self._pair(name, activity=0.4)
+        target = 3.0 * ring.stage_delay(1.0, 0.2)
+        assert FixedThroughputOptimizer(ring).optimum(
+            target, vt_bounds=(0.02, 0.45)
+        ) == FixedThroughputOptimizer(oracle).optimum(
+            target, vt_bounds=(0.02, 0.45)
+        )
+
+    @pytest.mark.parametrize("name", ORACLE_TECHNOLOGIES)
+    def test_yield_locus_identical(self, name):
+        # A relaxed target clamps several V_T probes at the minimum
+        # supply, where 300 sampled thresholds per probe would meet in
+        # a shared rounded leakage memo.
+        ring, oracle = self._pair(name, stages=11)
+        spec = VariationSpec(n_samples=300)
+        target = 50.0 * ring.stage_delay(1.0, 0.2)
+        vts = [0.02 + 0.01 * i for i in range(8)]
+        points = FixedThroughputOptimizer(
+            ring, cycle_stages=22, variation=spec
+        ).sweep(vts, target)
+        assert sum(p.vdd == ring.technology.min_vdd for p in points) > 1
+        assert points == FixedThroughputOptimizer(
+            oracle, cycle_stages=22, variation=spec
+        ).sweep(vts, target)
+
+    @pytest.mark.parametrize("name", ORACLE_TECHNOLOGIES)
+    def test_energy_surface_identical(self, name):
+        technology = ORACLE_TECHNOLOGIES[name]()
+        oracle = PerVtRing(technology, stages=11, activity=0.5)
+        vts = [0.1 + 0.4 * i / 7 for i in range(8)]
+        vdds = [0.2 + 1.3 * j / 9 for j in range(10)]
+        t_cycle_s = 5e-8
+        surface = energy_surface(
+            technology, vts, vdds, t_cycle_s, stages=11, activity=0.5
+        )
+        expected = tuple(
+            tuple(
+                None
+                if oracle.stage_delay(vdd, vt) > surface.target_stage_delay_s
+                else oracle.energy_per_cycle(
+                    vdd, vt, t_cycle_s
+                ).energy_per_cycle_j
+                for vdd in vdds
+            )
+            for vt in vts
+        )
+        assert 0 < surface.grid.defined_cells() < len(vts) * len(vdds)
+        assert surface.grid.zs == expected
 
 
 # ----------------------------------------------------------------------
