@@ -1,6 +1,6 @@
 """Hot-path performance benchmark for the repro toolkit.
 
-Times the three paths the performance layer optimizes and writes the
+Times the paths the performance layer optimizes and writes the
 measurements to ``BENCH_hotpaths.json`` at the repo root:
 
 1. **Switch-level simulation** — the dict-keyed reference event loop
@@ -14,37 +14,23 @@ measurements to ``BENCH_hotpaths.json`` at the repo root:
    per query, the test-only oracle in ``tests/power/pervt_oracle.py``)
    vs the ring model's one zero-threshold decode, each repetition on a
    freshly built model.  Operating points must match exactly.
-3. **Grid fan-out** — the Fig. 10 energy-ratio surface and a
-   Monte-Carlo leakage distribution, serial vs ``workers=2``.  The
-   parallel results must equal the serial results cell for cell; the
-   measured ratio is recorded honestly together with ``os.cpu_count()``
-   (on a single-CPU host process fan-out *loses* to serial — the
-   point of the record is scaling on real multi-core machines).
-4. **ISA interpreter** — the reference per-step loop (``run``) vs the
+3. **ISA interpreter** — the reference per-step loop (``run``) vs the
    decoded block-dispatch engine (``run_fast``) on the Table-2 li-like
    workload, and on matmul, which retires most of its instructions in
    translated blocks.  Architectural state must be bit-identical.
-5. **ATOM profiler** — the hook-instrumented reference profile vs the
+4. **ATOM profiler** — the hook-instrumented reference profile vs the
    counter-based decoded profile (``run_counted`` +
    ``profile_from_counts``) on the same two workloads.  Profiles must
    be identical; the acceptance target is a >=5x speedup.
-6. **Batched variation engine** — the per-sample Monte-Carlo path (one
+5. **Batched variation engine** — the per-sample Monte-Carlo path (one
    full ``propagation_delay``/``leakage_current`` call chain per V_T
    sample) vs the decoded :class:`VariationPlan` batch path on the
    same shift vector.  Samples must be bit-identical; the acceptance
    target is a >=5x speedup.
-7. **Adaptive contour refinement** — a uniform grid at the finest
-   refinement resolution vs the adaptive surface that subdivides only
-   the cells near the break-even contour.  Every point the adaptive
-   surface evaluates must be bit-identical to the uniform grid, the
-   resolved contour cells must match exactly, and the adaptive pass
-   must evaluate at most half the uniform grid's points.
-8. **Distributed scheduler** — the Fig. 10 contour workload drained
-   through the durable ``repro.sched`` queue by 1 and 2 local worker
-   subprocesses vs the plain serial loop.  Assembled surfaces must be
-   digest-identical to serial; the 2-worker/1-worker scaling ratio is
-   recorded honestly alongside ``os.cpu_count()``.
-9. **Batched (V_DD, V_T) energy surface** — the per-point chain (one
+6. **Yield-constrained optimum** — the nominal optimum through the
+   flow vs the seed optimizer (bit-identical), and the p-th percentile
+   optimum's guard band and cost.
+7. **Batched (V_DD, V_T) energy surface** — the per-point chain (one
    ``fanout_delay``/``energy_per_transition``/``leakage_current`` call
    stack per grid cell, one cached characterizer per V_T corner) vs
    the plan-based Fig. 3/4 ``energy_surface`` whose rows run through
@@ -67,7 +53,7 @@ import sys
 import time
 
 from repro import obs
-from repro.analysis.contour import energy_ratio_surface, zero_crossing_cells
+from repro.analysis.contour import energy_ratio_surface
 from repro.isa.instructions import FUNCTIONAL_UNITS
 from repro.isa.machine import Machine
 from repro.isa.profiler import profile_program
@@ -197,83 +183,7 @@ def bench_optimizer(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 3. Grid fan-out: contour surface and Monte-Carlo, serial vs workers
-# ----------------------------------------------------------------------
-def _bench_grid_module() -> ModuleEnergyParameters:
-    """A representative datapath module (Fig. 10 operating regime)."""
-    return ModuleEnergyParameters(
-        name="bench-adder",
-        switched_capacitance_f=45e-12,
-        leakage_low_vt_a=2.0e-6,
-        leakage_high_vt_a=4.0e-9,
-        back_gate_capacitance_f=18e-12,
-        back_gate_swing_v=2.0,
-    )
-
-
-def bench_contour(quick: bool, workers: int) -> dict:
-    from repro.analysis.parallel import _MIN_PARALLEL_ITEMS
-
-    n = 24 if quick else 64
-    grid = [i / n for i in range(1, n + 1)]
-    module = _bench_grid_module()
-
-    # Warm the characterizer memos before timing either strategy:
-    # whichever call runs second in this process hits warm memos and
-    # would otherwise be credited with a fictitious cache speedup.
-    energy_ratio_surface(module, 1.0, 1e-6, grid, grid)
-
-    serial, serial_seconds = _timed(
-        lambda: energy_ratio_surface(module, 1.0, 1e-6, grid, grid)
-    )
-    parallel, parallel_seconds = _timed(
-        lambda: energy_ratio_surface(
-            module, 1.0, 1e-6, grid, grid, workers=workers
-        )
-    )
-    return {
-        "grid": [n, n],
-        "workers": workers,
-        # Below the min-items threshold the workers= path deliberately
-        # runs serially (the small-grid fan-out regression fix), so the
-        # ratio measures fallback overhead, not pool scaling.
-        "min_items_fallback": n * n < _MIN_PARALLEL_ITEMS,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "parallel_speedup": serial_seconds / parallel_seconds,
-        "grids_identical": serial.grid.zs == parallel.grid.zs,
-    }
-
-
-def bench_monte_carlo(quick: bool, workers: int) -> dict:
-    n_samples = 40 if quick else 240
-    technology = soi_low_vt()
-    inverter = standard_cells()["INV"]
-
-    serial_mc = MonteCarloAnalyzer(
-        technology, n_samples=n_samples, workers=0
-    )
-    parallel_mc = MonteCarloAnalyzer(
-        technology, n_samples=n_samples, workers=workers
-    )
-    serial, serial_seconds = _timed(
-        lambda: serial_mc.leakage_distribution(inverter, 1.0)
-    )
-    parallel, parallel_seconds = _timed(
-        lambda: parallel_mc.leakage_distribution(inverter, 1.0)
-    )
-    return {
-        "samples": n_samples,
-        "workers": workers,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "parallel_speedup": serial_seconds / parallel_seconds,
-        "distributions_identical": serial.samples == parallel.samples,
-    }
-
-
-# ----------------------------------------------------------------------
-# 4. ISA interpreter: reference stepper vs decoded dispatch engine
+# 3. ISA interpreter: reference stepper vs decoded dispatch engine
 # ----------------------------------------------------------------------
 _BENCH_WORKLOAD = "li"  # the Table-2 workload named by the target
 #: The workload that retires most of its instructions in translated
@@ -327,7 +237,7 @@ def bench_interpreter(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 5. ATOM profiler: per-instruction hook vs decoded transition counters
+# 4. ATOM profiler: per-instruction hook vs decoded transition counters
 # ----------------------------------------------------------------------
 def _bench_profiler_on(quick: bool, name: str) -> dict:
     def profile(engine):
@@ -368,7 +278,7 @@ def bench_profiler(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 6. Batched variation engine: per-sample chain vs decoded plan
+# 5. Batched variation engine: per-sample chain vs decoded plan
 # ----------------------------------------------------------------------
 def bench_variation(quick: bool) -> dict:
     n_samples = 40 if quick else 240
@@ -406,7 +316,7 @@ def bench_variation(quick: bool) -> dict:
     # After: the analyzer decodes the corner into one plan and pushes
     # the whole shift vector through its tight inner loops.
     analyzer = MonteCarloAnalyzer(
-        technology, n_samples=n_samples, seed=0, workers=0
+        technology, n_samples=n_samples, seed=0
     )
     delay_dist, fast_delay_seconds = _timed(
         lambda: analyzer.delay_distribution(cell, vdd, load_f)
@@ -439,64 +349,7 @@ def bench_variation(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 7. Adaptive contour refinement: uniform finest grid vs refined
-# ----------------------------------------------------------------------
-def bench_contour_refine(quick: bool) -> dict:
-    base_n = 8 if quick else 12
-    levels = 2 if quick else 3
-    band = 0.1
-    # At a 10 us cycle the leakage term dominates at low fga, so the
-    # break-even contour (bga* ~ 0.28 * (1 - fga)) crosses the grid
-    # diagonally with genuinely flat regions on both sides — the
-    # workload adaptive refinement is for.
-    t_cycle_s = 1e-5
-    module = _bench_grid_module()
-    grid = [i / base_n for i in range(1, base_n + 1)]
-
-    adaptive, adaptive_seconds = _timed(
-        lambda: energy_ratio_surface(
-            module, 1.0, t_cycle_s, grid, grid,
-            refine_levels=levels, refine_band=band,
-        )
-    )
-    refined = adaptive.refined
-
-    # The honest reference: a uniform grid at the resolution the
-    # refinement reaches, evaluated everywhere.
-    uniform, uniform_seconds = _timed(
-        lambda: energy_ratio_surface(
-            module, 1.0, t_cycle_s, refined.xs, refined.ys
-        )
-    )
-
-    identical = all(
-        uniform.grid.zs[i][j] == value
-        for (i, j), value in refined.known().items()
-    )
-    contour_match = refined.zero_cells() == zero_crossing_cells(
-        uniform.grid.zs
-    )
-    return {
-        "base_grid": [base_n, base_n],
-        "refine_levels": levels,
-        "refine_band": band,
-        "finest_grid": [len(refined.xs), len(refined.ys)],
-        "points_evaluated": refined.evaluated,
-        "uniform_points": refined.total_points,
-        "coverage": refined.coverage,
-        "cells_refined": refined.cells_refined,
-        "cells_skipped": refined.cells_skipped,
-        "contour_cells": len(refined.zero_cells()),
-        "uniform_seconds": uniform_seconds,
-        "adaptive_seconds": adaptive_seconds,
-        "speedup": uniform_seconds / adaptive_seconds,
-        "identical": identical,
-        "contour_match": contour_match,
-    }
-
-
-# ----------------------------------------------------------------------
-# 8. Yield-constrained optimum vs the nominal seed path (soias)
+# 6. Yield-constrained optimum vs the nominal seed path (soias)
 # ----------------------------------------------------------------------
 def bench_yield_optimum(quick: bool) -> dict:
     """Statistical optimizer cost and the nominal-path identity gate.
@@ -570,7 +423,7 @@ def bench_yield_optimum(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 9. Batched energy surface: per-point chain vs decoded operating plans
+# 7. Batched energy surface: per-point chain vs decoded operating plans
 # ----------------------------------------------------------------------
 def bench_surface(quick: bool) -> dict:
     """The Fig. 3/4 plane: per-point characterization vs plan kernels.
@@ -641,80 +494,21 @@ def bench_surface(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 10. Distributed scheduler: serial vs durable queue + local workers
+# 8. Observability snapshot (instrumented rerun of small workloads)
 # ----------------------------------------------------------------------
-def bench_scheduler(quick: bool) -> dict:
-    """Contour workload through the ``repro.sched`` queue.
-
-    The same :class:`ContourCellTask` grid is evaluated serially and
-    then drained through the durable queue by 1 and by 2 local worker
-    subprocesses.  Every assembled surface must be bit-identical (by
-    store digest) to the serial one; each run gets a fresh queue
-    directory so idempotent-resume caching cannot fake the timing.
-    """
-    import shutil
-    import tempfile
-
-    from repro.sched import Scheduler, scheduled_map_items
-    from repro.sched.workloads import (
-        ContourCellTask,
-        contour_grid,
-        contour_pairs,
-        demo_module,
+def _bench_grid_module() -> ModuleEnergyParameters:
+    """A representative datapath module (Fig. 10 operating regime)."""
+    return ModuleEnergyParameters(
+        name="bench-adder",
+        switched_capacitance_f=45e-12,
+        leakage_low_vt_a=2.0e-6,
+        leakage_high_vt_a=4.0e-9,
+        back_gate_capacitance_f=18e-12,
+        back_gate_swing_v=2.0,
     )
-    from repro.store.hashing import digest
-
-    # repeat makes each chunk expensive enough that queue latency and
-    # worker startup do not drown the evaluation being distributed.
-    n = 8 if quick else 14
-    repeat = 3000 if quick else 10000
-    task = ContourCellTask(demo_module(), 1.0, 1e-6, repeat=repeat)
-    pairs = contour_pairs(contour_grid(n))
-
-    serial, serial_seconds = _timed(lambda: [task(pair) for pair in pairs])
-    serial_digest = digest(serial)
-
-    worker_runs = {}
-    identical = True
-    for workers in (1, 2):
-        root = tempfile.mkdtemp(prefix=f"repro-sched-bench-{workers}w-")
-        try:
-            with Scheduler(
-                root=root,
-                local_workers=workers,
-                lease_s=30.0,
-                poll_s=0.05,
-                timeout_s=300.0,
-                rescue_after_s=5.0,
-            ) as scheduler:
-                scheduled, seconds = _timed(
-                    lambda: scheduled_map_items(task, pairs, scheduler)
-                )
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-        identical = identical and digest(scheduled) == serial_digest
-        worker_runs[str(workers)] = {
-            "seconds": seconds,
-            "speedup_vs_serial": serial_seconds / seconds,
-        }
-
-    return {
-        "grid": [n, n],
-        "repeat": repeat,
-        "items": len(pairs),
-        "serial_seconds": serial_seconds,
-        "worker_runs": worker_runs,
-        "scaling_2w_over_1w": (
-            worker_runs["1"]["seconds"] / worker_runs["2"]["seconds"]
-        ),
-        "identical": identical,
-    }
 
 
-# ----------------------------------------------------------------------
-# 11. Observability snapshot (instrumented rerun of small workloads)
-# ----------------------------------------------------------------------
-def bench_observability(workers: int) -> dict:
+def bench_observability() -> dict:
     """A small instrumented pass recording the hot-path counters.
 
     Runs *after* the timed benches (which execute with instrumentation
@@ -735,9 +529,7 @@ def bench_observability(workers: int) -> dict:
 
         module = _bench_grid_module()
         grid = [i / 8 for i in range(1, 9)]
-        energy_ratio_surface(
-            module, 1.0, 1e-6, grid, grid, workers=workers
-        )
+        energy_ratio_surface(module, 1.0, 1e-6, grid, grid)
 
         Machine(build_workload(_BENCH_WORKLOAD, scale=16)).run_counted()
         return obs.snapshot()
@@ -746,7 +538,7 @@ def bench_observability(workers: int) -> dict:
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def run(quick: bool, workers: int) -> dict:
+def run(quick: bool) -> dict:
     results = {
         "meta": {
             "generated_unix": time.time(),
@@ -757,16 +549,12 @@ def run(quick: bool, workers: int) -> dict:
         },
         "simulator": bench_simulator(quick),
         "optimizer_sweep": bench_optimizer(quick),
-        "contour_grid": bench_contour(quick, workers),
-        "monte_carlo": bench_monte_carlo(quick, workers),
         "interpreter": bench_interpreter(quick),
         "profiler": bench_profiler(quick),
         "variation": bench_variation(quick),
-        "contour": bench_contour_refine(quick),
         "yield_optimum": bench_yield_optimum(quick),
-        "scheduler": bench_scheduler(quick),
         "surface": bench_surface(quick),
-        "observability": bench_observability(workers),
+        "observability": bench_observability(),
     }
     return results
 
@@ -779,12 +567,6 @@ def main(argv=None) -> int:
         help="small workloads for CI smoke runs",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker processes for the grid fan-out benches",
-    )
-    parser.add_argument(
         "--out",
         type=pathlib.Path,
         default=REPO_ROOT / "BENCH_hotpaths.json",
@@ -792,19 +574,15 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    results = run(args.quick, args.workers)
+    results = run(args.quick)
     args.out.write_text(json.dumps(results, indent=2) + "\n")
 
     sim = results["simulator"]
     opt = results["optimizer_sweep"]
-    grid = results["contour_grid"]
-    mc = results["monte_carlo"]
     interp = results["interpreter"]
     prof = results["profiler"]
     var = results["variation"]
-    contour = results["contour"]
     yld = results["yield_optimum"]
-    sched = results["scheduler"]
     surf = results["surface"]
     print(f"wrote {args.out}")
     for circuit in sim["circuits"]:
@@ -818,21 +596,6 @@ def main(argv=None) -> int:
         f"optimizer sweep {opt['speedup']:6.2f}x over "
         f"{opt['repetitions']} fresh-model sweeps "
         f"(identical={opt['points_identical']})"
-    )
-    grid_mode = (
-        "small-grid serial fallback"
-        if grid["min_items_fallback"]
-        else f"on {results['meta']['cpu_count']} CPU(s)"
-    )
-    print(
-        f"contour grid    {grid['parallel_speedup']:6.2f}x with "
-        f"workers={grid['workers']} ({grid_mode}, "
-        f"identical={grid['grids_identical']})"
-    )
-    print(
-        f"monte carlo     {mc['parallel_speedup']:6.2f}x with "
-        f"workers={mc['workers']} "
-        f"(identical={mc['distributions_identical']})"
     )
     for section in (interp, interp[_TRANSLATED_WORKLOAD]):
         print(
@@ -857,23 +620,10 @@ def main(argv=None) -> int:
         f"{var['samples']} samples, identical={var['identical']})"
     )
     print(
-        f"contour refine  {contour['speedup']:6.2f}x  "
-        f"({contour['points_evaluated']}/{contour['uniform_points']} points "
-        f"= {contour['coverage']:.0%} of the uniform grid, "
-        f"identical={contour['identical']}, "
-        f"contour_match={contour['contour_match']})"
-    )
-    print(
         f"yield optimum   {yld['statistical_seconds'] / yld['nominal_seconds']:6.2f}x nominal cost  "
         f"(guard band {yld['guard_band_v'] * 1000:.0f} mV at p{yld['percentile']:g} "
         f"over {yld['samples']} samples, "
         f"identical={yld['identical']})"
-    )
-    print(
-        f"scheduler       {sched['worker_runs']['2']['speedup_vs_serial']:6.2f}x with 2 workers "
-        f"({sched['worker_runs']['1']['speedup_vs_serial']:.2f}x with 1, "
-        f"scaling {sched['scaling_2w_over_1w']:.2f}x over "
-        f"{sched['items']} items, identical={sched['identical']})"
     )
     print(
         f"energy surface  {surf['speedup']:6.2f}x  "
@@ -892,21 +642,16 @@ def main(argv=None) -> int:
     ok = (
         sim["reports_identical"]
         and opt["points_identical"]
-        and grid["grids_identical"]
-        and mc["distributions_identical"]
         and interp["state_identical"]
         and interp[_TRANSLATED_WORKLOAD]["state_identical"]
         and prof["profiles_identical"]
         and prof[_TRANSLATED_WORKLOAD]["profiles_identical"]
         and var["identical"]
-        and contour["identical"]
-        and contour["contour_match"]
         and yld["identical"]
-        and sched["identical"]
         and surf["identical"]
     )
     if not ok:
-        print("ERROR: fast/parallel paths diverged from reference", file=sys.stderr)
+        print("ERROR: fast paths diverged from reference", file=sys.stderr)
         return 1
     return 0
 

@@ -3,13 +3,16 @@
 from repro.analysis.sweep import Sweep1D, Sweep2D, sweep_1d, sweep_2d
 from repro.analysis.contour import (
     RatioSurface,
-    RefinedSurface,
     energy_ratio_surface,
     breakeven_bga,
     zero_crossing_cells,
     ApplicationPoint,
 )
-from repro.analysis.surface import EnergySurface, energy_surface
+from repro.analysis.surface import (
+    EnergySurface,
+    RefinedSurface,
+    energy_surface,
+)
 from repro.analysis.comparator import (
     TechnologyComparator,
     TechnologyVerdict,

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.analysis.sweep import Sweep2D, sweep_2d
@@ -30,15 +30,10 @@ from repro.power.energy import (
 __all__ = [
     "ApplicationPoint",
     "RatioSurface",
-    "RefinedSurface",
     "energy_ratio_surface",
     "breakeven_bga",
     "zero_crossing_cells",
 ]
-
-#: Subdivision-depth bound: each level doubles both axes, so 10 levels
-#: already turn a 24-point axis into ~23k points.
-_MAX_REFINE_LEVELS = 10
 
 
 def _defined_straddle(corners: Sequence[Optional[float]]) -> bool:
@@ -49,33 +44,14 @@ def _defined_straddle(corners: Sequence[Optional[float]]) -> bool:
     return min(defined) < 0.0 < max(defined)
 
 
-def _interesting(
-    corners: Sequence[Optional[float]], band: float
-) -> bool:
-    """Refinement criterion: the cell straddles or nears the contour.
-
-    The surface is monotone in bga, so a sign change across the
-    defined corners locates the contour exactly; the |value| <= band
-    test additionally catches cells whose corners are all undefined
-    but one (the contour can hide behind the infeasible bga > fga
-    triangle) and cells the contour merely grazes.
-    """
-    defined = [value for value in corners if value is not None]
-    if not defined:
-        return False
-    if min(defined) < 0.0 < max(defined):
-        return True
-    return any(abs(value) <= band for value in defined)
-
-
 def zero_crossing_cells(
     zs: Sequence[Sequence[Optional[float]]],
 ) -> Tuple[Tuple[int, int], ...]:
     """Grid cells (by lower-corner index) whose corners bracket zero.
 
-    The uniform-grid counterpart of
-    :meth:`RefinedSurface.zero_cells`, used to verify that adaptive
-    refinement resolves the same contour as a full grid.
+    Only defined corners count: a cell cut by the infeasible
+    ``bga > fga`` triangle straddles the break-even contour when its
+    remaining corners lie on both sides of it.
     """
     cells = []
     for i in range(len(zs) - 1):
@@ -85,80 +61,6 @@ def zero_crossing_cells(
             if _defined_straddle(corners):
                 cells.append((i, j))
     return tuple(cells)
-
-
-@dataclass(frozen=True)
-class RefinedSurface:
-    """Adaptively refined view of a ratio surface near its contour.
-
-    ``xs``/``ys`` are the finest-level axes (every base interval
-    subdivided ``levels`` times); ``indices``/``values`` hold the
-    sparse set of evaluated points on that lattice — the full base
-    grid plus the midpoints spawned inside cells that straddle or
-    near the break-even contour.  Points far from the contour are
-    never evaluated, which is the entire saving.
-    """
-
-    levels: int
-    band: float
-    xs: Tuple[float, ...]
-    ys: Tuple[float, ...]
-    indices: Tuple[Tuple[int, int], ...]
-    values: Tuple[Optional[float], ...]
-    cells_refined: int
-    cells_skipped: int
-
-    def known(self) -> Dict[Tuple[int, int], Optional[float]]:
-        """Evaluated finest-lattice points as an ``{(i, j): z}`` map."""
-        return dict(zip(self.indices, self.values))
-
-    def value_at(self, i: int, j: int) -> Optional[float]:
-        """Value at one finest-lattice point (raises if unevaluated)."""
-        try:
-            return self.known()[(i, j)]
-        except KeyError:
-            raise AnalysisError(
-                f"point ({i}, {j}) was not evaluated (outside the "
-                f"refinement band)"
-            )
-
-    @property
-    def evaluated(self) -> int:
-        """Number of points actually evaluated."""
-        return len(self.indices)
-
-    @property
-    def total_points(self) -> int:
-        """Points a uniform grid at finest resolution would evaluate."""
-        return len(self.xs) * len(self.ys)
-
-    @property
-    def coverage(self) -> float:
-        """Evaluated fraction of the equivalent uniform grid."""
-        return self.evaluated / self.total_points
-
-    def zero_cells(self) -> Tuple[Tuple[int, int], ...]:
-        """Finest-level cells whose evaluated corners bracket zero.
-
-        Only cells with all four corners evaluated qualify — exactly
-        the cells inside the refinement band, where the contour is.
-        """
-        known = self.known()
-        cells = []
-        for i in range(len(self.xs) - 1):
-            for j in range(len(self.ys) - 1):
-                missing = object()
-                corners = (
-                    known.get((i, j), missing),
-                    known.get((i, j + 1), missing),
-                    known.get((i + 1, j), missing),
-                    known.get((i + 1, j + 1), missing),
-                )
-                if missing in corners:
-                    continue
-                if _defined_straddle(corners):
-                    cells.append((i, j))
-        return tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -189,8 +91,6 @@ class RatioSurface:
     vdd: float
     t_cycle_s: float
     grid: Sweep2D
-    #: Present when the surface was computed with ``refine_levels > 0``.
-    refined: Optional[RefinedSurface] = field(default=None)
 
     def log10_ratio(self, fga: float, bga: float) -> float:
         """Exact surface value at one (fga, bga)."""
@@ -266,7 +166,7 @@ def _ratio_cell(
     fga: float,
     bga: float,
 ) -> Optional[float]:
-    """One surface cell; module-level so the grid fan-out can pickle it."""
+    """One surface cell: log10(E_SOIAS/E_SOI), None where undefined."""
     if bga > fga:
         return None
     soi = e_soi(module, fga, vdd, t_cycle_s)
@@ -276,276 +176,21 @@ def _ratio_cell(
     return math.log10(soias / soi)
 
 
-def _subdivide_axis(
-    values: Sequence[float], levels: int
-) -> Tuple[float, ...]:
-    """Insert midpoints into every interval, ``levels`` times over."""
-    axis = [float(value) for value in values]
-    for _ in range(levels):
-        finer = []
-        for left, right in zip(axis[:-1], axis[1:]):
-            finer.append(left)
-            finer.append(0.5 * (left + right))
-        finer.append(axis[-1])
-        axis = finer
-    return tuple(axis)
-
-
-def _evaluate_points(
-    cell: Callable[[float, float], Optional[float]],
-    points: Sequence[Tuple[int, int]],
-    xs: Sequence[float],
-    ys: Sequence[float],
-    workers: int,
-    progress,
-    store,
-    store_key: Optional[str],
-    checkpoint_every: int,
-    scheduler=None,
-    min_parallel_items=None,
-) -> List[Optional[float]]:
-    """Evaluate sparse lattice points, checkpointed when stored.
-
-    ``points`` must be deterministic for a given base surface — the
-    flat position of each point keys its checkpoint cell, so a resumed
-    run (which restores the same base grid bit-identically) addresses
-    the same cells.  ``min_parallel_items`` follows the
-    :func:`repro.analysis.parallel.map_items` contract: refinement
-    levels usually produce far fewer points than the base grid, so
-    callers with cheap cells pass the library threshold to keep small
-    fan-outs off the pool.
-    """
-    from repro.analysis.parallel import _PairFn
-    from repro.analysis.sweep import _fanout_items
-
-    pairs = [(xs[i], ys[j]) for i, j in points]
-    if store is None:
-        return _fanout_items(
-            _PairFn(cell), pairs, workers, scheduler, progress=progress,
-            min_parallel_items=min_parallel_items,
-        )
-    from repro.store.checkpoint import SweepCheckpoint
-
-    checkpoint = SweepCheckpoint(
-        store, store_key, len(points), flush_every=checkpoint_every
-    )
-    values = checkpoint.restored()
-    missing = [k for k in range(len(points)) if k not in values]
-    if missing:
-
-        def on_chunk(positions, results) -> None:
-            chunk = [
-                (
-                    missing[position],
-                    None if result is None else float(result),
-                )
-                for position, result in zip(positions, results)
-            ]
-            values.update(chunk)
-            checkpoint.record_many(chunk)
-
-        _fanout_items(
-            _PairFn(cell),
-            [pairs[k] for k in missing],
-            workers,
-            scheduler,
-            progress=progress,
-            chunk_done=on_chunk,
-            min_parallel_items=min_parallel_items,
-        )
-    checkpoint.finalize()
-    return [values[k] for k in range(len(points))]
-
-
-def _refine_surface(
-    module: ModuleEnergyParameters,
-    vdd: float,
-    t_cycle_s: float,
-    grid: Sweep2D,
-    levels: int,
-    band: float,
-    workers: int,
-    progress,
-    store,
-    checkpoint_every: int,
-    scheduler=None,
-) -> RefinedSurface:
-    """Recursively subdivide only the cells near the zero contour."""
-    from repro.analysis.parallel import _MIN_PARALLEL_ITEMS
-
-    cell = functools.partial(_ratio_cell, module, vdd, t_cycle_s)
-    stride = 1 << levels
-    xs = _subdivide_axis(grid.xs, levels)
-    ys = _subdivide_axis(grid.ys, levels)
-    known: Dict[Tuple[int, int], Optional[float]] = {}
-    for i, row in enumerate(grid.zs):
-        for j, value in enumerate(row):
-            known[(i * stride, j * stride)] = value
-    active = [
-        (i * stride, j * stride)
-        for i in range(len(grid.xs) - 1)
-        for j in range(len(grid.ys) - 1)
-    ]
-    refined = 0
-    skipped = 0
-    for level in range(levels):
-        size = stride >> level
-        half = size >> 1
-        targets = []
-        for i, j in active:
-            corners = (
-                known[(i, j)],
-                known[(i, j + size)],
-                known[(i + size, j)],
-                known[(i + size, j + size)],
-            )
-            if _interesting(corners, band):
-                targets.append((i, j))
-            else:
-                skipped += 1
-        refined += len(targets)
-        if not targets:
-            break
-        # The five new points of each refined cell: edge midpoints and
-        # the center.  Shared edges between neighbouring targets (and
-        # points evaluated at earlier levels) dedup through the set.
-        needed = sorted(
-            {
-                point
-                for i, j in targets
-                for point in (
-                    (i, j + half),
-                    (i + half, j),
-                    (i + half, j + half),
-                    (i + half, j + size),
-                    (i + size, j + half),
-                )
-                if point not in known
-            }
-        )
-        if needed:
-            store_key = None
-            if store is not None:
-                from repro.store.hashing import request_digest
-
-                store_key = request_digest(
-                    "ratio-surface-refine",
-                    module,
-                    vdd,
-                    t_cycle_s,
-                    list(grid.xs),
-                    list(grid.ys),
-                    levels,
-                    band,
-                    level,
-                )
-            values = _evaluate_points(
-                cell, needed, xs, ys, workers, progress, store,
-                store_key, checkpoint_every, scheduler=scheduler,
-                min_parallel_items=_MIN_PARALLEL_ITEMS,
-            )
-            known.update(zip(needed, values))
-        active = [
-            (i + di, j + dj)
-            for i, j in targets
-            for di in (0, half)
-            for dj in (0, half)
-        ]
-    if obs.ENABLED:
-        if refined:
-            obs.incr("contour.cells_refined", refined)
-        if skipped:
-            obs.incr("contour.cells_skipped", skipped)
-    indices = tuple(sorted(known))
-    return RefinedSurface(
-        levels=levels,
-        band=band,
-        xs=xs,
-        ys=ys,
-        indices=indices,
-        values=tuple(known[point] for point in indices),
-        cells_refined=refined,
-        cells_skipped=skipped,
-    )
-
-
 def energy_ratio_surface(
     module: ModuleEnergyParameters,
     vdd: float,
     t_cycle_s: float,
     fga_values: Sequence[float],
     bga_values: Sequence[float],
-    workers: int = 0,
-    progress: Optional[Callable[[int, int], None]] = None,
-    store=None,
-    checkpoint_every: int = 32,
-    refine_levels: int = 0,
-    refine_band: float = 0.15,
-    scheduler=None,
 ) -> RatioSurface:
     """Sample the Fig. 10 surface over a grid.
 
     Cells with ``bga > fga`` are physically impossible (a block cannot
-    power up more often than it is used) and come back as None.
-    ``workers`` parallelizes the grid across processes (0 = serial);
-    the sampled surface is identical for any worker count.
-    ``progress(done_cells, total_cells)`` reports completion for long
-    grids.
-
-    With ``store`` (a :class:`repro.store.ResultStore`) the grid is
-    checkpointed under a canonical digest of every input — module
-    parameters, operating point, and both axes — so a killed surface
-    resumes from its completed chunks and an identical re-request is
-    served entirely from the store.
-
-    ``refine_levels > 0`` turns on **adaptive contour refinement**:
-    after the coarse grid, cells straddling the zero contour (or with
-    a corner within ``refine_band`` of it in log10) are recursively
-    subdivided, each level halving the cell size — the contour ends up
-    resolved at ``2^levels`` times the grid resolution while the flat
-    regions of the surface are never re-sampled.  The sparse refined
-    points live in ``surface.refined`` (a :class:`RefinedSurface`),
-    they fan out through the same ``workers`` pool, and with a store
-    each level checkpoints under its own digest so refinement resumes
-    exactly like the base grid.  Every evaluated point is bit-identical
-    to the same cell of a uniform finest-level grid.
-
-    ``scheduler`` (a :class:`repro.sched.Scheduler`) evaluates the
-    grid — and every refinement level — through the durable work
-    queue instead of the in-process pool; ``workers`` is then ignored
-    and the surface stays bit-identical to the serial path.
+    power up more often than it is used) and come back as None.  The
+    break-even contour runs through the cells
+    :func:`zero_crossing_cells` reports.
     """
-    if refine_levels < 0:
-        raise AnalysisError(
-            f"refine_levels must be >= 0, got {refine_levels}"
-        )
-    if refine_levels > _MAX_REFINE_LEVELS:
-        raise AnalysisError(
-            f"refine_levels must be <= {_MAX_REFINE_LEVELS}, "
-            f"got {refine_levels}"
-        )
-    if refine_levels > 0:
-        if refine_band <= 0.0:
-            raise AnalysisError(
-                f"refine_band must be positive, got {refine_band}"
-            )
-        if len(fga_values) < 2 or len(bga_values) < 2:
-            raise AnalysisError(
-                "refinement needs at least two points per axis"
-            )
     cell = functools.partial(_ratio_cell, module, vdd, t_cycle_s)
-    store_key = None
-    if store is not None:
-        from repro.store.hashing import request_digest
-
-        store_key = request_digest(
-            "ratio-surface",
-            module,
-            vdd,
-            t_cycle_s,
-            [float(v) for v in fga_values],
-            [float(v) for v in bga_values],
-        )
     with obs.span("analysis.ratio_surface"):
         grid = sweep_2d(
             "fga",
@@ -554,25 +199,10 @@ def energy_ratio_surface(
             fga_values,
             bga_values,
             cell,
-            workers=workers,
-            progress=progress,
-            store=store,
-            store_key=store_key,
-            checkpoint_every=checkpoint_every,
-            scheduler=scheduler,
         )
-    refined = None
-    if refine_levels > 0:
-        with obs.span("analysis.contour_refine"):
-            refined = _refine_surface(
-                module, vdd, t_cycle_s, grid, refine_levels,
-                refine_band, workers, progress, store, checkpoint_every,
-                scheduler=scheduler,
-            )
     return RatioSurface(
         module=module,
         vdd=vdd,
         t_cycle_s=t_cycle_s,
         grid=grid,
-        refined=refined,
     )

@@ -13,57 +13,45 @@ what makes whole-plane evaluation cheap — and marks infeasible cells
 The interesting structure is one-dimensional: per V_T row, energy
 falls with V_DD until leakage-vs-delay trade-off turns it around, so
 the optimum-energy locus is a curve on the plane.  ``refine_levels``
-reuses the adaptive machinery behind the Fig. 10 contour
-(:mod:`repro.analysis.contour`) to subdivide only the cells that touch
-the feasibility boundary or sit within ``refine_band`` of their row's
-minimum — the locus is resolved at ``2**levels`` times the base grid
-without re-sampling the flat high-energy regions.
+subdivides only the cells that touch the feasibility boundary or sit
+within ``refine_band`` of their row's minimum — the locus is resolved
+at ``2**levels`` times the base grid without re-sampling the flat
+high-energy regions, which is faster than the uniform grid at the
+same finest resolution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.analysis.contour import (
-    _MAX_REFINE_LEVELS,
-    RefinedSurface,
-    _evaluate_points,
-    _subdivide_axis,
-)
-from repro.analysis.sweep import Sweep2D, sweep_2d
+from repro.analysis.sweep import Sweep2D
 from repro.device.technology import Technology
 from repro.errors import AnalysisError
 
-__all__ = ["EnergySurface", "energy_surface"]
+__all__ = ["EnergySurface", "RefinedSurface", "energy_surface"]
+
+#: Subdivision-depth bound: each level doubles both axes, so 10 levels
+#: already turn a 24-point axis into ~23k points.
+_MAX_REFINE_LEVELS = 10
+
 
 class _EnergyCell:
-    """One (V_T, V_DD) surface cell; a class so the fan-out can pickle it.
+    """One (V_T, V_DD) surface cell.
 
     Returns the ring's cycle energy [J] when the stage delay meets the
     per-stage budget, ``None`` where the corner is infeasible.  Like
     :class:`~repro.power.optimizer.RingOscillatorModel`, a cell decodes
-    once: the fanout-1 inverter plan at ``V_T0 = 0``, built on first
-    use and never pickled, takes every V_T as its kernels' shift.  The
-    plan kernels and the association below are float-for-float the
-    ring's :meth:`~repro.power.optimizer.RingOscillatorModel.stage_delay` /
+    once: the fanout-1 inverter plan at ``V_T0 = 0`` takes every V_T as
+    its kernels' shift.  The plan kernels and the association below are
+    float-for-float the ring's
+    :meth:`~repro.power.optimizer.RingOscillatorModel.stage_delay` /
     :meth:`~repro.power.optimizer.RingOscillatorModel.energy_per_cycle`
     chain (pinned by ``tests/analysis/test_surface.py``), minus the
-    per-point memo traffic — a pure function of its coordinates, so
-    parallel, scheduled, store-restored and serial evaluations are
-    bit-identical.
+    per-point memo traffic.
     """
-
-    __slots__ = (
-        "technology",
-        "stages",
-        "activity",
-        "t_cycle_s",
-        "target_stage_delay_s",
-        "_plan",
-    )
 
     def __init__(
         self,
@@ -73,21 +61,13 @@ class _EnergyCell:
         t_cycle_s: float,
         target_stage_delay_s: float,
     ):
-        self.technology = technology
+        from repro.power.optimizer import _zero_threshold_decode
+
         self.stages = stages
         self.activity = activity
         self.t_cycle_s = t_cycle_s
         self.target_stage_delay_s = target_stage_delay_s
-        self._plan = None
-
-    @property
-    def plan(self):
-        """The fanout-1 inverter plan at ``V_T0 = 0``, decoded once."""
-        if self._plan is None:
-            from repro.power.optimizer import _zero_threshold_decode
-
-            _, self._plan = _zero_threshold_decode(self.technology)
-        return self._plan
+        _, self.plan = _zero_threshold_decode(technology)
 
     def __call__(self, vt: float, vdd: float) -> Optional[float]:
         plan = self.plan
@@ -127,13 +107,56 @@ class _EnergyCell:
             append(switching + leakage_current * vdd * t_cycle_s)
         return tuple(out)
 
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__[:-1])
 
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
-        self._plan = None
+@dataclass(frozen=True)
+class RefinedSurface:
+    """Adaptively refined view of an energy surface near its locus.
+
+    ``xs``/``ys`` are the finest-level axes (every base interval
+    subdivided ``levels`` times); ``indices``/``values`` hold the
+    sparse set of evaluated points on that lattice — the full base
+    grid plus the midpoints spawned inside cells near the
+    optimum-energy locus.  Points far from it are never evaluated,
+    which is the entire saving.
+    """
+
+    levels: int
+    band: float
+    xs: Tuple[float, ...]
+    ys: Tuple[float, ...]
+    indices: Tuple[Tuple[int, int], ...]
+    values: Tuple[Optional[float], ...]
+    cells_refined: int
+    cells_skipped: int
+
+    def known(self) -> Dict[Tuple[int, int], Optional[float]]:
+        """Evaluated finest-lattice points as an ``{(i, j): z}`` map."""
+        return dict(zip(self.indices, self.values))
+
+    def value_at(self, i: int, j: int) -> Optional[float]:
+        """Value at one finest-lattice point (raises if unevaluated)."""
+        try:
+            return self.known()[(i, j)]
+        except KeyError:
+            raise AnalysisError(
+                f"point ({i}, {j}) was not evaluated (outside the "
+                f"refinement band)"
+            )
+
+    @property
+    def evaluated(self) -> int:
+        """Number of points actually evaluated."""
+        return len(self.indices)
+
+    @property
+    def total_points(self) -> int:
+        """Points a uniform grid at finest resolution would evaluate."""
+        return len(self.xs) * len(self.ys)
+
+    @property
+    def coverage(self) -> float:
+        """Evaluated fraction of the equivalent uniform grid."""
+        return self.evaluated / self.total_points
 
 
 @dataclass(frozen=True)
@@ -187,19 +210,11 @@ def _row_batched_grid(
     cell: _EnergyCell,
     vt_values: Sequence[float],
     vdd_values: Sequence[float],
-    progress: Optional[Callable[[int, int], None]],
 ) -> Sweep2D:
-    """Serial base grid, one batched kernel pass per V_T row."""
+    """The base grid, one batched kernel pass per V_T row."""
     vdds = [float(vdd) for vdd in vdd_values]
     loads = cell.plan.loads(vdds)
-    total = len(vt_values) * len(vdds)
-    done = 0
-    rows = []
-    for vt in vt_values:
-        rows.append(cell.row(vt, vdds, loads))
-        done += len(vdds)
-        if progress is not None:
-            progress(done, total)
+    rows = [cell.row(vt, vdds, loads) for vt in vt_values]
     return Sweep2D(
         x_name="vt",
         y_name="vdd",
@@ -248,24 +263,32 @@ def _near_optimum(
     )
 
 
+def _subdivide_axis(
+    values: Sequence[float], levels: int
+) -> Tuple[float, ...]:
+    """Insert midpoints into every interval, ``levels`` times over."""
+    axis = [float(value) for value in values]
+    for _ in range(levels):
+        finer = []
+        for left, right in zip(axis[:-1], axis[1:]):
+            finer.append(left)
+            finer.append(0.5 * (left + right))
+        finer.append(axis[-1])
+        axis = finer
+    return tuple(axis)
+
+
 def _refine_energy_surface(
     cell: _EnergyCell,
-    store_inputs: Optional[list],
     grid: Sweep2D,
     levels: int,
     band: float,
-    workers: int,
-    progress,
-    store,
-    checkpoint_every: int,
-    scheduler=None,
 ) -> RefinedSurface:
     """Recursively subdivide only the cells near the optimum locus.
 
-    Same sparse-lattice bookkeeping as the Fig. 10 contour refinement
-    (:func:`repro.analysis.contour._refine_surface`), with the
-    interest test swapped for :func:`_near_optimum` — here the target
-    is an energy minimum per row, not a zero crossing.
+    Each level evaluates the five new points (edge midpoints and
+    center) of every cell :func:`_near_optimum` marks, on the
+    finest-level lattice; the other cells are never re-sampled.
     """
     stride = 1 << levels
     xs = _subdivide_axis(grid.xs, levels)
@@ -301,6 +324,8 @@ def _refine_energy_surface(
         refined += len(targets)
         if not targets:
             break
+        # Shared edges between neighbouring targets (and points
+        # evaluated at earlier levels) dedup through the set.
         needed = sorted(
             {
                 point
@@ -315,24 +340,8 @@ def _refine_energy_surface(
                 if point not in known
             }
         )
-        if needed:
-            store_key = None
-            if store is not None:
-                from repro.store.hashing import request_digest
-
-                store_key = request_digest(
-                    "energy-surface-refine",
-                    *store_inputs,
-                    levels,
-                    band,
-                    level,
-                )
-            values = _evaluate_points(
-                cell, needed, xs, ys, workers, progress, store,
-                store_key, checkpoint_every, scheduler=scheduler,
-                min_parallel_items=0,
-            )
-            known.update(zip(needed, values))
+        for i, j in needed:
+            known[(i, j)] = cell(xs[i], ys[j])
         active = [
             (i + di, j + dj)
             for i, j in targets
@@ -365,13 +374,8 @@ def energy_surface(
     stages: int = 101,
     activity: float = 1.0,
     cycle_stages: Optional[int] = None,
-    workers: int = 0,
-    progress: Optional[Callable[[int, int], None]] = None,
-    store=None,
-    checkpoint_every: int = 32,
     refine_levels: int = 0,
     refine_band: float = 0.2,
-    scheduler=None,
 ) -> EnergySurface:
     """Sample the Fig. 3/4 energy plane over a (V_T, V_DD) grid.
 
@@ -384,29 +388,13 @@ def energy_surface(
     The grid is evaluated V_T-major through one decoded operating plan
     per call, each row one kernel pass along the whole V_DD axis with
     the V_T as the plan's shift; nothing is cached across calls.
-    ``workers`` fans rows' cells across processes (0 = serial; ring
-    cells are expensive enough that the small-grid serial gate is
-    disabled here) and the sampled surface is identical for any worker
-    count.  ``progress(done_cells, total_cells)`` reports completion.
-
-    With ``store`` (a :class:`repro.store.ResultStore`) the grid is
-    checkpointed under a canonical digest of every input, so a killed
-    surface resumes from its completed chunks and an identical
-    re-request is served entirely from the store.
 
     ``refine_levels > 0`` turns on **adaptive locus refinement**: the
-    same machinery that sharpens the Fig. 10 break-even contour
-    recursively subdivides the cells whose corners touch the
-    feasibility boundary or fall within ``refine_band`` (relative) of
-    their row's energy minimum — the optimum-energy locus is resolved
-    at ``2**levels`` times the grid resolution while flat regions are
-    never re-sampled.  The sparse points live in ``surface.refined``;
-    with a store each level checkpoints under its own digest.
-
-    ``scheduler`` (a :class:`repro.sched.Scheduler`) evaluates the
-    grid — and every refinement level — through the durable work
-    queue; ``workers`` is then ignored and the surface stays
-    bit-identical to the serial path.
+    cells whose corners touch the feasibility boundary or fall within
+    ``refine_band`` (relative) of their row's energy minimum are
+    recursively subdivided — the optimum-energy locus is resolved at
+    ``2**levels`` times the grid resolution while flat regions are
+    never re-sampled.  The sparse points live in ``surface.refined``.
     """
     if not 0.0 < t_cycle_s < math.inf:
         raise AnalysisError(
@@ -443,58 +431,16 @@ def energy_surface(
                 "refinement needs at least two points per axis"
             )
     target_stage_delay_s = t_cycle_s / cycle_stages
-    cell = _EnergyCell(
-        technology, stages, activity, t_cycle_s, target_stage_delay_s
-    )
-    store_inputs = None
-    store_key = None
-    if store is not None:
-        from repro.store.hashing import request_digest, technology_digest
-
-        store_inputs = [
-            technology_digest(technology),
-            stages,
-            activity,
-            t_cycle_s,
-            target_stage_delay_s,
-            [float(v) for v in vt_values],
-            [float(v) for v in vdd_values],
-        ]
-        store_key = request_digest("energy-surface", *store_inputs)
     with obs.span("analysis.energy_surface"):
-        if workers == 0 and store is None and scheduler is None:
-            # The plain serial grid goes row-at-a-time through the
-            # plan's batched kernels — one decode and one tight loop
-            # per V_T.  The fan-out/checkpoint/queue paths below keep
-            # the per-cell contract (chunking, restore and progress
-            # are all cell-keyed) and produce the same floats, since
-            # the kernels evaluate points independently.
-            grid = _row_batched_grid(
-                cell, vt_values, vdd_values, progress
-            )
-        else:
-            grid = sweep_2d(
-                "vt",
-                "vdd",
-                "energy_per_cycle_j",
-                vt_values,
-                vdd_values,
-                cell,
-                workers=workers,
-                progress=progress,
-                store=store,
-                store_key=store_key,
-                checkpoint_every=checkpoint_every,
-                scheduler=scheduler,
-                min_parallel_items=0,
-            )
+        cell = _EnergyCell(
+            technology, stages, activity, t_cycle_s, target_stage_delay_s
+        )
+        grid = _row_batched_grid(cell, vt_values, vdd_values)
     refined = None
     if refine_levels > 0:
         with obs.span("analysis.surface_refine"):
             refined = _refine_energy_surface(
-                cell, store_inputs, grid, refine_levels, refine_band,
-                workers, progress, store, checkpoint_every,
-                scheduler=scheduler,
+                cell, grid, refine_levels, refine_band
             )
     return EnergySurface(
         grid=grid,

@@ -99,111 +99,6 @@ def sweep_1d(
     )
 
 
-def _fanout_items(
-    fn,
-    items,
-    workers,
-    scheduler,
-    progress=None,
-    chunk_done=None,
-    min_parallel_items=None,
-):
-    """``map_items`` or its scheduler drop-in, chosen by ``scheduler``.
-
-    The one dispatch point the sweep layers share: a non-None
-    ``scheduler`` (a :class:`repro.sched.Scheduler`) routes the fan-out
-    through the durable work queue — same input-order results, same
-    ``progress``/``chunk_done`` contract — otherwise the in-process
-    pool handles it exactly as before.  ``min_parallel_items`` is
-    forwarded to :func:`~repro.analysis.parallel.map_items` on the
-    pool path only (grid pipelines with cheap cells pass the library
-    threshold; callers with few expensive items — Monte-Carlo chunk
-    tasks — leave it ``None``); a scheduler fan-out is already paying
-    queue latency by design, so it is never gated.
-    """
-    if scheduler is not None:
-        from repro.sched.client import scheduled_map_items
-
-        return scheduled_map_items(
-            fn, items, scheduler, progress=progress, chunk_done=chunk_done
-        )
-    from repro.analysis.parallel import map_items
-
-    return map_items(
-        fn, items, workers=workers, progress=progress,
-        chunk_done=chunk_done, min_parallel_items=min_parallel_items,
-    )
-
-
-def _checkpointed_grid(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    fn: Callable[[float, float], Optional[float]],
-    workers: int,
-    progress: Optional[Callable[[int, int], None]],
-    store,
-    store_key: str,
-    checkpoint_every: int,
-    scheduler=None,
-    min_parallel_items=None,
-) -> Tuple[Tuple[Optional[float], ...], ...]:
-    """Store-backed grid evaluation: restore, compute the gap, persist.
-
-    Every completed chunk becomes durable as it finishes (see
-    :class:`repro.store.checkpoint.SweepCheckpoint`), so a killed run
-    resumed with the same store and key recomputes only the missing
-    cells — and the assembled grid is bit-identical to a cold serial
-    run, because restored cells JSON-round-trip exactly and computed
-    cells are pure functions of their coordinates.
-    """
-    from repro.analysis.parallel import _PairFn
-    from repro.store.checkpoint import SweepCheckpoint
-
-    n_y = len(ys)
-    total = len(xs) * n_y
-    checkpoint = SweepCheckpoint(
-        store, store_key, total, flush_every=checkpoint_every
-    )
-    cells = checkpoint.restored()
-    if progress is not None and cells:
-        progress(len(cells), total)
-    missing = [index for index in range(total) if index not in cells]
-    if missing:
-        pairs = [(xs[index // n_y], ys[index % n_y]) for index in missing]
-        restored_count = len(cells)
-
-        def on_chunk(positions, values) -> None:
-            chunk = [
-                (
-                    missing[position],
-                    None if value is None else float(value),
-                )
-                for position, value in zip(positions, values)
-            ]
-            cells.update(chunk)
-            checkpoint.record_many(chunk)
-
-        shifted = None
-        if progress is not None:
-            def shifted(done: int, _missing_total: int) -> None:
-                progress(restored_count + done, total)
-
-        _fanout_items(
-            _PairFn(fn),
-            pairs,
-            workers,
-            scheduler,
-            progress=shifted,
-            chunk_done=on_chunk,
-            min_parallel_items=min_parallel_items,
-        )
-    checkpoint.finalize()
-    return tuple(
-        tuple(cells[i * n_y + j] for j in range(n_y))
-        for i in range(len(xs))
-    )
-
-
 def sweep_2d(
     x_name: str,
     y_name: str,
@@ -211,107 +106,22 @@ def sweep_2d(
     xs: Sequence[float],
     ys: Sequence[float],
     fn: Callable[[float, float], Optional[float]],
-    workers: int = 0,
-    progress: Optional[Callable[[int, int], None]] = None,
-    store=None,
-    store_key: Optional[str] = None,
-    checkpoint_every: int = 32,
-    scheduler=None,
-    min_parallel_items: Optional[int] = None,
 ) -> Sweep2D:
-    """Sample ``fn`` over the cartesian grid; fn may return None.
-
-    ``workers`` fans the grid out over processes via
-    :func:`repro.analysis.parallel.map_grid` (0 = serial, None = one
-    per CPU).  ``fn`` must be picklable for actual parallelism — a
-    closure falls back to the serial path with a one-time
-    ``RuntimeWarning`` (counted in ``parallel.pickle_fallbacks``);
-    results are identical either way.  Grids below
-    ``min_parallel_items`` cells (``None`` = the library default,
-    :data:`repro.analysis.parallel._MIN_PARALLEL_ITEMS`; ``0``
-    disables the gate) also run serially — pool overhead dominates
-    cheap cells on small grids.  ``progress(done_cells, total_cells)``
-    is invoked as cells complete (per chunk on the parallel path, per
-    cell on the serial one).
-
-    With ``store`` (a :class:`repro.store.ResultStore`) and
-    ``store_key`` (a stable digest of the sweep inputs — see
-    :func:`repro.store.request_digest`) the sweep is **checkpointed
-    and resumable**: completed cells are persisted in chunks of
-    ``checkpoint_every`` (immediately per chunk on the parallel path),
-    a re-run restores them and computes only the gap, and the result
-    is bit-identical to an unstored serial run.
-
-    ``scheduler`` (a :class:`repro.sched.Scheduler`) routes the
-    fan-out through the durable work queue instead of the in-process
-    pool — any number of worker processes/hosts evaluate the cells,
-    ``workers`` is ignored, and the assembled grid stays bit-identical
-    to the serial path (combinable with ``store`` for checkpointed
-    scheduler sweeps).
-    """
+    """Sample ``fn`` over the cartesian grid; fn may return None."""
     if not xs or not ys:
         raise AnalysisError("empty sweep grid")
-    if min_parallel_items is None:
-        from repro.analysis.parallel import _MIN_PARALLEL_ITEMS
-
-        min_parallel_items = _MIN_PARALLEL_ITEMS
-    if store is not None:
-        if not store_key:
-            raise AnalysisError(
-                "a store-backed sweep needs a store_key identifying "
-                "its inputs"
-            )
-        grid = _checkpointed_grid(
-            xs, ys, fn, workers, progress, store, store_key,
-            checkpoint_every, scheduler=scheduler,
-            min_parallel_items=min_parallel_items,
-        )
-    elif scheduler is not None:
-        from repro.analysis.parallel import _PairFn
-
-        n_y = len(ys)
-        pairs = [(x, y) for x in xs for y in ys]
-        flat = _fanout_items(
-            _PairFn(fn), pairs, workers, scheduler, progress=progress
-        )
-        grid = tuple(
-            tuple(
-                None if value is None else float(value)
-                for value in flat[i * n_y : (i + 1) * n_y]
-            )
-            for i in range(len(xs))
-        )
-    elif workers == 0:
-        total = len(xs) * len(ys)
-        done = 0
-        rows = []
-        for x in xs:
-            row = []
-            for y in ys:
-                value = fn(x, y)
-                row.append(None if value is None else float(value))
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-            rows.append(tuple(row))
-        grid = tuple(rows)
-    else:
-        from repro.analysis.parallel import map_grid
-
-        grid = tuple(
-            tuple(
-                None if value is None else float(value) for value in row
-            )
-            for row in map_grid(
-                fn, xs, ys, workers=workers, progress=progress,
-                min_parallel_items=min_parallel_items,
-            )
-        )
+    rows = []
+    for x in xs:
+        row = []
+        for y in ys:
+            value = fn(x, y)
+            row.append(None if value is None else float(value))
+        rows.append(tuple(row))
     return Sweep2D(
         x_name=x_name,
         y_name=y_name,
         z_name=z_name,
         xs=tuple(float(x) for x in xs),
         ys=tuple(float(y) for y in ys),
-        zs=grid,
+        zs=tuple(rows),
     )

@@ -16,12 +16,10 @@ Every distribution is evaluated through the **batched variation
 engine**: the analyzer asks its characterizer for one
 :class:`~repro.tech.batch.VariationPlan` per (cell, V_DD, load) corner
 and pushes the whole shift vector through it, instead of running the
-full characterization call chain once per sample.  The serial,
-``workers``, and ``store``-checkpointed paths all use plans — on the
-parallel path each worker decodes the corner once and evaluates its
-chunks through it — and all three remain bit-identical to the
-per-sample path (asserted by the differential property tests and the
-``variation`` section of ``bench_hotpaths.py``).
+full characterization call chain once per sample.  The plan path is
+bit-identical to the per-sample path (asserted by the differential
+property tests and the ``variation`` section of
+``bench_hotpaths.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.device.technology import Technology
 from repro.errors import AnalysisError
@@ -42,54 +40,6 @@ __all__ = [
     "MonteCarloAnalyzer",
     "lognormal_leakage_amplification",
 ]
-
-#: Per-process characterizer cache for the parallel Monte-Carlo path —
-#: each worker decodes the corner once (the plan is memoized on its
-#: characterizer) and reuses it across the chunks it is handed.  Keyed
-#: by the (hashable) Technology value.
-_WORKER_CHARACTERIZERS: dict = {}
-
-#: Eviction bound on the per-process cache: a long-lived worker serving
-#: sweeps over many technologies would otherwise accumulate one
-#: unbounded memo per technology (oldest-first eviction, FIFO).
-_MAX_WORKER_CHARACTERIZERS = 8
-
-
-def _characterizer_for(technology: Technology) -> CellCharacterizer:
-    characterizer = _WORKER_CHARACTERIZERS.get(technology)
-    if characterizer is None:
-        while len(_WORKER_CHARACTERIZERS) >= _MAX_WORKER_CHARACTERIZERS:
-            _WORKER_CHARACTERIZERS.pop(next(iter(_WORKER_CHARACTERIZERS)))
-        characterizer = CellCharacterizer(technology)
-        _WORKER_CHARACTERIZERS[technology] = characterizer
-    return characterizer
-
-
-def _batched_chunk(task) -> List[float]:
-    """Evaluate one chunk of V_T shifts through a per-process plan."""
-    kind, technology, cell, vdd, load_f, shifts = task
-    plan = _characterizer_for(technology).plan_variation(cell, vdd, load_f)
-    if kind == "delay":
-        return plan.delays(shifts)
-    return plan.leakages(shifts)
-
-
-def _shift_chunks(
-    shifts: Sequence[float], workers: Optional[int]
-) -> List[Tuple[float, ...]]:
-    """Split a shift vector into the chunks the pool would form.
-
-    Mirrors ``map_items``'s own chunk sizing so each worker receives
-    about four plan-sized batches, keeping the pool busy without
-    paying per-sample IPC.
-    """
-    from repro.analysis.parallel import _chunksize, resolve_workers
-
-    count = max(resolve_workers(workers), 1)
-    size = _chunksize(len(shifts), count)
-    return [
-        tuple(shifts[i : i + size]) for i in range(0, len(shifts), size)
-    ]
 
 
 @dataclass(frozen=True)
@@ -180,161 +130,25 @@ class MonteCarloAnalyzer:
         vt_sigma: float = 0.03,
         n_samples: int = 300,
         seed: int = 0,
-        workers: int = 0,
-        store=None,
-        progress=None,
-        scheduler=None,
     ):
-        if vt_sigma < 0.0:
-            raise AnalysisError("vt_sigma must be >= 0")
+        if not 0.0 <= vt_sigma < math.inf:
+            raise AnalysisError(
+                f"vt_sigma must be >= 0 and finite, got {vt_sigma}"
+            )
         if n_samples < 2:
             raise AnalysisError("need at least two samples")
         self.technology = technology
         self.vt_sigma = vt_sigma
         self.n_samples = n_samples
         self.seed = seed
-        self.workers = workers
-        self.store = store
-        self.progress = progress
-        #: Optional :class:`repro.sched.Scheduler`: evaluates sample
-        #: chunks through the durable work queue instead of the
-        #: in-process pool (``workers`` is then ignored; chunk planning
-        #: follows the scheduler's deterministic ``plan_workers``).
-        self.scheduler = scheduler
         self._characterizer = CellCharacterizer(technology)
-        self._tech_digest: str = ""
-
-    def _request_key(self, kind: str, *parts) -> str:
-        """Canonical key for one distribution request on this analyzer."""
-        from repro.store.hashing import request_digest, technology_digest
-
-        if not self._tech_digest:
-            self._tech_digest = technology_digest(self.technology)
-        return request_digest(
-            kind,
-            self._tech_digest,
-            self.vt_sigma,
-            self.n_samples,
-            self.seed,
-            *parts,
-        )
-
-    # ------------------------------------------------------------------
-    # Evaluation paths (all plan-based)
-    # ------------------------------------------------------------------
-    def _chunk_width(self) -> Optional[int]:
-        """Fan-out width used for chunk planning.
-
-        With a scheduler the plan must be deterministic across hosts
-        (it feeds the job id), so the scheduler's fixed
-        ``plan_workers`` replaces this process's worker count.
-        """
-        if self.scheduler is not None:
-            return self.scheduler.plan_workers
-        return self.workers
-
-    def _fanout(
-        self, kind: str, cell: Cell, vdd: float, load_f: float, shifts
-    ) -> Tuple[float, ...]:
-        """Evaluate the shift vector across processes, chunk-batched."""
-        from repro.analysis.sweep import _fanout_items
-
-        tasks = [
-            (kind, self.technology, cell, vdd, load_f, chunk)
-            for chunk in _shift_chunks(shifts, self._chunk_width())
-        ]
-        chunks = _fanout_items(
-            _batched_chunk,
-            tasks,
-            self.workers,
-            self.scheduler,
-            progress=self.progress,
-        )
-        return tuple(value for chunk in chunks for value in chunk)
-
-    def _checkpointed_batches(
-        self, key: str, kind: str, cell: Cell, vdd: float, load_f: float,
-        shifts,
-    ) -> Tuple[float, ...]:
-        """Evaluate the shift vector through a sweep checkpoint.
-
-        Restores already-persisted samples, batch-evaluates only the
-        gap (serial or fanned out per ``self.workers``), and persists
-        completed batches as they finish — the Monte-Carlo twin of the
-        checkpointed grid sweep.  Sample indices and stored values are
-        identical to the per-sample checkpoint layout, so checkpoints
-        written before the batched engine resume cleanly under it.
-        """
-        from repro.analysis.sweep import _fanout_items
-        from repro.store.checkpoint import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint(self.store, key, len(shifts))
-        samples = checkpoint.restored()
-        missing = [i for i in range(len(shifts)) if i not in samples]
-        if missing:
-            if self.workers == 0 and self.scheduler is None:
-                plan = self._characterizer.plan_variation(cell, vdd, load_f)
-                evaluate = plan.delays if kind == "delay" else plan.leakages
-                # Evaluate in flush-sized batches so a crash loses at
-                # most one buffer, exactly as the per-sample path did.
-                step = checkpoint.flush_every
-                for start in range(0, len(missing), step):
-                    block = missing[start : start + step]
-                    values = evaluate([shifts[i] for i in block])
-                    for index, value in zip(block, values):
-                        samples[index] = value
-                        checkpoint.record(index, value)
-            else:
-                chunks = _shift_chunks(
-                    [shifts[i] for i in missing], self._chunk_width()
-                )
-                tasks = []
-                offsets = []
-                offset = 0
-                for chunk in chunks:
-                    tasks.append(
-                        (kind, self.technology, cell, vdd, load_f, chunk)
-                    )
-                    offsets.append(offset)
-                    offset += len(chunk)
-
-                def on_chunk(positions, values) -> None:
-                    cells = []
-                    for position, chunk_values in zip(positions, values):
-                        base = offsets[position]
-                        cells.extend(
-                            (missing[base + k], float(value))
-                            for k, value in enumerate(chunk_values)
-                        )
-                    samples.update(cells)
-                    checkpoint.record_many(cells)
-
-                _fanout_items(
-                    _batched_chunk,
-                    tasks,
-                    self.workers,
-                    self.scheduler,
-                    progress=self.progress,
-                    chunk_done=on_chunk,
-                )
-        checkpoint.finalize()
-        return tuple(samples[i] for i in range(len(shifts)))
 
     def _distribution(
-        self, key, kind: str, cell: Cell, vdd: float, load_f: float
+        self, kind: str, cell: Cell, vdd: float, load_f: float
     ) -> Distribution:
-        shifts = self.sample_vt_shifts()
-        if self.store is not None:
-            samples = self._checkpointed_batches(
-                key, kind, cell, vdd, load_f, shifts
-            )
-        elif self.workers == 0 and self.scheduler is None:
-            plan = self._characterizer.plan_variation(cell, vdd, load_f)
-            evaluate = plan.delays if kind == "delay" else plan.leakages
-            samples = tuple(evaluate(shifts))
-        else:
-            samples = self._fanout(kind, cell, vdd, load_f, shifts)
-        return Distribution(samples=samples)
+        plan = self._characterizer.plan_variation(cell, vdd, load_f)
+        evaluate = plan.delays if kind == "delay" else plan.leakages
+        return Distribution(samples=tuple(evaluate(self.sample_vt_shifts())))
 
     def sample_vt_shifts(self) -> List[float]:
         """Deterministic Gaussian V_T offsets (one per sample)."""
@@ -348,36 +162,17 @@ class MonteCarloAnalyzer:
     ) -> Distribution:
         """Cell delay across the V_T samples at one supply.
 
-        With ``workers`` set on the analyzer the samples fan out over
-        processes; the sampled values (and their order) are identical
-        to the serial path because each sample is a pure function of
-        its deterministic V_T shift.  With a ``store`` on the analyzer
-        the samples are checkpointed and restored across runs (keyed
-        by technology, cell, operating point, and the sampling
-        parameters), again bit-identical.
+        Each sample is a pure function of its deterministic V_T shift,
+        so the values (and their order) are those of the per-sample
+        characterizer chain.
         """
-        key = None
-        if self.store is not None:
-            from repro.store.hashing import cell_digest
-
-            key = self._request_key(
-                "mc-delay", cell_digest(cell), vdd, load_f
-            )
-        return self._distribution(key, "delay", cell, vdd, load_f)
+        return self._distribution("delay", cell, vdd, load_f)
 
     def leakage_distribution(
         self, cell: Cell, vdd: float
     ) -> Distribution:
-        """Cell leakage across the V_T samples at one supply.
-
-        Store/workers semantics match :meth:`delay_distribution`.
-        """
-        key = None
-        if self.store is not None:
-            from repro.store.hashing import cell_digest
-
-            key = self._request_key("mc-leakage", cell_digest(cell), vdd)
-        return self._distribution(key, "leakage", cell, vdd, 0.0)
+        """Cell leakage across the V_T samples at one supply."""
+        return self._distribution("leakage", cell, vdd, 0.0)
 
     def leakage_amplification(self, cell: Cell, vdd: float) -> float:
         """Measured mean-vs-nominal leakage ratio (cf. the closed form)."""

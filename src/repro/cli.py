@@ -7,7 +7,7 @@ extensions::
     python -m repro activity --circuit adder --width 8 # Figs. 8-9
     python -m repro optimize --delay-factor 4          # Figs. 3-4
     python -m repro compare --duty 0.2                 # Fig. 10
-    python -m repro contour --grid 24 --refine 2       # Fig. 10 surface
+    python -m repro contour --grid 24                  # Fig. 10 surface
     python -m repro surface --grid 12 --refine 2       # Fig. 3/4 plane
     python -m repro variation --cell INV --vdd 0.5     # V_T Monte-Carlo
     python -m repro characterize --vdd 0.8 1.0 1.2     # liberty-lite
@@ -15,13 +15,12 @@ extensions::
     python -m repro shutdown                           # policies
     python -m repro recover --circuit adder            # dual-V_T+sizing
     python -m repro runs list                          # run manifests
-    python -m repro cache stats                        # result store
 
 Every subcommand prints an ASCII table; ``characterize`` can also
-write a JSON library.  ``optimize``, ``compare``, and ``contour``
-accept ``--record`` (write a run manifest under ``.repro/runs/``) and
-``optimize``/``contour`` accept ``--store PATH`` (persist results for
-reuse and resumption — see ``docs/store.md``).
+write a JSON library.  ``optimize``, ``compare``, ``contour``,
+``surface`` and ``variation`` accept ``--record`` (write a run
+manifest under ``.repro/runs/`` — see ``docs/store.md``).  Every
+verb evaluates serially in the calling process.
 """
 
 from __future__ import annotations
@@ -29,12 +28,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
+import math
 import sys
 import time
 from typing import List, Optional, Sequence
 
 from repro import obs
+from repro.analysis.contour import zero_crossing_cells
 from repro.analysis.tables import format_profile, format_table
 from repro.circuits.builders import (
     array_multiplier,
@@ -52,7 +52,6 @@ from repro.device.technology import (
 from repro.errors import ReproError
 from repro.isa.profiler import profile_program
 from repro.isa.workloads import WORKLOAD_NAMES, build as build_workload
-from repro.power.optimizer import FixedThroughputOptimizer, RingOscillatorModel
 from repro.switchsim.simulator import SwitchLevelSimulator
 from repro.switchsim.stimulus import counting_bus_vectors, random_bus_vectors
 from repro.tech.library import CellLibrary
@@ -67,34 +66,6 @@ _TECHNOLOGIES = {
 }
 
 _UNITS = ("adder", "shifter", "multiplier", "logic", "memory", "control")
-
-_DEFAULT_STORE_ROOT = os.path.join(".repro", "cache")
-
-
-def _stderr_progress(enabled: bool, noun: str = "cells"):
-    """A ``progress(done, total)`` callback printing to stderr, or None."""
-    if not enabled:
-        return None
-
-    def progress_cb(done: int, total: int) -> None:
-        print(
-            f"\r  {done}/{total} {noun}", end="",
-            file=sys.stderr, flush=True,
-        )
-        if done == total:
-            print(file=sys.stderr)
-
-    return progress_cb
-
-
-def _open_store(args: argparse.Namespace):
-    """The ResultStore named by ``--store``, or None when not requested."""
-    path = getattr(args, "store", None)
-    if not path:
-        return None
-    from repro.store import ResultStore
-
-    return ResultStore.at(path)
 
 
 def _record_run(
@@ -117,44 +88,6 @@ def _record_run(
         f"(inputs {manifest.inputs_digest[:12]}, "
         f"result {manifest.result_digest[:12]})"
     )
-
-
-def _locus_task(task):
-    """One fixed-delay locus point; module-level so workers can pickle it.
-
-    Returns None for infeasible V_T (the serial sweep's
-    ``skip_infeasible`` semantics).  ``variation`` (a frozen, picklable
-    :class:`~repro.power.optimizer.VariationSpec` or None) switches the
-    worker's solve to the yield-constrained corner.
-    """
-    from repro.errors import OptimizationError
-
-    technology, stages, activity, cycle_stages, vt, target, variation = task
-    ring = RingOscillatorModel(technology, stages=stages, activity=activity)
-    optimizer = FixedThroughputOptimizer(
-        ring, cycle_stages=cycle_stages, variation=variation
-    )
-    try:
-        return optimizer.locus_point(vt, target)
-    except OptimizationError:
-        return None
-
-
-def _compare_unit_row(task):
-    """One unit's comparison row; module-level for the worker fan-out."""
-    name, unit, fga, bga, vdd, clock, variation = task
-    flow = LowVoltageDesignFlow(vdd=vdd, clock_hz=clock, variation=variation)
-    report = flow.unit_activity(unit.netlist, unit.vectors)
-    module = flow.module_parameters(unit.netlist, report)
-    verdicts = flow.comparator(module).all_verdicts(fga, bga)
-    return [
-        name,
-        fga,
-        bga,
-        verdicts["soias"].saving_percent,
-        verdicts["mtcmos"].saving_percent,
-        verdicts["vtcmos"].saving_percent,
-    ]
 
 
 def _profile_engine(args: argparse.Namespace) -> str:
@@ -262,45 +195,18 @@ def _cmd_activity(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     technology = _TECHNOLOGIES[args.technology]()
-    store = _open_store(args)
     spec = _variation_spec(args)
     flow = LowVoltageDesignFlow(technology=technology, variation=spec)
     optimizer = flow.throughput_optimizer(
-        stages=args.stages, activity=args.activity, store=store
+        stages=args.stages, activity=args.activity
     )
-    ring = optimizer.ring
-    target = args.delay_factor * ring.stage_delay(1.0, 0.2)
-    vts = [0.04 + 0.02 * i for i in range(20)]
-    if args.workers == 0:
-        points = optimizer.sweep(vts, target)
-    else:
-        from repro.analysis.parallel import map_items
-        from repro.errors import OptimizationError
-
-        tasks = [
-            (technology, args.stages, args.activity, 2 * args.stages,
-             vt, target, spec)
-            for vt in vts
-        ]
-        points = [
-            point
-            for point in map_items(
-                _locus_task, tasks, workers=args.workers,
-                progress=_stderr_progress(args.progress, noun="corners"),
-            )
-            if point is not None
-        ]
-        if not points:
-            raise OptimizationError(
-                "no feasible V_T in the sweep for this delay target"
-            )
+    target = args.delay_factor * optimizer.ring.stage_delay(1.0, 0.2)
+    points = optimizer.sweep([0.04 + 0.02 * i for i in range(20)], target)
     rows = [
         [p.vt, p.vdd, p.energy_per_cycle_j, p.leakage_fraction]
         for p in points
     ]
     best = optimizer.optimum(target, vt_bounds=(0.02, 0.45))
-    if store is not None:
-        ring.flush_store()
     print(
         format_table(
             ["V_T [V]", "V_DD [V]", "E/cycle [J]", "leak frac"],
@@ -329,7 +235,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "delay_factor": args.delay_factor,
         "stages": args.stages,
         "activity": args.activity,
-        "workers": args.workers,
     }
     result = {
         "target_stage_delay_s": target,
@@ -367,6 +272,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    spec = _variation_spec(args)
+    flow = LowVoltageDesignFlow(
+        vdd=args.vdd, clock_hz=args.clock, variation=spec
+    )
     datapath = standard_datapath(
         width=args.width, stimulus_vectors=args.vectors
     )
@@ -378,20 +287,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         lambda a, b: a.merged_with(b),
         [profile_program(p, engine=engine) for p in programs],
     ).scaled_by_duty_cycle(args.duty)
-    spec = _variation_spec(args)
-    tasks = [
-        (name, unit, session.fga(name), session.bga(name),
-         args.vdd, args.clock, spec)
-        for name, unit in datapath.items()
-    ]
-    from repro.analysis.parallel import map_items
-
-    rows = map_items(
-        _compare_unit_row,
-        tasks,
-        workers=args.workers,
-        progress=_stderr_progress(args.progress, noun="units"),
-    )
+    rows = []
+    for name, unit in datapath.items():
+        fga, bga = session.fga(name), session.bga(name)
+        report = flow.unit_activity(unit.netlist, unit.vectors)
+        module = flow.module_parameters(unit.netlist, report)
+        verdicts = flow.comparator(module).all_verdicts(fga, bga)
+        rows.append(
+            [
+                name,
+                fga,
+                bga,
+                verdicts["soias"].saving_percent,
+                verdicts["mtcmos"].saving_percent,
+                verdicts["vtcmos"].saving_percent,
+            ]
+        )
     print(
         format_table(
             ["unit", "fga", "bga", "SOIAS %", "MTCMOS %", "VTCMOS %"],
@@ -411,7 +322,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "vectors": args.vectors,
         "vdd": args.vdd,
         "clock": args.clock,
-        "workers": args.workers,
     }
     if spec is not None:
         compare_inputs["yield"] = {
@@ -448,19 +358,7 @@ def _cmd_contour(args: argparse.Namespace) -> int:
     report = flow.unit_activity(unit.netlist, unit.vectors)
     module = flow.module_parameters(unit.netlist, report)
     grid = [i / args.grid for i in range(1, args.grid + 1)]
-    scheduler = _open_scheduler(args)
-    try:
-        surface = flow.ratio_surface(
-            module, grid, grid, workers=args.workers,
-            progress=_stderr_progress(args.progress),
-            store=_open_store(args),
-            refine_levels=args.refine,
-            refine_band=args.refine_band,
-            scheduler=scheduler,
-        )
-    finally:
-        if scheduler is not None:
-            scheduler.close()
+    surface = flow.ratio_surface(module, grid, grid)
     defined = [
         (fga, bga, value)
         for i, fga in enumerate(surface.grid.xs)
@@ -471,77 +369,38 @@ def _cmd_contour(args: argparse.Namespace) -> int:
         raise ReproError("contour grid has no defined cells")
     best = min(defined, key=lambda cell: cell[2])
     worst = max(defined, key=lambda cell: cell[2])
+    contour_cells = zero_crossing_cells(surface.grid.zs)
     rows = [
         ["grid", f"{args.grid} x {args.grid}", "", ""],
         ["defined cells", surface.grid.defined_cells(), "", ""],
         ["best log10 ratio", f"{best[2]:+.3f}", best[0], best[1]],
         ["worst log10 ratio", f"{worst[2]:+.3f}", worst[0], worst[1]],
+        ["contour cells", len(contour_cells), "", ""],
     ]
-    refined = surface.refined
-    if refined is not None:
-        rows.extend(
-            [
-                [
-                    "refined grid",
-                    f"{len(refined.xs)} x {len(refined.ys)}",
-                    "",
-                    "",
-                ],
-                [
-                    "points evaluated",
-                    f"{refined.evaluated}/{refined.total_points} "
-                    f"({100.0 * refined.coverage:.1f}%)",
-                    "",
-                    "",
-                ],
-                [
-                    "cells refined/skipped",
-                    f"{refined.cells_refined}/{refined.cells_skipped}",
-                    "",
-                    "",
-                ],
-                ["contour cells", len(refined.zero_cells()), "", ""],
-            ]
-        )
     print(
         format_table(
             ["quantity", "value", "fga", "bga"],
             rows,
             title=(
                 f"{args.unit} x{args.width} SOIAS/SOI surface at "
-                f"{args.vdd} V, {args.clock:g} Hz "
-                f"(workers {args.workers})"
+                f"{args.vdd} V, {args.clock:g} Hz"
             ),
         )
     )
-    inputs = {
-        "unit": args.unit,
-        "width": args.width,
-        "vectors": args.vectors,
-        "vdd": args.vdd,
-        "clock": args.clock,
-        "grid": args.grid,
-        "workers": args.workers,
-    }
-    if scheduler is not None:
-        # Conditional key so nominal (pool/serial) manifests keep
-        # their input digests from earlier releases.
-        inputs["scheduler"] = {"local_workers": args.workers}
     _record_run(
         args,
-        inputs=inputs,
+        inputs={
+            "unit": args.unit,
+            "width": args.width,
+            "vectors": args.vectors,
+            "vdd": args.vdd,
+            "clock": args.clock,
+            "grid": args.grid,
+        },
         result={
             "defined_cells": surface.grid.defined_cells(),
             "zs": [list(row) for row in surface.grid.zs],
-            "refined": None
-            if refined is None
-            else {
-                "levels": refined.levels,
-                "band": refined.band,
-                "evaluated": refined.evaluated,
-                "total_points": refined.total_points,
-                "zero_cells": [list(cell) for cell in refined.zero_cells()],
-            },
+            "contour_cells": [list(cell) for cell in contour_cells],
         },
         wall_time_s=time.perf_counter() - started,
     )
@@ -568,23 +427,14 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         args.vdd_min + (args.vdd_max - args.vdd_min) * j / steps
         for j in range(args.grid)
     ]
-    scheduler = _open_scheduler(args)
-    try:
-        surface = flow.energy_surface(
-            vt_values,
-            vdd_values,
-            stages=args.stages,
-            activity=args.activity,
-            workers=args.workers,
-            progress=_stderr_progress(args.progress),
-            store=_open_store(args),
-            refine_levels=args.refine,
-            refine_band=args.refine_band,
-            scheduler=scheduler,
-        )
-    finally:
-        if scheduler is not None:
-            scheduler.close()
+    surface = flow.energy_surface(
+        vt_values,
+        vdd_values,
+        stages=args.stages,
+        activity=args.activity,
+        refine_levels=args.refine,
+        refine_band=args.refine_band,
+    )
     locus = surface.optimum_locus()
     if not locus:
         raise ReproError(
@@ -636,7 +486,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"{args.technology} energy surface at {args.clock:g} Hz, "
-                f"{args.stages} stages (workers {args.workers})"
+                f"{args.stages} stages"
             ),
         )
     )
@@ -648,10 +498,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         "grid": args.grid,
         "vt_range": [args.vt_min, args.vt_max],
         "vdd_range": [args.vdd_min, args.vdd_max],
-        "workers": args.workers,
     }
-    if scheduler is not None:
-        inputs["scheduler"] = {"local_workers": args.workers}
     _record_run(
         args,
         inputs=inputs,
@@ -690,25 +537,17 @@ def _cmd_variation(args: argparse.Namespace) -> int:
             f"{', '.join(sorted(cells))}"
         )
     cell = cells[args.cell]
-    scheduler = _open_scheduler(args)
     analyzer = MonteCarloAnalyzer(
         technology,
         vt_sigma=args.sigma,
         n_samples=args.samples,
         seed=args.seed,
-        workers=args.workers,
-        store=_open_store(args),
-        progress=_stderr_progress(args.progress, noun="samples"),
-        scheduler=scheduler,
     )
-    load_f = args.load_ff * 1e-15
-    try:
-        delay = analyzer.delay_distribution(cell, args.vdd, load_f)
-        leakage = analyzer.leakage_distribution(cell, args.vdd)
-        amplification = analyzer.leakage_amplification(cell, args.vdd)
-    finally:
-        if scheduler is not None:
-            scheduler.close()
+    delay = analyzer.delay_distribution(
+        cell, args.vdd, args.load_ff * 1e-15
+    )
+    leakage = analyzer.leakage_distribution(cell, args.vdd)
+    amplification = analyzer.leakage_amplification(cell, args.vdd)
     predicted = lognormal_leakage_amplification(
         args.sigma, technology.transistors.nmos.subthreshold_swing
     )
@@ -736,7 +575,7 @@ def _cmd_variation(args: argparse.Namespace) -> int:
             title=(
                 f"{args.cell} V_T variation on {technology.name} at "
                 f"{args.vdd} V (sigma {args.sigma} V, {args.samples} "
-                f"samples, workers {args.workers})"
+                f"samples)"
             ),
         )
     )
@@ -752,10 +591,7 @@ def _cmd_variation(args: argparse.Namespace) -> int:
         "samples": args.samples,
         "seed": args.seed,
         "load_ff": args.load_ff,
-        "workers": args.workers,
     }
-    if scheduler is not None:
-        inputs["scheduler"] = {"local_workers": args.workers}
     _record_run(
         args,
         inputs=inputs,
@@ -850,6 +686,10 @@ def _cmd_shutdown(args: argparse.Namespace) -> int:
         synthetic_session_trace,
     )
 
+    if not 0.0 < args.clock < math.inf:
+        raise ReproError(
+            f"clock must be positive and finite, got {args.clock}"
+        )
     costs = ShutdownCosts(
         active_power_w=args.active_mw * 1e-3,
         idle_power_w=args.idle_mw * 1e-3,
@@ -994,115 +834,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.store import ResultStore
-
-    store = ResultStore.at(args.store)
-    if args.action == "stats":
-        stats = store.stats()
-        rows = [[name, str(stats[name])] for name in sorted(stats)]
-        print(
-            format_table(
-                ["statistic", "value"],
-                rows,
-                title=f"Result store at {args.store}",
-            )
-        )
-        return 0
-    # gc
-    removed, freed = store.gc(max_bytes=int(args.max_mb * 1_000_000))
-    print(
-        f"Removed {removed} entries ({freed} bytes) from {args.store}; "
-        f"{store.stats()['backend_entries']} entries remain."
-    )
-    return 0
-
-
-def _cmd_sched_worker(args: argparse.Namespace) -> int:
-    from repro.sched.worker import worker_main
-
-    committed = worker_main(
-        args.queue,
-        lease_s=args.lease_s,
-        poll_s=args.poll_s,
-        max_idle_s=args.max_idle_s,
-        once=args.once,
-        job_id=args.job,
-    )
-    print(f"worker drained {committed} chunk(s) from {args.queue}")
-    return 0
-
-
-def _cmd_sched_submit(args: argparse.Namespace) -> int:
-    from repro.sched import Scheduler
-    from repro.sched.workloads import (
-        ContourCellTask,
-        contour_grid,
-        contour_pairs,
-        demo_module,
-    )
-
-    task = ContourCellTask(
-        demo_module(), args.vdd, 1.0 / args.clock, repeat=args.repeat
-    )
-    pairs = contour_pairs(contour_grid(args.grid))
-    scheduler = Scheduler(root=args.queue, plan_workers=args.plan_workers)
-    record = scheduler.submit(
-        task, pairs,
-        note=args.note or f"contour {args.grid}x{args.grid}",
-    )
-    print(
-        f"Job submitted: {record.job_id} ({record.n_items} items in "
-        f"{record.n_chunks} chunks of {record.chunksize})"
-    )
-    return 0
-
-
-def _cmd_sched_status(args: argparse.Namespace) -> int:
-    from repro.sched import JobQueue
-
-    queue = JobQueue(args.queue)
-    job_ids = [args.job] if args.job else queue.list_jobs()
-    rows = []
-    for job_id in job_ids:
-        status = queue.status(job_id)
-        state = "cancelled" if status.cancelled else (
-            "finished" if status.finished else "running"
-        )
-        rows.append(
-            [
-                status.job_id,
-                state,
-                f"{status.done}/{status.n_chunks}",
-                status.leased,
-                status.queued,
-                status.n_items,
-                status.note,
-            ]
-        )
-    if rows:
-        print(
-            format_table(
-                ["job", "state", "done", "leased", "queued", "items",
-                 "note"],
-                rows,
-                title=f"Scheduler queue {args.queue}",
-            )
-        )
-    else:
-        print(f"Scheduler queue {args.queue}: no jobs")
-    print(f"queue depth: {queue.queue_depth()} claimable chunk(s)")
-    return 0
-
-
-def _cmd_sched_cancel(args: argparse.Namespace) -> int:
-    from repro.sched import JobQueue
-
-    JobQueue(args.queue).cancel(args.job)
-    print(f"Job cancelled: {args.job}")
-    return 0
-
-
 def _add_record_arguments(parser: argparse.ArgumentParser) -> None:
     """--record / --runs-root for the manifest-recording subcommands."""
     from repro.store.registry import DEFAULT_RUNS_ROOT
@@ -1115,48 +846,6 @@ def _add_record_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--runs-root", default=DEFAULT_RUNS_ROOT, metavar="PATH",
         help=f"run-manifest directory (default: {DEFAULT_RUNS_ROOT})",
-    )
-
-
-def _add_store_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="persist results under PATH for reuse and resumption "
-        f"(e.g. {_DEFAULT_STORE_ROOT})",
-    )
-
-
-def _add_scheduler_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scheduler", default=None, metavar="DIR",
-        help="evaluate the fan-out through the durable work queue at "
-        "DIR instead of an in-process pool (workers started here "
-        "and/or externally with 'repro sched worker DIR' drain it; "
-        "--workers then means local scheduler workers to spawn)",
-    )
-
-
-def _open_scheduler(args: argparse.Namespace):
-    """The Scheduler named by ``--scheduler``, or None when absent."""
-    path = getattr(args, "scheduler", None)
-    if not path:
-        return None
-    from repro.sched import Scheduler
-
-    return Scheduler(root=path, local_workers=args.workers)
-
-
-def _add_parallel_arguments(
-    parser: argparse.ArgumentParser, noun: str
-) -> None:
-    """--workers / --progress, shared by the fan-out subcommands."""
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help=f"worker processes for the {noun} (0 = serial)",
-    )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="report completion on stderr as chunks finish",
     )
 
 
@@ -1256,8 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--technology", choices=sorted(_TECHNOLOGIES), default="soi"
     )
     _add_yield_arguments(optimize)
-    _add_parallel_arguments(optimize, "V_T locus")
-    _add_store_argument(optimize)
     _add_record_arguments(optimize)
     _add_metrics_arguments(optimize)
     optimize.set_defaults(handler=_cmd_optimize)
@@ -1278,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--vdd", type=float, default=1.0)
     compare.add_argument("--clock", type=float, default=1e6)
     _add_yield_arguments(compare)
-    _add_parallel_arguments(compare, "unit evaluations")
     _add_record_arguments(compare)
     _add_metrics_arguments(compare)
     compare.set_defaults(handler=_cmd_compare)
@@ -1295,19 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
     contour.add_argument("--vdd", type=float, default=1.0)
     contour.add_argument("--clock", type=float, default=1e6)
     contour.add_argument("--grid", type=int, default=24)
-    contour.add_argument(
-        "--refine", type=int, default=0, metavar="N",
-        help="adaptive subdivision levels around the break-even "
-        "contour (0 = uniform grid only)",
-    )
-    contour.add_argument(
-        "--refine-band", type=float, default=0.15, metavar="B",
-        help="|log10 ratio| band that marks a cell for refinement "
-        "(default: 0.15)",
-    )
-    _add_parallel_arguments(contour, "grid")
-    _add_scheduler_argument(contour)
-    _add_store_argument(contour)
     _add_record_arguments(contour)
     _add_metrics_arguments(contour)
     contour.set_defaults(handler=_cmd_contour)
@@ -1337,9 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative distance from the per-V_T energy minimum that "
         "marks a cell for refinement (default: 0.2)",
     )
-    _add_parallel_arguments(surface, "grid")
-    _add_scheduler_argument(surface)
-    _add_store_argument(surface)
     _add_record_arguments(surface)
     _add_metrics_arguments(surface)
     surface.set_defaults(handler=_cmd_surface)
@@ -1358,9 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     variation.add_argument("--seed", type=int, default=0)
     variation.add_argument("--load-ff", type=float, default=10.0)
     variation.add_argument("--percentile", type=float, default=99.0)
-    _add_parallel_arguments(variation, "sample chunks")
-    _add_scheduler_argument(variation)
-    _add_store_argument(variation)
     _add_record_arguments(variation)
     _add_metrics_arguments(variation)
     variation.set_defaults(handler=_cmd_variation)
@@ -1442,95 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"run-manifest directory (default: {DEFAULT_RUNS_ROOT})",
     )
     runs.set_defaults(handler=_cmd_runs)
-
-    cache = sub.add_parser(
-        "cache", help="result-store statistics and garbage collection"
-    )
-    cache.add_argument("action", choices=["stats", "gc"])
-    cache.add_argument(
-        "--store", default=_DEFAULT_STORE_ROOT, metavar="PATH",
-        help=f"result-store directory (default: {_DEFAULT_STORE_ROOT})",
-    )
-    cache.add_argument(
-        "--max-mb", type=float, default=0.0,
-        help="gc target size in MB (0 = remove everything)",
-    )
-    cache.set_defaults(handler=_cmd_cache)
-
-    sched = sub.add_parser(
-        "sched",
-        help="durable distributed sweep scheduler (queue of leased "
-        "chunks drained by worker processes)",
-    )
-    sched_sub = sched.add_subparsers(dest="sched_command", required=True)
-
-    sched_worker = sched_sub.add_parser(
-        "worker",
-        help="run a claim/evaluate/heartbeat/commit worker loop",
-    )
-    sched_worker.add_argument("queue", metavar="DIR")
-    sched_worker.add_argument(
-        "--lease-s", type=float, default=30.0,
-        help="lease duration granted per claimed chunk (default 30)",
-    )
-    sched_worker.add_argument(
-        "--poll-s", type=float, default=0.5,
-        help="sleep between claim attempts when idle (default 0.5)",
-    )
-    sched_worker.add_argument(
-        "--max-idle-s", type=float, default=None,
-        help="exit after this long with nothing claimable "
-        "(default: run forever)",
-    )
-    sched_worker.add_argument(
-        "--once", action="store_true",
-        help="process at most one chunk, then exit",
-    )
-    sched_worker.add_argument(
-        "--job", default=None, metavar="JOB_ID",
-        help="only claim chunks of this job",
-    )
-    sched_worker.set_defaults(handler=_cmd_sched_worker)
-
-    sched_submit = sched_sub.add_parser(
-        "submit", help="enqueue a demo contour job (idempotent)"
-    )
-    sched_submit.add_argument("queue", metavar="DIR")
-    sched_submit.add_argument(
-        "--kind", choices=["contour"], default="contour",
-        help="workload family (currently the Fig. 10 contour demo)",
-    )
-    sched_submit.add_argument("--grid", type=int, default=12)
-    sched_submit.add_argument("--vdd", type=float, default=1.0)
-    sched_submit.add_argument("--clock", type=float, default=1e6)
-    sched_submit.add_argument(
-        "--repeat", type=int, default=1,
-        help="re-evaluations per cell (tunable per-chunk cost)",
-    )
-    sched_submit.add_argument(
-        "--plan-workers", type=int, default=2,
-        help="planned fan-out for chunk sizing — part of the job id, "
-        "keep fixed across resumes (default 2)",
-    )
-    sched_submit.add_argument("--note", default="", metavar="TEXT")
-    sched_submit.set_defaults(handler=_cmd_sched_submit)
-
-    sched_status = sched_sub.add_parser(
-        "status", help="per-job chunk accounting and queue depth"
-    )
-    sched_status.add_argument("queue", metavar="DIR")
-    sched_status.add_argument(
-        "--job", default=None, metavar="JOB_ID",
-        help="show only this job",
-    )
-    sched_status.set_defaults(handler=_cmd_sched_status)
-
-    sched_cancel = sched_sub.add_parser(
-        "cancel", help="mark a job cancelled; workers stop claiming it"
-    )
-    sched_cancel.add_argument("queue", metavar="DIR")
-    sched_cancel.add_argument("job", metavar="JOB_ID")
-    sched_cancel.set_defaults(handler=_cmd_sched_cancel)
 
     return parser
 

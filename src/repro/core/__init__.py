@@ -21,7 +21,6 @@ from repro.core.scenarios import (
 )
 from repro.core.shutdown import (
     ActivityPeriod,
-    GracefulShutdown,
     OraclePolicy,
     PredictivePolicy,
     ShutdownCosts,
@@ -40,7 +39,6 @@ __all__ = [
     "OraclePolicy",
     "evaluate_policy",
     "synthetic_session_trace",
-    "GracefulShutdown",
     "LowVoltageDesignFlow",
     "UnitEvaluation",
     "ApplicationEvaluation",

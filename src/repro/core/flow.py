@@ -15,8 +15,9 @@ The flow evaluates, for each functional unit of a processor datapath:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.analysis.comparator import TechnologyComparator, TechnologyVerdict
@@ -116,8 +117,11 @@ class LowVoltageDesignFlow:
     ):
         from repro.power.optimizer import VariationSpec
 
-        if vdd <= 0.0 or clock_hz <= 0.0:
-            raise AnalysisError("vdd and clock must be positive")
+        if not (0.0 < vdd < math.inf and 0.0 < clock_hz < math.inf):
+            raise AnalysisError(
+                f"vdd and clock must be positive and finite, got "
+                f"vdd {vdd}, clock {clock_hz}"
+            )
         if profile_engine not in ("fast", "reference"):
             raise AnalysisError(
                 f"unknown profile engine {profile_engine!r}; "
@@ -203,24 +207,10 @@ class LowVoltageDesignFlow:
         module: ModuleEnergyParameters,
         fga_values: Sequence[float],
         bga_values: Sequence[float],
-        workers: int = 0,
-        progress: Optional[Callable[[int, int], None]] = None,
-        store=None,
-        refine_levels: int = 0,
-        refine_band: float = 0.15,
-        scheduler=None,
     ) -> RatioSurface:
-        """Fig. 10 surface for one module (``workers`` fans out the grid).
+        """Fig. 10 surface for one module at this flow's operating point.
 
-        ``progress(done_cells, total_cells)`` is forwarded to the grid
-        sweep so long surfaces can report completion; ``store`` (a
-        :class:`repro.store.ResultStore`) makes the grid checkpointed
-        and resumable; ``refine_levels``/``refine_band`` enable
-        adaptive subdivision of the cells around the break-even
-        contour; ``scheduler`` (a :class:`repro.sched.Scheduler`)
-        evaluates the grid through the durable work queue instead of
-        the in-process pool — see :func:`repro.analysis.contour.
-        energy_ratio_surface`.
+        See :func:`repro.analysis.contour.energy_ratio_surface`.
         """
         with obs.span("flow.ratio_surface"):
             return energy_ratio_surface(
@@ -229,12 +219,6 @@ class LowVoltageDesignFlow:
                 self.t_cycle_s,
                 fga_values,
                 bga_values,
-                workers=workers,
-                progress=progress,
-                store=store,
-                refine_levels=refine_levels,
-                refine_band=refine_band,
-                scheduler=scheduler,
             )
 
     def energy_surface(
@@ -244,12 +228,8 @@ class LowVoltageDesignFlow:
         stages: int = 101,
         activity: float = 1.0,
         cycle_stages: Optional[int] = None,
-        workers: int = 0,
-        progress: Optional[Callable[[int, int], None]] = None,
-        store=None,
         refine_levels: int = 0,
         refine_band: float = 0.2,
-        scheduler=None,
     ) -> "EnergySurface":
         """Fig. 3/4 energy plane at this flow's clock rate.
 
@@ -257,11 +237,8 @@ class LowVoltageDesignFlow:
         cells that miss the per-stage delay budget (``t_cycle_s /
         cycle_stages``, ``cycle_stages`` defaulting to ``2 * stages``
         like :meth:`throughput_optimizer`) marked infeasible.
-        ``workers``/``progress``/``store``/``refine_levels``/
-        ``refine_band``/``scheduler`` follow the :meth:`ratio_surface`
-        contract — refinement here sharpens the optimum-energy locus
-        instead of a zero contour; see
-        :func:`repro.analysis.surface.energy_surface`.
+        ``refine_levels``/``refine_band`` sharpen the optimum-energy
+        locus; see :func:`repro.analysis.surface.energy_surface`.
         """
         from repro.analysis.surface import energy_surface
 
@@ -274,12 +251,8 @@ class LowVoltageDesignFlow:
                 stages=stages,
                 activity=activity,
                 cycle_stages=cycle_stages,
-                workers=workers,
-                progress=progress,
-                store=store,
                 refine_levels=refine_levels,
                 refine_band=refine_band,
-                scheduler=scheduler,
             )
 
     # ------------------------------------------------------------------
@@ -290,7 +263,6 @@ class LowVoltageDesignFlow:
         stages: int = 101,
         activity: float = 1.0,
         cycle_stages: Optional[int] = None,
-        store=None,
     ) -> "FixedThroughputOptimizer":
         """Figs. 3-4 optimizer on this flow's technology and variation.
 
@@ -306,7 +278,7 @@ class LowVoltageDesignFlow:
         )
 
         ring = RingOscillatorModel(
-            self.technology, stages=stages, activity=activity, store=store
+            self.technology, stages=stages, activity=activity
         )
         return FixedThroughputOptimizer(
             ring,
@@ -321,14 +293,12 @@ class LowVoltageDesignFlow:
         activity: float = 1.0,
         cycle_stages: Optional[int] = None,
         vt_bounds: Sequence[float] = (0.01, 0.6),
-        store=None,
     ) -> "OperatingPoint":
         """Minimum-energy (V_DD, V_T) point at a fixed stage delay."""
         optimizer = self.throughput_optimizer(
             stages=stages,
             activity=activity,
             cycle_stages=cycle_stages,
-            store=store,
         )
         with obs.span("flow.optimize"):
             return optimizer.optimum(

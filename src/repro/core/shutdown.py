@@ -16,6 +16,7 @@ shutdown work).  This module supplies that system layer:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Protocol
@@ -31,7 +32,6 @@ __all__ = [
     "OraclePolicy",
     "synthetic_session_trace",
     "evaluate_policy",
-    "GracefulShutdown",
 ]
 
 
@@ -72,8 +72,11 @@ class ShutdownCosts:
                 raise AnalysisError(f"{name} must be >= 0")
         if self.wakeup_latency_cycles < 0:
             raise AnalysisError("wakeup latency must be >= 0")
-        if self.cycle_time_s <= 0.0:
-            raise AnalysisError("cycle time must be positive")
+        if not 0.0 < self.cycle_time_s < math.inf:
+            raise AnalysisError(
+                f"cycle time must be positive and finite, got "
+                f"{self.cycle_time_s}"
+            )
         if not self.off_power_w <= self.idle_power_w <= self.active_power_w:
             raise AnalysisError(
                 "powers must satisfy off <= idle <= active"
@@ -298,48 +301,3 @@ def evaluate_policy(
         wakeups=wakeups,
         latency_penalty_cycles=latency,
     )
-
-
-class GracefulShutdown:
-    """Cooperative SIGTERM/SIGINT handling for long-running processes.
-
-    The scheduler's worker loop (:mod:`repro.sched.worker`) must stop
-    cleanly between work items: a chunk whose lease is abandoned
-    mid-evaluation is simply re-dispatched, but a chunk killed *during*
-    a commit would rely entirely on the store's atomic writes.  This
-    context manager converts the first SIGTERM/SIGINT into a
-    ``requested`` flag the loop polls, so the process finishes (or
-    abandons) the current item and exits by choice.  Handlers are
-    restored on exit; a second signal therefore behaves normally.
-
-    Only usable from the main thread (CPython restricts
-    :func:`signal.signal` to it); elsewhere, construct it with
-    ``install=False`` and call :meth:`request` manually.
-    """
-
-    def __init__(self, signals: Optional[tuple] = None, install: bool = True):
-        import signal as _signal
-
-        self._signal = _signal
-        self.signals = tuple(
-            signals if signals is not None
-            else (_signal.SIGTERM, _signal.SIGINT)
-        )
-        self.install = install
-        self.requested = False
-        self._previous: dict = {}
-
-    def request(self, signum: Optional[int] = None, frame: object = None) -> None:
-        """Mark shutdown as requested (also the installed signal handler)."""
-        self.requested = True
-
-    def __enter__(self) -> "GracefulShutdown":
-        if self.install:
-            for sig in self.signals:
-                self._previous[sig] = self._signal.signal(sig, self.request)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        for sig, handler in self._previous.items():
-            self._signal.signal(sig, handler)
-        self._previous.clear()

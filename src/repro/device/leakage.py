@@ -316,8 +316,10 @@ class StackSolver:
 
     def current(self, vdd: float, vt_shift: float = 0.0) -> float:
         """Stack leakage current at one (V_DD, shift) corner [A]."""
-        if vdd <= 0.0:
-            raise DeviceModelError(f"vdd must be positive, got {vdd}")
+        if not 0.0 < vdd < math.inf:
+            raise DeviceModelError(
+                f"vdd must be positive and finite, got {vdd}"
+            )
         devices = self._devices
         if len(devices) == 1:
             return self._off_current(devices[0], vdd, vt_shift)

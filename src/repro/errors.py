@@ -23,7 +23,6 @@ __all__ = [
     "AnalysisError",
     "SerializationError",
     "StoreError",
-    "SchedulerError",
 ]
 
 
@@ -86,8 +85,5 @@ class SerializationError(DeviceModelError):
 
 
 class StoreError(ReproError):
-    """Result-store misuse or damage (bad key, torn checkpoint, ...)."""
+    """Run-registry misuse or damage (bad run id, corrupt manifest, ...)."""
 
-
-class SchedulerError(ReproError):
-    """Scheduler misuse or queue damage (bad job, lost lease, ...)."""

@@ -1,8 +1,8 @@
 """Lightweight observability: counters, timers, and trace spans.
 
 The toolkit's hot paths (cell characterization, switch-level
-simulation, bisection/golden-section optimization, the parallel sweep
-engine, the ISA interpreter's ``machine.instructions`` /
+simulation, bisection/golden-section optimization, the surface and
+Monte-Carlo kernels, the ISA interpreter's ``machine.instructions`` /
 ``machine.decode`` / instructions-per-second metrics) are instrumented
 against this module.  The design constraint
 is **zero overhead when disabled**: every instrumentation site guards
@@ -23,10 +23,8 @@ Metric model
 * **Gauges** — last-write-wins values for sizes and ratios
   (``obs.gauge("ring.corners", 12)``).
 
-All state is process-global and therefore per-worker in the parallel
-engine: child processes start with empty registries and their samples
-are *not* merged back (the parent's counters describe the parent's own
-work — dispatching, retries, fallbacks).
+All state is process-global: every evaluation runs in the calling
+process, so one registry sees the whole run.
 
 Usage::
 
@@ -211,12 +209,10 @@ def counter_value(name: str) -> int:
 def counters_with_prefix(prefix: str) -> Dict[str, int]:
     """Every counter whose dotted name starts with ``prefix``.
 
-    ``counters_with_prefix("store")`` collects the result-store family
-    (``store.hits``, ``store.misses``, ``store.evictions``,
-    ``store.writes``, ``store.corrupt_dropped``,
-    ``store.sweep_cells_restored``, ...) — the snapshot run manifests
-    embed.  A bare prefix matches both the exact name and its
-    sub-families.
+    ``counters_with_prefix("characterizer")`` collects the corner-memo
+    family (``characterizer.hits``, ``characterizer.misses``,
+    ``characterizer.hits.delay``, ...).  A bare prefix matches both the
+    exact name and its sub-families.
     """
     dotted = prefix + "."
     return {

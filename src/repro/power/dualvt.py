@@ -15,6 +15,7 @@ critical path still meets the delay budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional
 
@@ -83,8 +84,10 @@ class DualVtOptimizer:
     ):
         if high_vt_shift <= 0.0:
             raise OptimizationError("high_vt_shift must be positive")
-        if vdd <= 0.0:
-            raise OptimizationError("vdd must be positive")
+        if not 0.0 < vdd < math.inf:
+            raise OptimizationError(
+                f"vdd must be positive and finite, got {vdd}"
+            )
         netlist.validate()
         self.netlist = netlist
         self.technology = technology
@@ -133,8 +136,10 @@ class DualVtOptimizer:
         each accepted move keeps the timing check green.  A second
         pass picks up gates whose slack grew after others slowed.
         """
-        if delay_budget < 1.0:
-            raise OptimizationError("delay budget must be >= 1.0")
+        if not 1.0 <= delay_budget < math.inf:
+            raise OptimizationError(
+                f"delay budget must be >= 1.0 and finite, got {delay_budget}"
+            )
         if max_passes < 1:
             raise OptimizationError("max_passes must be >= 1")
         baseline_delay = self.delay()

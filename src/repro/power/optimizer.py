@@ -62,7 +62,7 @@ _GOLDEN = 0.6180339887498949
 _INVERTER = standard_cells()["INV"]
 
 
-def _zero_threshold_decode(technology: Technology, store=None):
+def _zero_threshold_decode(technology: Technology):
     """``(characterizer, plan)``: the ring inverter decoded at V_T0 = 0.
 
     The characterizer is of ``technology.with_vt(0.0)`` and the plan is
@@ -79,7 +79,7 @@ def _zero_threshold_decode(technology: Technology, store=None):
     shift-0 reference root that lies outside its window once
     ``V_T0 = 0``, so every shift would run the Newton solve.
     """
-    characterizer = CellCharacterizer(technology.with_vt(0.0), store=store)
+    characterizer = CellCharacterizer(technology.with_vt(0.0))
     return characterizer, characterizer.plan_operating(_INVERTER, fanout=1)
 
 
@@ -284,8 +284,10 @@ class VariationSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.percentile <= 100.0:
             raise OptimizationError("percentile must be in [0, 100]")
-        if self.vt_sigma < 0.0:
-            raise OptimizationError("vt_sigma must be >= 0")
+        if not 0.0 <= self.vt_sigma < math.inf:
+            raise OptimizationError(
+                f"vt_sigma must be >= 0 and finite, got {self.vt_sigma}"
+            )
         if self.n_samples < 2:
             raise OptimizationError("need at least two samples")
 
@@ -361,11 +363,6 @@ class RingOscillatorModel:
     activity:
         Average node transition activity of the *module* the ring
         stands in for (1.0 for the ring itself, lower for logic).
-    store:
-        Optional :class:`repro.store.ResultStore`.  The characterizer
-        loads the entries previously flushed for its zero-threshold
-        technology and :meth:`flush_store` persists them — a warm
-        store turns repeat optimizations into pure lookups.
 
     The characterizer's memo grows with the distinct (V_DD, V_T)
     probes answered, like any characterizer's; a model that serves
@@ -378,7 +375,6 @@ class RingOscillatorModel:
         technology: Technology,
         stages: int = 101,
         activity: float = 1.0,
-        store=None,
     ):
         if stages < 3 or stages % 2 == 0:
             raise OptimizationError("stages must be odd and >= 3")
@@ -387,19 +383,9 @@ class RingOscillatorModel:
         self.technology = technology
         self.stages = stages
         self.activity = activity
-        self.store = store
         self._characterizer, self._plan = _zero_threshold_decode(
-            technology, store
+            technology
         )
-
-    def flush_store(self) -> int:
-        """Persist the characterization memo.
-
-        Returns the number of entries written (0 without a store).
-        Call it at natural boundaries (end of a sweep or ``optimum``)
-        rather than once per probe.
-        """
-        return self._characterizer.flush_store()
 
     def stage_delay(self, vdd: float, vt: float) -> float:
         """Fanout-1 inverter delay at a corner [s].

@@ -14,6 +14,7 @@ downsizing that still meets the delay budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -72,8 +73,10 @@ class GateSizingOptimizer:
         allowed_factors: Sequence[float] = (0.35, 0.5, 0.7),
         wire_length_per_fanout_um: float = 5.0,
     ):
-        if vdd <= 0.0:
-            raise OptimizationError("vdd must be positive")
+        if not 0.0 < vdd < math.inf:
+            raise OptimizationError(
+                f"vdd must be positive and finite, got {vdd}"
+            )
         if not allowed_factors:
             raise OptimizationError("need at least one allowed factor")
         if any(not 0.0 < k < 1.0 for k in allowed_factors):
@@ -121,8 +124,10 @@ class GateSizingOptimizer:
     # ------------------------------------------------------------------
     def optimize(self, delay_budget: float = 1.0) -> SizingSolution:
         """Greedy downsizing under a delay budget (growth factor)."""
-        if delay_budget < 1.0:
-            raise OptimizationError("delay budget must be >= 1.0")
+        if not 1.0 <= delay_budget < math.inf:
+            raise OptimizationError(
+                f"delay budget must be >= 1.0 and finite, got {delay_budget}"
+            )
         baseline_delay = self.delay()
         target = baseline_delay * delay_budget
         sizes: Dict[str, float] = {}

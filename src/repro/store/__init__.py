@@ -1,49 +1,27 @@
-"""Durable results: content-addressed store, checkpoints, run registry.
+"""Run manifests: one recorded CLI invocation per file.
 
-The analysis layers (PRs 1-2) made single evaluations fast and sweeps
-parallel and fault-tolerant — but every cache died with the process.
-This package adds the persistence tier:
-
-* :mod:`repro.store.hashing` — canonical SHA-256 addressing of
-  technologies, cells, modules, and sweep requests;
-* :mod:`repro.store.backend` — :class:`ResultStore`: an atomic
-  (tmp + ``os.replace``) disk backend with a bounded in-memory LRU
-  front and obs-instrumented hit/miss/evict accounting;
-* :mod:`repro.store.checkpoint` — :class:`SweepCheckpoint`: chunk-
-  grained persistence that makes ``sweep_2d`` /
-  ``energy_ratio_surface`` / ``MonteCarloAnalyzer`` resumable after a
-  kill, bit-identical to a cold serial run;
+* :mod:`repro.store.hashing` — canonical JSON and its SHA-256 digest;
 * :mod:`repro.store.registry` — :class:`RunRegistry`: one manifest
   per recorded CLI invocation (inputs digest, config, wall time,
-  metrics snapshot, result digest) behind ``repro runs list|show|diff``.
+  metrics snapshot, result digest) behind ``repro runs list|show|diff``;
+* :mod:`repro.store.backend` — :class:`ResultStore` over an atomic
+  disk or in-memory backend, a standalone key/value store that no
+  evaluation path or CLI verb uses.
 
-See ``docs/store.md`` for the on-disk layout and resume semantics.
+See ``docs/store.md`` for the manifest layout.
 """
 
 from repro.store.backend import DiskBackend, MemoryBackend, ResultStore
-from repro.store.checkpoint import SweepCheckpoint
-from repro.store.hashing import (
-    canonical_json,
-    cell_digest,
-    digest,
-    module_digest,
-    request_digest,
-    technology_digest,
-)
+from repro.store.hashing import canonical_json, digest
 from repro.store.registry import DEFAULT_RUNS_ROOT, RunManifest, RunRegistry
 
 __all__ = [
     "ResultStore",
     "DiskBackend",
     "MemoryBackend",
-    "SweepCheckpoint",
     "RunManifest",
     "RunRegistry",
     "DEFAULT_RUNS_ROOT",
     "canonical_json",
     "digest",
-    "technology_digest",
-    "cell_digest",
-    "module_digest",
-    "request_digest",
 ]

@@ -20,6 +20,9 @@ protocol:
 front and hit/miss/eviction accounting (mirrored into :mod:`repro.obs`
 as ``store.hits`` / ``store.misses`` / ``store.evictions`` /
 ``store.writes`` when enabled).
+
+No evaluation path or CLI verb reads or writes a store: sweeps,
+surfaces and Monte-Carlo distributions always recompute in process.
 """
 
 from __future__ import annotations
@@ -159,7 +162,6 @@ class DiskBackend:
         an exclusive ``O_CREAT | O_EXCL`` create, so exactly one of any
         number of concurrent callers — including callers in other
         processes or on other hosts sharing the filesystem — succeeds.
-        The scheduler builds chunk leases on this primitive.
         """
         path = self._path(key)
         directory = os.path.dirname(path)

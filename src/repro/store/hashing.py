@@ -1,22 +1,13 @@
-"""Canonical hashing of toolkit inputs.
+"""Canonical hashing of run inputs and results.
 
-Every durable artifact in :mod:`repro.store` is addressed by the
-SHA-256 digest of a *canonical JSON* rendering of its inputs: keys
-sorted, separators fixed, tuples flattened to lists, floats rendered
-with Python's shortest round-trip ``repr`` (the :mod:`json` default,
-deterministic across runs and platforms for IEEE-754 doubles).
-
-Two consequences matter:
-
-* equal inputs always produce equal keys, so a re-run of the same
-  sweep finds its own checkpoints; and
-* *any* change to the hashed fields — a new model parameter, a
-  renamed key, a format bump — changes every key, which safely
-  invalidates stored results instead of silently serving stale ones.
-
-Because of the second property the digest of the default technology is
-pinned by a regression test: accidental drift of the hash inputs
-(which would invalidate every stored result) fails CI loudly.
+Run manifests (:mod:`repro.store.registry`) identify a run's inputs
+and its result by the SHA-256 digest of a *canonical JSON* rendering:
+keys sorted, separators fixed, tuples flattened to lists, floats
+rendered with Python's shortest round-trip ``repr`` (the :mod:`json`
+default, deterministic across runs and platforms for IEEE-754
+doubles).  Equal values always produce equal digests, so two runs of
+the same command with the same inputs share an inputs digest, and
+``repro runs diff`` can tell a changed result from an unchanged one.
 """
 
 from __future__ import annotations
@@ -24,23 +15,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import StoreError
 
-__all__ = [
-    "canonical_json",
-    "digest",
-    "technology_digest",
-    "cell_digest",
-    "module_digest",
-    "request_digest",
-]
-
-#: Version stamp folded into every request digest.  Bump it when the
-#: *meaning* of stored payloads changes (not just their inputs) so old
-#: entries are never misread as current ones.
-STORE_HASH_VERSION = "repro-store-hash-v1"
+__all__ = ["canonical_json", "digest"]
 
 
 def _jsonable(value):
@@ -79,38 +58,3 @@ def digest(value) -> str:
     """SHA-256 hex digest of :func:`canonical_json`."""
     text = canonical_json(value)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def technology_digest(technology) -> str:
-    """Stable digest of a :class:`~repro.device.technology.Technology`.
-
-    Built on :func:`repro.device.serialize.technology_to_dict`, so the
-    hash covers every model parameter that can change a characterized
-    number — including the serialization format version.
-    """
-    from repro.device.serialize import technology_to_dict
-
-    return digest(technology_to_dict(technology))
-
-
-def cell_digest(cell) -> str:
-    """Stable digest of a :class:`~repro.tech.cells.Cell`."""
-    return digest(dataclasses.asdict(cell))
-
-
-def module_digest(module) -> str:
-    """Stable digest of module energy parameters (Eq. 3/4 inputs)."""
-    return digest(dataclasses.asdict(module))
-
-
-def request_digest(kind: str, *parts) -> str:
-    """Digest of one store request: a kind tag plus its input parts.
-
-    ``kind`` namespaces the request ("ratio-surface", "mc-delay", ...)
-    so two different computations over identical numbers can never
-    collide.
-    """
-    if not kind:
-        raise StoreError("request kind must be non-empty")
-    payload: Sequence = [STORE_HASH_VERSION, kind, [_jsonable(p) for p in parts]]
-    return digest(payload)

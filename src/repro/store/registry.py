@@ -5,7 +5,7 @@ A :class:`RunManifest` captures what one optimize/compare/contour run
 user passed, wall time, an :mod:`repro.obs` metrics snapshot, and a
 digest of the result it printed.  :class:`RunRegistry` persists
 manifests as one JSON file per run under ``.repro/runs/`` (atomic
-write, same discipline as the result store) and answers the CLI verbs
+write: a temporary file, then ``os.replace``) and answers the CLI verbs
 ``repro runs list | show | diff``.
 
 Two runs with equal ``inputs_digest`` and different ``result_digest``

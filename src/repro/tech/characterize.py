@@ -19,8 +19,8 @@ for V_DD below V_T (sub-threshold operation), just exponentially slow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
 from typing import Dict
 
 from repro import obs as _obs
@@ -80,20 +80,9 @@ class CellCharacterizer:
     ``Cell`` is a frozen dataclass, so cells key the cache by *value*:
     equal cells from different ``standard_cells()`` catalogs share
     entries.
-
-    With a ``store`` (a :class:`repro.store.ResultStore`) the memo
-    becomes **persistent**: construction loads the entries previously
-    flushed for this exact technology (keyed by its canonical digest,
-    so any model-parameter change starts a fresh namespace), they are
-    adopted into the memo as their cells are first interned — the hot
-    lookup path is unchanged — and :meth:`flush_store` writes the
-    merged memo back durably.  Restored values are bit-identical to
-    recomputed ones (JSON round-trips doubles exactly).
     """
 
-    def __init__(
-        self, technology: Technology, cache: bool = True, store=None
-    ):
+    def __init__(self, technology: Technology, cache: bool = True):
         self.technology = technology
         self.cache_enabled = bool(cache)
         self._memo: dict = {}
@@ -113,78 +102,6 @@ class CellCharacterizer:
         # repro.tech.opplan); they share the stack models above, so
         # both caches are dropped together.
         self._plans: dict = {}
-        # Persistence: stored entries wait in _pending_store keyed by
-        # cell digest until their cell is interned, then move into the
-        # memo under that cell's token.
-        self._store = store if self.cache_enabled else None
-        self._tech_store_key = ""
-        self._pending_store: dict = {}
-        self._token_digests: dict = {}
-        self._store_restored = 0
-        if self._store is not None:
-            self._load_store()
-
-    # ------------------------------------------------------------------
-    # Persistence (repro.store)
-    # ------------------------------------------------------------------
-    def _store_key(self) -> str:
-        if not self._tech_store_key:
-            from repro.store.hashing import technology_digest
-
-            self._tech_store_key = f"char/{technology_digest(self.technology)}"
-        return self._tech_store_key
-
-    def _load_store(self) -> None:
-        payload = self._store.get(self._store_key())
-        if not isinstance(payload, dict):
-            return
-        for entry in payload.get("entries", ()):
-            family, digest, args, value = entry
-            per_cell = self._pending_store.setdefault(digest, {})
-            per_cell[(family, tuple(args))] = value
-
-    def _adopt_stored(self, cell: Cell, token: int) -> None:
-        """Move a newly interned cell's stored entries into the memo."""
-        from repro.store.hashing import cell_digest
-
-        digest = cell_digest(cell)
-        self._token_digests[token] = digest
-        entries = self._pending_store.pop(digest, None)
-        if not entries:
-            return
-        for (family, args), value in entries.items():
-            self._memo[(family, token) + args] = value
-        self._store_restored += len(entries)
-        if _obs.ENABLED:
-            _obs.incr("characterizer.store_restored", len(entries))
-
-    def flush_store(self) -> int:
-        """Durably persist the memo (merged with unseen stored cells).
-
-        Returns the number of entries written; no-op without a store.
-        Safe to call repeatedly — the write is atomic and idempotent.
-        """
-        if self._store is None:
-            return 0
-        entries = []
-        for digest, per_cell in self._pending_store.items():
-            for (family, args), value in per_cell.items():
-                entries.append([family, digest, list(args), value])
-        for key, value in self._memo.items():
-            digest = self._token_digests.get(key[1])
-            if digest is None:  # pragma: no cover - tokens precede store
-                continue
-            entries.append([key[0], digest, list(key[2:]), value])
-        entries.sort(key=lambda entry: (entry[0], entry[1], repr(entry[2])))
-        self._store.put(self._store_key(), {"entries": entries})
-        if _obs.ENABLED:
-            _obs.incr("characterizer.store_flushes")
-        return len(entries)
-
-    @property
-    def store_restored(self) -> int:
-        """Memo entries served from the persistent store this session."""
-        return self._store_restored
 
     def _note(self, family: str, hit: bool) -> None:
         """Per-family obs counters (called only while obs is enabled)."""
@@ -200,19 +117,15 @@ class CellCharacterizer:
         if token is None:
             token = len(self._cell_tokens)
             self._cell_tokens[cell] = token
-            if self._store is not None:
-                self._adopt_stored(cell, token)
         self._id_tokens[id(cell)] = (cell, token)
         return token
 
     def clear_cache(self) -> None:
         """Drop every memoized corner result (stack memo included) and
-        zero the hit/miss statistics.  With a store attached, unflushed
-        entries are discarded and the persisted ones re-staged."""
+        zero the hit/miss statistics."""
         self._memo.clear()
         self._cell_tokens.clear()
         self._id_tokens.clear()
-        self._token_digests.clear()
         self._hits = 0
         self._misses = 0
         self._nmos_stacks = StackLeakageModel(self.technology.transistors.nmos)
@@ -220,9 +133,6 @@ class CellCharacterizer:
         # Plans hold references to the replaced stack memos; drop them
         # so stale caches cannot be revived.
         self._plans.clear()
-        if self._store is not None:
-            self._pending_store = {}
-            self._load_store()
 
     @property
     def cache_size(self) -> int:
@@ -351,8 +261,7 @@ class CellCharacterizer:
     ) -> float:
         """Worst-edge propagation delay driving ``load_f`` [s]."""
         self._check_vdd(vdd)
-        if load_f < 0.0:
-            raise CharacterizationError("load must be >= 0")
+        self._check_load(load_f)
         if self.cache_enabled:
             key = ("delay", self._token(cell), vdd, load_f, vt_shift)
             result = self._memo.get(key, _MISS)
@@ -389,8 +298,7 @@ class CellCharacterizer:
         matches the paper's Eq. 1 convention with alpha_0->1.
         """
         self._check_vdd(vdd)
-        if load_f < 0.0:
-            raise CharacterizationError("load must be >= 0")
+        self._check_load(load_f)
         if self.cache_enabled:
             key = ("energy", self._token(cell), vdd, load_f)
             result = self._memo.get(key, _MISS)
@@ -515,8 +423,7 @@ class CellCharacterizer:
         the same caches.
         """
         self._check_vdd(vdd)
-        if load_f < 0.0:
-            raise CharacterizationError("load must be >= 0")
+        self._check_load(load_f)
         if not 0.0 <= output_high_probability <= 1.0:
             raise CharacterizationError(
                 "output_high_probability must be in [0, 1]"
@@ -571,8 +478,7 @@ class CellCharacterizer:
         characterizer's stack-leakage memos, so plan and per-point
         evaluations feed the same caches.
         """
-        if load_f < 0.0:
-            raise CharacterizationError("load must be >= 0")
+        self._check_load(load_f)
         if fanout is not None and fanout < 1:
             raise CharacterizationError("fanout must be >= 1")
         if not 0.0 <= output_high_probability <= 1.0:
@@ -697,5 +603,13 @@ class CellCharacterizer:
         return result
 
     def _check_vdd(self, vdd: float) -> None:
-        if vdd <= 0.0:
-            raise CharacterizationError(f"vdd must be positive, got {vdd}")
+        if not 0.0 < vdd < math.inf:
+            raise CharacterizationError(
+                f"vdd must be positive and finite, got {vdd}"
+            )
+
+    def _check_load(self, load_f: float) -> None:
+        if not 0.0 <= load_f < math.inf:
+            raise CharacterizationError(
+                f"load must be >= 0 and finite, got {load_f}"
+            )

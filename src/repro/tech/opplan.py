@@ -236,9 +236,9 @@ class OperatingPlan:
             cin = self._gate_area_n * gate_sw + self._gate_area_p * gate_sw
             load = fanout * cin
         else:
-            if vdd <= 0.0:
+            if not 0.0 < vdd < math.inf:
                 raise CharacterizationError(
-                    f"vdd must be positive, got {vdd}"
+                    f"vdd must be positive and finite, got {vdd}"
                 )
             load = self.load_f
         junction_sw = self._junction_cap.switched_capacitance(vdd)
@@ -352,9 +352,9 @@ class OperatingPlan:
         out: List[float] = []
         append = out.append
         for vdd in vdds:
-            if vdd <= 0.0:
+            if not 0.0 < vdd < math.inf:
                 raise CharacterizationError(
-                    f"vdd must be positive, got {vdd}"
+                    f"vdd must be positive and finite, got {vdd}"
                 )
             nmos_leak = n_stacks.lookup(n_solver, vdd, vt_shift, shift_key)
             pmos_leak = p_stacks.lookup(p_solver, vdd, vt_shift, shift_key)

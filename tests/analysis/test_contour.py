@@ -126,105 +126,38 @@ class TestRatioSurface:
         assert below < 0.0 < above
 
 
-class TestAdaptiveRefinement:
-    # A 10 us cycle makes the leakage term dominant at low fga, so the
-    # break-even contour crosses the [1/n, 1]^2 grid diagonally.
-    T_SLOW = 1e-5
+@pytest.fixture(scope="module")
+def datapath_modules():
+    """Eq. 3/4 parameters of the contour verb's three units (8 bit)."""
+    from repro.core.flow import LowVoltageDesignFlow
+    from repro.core.scenarios import standard_datapath
 
-    def _grid(self, n=6):
-        return [i / n for i in range(1, n + 1)]
+    flow = LowVoltageDesignFlow(vdd=VDD)
+    modules = {}
+    for name, unit in standard_datapath(width=8, stimulus_vectors=80).items():
+        if name in ("adder", "shifter", "multiplier"):
+            report = flow.unit_activity(unit.netlist, unit.vectors)
+            modules[name] = flow.module_parameters(unit.netlist, report)
+    return modules
 
-    def test_refined_absent_by_default(self, module):
-        surface = energy_ratio_surface(
-            module, VDD, self.T_SLOW, self._grid(), self._grid()
-        )
-        assert surface.refined is None
 
-    def test_refined_points_match_uniform_grid(self, module):
-        grid = self._grid()
-        surface = energy_ratio_surface(
-            module, VDD, self.T_SLOW, grid, grid,
-            refine_levels=2, refine_band=0.1,
-        )
-        refined = surface.refined
-        assert refined.levels == 2
-        uniform = energy_ratio_surface(
-            module, VDD, self.T_SLOW, refined.xs, refined.ys
-        )
-        for (i, j), value in refined.known().items():
-            assert uniform.grid.zs[i][j] == value
-        assert refined.zero_cells() == zero_crossing_cells(
-            uniform.grid.zs
-        )
+def _closed_form_cells(module, t_cycle_s, fgas, bgas):
+    """Cells whose defined corners lie on both sides of bga*(fga)."""
+    cells = []
+    for i in range(len(fgas) - 1):
+        for j in range(len(bgas) - 1):
+            sides = set()
+            for fga in fgas[i : i + 2]:
+                bga_star = breakeven_bga(module, fga, VDD, t_cycle_s)
+                for bga in bgas[j : j + 2]:
+                    if bga <= fga and bga != bga_star:
+                        sides.add(bga > bga_star)
+            if len(sides) == 2:
+                cells.append((i, j))
+    return tuple(cells)
 
-    def test_refinement_skips_flat_regions(self, module):
-        grid = self._grid(8)
-        surface = energy_ratio_surface(
-            module, VDD, self.T_SLOW, grid, grid,
-            refine_levels=2, refine_band=0.1,
-        )
-        refined = surface.refined
-        assert refined.cells_skipped > 0
-        assert 0.0 < refined.coverage < 1.0
-        assert refined.evaluated == len(refined.indices)
-        assert refined.total_points == len(refined.xs) * len(refined.ys)
 
-    def test_axes_subdivided_per_level(self, module):
-        grid = self._grid(4)
-        surface = energy_ratio_surface(
-            module, VDD, self.T_SLOW, grid, grid, refine_levels=3
-        )
-        refined = surface.refined
-        assert len(refined.xs) == (len(grid) - 1) * 8 + 1
-        assert refined.xs[0] == grid[0] and refined.xs[-1] == grid[-1]
-
-    def test_value_at_unevaluated_point_raises(self, module):
-        grid = self._grid(8)
-        surface = energy_ratio_surface(
-            module, VDD, self.T_SLOW, grid, grid,
-            refine_levels=2, refine_band=0.1,
-        )
-        refined = surface.refined
-        evaluated = set(refined.indices)
-        unevaluated = next(
-            (i, j)
-            for i in range(len(refined.xs))
-            for j in range(len(refined.ys))
-            if (i, j) not in evaluated
-        )
-        with pytest.raises(AnalysisError, match="not evaluated"):
-            refined.value_at(*unevaluated)
-
-    def test_base_grid_unchanged(self, module):
-        grid = self._grid()
-        plain = energy_ratio_surface(
-            module, VDD, self.T_SLOW, grid, grid
-        )
-        surface = energy_ratio_surface(
-            module, VDD, self.T_SLOW, grid, grid, refine_levels=1
-        )
-        assert surface.grid.zs == plain.grid.zs
-
-    def test_validation(self, module):
-        grid = self._grid()
-        with pytest.raises(AnalysisError, match="refine_levels"):
-            energy_ratio_surface(
-                module, VDD, self.T_SLOW, grid, grid, refine_levels=-1
-            )
-        with pytest.raises(AnalysisError, match="refine_levels"):
-            energy_ratio_surface(
-                module, VDD, self.T_SLOW, grid, grid, refine_levels=11
-            )
-        with pytest.raises(AnalysisError, match="refine_band"):
-            energy_ratio_surface(
-                module, VDD, self.T_SLOW, grid, grid,
-                refine_levels=1, refine_band=0.0,
-            )
-        with pytest.raises(AnalysisError, match="two points"):
-            energy_ratio_surface(
-                module, VDD, self.T_SLOW, [0.5], grid, refine_levels=1
-            )
-
+class TestContourCells:
     def test_zero_crossing_cells_helper(self):
         zs = [
             [-1.0, -0.5, 0.5],
@@ -233,18 +166,21 @@ class TestAdaptiveRefinement:
         ]
         assert zero_crossing_cells(zs) == ((0, 0), (0, 1), (1, 0))
 
-    def test_refinement_fans_out_identically(self, module):
-        grid = self._grid()
-        serial = energy_ratio_surface(
-            module, VDD, self.T_SLOW, grid, grid,
-            refine_levels=2, refine_band=0.1,
+    @pytest.mark.parametrize("unit", ["adder", "shifter", "multiplier"])
+    @pytest.mark.parametrize("t_cycle_s", [1e-7, 1e-6, 1e-5])
+    @pytest.mark.parametrize("n", [24, 96])
+    def test_cells_match_closed_form_breakeven(
+        self, datapath_modules, unit, t_cycle_s, n
+    ):
+        # The physical oracle: a cell straddles the break-even contour
+        # exactly when its feasible (bga <= fga) corners fall on both
+        # sides of the closed-form bga*(fga).
+        module = datapath_modules[unit]
+        grid = [i / n for i in range(1, n + 1)]
+        surface = energy_ratio_surface(module, VDD, t_cycle_s, grid, grid)
+        assert zero_crossing_cells(surface.grid.zs) == _closed_form_cells(
+            module, t_cycle_s, surface.grid.xs, surface.grid.ys
         )
-        fanned = energy_ratio_surface(
-            module, VDD, self.T_SLOW, grid, grid,
-            refine_levels=2, refine_band=0.1, workers=2,
-        )
-        assert fanned.refined.indices == serial.refined.indices
-        assert fanned.refined.values == serial.refined.values
 
 
 class TestLogRatioMath:

@@ -178,6 +178,30 @@ class TestRefinement:
         assert refined.cells_skipped > 0
         assert 0.0 < refined.coverage < 1.0
         assert refined.evaluated == len(refined.indices)
+        assert refined.total_points == len(refined.xs) * len(refined.ys)
+
+    def test_axes_subdivided_per_level(self):
+        refined = _surface(refine_levels=3).refined
+        assert len(refined.xs) == (len(_vts()) - 1) * 8 + 1
+        assert len(refined.ys) == (len(_vdds()) - 1) * 8 + 1
+        assert refined.xs[0] == _vts()[0] and refined.xs[-1] == _vts()[-1]
+
+    def test_value_at_unevaluated_point_raises(self):
+        refined = _surface(refine_levels=2).refined
+        evaluated = set(refined.indices)
+        unevaluated = next(
+            (i, j)
+            for i in range(len(refined.xs))
+            for j in range(len(refined.ys))
+            if (i, j) not in evaluated
+        )
+        with pytest.raises(AnalysisError, match="not evaluated"):
+            refined.value_at(*unevaluated)
+        i, j = refined.indices[0]
+        assert refined.value_at(i, j) == refined.values[0]
+
+    def test_base_grid_unchanged(self):
+        assert _surface(refine_levels=1).grid.zs == _surface().grid.zs
 
     def test_refinement_tracks_row_minima(self):
         # Every base cell holding a row's minimum must be refined:
@@ -207,29 +231,6 @@ class TestRefinement:
 
 
 class TestExecutionContract:
-    def test_workers_match_serial(self):
-        serial = _surface(refine_levels=2)
-        fanned = _surface(refine_levels=2, workers=2)
-        assert fanned.grid.zs == serial.grid.zs
-        assert fanned.refined.indices == serial.refined.indices
-        assert fanned.refined.values == serial.refined.values
-
-    def test_store_roundtrip_matches_unstored(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore.at(str(tmp_path))
-        cold = _surface(refine_levels=1, store=store)
-        warm = _surface(refine_levels=1, store=store)
-        plain = _surface(refine_levels=1)
-        assert cold.grid.zs == warm.grid.zs == plain.grid.zs
-        assert cold.refined.values == warm.refined.values
-        assert warm.refined.values == plain.refined.values
-
-    def test_progress_reports_completion(self):
-        calls = []
-        _surface(progress=lambda done, total: calls.append((done, total)))
-        assert calls[-1][0] == calls[-1][1] == len(_vts()) * len(_vdds())
-
     def test_flow_passthrough_spans(self):
         flow = LowVoltageDesignFlow(
             technology=soi_low_vt(), clock_hz=CLOCK_HZ

@@ -244,15 +244,3 @@ class TestBatchedPathParity:
             reference.leakage_current(inverter, 0.6, vt_shift=s)
             for s in shifts
         )
-
-    def test_worker_fanout_matches_serial(self, inverter):
-        serial = MonteCarloAnalyzer(
-            soi_low_vt(), vt_sigma=0.03, n_samples=24, seed=3
-        )
-        fanned = MonteCarloAnalyzer(
-            soi_low_vt(), vt_sigma=0.03, n_samples=24, seed=3, workers=2
-        )
-        assert (
-            fanned.delay_distribution(inverter, 0.8).samples
-            == serial.delay_distribution(inverter, 0.8).samples
-        )

@@ -18,6 +18,7 @@ from repro import obs
 from repro.device.leakage import StackLeakageModel, StackSolver
 from repro.device.mosfet import Mosfet, MosfetParameters
 from repro.device.technology import bulk_cmos_06um, soi_low_vt, soias_technology
+from repro.errors import DeviceModelError
 from repro.tech.cells import standard_cells
 from tests.device.stack_oracle import ORACLE_RTOL, oracle_stack_current
 from tests.property.test_device_properties import mosfet_parameters
@@ -286,6 +287,17 @@ class TestEvaluationBudget:
             evaluations = obs.counter_value("leakage.device_evals")
         assert counted == solves
         assert evaluations / solves <= self.MAX_MEAN_EVALUATIONS
+
+
+class TestSupplyValidation:
+    @pytest.mark.parametrize("vdd", [math.nan, math.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("widths", [[2.0], [2.0, 2.0], [1.0, 1.0, 1.0]])
+    def test_non_positive_or_non_finite_supply_rejected(self, vdd, widths):
+        # A NaN span never narrows, so the bisection in ``_drop`` would
+        # spin forever; the entry check must stop it first.
+        solver = StackSolver(soi_low_vt().transistors.nmos, widths)
+        with pytest.raises(DeviceModelError, match="vdd"):
+            solver.current(vdd)
 
 
 class TestCounters:

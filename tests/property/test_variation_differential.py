@@ -6,10 +6,7 @@ both the decoded :class:`VariationPlan` and the per-sample
 bit-identical — not approximately equal.  Both paths share one stack
 solve, so the leakage samples are also checked against the
 nested-bisection oracle (``tests/device/stack_oracle.py``) at its
-declared relative tolerance.  A second suite checks that
-adaptive contour refinement evaluates exactly the same values a
-uniform finest-resolution grid would, and resolves the same
-zero-crossing cells.
+declared relative tolerance.
 """
 
 import math
@@ -17,12 +14,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.contour import (
-    energy_ratio_surface,
-    zero_crossing_cells,
-)
 from repro.device.technology import bulk_cmos_06um, soi_low_vt
-from repro.power.energy import ModuleEnergyParameters
 from repro.tech.characterize import CellCharacterizer
 from repro.tech.cells import standard_cells
 from tests.device.stack_oracle import ORACLE_RTOL, oracle_cell_leakage
@@ -116,60 +108,3 @@ class TestPlanMatchesPerSamplePath:
                 mixed.extend(plan.leakages([shift]))
         assert mixed == expected
 
-
-def _surface_module() -> ModuleEnergyParameters:
-    return ModuleEnergyParameters(
-        name="prop-adder",
-        switched_capacitance_f=45e-12,
-        leakage_low_vt_a=2.0e-6,
-        leakage_high_vt_a=4.0e-9,
-        back_gate_capacitance_f=18e-12,
-        back_gate_swing_v=2.0,
-    )
-
-
-class TestAdaptiveSurfaceMatchesUniformGrid:
-    @settings(deadline=None, max_examples=20)
-    @given(
-        base_n=st.integers(3, 6),
-        levels=st.integers(1, 3),
-        band=st.floats(0.02, 0.5, allow_nan=False, allow_infinity=False),
-        t_cycle_s=st.sampled_from([1e-6, 1e-5, 1e-4]),
-    )
-    def test_refined_points_and_contour_match(
-        self, base_n, levels, band, t_cycle_s
-    ):
-        module = _surface_module()
-        grid = [i / base_n for i in range(1, base_n + 1)]
-        surface = energy_ratio_surface(
-            module, 1.0, t_cycle_s, grid, grid,
-            refine_levels=levels, refine_band=band,
-        )
-        refined = surface.refined
-        uniform = energy_ratio_surface(
-            module, 1.0, t_cycle_s, refined.xs, refined.ys
-        )
-        # Every point the adaptive pass evaluated is bit-identical to
-        # the same lattice point of the full uniform grid...
-        for (i, j), value in refined.known().items():
-            assert uniform.grid.zs[i][j] == value
-        # ...and the cells it resolves as zero crossings are exactly
-        # the uniform grid's (refinement may only miss cells whose
-        # corners it never evaluated, and those must not straddle).
-        assert refined.zero_cells() == zero_crossing_cells(
-            uniform.grid.zs
-        )
-
-    @settings(deadline=None, max_examples=10)
-    @given(
-        base_n=st.integers(3, 6),
-        levels=st.integers(1, 3),
-    )
-    def test_base_grid_unchanged_by_refinement(self, base_n, levels):
-        module = _surface_module()
-        grid = [i / base_n for i in range(1, base_n + 1)]
-        plain = energy_ratio_surface(module, 1.0, 1e-5, grid, grid)
-        refined = energy_ratio_surface(
-            module, 1.0, 1e-5, grid, grid, refine_levels=levels
-        )
-        assert refined.grid.zs == plain.grid.zs

@@ -1,26 +1,19 @@
-"""Canonical-hashing tests, including the pinned technology digest."""
+"""Canonical-hashing tests: the JSON rendering run manifests digest."""
 
 import pytest
 
+from repro.device.serialize import technology_to_dict
 from repro.device.technology import soi_low_vt, soias_technology
 from repro.errors import StoreError
 from repro.power.energy import ModuleEnergyParameters
-from repro.store.hashing import (
-    canonical_json,
-    cell_digest,
-    digest,
-    module_digest,
-    request_digest,
-    technology_digest,
-)
+from repro.store.hashing import canonical_json, digest
 from repro.tech.cells import standard_cells
 
-#: The canonical digest of the default SOIAS technology.  This value
-#: is load-bearing: every persisted characterization and sweep entry
-#: is addressed under it.  If this test fails, a hashed input changed
-#: (model field, serialization schema, hashing rule) — which silently
-#: invalidates every existing store.  Bump deliberately, with a
-#: changelog note, never casually.
+#: The canonical digest of the default SOIAS technology's serialized
+#: form.  A manifest's inputs digest is only comparable across runs
+#: while equal values keep hashing equal, so drift of the hashing rule
+#: or the serialization schema must fail here, loudly, not silently
+#: split ``repro runs diff`` into "changed" results.
 PINNED_SOIAS_DIGEST = (
     "2c2119f5970fe4103b52808fc98b3512dec462c27c2586c34a35c677db1c23b6"
 )
@@ -72,17 +65,20 @@ class TestDigests:
         assert int(value, 16) >= 0
 
     def test_soias_technology_digest_is_pinned(self):
-        assert technology_digest(soias_technology()) == PINNED_SOIAS_DIGEST
+        assert (
+            digest(technology_to_dict(soias_technology()))
+            == PINNED_SOIAS_DIGEST
+        )
 
     def test_distinct_technologies_have_distinct_digests(self):
-        assert technology_digest(soi_low_vt()) != technology_digest(
-            soias_technology()
+        assert digest(technology_to_dict(soi_low_vt())) != digest(
+            technology_to_dict(soias_technology())
         )
 
     def test_cell_digests_distinguish_cells(self):
         cells = standard_cells()
-        assert cell_digest(cells["INV"]) != cell_digest(cells["NAND2"])
-        assert cell_digest(cells["INV"]) == cell_digest(cells["INV"])
+        assert digest(cells["INV"]) != digest(cells["NAND2"])
+        assert digest(cells["INV"]) == digest(cells["INV"])
 
     def test_module_digest_covers_fields(self):
         module = ModuleEnergyParameters(
@@ -101,25 +97,5 @@ class TestDigests:
             back_gate_capacitance_f=1e-13,
             back_gate_swing_v=3.0,
         )
-        assert module_digest(module) != module_digest(changed)
-        assert module_digest(module) == module_digest(module)
-
-
-class TestRequestDigest:
-    def test_kind_namespaces_requests(self):
-        assert request_digest("mc-delay", 1.0) != request_digest(
-            "mc-leakage", 1.0
-        )
-
-    def test_parts_are_order_sensitive(self):
-        assert request_digest("k", 1.0, 2.0) != request_digest(
-            "k", 2.0, 1.0
-        )
-
-    def test_empty_kind_rejected(self):
-        with pytest.raises(StoreError, match="kind"):
-            request_digest("")
-
-    def test_dataclass_parts_accepted(self):
-        cell = standard_cells()["INV"]
-        assert request_digest("k", cell) == request_digest("k", cell)
+        assert digest(module) != digest(changed)
+        assert digest(module) == digest(module)

@@ -109,3 +109,32 @@ class TestReadme:
                 for t in tokens
             ]
             parser.parse_args(tokens)  # must not SystemExit
+
+
+def _fenced_cli_commands():
+    """Every ``python -m repro ...`` line in README/docs fenced blocks.
+
+    Backslash continuations are joined first, so a command split over
+    several lines is checked whole.
+    """
+    commands = []
+    for path in [README, *sorted(DOCS.glob("*.md"))]:
+        for block in fenced_blocks(path):
+            joined = re.sub(r"\\\n\s*", " ", block)
+            for match in re.findall(r"python -m repro ([^\n]+)", joined):
+                tokens = match.split("#")[0].split()
+                commands.append(
+                    pytest.param(tokens, id=f"{path.name}:{'_'.join(tokens)}")
+                )
+    return commands
+
+
+class TestDocumentedCliCommands:
+    def test_commands_found(self):
+        assert len(_fenced_cli_commands()) >= 10
+
+    @pytest.mark.parametrize("tokens", _fenced_cli_commands())
+    def test_command_parses(self, tokens):
+        from repro.cli import build_parser
+
+        build_parser().parse_args(tokens)  # must not SystemExit

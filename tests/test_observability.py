@@ -388,17 +388,16 @@ class TestCliMetrics:
         assert payload["counters"]  # non-empty
         assert "optimizer.sweep" in payload["timers"]
 
-    def test_contour_metrics_and_progress(self, capsys):
+    def test_contour_metrics(self, capsys):
         from repro.cli import main
 
         code = main(
             [
                 "contour", "--grid", "4", "--vectors", "10",
-                "--width", "4", "--progress", "--metrics",
+                "--width", "4", "--metrics",
             ]
         )
         captured = capsys.readouterr()
         assert code == 0
         assert "Metrics: contour" in captured.out
         assert "flow.ratio_surface" in captured.out
-        assert "16/16 cells" in captured.err

@@ -1,27 +1,22 @@
 """Equivalence tests for the hot-path performance layer.
 
 Every fast path in the performance layer — the characterizer memo, the
-indexed simulator kernel, the process-pool grid fan-out, and the ring
-optimizer's one zero-threshold decode — must be *bit-identical* to the
-reference path it accelerates.  These tests pin that contract.
+indexed simulator kernel, and the ring optimizer's one zero-threshold
+decode — must be *bit-identical* to the reference path it
+accelerates.  These tests pin that contract.
 """
 
 import pytest
 
 from repro import obs
-from repro.analysis.contour import energy_ratio_surface
-from repro.analysis.parallel import map_grid, map_items, resolve_workers
 from repro.analysis.surface import energy_surface
-from repro.analysis.sweep import sweep_2d
-from repro.analysis.variation import MonteCarloAnalyzer
 from repro.circuits.builders import pipelined_adder, ripple_carry_adder
 from repro.device.technology import soi_low_vt, soias_technology
-from repro.errors import AnalysisError, CharacterizationError, SimulationError
+from repro.errors import CharacterizationError, SimulationError
 from repro.isa.instructions import FUNCTIONAL_UNITS
 from repro.isa.machine import Machine
 from repro.isa.profiler import profile_program
 from repro.isa.workloads import WORKLOAD_NAMES, build as build_workload
-from repro.power.energy import ModuleEnergyParameters
 from repro.power.optimizer import (
     FixedThroughputOptimizer,
     RingOscillatorModel,
@@ -172,150 +167,6 @@ class TestSimulatorFastPathEquivalence:
                     simulator.run_vectors([bad])
                 messages.append(str(error.value))
             assert messages[0] == messages[1]
-
-
-# ----------------------------------------------------------------------
-# Parallel grid fan-out vs serial
-# ----------------------------------------------------------------------
-def _grid_fn(x, y):
-    return None if y > x else x * 10.0 + y
-
-
-def _item_fn(x):
-    return x * x + 1.0
-
-
-MODULE = ModuleEnergyParameters(
-    name="eqtest",
-    switched_capacitance_f=45e-12,
-    leakage_low_vt_a=2.0e-6,
-    leakage_high_vt_a=4.0e-9,
-    back_gate_capacitance_f=18e-12,
-    back_gate_swing_v=2.0,
-)
-
-
-class TestParallelEquivalence:
-    XS = [0.1 * i for i in range(1, 9)]
-    YS = [0.05 * i for i in range(1, 7)]
-
-    def test_map_grid_matches_serial_sweep(self):
-        serial = sweep_2d("x", "y", "z", self.XS, self.YS, _grid_fn)
-        rows = map_grid(_grid_fn, self.XS, self.YS, workers=2)
-        assert tuple(tuple(row) for row in rows) == serial.zs
-
-    def test_sweep_2d_workers_matches_serial(self):
-        serial = sweep_2d("x", "y", "z", self.XS, self.YS, _grid_fn)
-        parallel = sweep_2d(
-            "x", "y", "z", self.XS, self.YS, _grid_fn, workers=2
-        )
-        assert parallel == serial
-
-    def test_map_items_matches_serial(self):
-        items = [0.25 * i for i in range(17)]
-        assert map_items(_item_fn, items, workers=2) == [
-            _item_fn(x) for x in items
-        ]
-
-    # The fallback now announces itself once per process (see
-    # tests/analysis/test_parallel_thresholds.py); this test only cares
-    # about the results.
-    @pytest.mark.filterwarnings("ignore:map_items:RuntimeWarning")
-    def test_closure_falls_back_to_serial(self):
-        offset = 2.0
-        rows = map_grid(
-            lambda x, y: x + y + offset, [1.0, 2.0], [3.0], workers=2
-        )
-        assert rows == [[6.0], [7.0]]
-
-    def test_energy_ratio_surface_workers_parity(self):
-        grid = [i / 12 for i in range(1, 13)]
-        serial = energy_ratio_surface(MODULE, 1.0, 1e-6, grid, grid)
-        parallel = energy_ratio_surface(
-            MODULE, 1.0, 1e-6, grid, grid, workers=2
-        )
-        assert parallel.grid == serial.grid
-
-    def test_monte_carlo_workers_parity(self, tech, cells):
-        serial = MonteCarloAnalyzer(tech, n_samples=24, workers=0)
-        parallel = MonteCarloAnalyzer(tech, n_samples=24, workers=2)
-        inv = cells["INV"]
-        assert (
-            parallel.delay_distribution(inv, 0.8).samples
-            == serial.delay_distribution(inv, 0.8).samples
-        )
-        assert (
-            parallel.leakage_distribution(inv, 0.8).samples
-            == serial.leakage_distribution(inv, 0.8).samples
-        )
-
-    def test_resolve_workers_validates(self):
-        assert resolve_workers(0) == 0
-        assert resolve_workers(3) == 3
-        assert resolve_workers(None) >= 1
-        with pytest.raises(AnalysisError):
-            resolve_workers(-1)
-
-    def test_resolve_workers_env_override(self, monkeypatch):
-        """Precedence: explicit ``workers=`` > REPRO_WORKERS > cpus.
-
-        Scheduler workers export ``REPRO_WORKERS=0`` so nested
-        ``map_items(workers=None)`` calls stay serial (no fork bomb on
-        a saturated host); an explicit argument must still win.
-        """
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(2) == 2  # explicit arg beats the env
-        assert resolve_workers(0) == 0
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert resolve_workers(None) == 0
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert resolve_workers(None) >= 1  # falls back to cpu count
-
-    def test_resolve_workers_env_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(AnalysisError, match="REPRO_WORKERS"):
-            resolve_workers(None)
-        monkeypatch.setenv("REPRO_WORKERS", "-2")
-        with pytest.raises(AnalysisError, match="REPRO_WORKERS"):
-            resolve_workers(None)
-
-    def test_picklable_probe_memoized_per_function(self):
-        from repro.analysis.parallel import _PICKLABLE_MEMO, _picklable
-
-        def local_fn(x):
-            return x
-
-        assert _picklable(resolve_workers) is True
-        assert _PICKLABLE_MEMO.get(resolve_workers) is True
-        # Closures/local functions pickle by reference lookup and fail;
-        # the negative result is memoized too.
-        assert _picklable(local_fn) is False
-        assert _PICKLABLE_MEMO.get(local_fn) is False
-        # The memo answers without re-probing: poison pickle.dumps and
-        # confirm the cached verdicts still come back.
-        import pickle as pickle_module
-        from unittest import mock
-
-        with mock.patch.object(
-            pickle_module, "dumps",
-            side_effect=AssertionError("re-probed a memoized callable"),
-        ):
-            assert _picklable(resolve_workers) is True
-            assert _picklable(local_fn) is False
-
-    def test_picklable_handles_unhashable_callables(self):
-        from repro.analysis.parallel import _picklable
-
-        class UnhashableCallable:
-            __hash__ = None
-
-            def __call__(self, x):
-                return x
-
-        fn = UnhashableCallable()
-        assert _picklable(fn) in (True, False)
-        assert _picklable(fn) == _picklable(fn)
 
 
 # ----------------------------------------------------------------------
