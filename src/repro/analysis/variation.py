@@ -115,8 +115,12 @@ def lognormal_leakage_amplification(
     ``exp(sigma_ln^2 / 2)`` times the nominal — why chips leak more
     than their nominal corner says.
     """
-    if vt_sigma < 0.0 or subthreshold_swing <= 0.0:
-        raise AnalysisError("bad sigma or swing")
+    if not (
+        0.0 <= vt_sigma < math.inf and 0.0 < subthreshold_swing < math.inf
+    ):
+        raise AnalysisError(
+            f"bad sigma or swing: {vt_sigma}, {subthreshold_swing}"
+        )
     sigma_ln = vt_sigma * LN10 / subthreshold_swing
     return math.exp(sigma_ln**2 / 2.0)
 
@@ -142,6 +146,8 @@ class MonteCarloAnalyzer:
         self.n_samples = n_samples
         self.seed = seed
         self._characterizer = CellCharacterizer(technology)
+        #: ``((seed, vt_sigma, n_samples), shifts)`` of the last draw.
+        self._draw = (None, ())
 
     def _distribution(
         self, kind: str, cell: Cell, vdd: float, load_f: float
@@ -151,11 +157,21 @@ class MonteCarloAnalyzer:
         return Distribution(samples=tuple(evaluate(self.sample_vt_shifts())))
 
     def sample_vt_shifts(self) -> List[float]:
-        """Deterministic Gaussian V_T offsets (one per sample)."""
-        rng = random.Random(self.seed)
-        return [
-            rng.gauss(0.0, self.vt_sigma) for _ in range(self.n_samples)
-        ]
+        """Deterministic Gaussian V_T offsets (one per sample).
+
+        Drawn once per ``(seed, vt_sigma, n_samples)`` and kept, so the
+        delay, leakage and amplification passes share one draw; each
+        call returns a new list.
+        """
+        key = (self.seed, self.vt_sigma, self.n_samples)
+        drawn, shifts = self._draw
+        if drawn != key:
+            rng = random.Random(self.seed)
+            shifts = tuple(
+                rng.gauss(0.0, self.vt_sigma) for _ in range(self.n_samples)
+            )
+            self._draw = (key, shifts)
+        return list(shifts)
 
     def delay_distribution(
         self, cell: Cell, vdd: float, load_f: float = 10e-15
@@ -218,10 +234,13 @@ class MonteCarloAnalyzer:
         memoized within the solve, so revisiting a bracket endpoint is
         free.
         """
-        if target_delay_s <= 0.0:
-            raise AnalysisError("target delay must be positive")
+        if not 0.0 < target_delay_s < math.inf:
+            raise AnalysisError(
+                "target delay must be positive and finite, "
+                f"got {target_delay_s}"
+            )
         low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
+        if not 0.0 < low < high < math.inf:
             raise AnalysisError(f"bad vdd bounds [{low}, {high}]")
 
         solved: dict = {}

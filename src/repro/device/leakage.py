@@ -13,13 +13,15 @@ matter for the tools it calls for:
   in subthreshold only rescales that solution by
   ``exp(-shift / (n phi_t))``.  :class:`StackLeakageModel` owns one
   solver per stack, shared by the scalar characterizer and both
-  batched plans (:mod:`repro.tech.batch`, :mod:`repro.tech.opplan`).
+  batched plans (:mod:`repro.tech.batch`, :mod:`repro.tech.opplan`);
+  every leakage is that solver's answer for (widths, V_DD, shift), so
+  no value depends on which corners were asked before it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import List, Sequence
 
 from repro import obs as _obs
 from repro.device.mosfet import _MAX_EXP_ARG, Mosfet, MosfetParameters
@@ -102,7 +104,6 @@ class StackSolver:
     """
 
     __slots__ = (
-        "widths_key",
         "_devices",
         "_knee",
         "_vt0",
@@ -125,7 +126,6 @@ class StackSolver:
             raise DeviceModelError("stack must contain at least one device")
         # Mosfet construction validates each width (and its error).
         devices = [Mosfet(parameters, width_um=w) for w in widths_um]
-        self.widths_key = tuple(round(w, 6) for w in widths_um)
         self._devices = tuple(
             (
                 parameters.i_spec * d.width_um,
@@ -316,29 +316,56 @@ class StackSolver:
 
     def current(self, vdd: float, vt_shift: float = 0.0) -> float:
         """Stack leakage current at one (V_DD, shift) corner [A]."""
+        devices = self._devices
+        if len(devices) == 1 and 0.0 < vdd < math.inf:
+            return self._off_current(devices[0], vdd, vt_shift)
+        return self.currents(vdd, (vt_shift,))[0]
+
+    def currents(
+        self, vdd: float, vt_shifts: Sequence[float]
+    ) -> List[float]:
+        """:meth:`current` at every shift of one V_DD [A].
+
+        Equal float for float, and in every ``leakage.*`` counter, to
+        ``[self.current(vdd, s) for s in vt_shifts]``; V_DD is checked
+        and its window and reference root read once, so each in-window
+        shift costs one exp (a single device, its closed form).
+        """
         if not 0.0 < vdd < math.inf:
             raise DeviceModelError(
                 f"vdd must be positive and finite, got {vdd}"
             )
         devices = self._devices
         if len(devices) == 1:
-            return self._off_current(devices[0], vdd, vt_shift)
+            off_current, device = self._off_current, devices[0]
+            return [off_current(device, vdd, s) for s in vt_shifts]
+        exp = math.exp
+        n_phi, x_floor = self._n_phi, self._x_floor
         # The window, read from the inputs: below ``lowest`` a device
-        # may be above threshold, and ``_clamp_shift`` above it an off
-        # current clamps.
+        # may be above threshold, and above ``highest`` an off current
+        # clamps.
         lowest = self._dibl * vdd - self._vt0
-        if lowest <= vt_shift <= lowest + self._clamp_shift:
-            reference = self._references.get(vdd, _UNSOLVED)
-            solved = reference is _UNSOLVED
-            if solved:
-                reference = self._reference(vdd, lowest)
-            if reference is not None:
-                x = reference - vt_shift / self._n_phi
-                if x >= self._x_floor:
-                    if _obs.ENABLED and not solved:
-                        _obs.incr("leakage.shift_scaled")
-                    return math.exp(x)
-        return math.exp(self._solve(vdd, vt_shift))
+        highest = lowest + self._clamp_shift
+        reference = self._references.get(vdd, _UNSOLVED)
+        scaled = 0
+        out: List[float] = []
+        append = out.append
+        for shift in vt_shifts:
+            if lowest <= shift <= highest:
+                solved = reference is _UNSOLVED
+                if solved:
+                    reference = self._reference(vdd, lowest)
+                if reference is not None:
+                    x = reference - shift / n_phi
+                    if x >= x_floor:
+                        if not solved:
+                            scaled += 1
+                        append(exp(x))
+                        continue
+            append(exp(self._solve(vdd, shift)))
+        if scaled and _obs.ENABLED:
+            _obs.incr("leakage.shift_scaled", scaled)
+        return out
 
     def _reference(self, vdd: float, lowest: float):
         """Solve and keep ``ln I(vdd, 0)``, or ``None`` off the window."""
@@ -519,20 +546,18 @@ def gate_leakage_current(
 
 
 class StackLeakageModel:
-    """Cached stack-effect evaluator for one transistor flavour.
+    """Stack-effect evaluator for one transistor flavour.
 
-    Characterization sweeps ask for the same (depth, width, V_DD, shift)
-    tuples repeatedly; this memoizes the :class:`StackSolver` solve and
-    owns one solver per widths tuple, so the V_DD reference roots those
-    solvers keep serve every caller.  The batched plans of
-    :mod:`repro.tech.batch` and :mod:`repro.tech.opplan` take their
-    solvers from :meth:`solver` and share ``_cache`` and its rounded
-    keys, so every path serves and fills the same entries.
+    Owns one :class:`StackSolver` per widths tuple, so the V_DD
+    reference roots those solvers keep serve every caller: the scalar
+    characterizer chain comes through :meth:`current`, and the batched
+    plans of :mod:`repro.tech.batch` and :mod:`repro.tech.opplan` take
+    their solvers from :meth:`solver`.  Every value is the solver's
+    exact answer for (widths, V_DD, shift).
     """
 
     def __init__(self, parameters: MosfetParameters):
         self.parameters = parameters
-        self._cache: dict = {}
         self._solvers: dict = {}
 
     def solver(self, widths_um: Sequence[float]) -> StackSolver:
@@ -549,30 +574,8 @@ class StackLeakageModel:
         vdd: float,
         vt_shift: float = 0.0,
     ) -> float:
-        """Stack leakage, memoized on the rounded argument tuple."""
-        return self.lookup(
-            self.solver(widths_um), vdd, vt_shift, round(vt_shift, 6)
-        )
-
-    def lookup(
-        self,
-        solver: StackSolver,
-        vdd: float,
-        vt_shift: float,
-        shift_key: float,
-    ) -> float:
-        """:meth:`current` through a solver from :meth:`solver`.
-
-        Same memo, same rounded key; ``shift_key`` is the caller's
-        hoisted ``round(vt_shift, 6)``.  The batched plans decode their
-        solvers once and come through here.
-        """
-        key = (solver.widths_key, round(vdd, 6), shift_key)
-        value = self._cache.get(key)
-        if value is None:
-            value = solver.current(vdd, vt_shift)
-            self._cache[key] = value
-        return value
+        """Stack leakage of ``widths_um`` at one (V_DD, shift) [A]."""
+        return self.solver(widths_um).current(vdd, vt_shift)
 
     def suppression_factor(
         self, depth: int, width_um: float, vdd: float, vt_shift: float = 0.0

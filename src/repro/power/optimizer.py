@@ -57,8 +57,7 @@ _RESIDUAL_TOL = 1e-13
 #: wrong basin.
 _SCAN_POINTS = 25
 _GOLDEN = 0.6180339887498949
-#: The ring's inverter, built once: ``standard_cells`` rebuilds the
-#: whole library on every call.
+#: The ring's inverter.
 _INVERTER = standard_cells()["INV"]
 
 
@@ -346,12 +345,8 @@ class RingOscillatorModel:
     base process moved to ``V_T0 = 0`` and its fanout-1 inverter plan,
     which take every query's V_T as their shift and return the very
     floats a corner ``technology.with_vt(V_T)`` would (see
-    :func:`_zero_threshold_decode`).  No nominal V_T probe builds a
-    technology, a characterizer or a plan.  The one memo does span
-    V_T: its leakage keys round V_DD and the threshold to 1e-6 V, so
-    two V_T probes closer than that, at one rounded supply, share a
-    leakage value.  Yield mode prices its sampled leakage on a
-    per-call corner instead (see :meth:`statistical_energy_per_cycle`).
+    :func:`_zero_threshold_decode`).  No V_T probe, nominal or
+    sampled, builds a technology, a characterizer or a plan.
 
     Parameters
     ----------
@@ -607,23 +602,23 @@ class RingOscillatorModel:
             raise OptimizationError("cycle time must be positive")
         _check_vt(vt)
         shifts = variation.draw_shifts()
-        # Priced on a throwaway corner at this V_T, once per locus
-        # point.  The model's memo keys leakage by the threshold
-        # ``vt + shift`` rounded to 1e-6 V: there, the samples of two V_T
-        # probes solved to one supply (a clamped yield locus) would
-        # share entries, and every sample would add one for good.
-        corner = CellCharacterizer(self.technology.with_vt(vt))
-        load = _INVERTER.input_capacitance(corner.technology, vdd)
-        switching_per_stage = corner.energy_per_transition(
+        # Each sample reaches the kernels as the shift ``vt + shift`` of
+        # the zero-threshold decode, so its threshold ``0.0 + (vt +
+        # shift)`` is the float a ``with_vt(vt)`` corner forms.  Leakage
+        # does not depend on the load, so the delay percentile's plan
+        # at this V_DD serves it.
+        characterizer = self._characterizer
+        load = characterizer._input_capacitance(_INVERTER, vdd)
+        switching_per_stage = characterizer.energy_per_transition(
             _INVERTER, vdd, load
         )
         switching = self.stages * self.activity * switching_per_stage
-        leakage_plan = corner.plan_variation(_INVERTER, vdd, 0.0)
+        plan = characterizer.plan_variation(_INVERTER, vdd, load)
         if obs.ENABLED:
             obs.incr("optimizer.mc_probes")
-        leakages = leakage_plan.leakages(shifts)
+        leakages = plan.leakages([vt + shift for shift in shifts])
         mean_leakage = sum(leakages) / len(leakages)
-        nominal_leakage = corner.leakage_current(_INVERTER, vdd)
+        nominal_leakage = characterizer.leakage_current(_INVERTER, vdd, vt)
         amplification = (
             mean_leakage / nominal_leakage if nominal_leakage > 0.0 else 1.0
         )
@@ -762,19 +757,23 @@ class FixedThroughputOptimizer:
             raise OptimizationError(f"bad vt bounds [{low}, {high}]")
         _check_target(target_stage_delay_s)
 
+        # The winner is always a probed, feasible V_T: return its point.
+        probed = {}
+
         def energy(vt: float) -> float:
             if obs.ENABLED:
                 obs.incr("optimizer.golden_probes")
             try:
-                return self.locus_point(vt, target_stage_delay_s).energy_per_cycle_j
+                point = self.locus_point(vt, target_stage_delay_s)
             except OptimizationError:
                 return float("inf")
+            probed[vt] = point
+            return point.energy_per_cycle_j
 
         with obs.span("optimizer.optimum"):
-            best_vt = _bracketed_golden_minimum(
-                energy, low, high, tolerance
-            )
-            return self.locus_point(best_vt, target_stage_delay_s)
+            return probed[
+                _bracketed_golden_minimum(energy, low, high, tolerance)
+            ]
 
 
 class ModuleThroughputOptimizer:
@@ -1130,18 +1129,20 @@ class ModuleThroughputOptimizer:
             raise OptimizationError(f"bad vt bounds [{low}, {high}]")
         _check_target(target_delay_s)
 
+        # The winner is always a probed, feasible V_T: return its point.
+        probed = {}
+
         def energy(vt: float) -> float:
             if obs.ENABLED:
                 obs.incr("optimizer.golden_probes")
             try:
-                return self.locus_point(
-                    vt, target_delay_s, utilization
-                ).energy_per_cycle_j
+                point = self.locus_point(vt, target_delay_s, utilization)
             except OptimizationError:
                 return float("inf")
+            probed[vt] = point
+            return point.energy_per_cycle_j
 
         with obs.span("optimizer.module_optimum"):
-            best_vt = _bracketed_golden_minimum(
-                energy, low, high, tolerance
-            )
-            return self.locus_point(best_vt, target_delay_s, utilization)
+            return probed[
+                _bracketed_golden_minimum(energy, low, high, tolerance)
+            ]

@@ -22,14 +22,12 @@ The batched results are **bit-identical** to the per-sample
 partial product preserves the reference float-op association order
 (``a*b*c*d`` folds left, so hoisting ``a*b`` is exact), the inlined
 ``_bounded_exp`` clamps reproduce ``max(-60, min(60, x))`` on the
-reachable side, and the leakage path runs the very
-:class:`~repro.device.leakage.StackSolver` the per-sample path runs
+reachable side, and the leakage path asks the very
+:class:`~repro.device.leakage.StackSolver` the per-sample path asks
 (taken from :meth:`StackLeakageModel.solver
-<repro.device.leakage.StackLeakageModel.solver>`, so both serve
-in-window shifts from the same V_DD reference root) and *shares* the
-characterizer's :class:`~repro.device.leakage.StackLeakageModel` memo
-dicts — key construction included — so the rounded-key reuse
-semantics of the per-sample path are replicated exactly.  The
+<repro.device.leakage.StackLeakageModel.solver>`) for the whole shift
+vector in one :meth:`~repro.device.leakage.StackSolver.currents` call,
+so both serve in-window shifts from the same V_DD reference root.  The
 differential tests in ``tests/property/test_variation_differential.py``
 assert equality sample for sample.
 """
@@ -83,9 +81,9 @@ class VariationPlan:
 
     Produced by :meth:`CellCharacterizer.plan_variation
     <repro.tech.characterize.CellCharacterizer.plan_variation>`; holds
-    only plain floats plus, per polarity, the characterizer's stack
-    model and its solver for the cell's stack, so evaluating a shift
-    vector builds no model objects at all.
+    only plain floats plus, per polarity, the characterizer's solver
+    for the cell's stack, so evaluating a shift vector builds no model
+    objects at all.
     """
 
     __slots__ = (
@@ -109,8 +107,8 @@ class VariationPlan:
         numerator: float,
         nmos_drive: tuple,
         pmos_drive: tuple,
-        nmos_stack: tuple,
-        pmos_stack: tuple,
+        nmos_stack,
+        pmos_stack,
     ):
         self.cell_name = cell_name
         self.vdd = vdd
@@ -157,13 +155,11 @@ class VariationPlan:
                 cell.series_equivalent_width(cell.pmos_path_widths_um),
                 vdd,
             ),
-            nmos_stack=(
-                characterizer._nmos_stacks,
-                characterizer._nmos_stacks.solver(cell.nmos_path_widths_um),
+            nmos_stack=characterizer._nmos_stacks.solver(
+                cell.nmos_path_widths_um
             ),
-            pmos_stack=(
-                characterizer._pmos_stacks,
-                characterizer._pmos_stacks.solver(cell.pmos_path_widths_um),
+            pmos_stack=characterizer._pmos_stacks.solver(
+                cell.pmos_path_widths_um
             ),
         )
 
@@ -232,21 +228,17 @@ class VariationPlan:
     def leakages(self, vt_shifts: Sequence[float]) -> List[float]:
         """``leakage_current`` at every shift, bit-identically.
 
-        Consults (and fills) the shared stack memos with the same
-        rounded keys and in the same order as the per-sample path.
+        One :meth:`~repro.device.leakage.StackSolver.currents` call per
+        polarity answers the whole vector.
         """
         p_high = self.output_high_probability
         p_low = 1.0 - p_high
-        vdd = self.vdd
-        n_stacks, n_solver = self._nmos_stack
-        p_stacks, p_solver = self._pmos_stack
-        out: List[float] = []
-        append = out.append
-        for shift in vt_shifts:
-            shift_key = round(shift, 6)
-            nmos_leak = n_stacks.lookup(n_solver, vdd, shift, shift_key)
-            pmos_leak = p_stacks.lookup(p_solver, vdd, shift, shift_key)
-            append(p_high * nmos_leak + p_low * pmos_leak)
+        nmos_leaks = self._nmos_stack.currents(self.vdd, vt_shifts)
+        pmos_leaks = self._pmos_stack.currents(self.vdd, vt_shifts)
+        out = [
+            p_high * nmos_leak + p_low * pmos_leak
+            for nmos_leak, pmos_leak in zip(nmos_leaks, pmos_leaks)
+        ]
         if _obs.ENABLED and out:
             _obs.incr("variation.samples_batched", len(out))
         return out

@@ -294,8 +294,15 @@ def standard_cells() -> Dict[str, Cell]:
     """The cell catalog used by all netlist builders.
 
     Truth-table index convention: input 0 is the least-significant bit.
+    Each call returns a new dict of the one immutable catalog, built
+    once at import.
     """
-    cells = [
+    return dict(_CATALOG)
+
+
+_CATALOG: Dict[str, Cell] = {
+    cell.name: cell
+    for cell in (
         _simple_cell("INV", (1, 0), 1, 1, 1, 1, 1, 1, 1),
         _simple_cell("BUF", (0, 1), 1, 1, 1, 2, 2, 1, 1),
         _simple_cell("NAND2", (1, 1, 1, 0), 2, 2, 1, 2, 2, 1, 2),
@@ -312,8 +319,8 @@ def standard_cells() -> Dict[str, Cell]:
         _simple_cell("OAI21", (1, 1, 1, 1, 1, 0, 0, 0), 3, 2, 2, 3, 3, 1, 2),
         # MUX2: inputs (a, b, sel); out = b if sel else a.
         _simple_cell("MUX2", (0, 1, 0, 1, 0, 0, 1, 1), 3, 2, 2, 6, 6, 2, 2),
-    ]
-    return {cell.name: cell for cell in cells}
+    )
+}
 
 
 def register_styles() -> Dict[str, RegisterStyle]:

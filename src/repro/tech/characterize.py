@@ -72,9 +72,9 @@ class CellCharacterizer:
     tuple ``(cell, vdd, vt_shift, load, ...)``: the model functions are
     pure, so a cache hit returns the very same float the first call
     computed — results are bit-identical with caching on or off.  The
-    stack-leakage solve (:class:`~repro.device.leakage.StackSolver`) is
-    additionally memoized per polarity inside
-    :class:`~repro.device.leakage.StackLeakageModel`.  Pass
+    stack-leakage solve (:class:`~repro.device.leakage.StackSolver`)
+    keeps no memo of its own beyond one reference root per V_DD, so a
+    leakage never depends on which corners were asked before it.  Pass
     ``cache=False`` to benchmark the uncached evaluation cost.
 
     ``Cell`` is a frozen dataclass, so cells key the cache by *value*:
@@ -121,8 +121,8 @@ class CellCharacterizer:
         return token
 
     def clear_cache(self) -> None:
-        """Drop every memoized corner result (stack memo included) and
-        zero the hit/miss statistics."""
+        """Drop every memoized corner result (stack solvers included)
+        and zero the hit/miss statistics."""
         self._memo.clear()
         self._cell_tokens.clear()
         self._id_tokens.clear()
@@ -130,8 +130,8 @@ class CellCharacterizer:
         self._misses = 0
         self._nmos_stacks = StackLeakageModel(self.technology.transistors.nmos)
         self._pmos_stacks = StackLeakageModel(self.technology.transistors.pmos)
-        # Plans hold references to the replaced stack memos; drop them
-        # so stale caches cannot be revived.
+        # Plans hold references to the replaced stack solvers; drop
+        # them so stale reference roots cannot be revived.
         self._plans.clear()
 
     @property
@@ -419,8 +419,7 @@ class CellCharacterizer:
         bit-identically to :meth:`propagation_delay` /
         :meth:`leakage_current` called per sample.  Plans are memoized
         per corner (when caching is on) and share this characterizer's
-        stack-leakage memos, so plan and per-sample evaluations feed
-        the same caches.
+        stack solvers with the per-sample path.
         """
         self._check_vdd(vdd)
         self._check_load(load_f)
@@ -475,8 +474,7 @@ class CellCharacterizer:
         capacitance, exactly as :meth:`fanout_delay` does; otherwise it
         drives the fixed external ``load_f``.  Plans are memoized per
         (cell, load) pair (when caching is on) and share this
-        characterizer's stack-leakage memos, so plan and per-point
-        evaluations feed the same caches.
+        characterizer's stack solvers with the per-point path.
         """
         self._check_load(load_f)
         if fanout is not None and fanout < 1:

@@ -35,15 +35,12 @@ exact), the non-linear ``switched_capacitance`` views are evaluated
 once per point through the *same* model methods the per-point path
 calls, the inlined ``_bounded_exp`` clamps reproduce
 ``max(-60, min(60, x))`` on the reachable side, and the leakage path
-runs the very stack solver the per-point path runs (taken from
+asks the very stack solver the per-point path asks (taken from
 :meth:`StackLeakageModel.solver
 <repro.device.leakage.StackLeakageModel.solver>`, with its per-V_DD
-reference roots) and *shares* the characterizer's
-:class:`~repro.device.leakage.StackLeakageModel` memo dicts — key
-construction included — so the rounded-key reuse semantics of the
-per-point path are replicated exactly.  The differential tests in
-``tests/property/test_opplan_differential.py`` assert equality corner
-for corner.
+reference roots) for the same (V_DD, shift) corner.  The differential
+tests in ``tests/property/test_opplan_differential.py`` assert
+equality corner for corner.
 """
 
 from __future__ import annotations
@@ -92,8 +89,8 @@ class OperatingPlan:
     <repro.tech.characterize.CellCharacterizer.plan_operating>`; holds
     only plain floats, the two capacitance models (their non-linear
     ``switched_capacitance`` views are the only model calls left in the
-    kernels) and, per polarity, the characterizer's stack model with
-    its solver for the cell's stack.
+    kernels) and, per polarity, the characterizer's solver for the
+    cell's stack.
 
     The load is specified either as a fixed external ``load_f`` [F]
     (mirroring :meth:`~repro.tech.characterize.CellCharacterizer.
@@ -134,8 +131,8 @@ class OperatingPlan:
         drain_area_p: float,
         nmos_drive: tuple,
         pmos_drive: tuple,
-        nmos_stack: tuple,
-        pmos_stack: tuple,
+        nmos_stack,
+        pmos_stack,
     ):
         self.cell_name = cell_name
         self.load_f = load_f
@@ -208,13 +205,11 @@ class OperatingPlan:
                 pmos,
                 cell.series_equivalent_width(cell.pmos_path_widths_um),
             ),
-            nmos_stack=(
-                characterizer._nmos_stacks,
-                characterizer._nmos_stacks.solver(cell.nmos_path_widths_um),
+            nmos_stack=characterizer._nmos_stacks.solver(
+                cell.nmos_path_widths_um
             ),
-            pmos_stack=(
-                characterizer._pmos_stacks,
-                characterizer._pmos_stacks.solver(cell.pmos_path_widths_um),
+            pmos_stack=characterizer._pmos_stacks.solver(
+                cell.pmos_path_widths_um
             ),
         )
 
@@ -339,16 +334,11 @@ class OperatingPlan:
     def leakages(
         self, vdds: Sequence[float], vt_shift: float = 0.0
     ) -> List[float]:
-        """``leakage_current`` at every supply, bit-identically.
-
-        Consults (and fills) the shared stack memos with the same
-        rounded keys and in the same order as the per-point path.
-        """
+        """``leakage_current`` at every supply, bit-identically."""
         p_high = self.output_high_probability
         p_low = 1.0 - p_high
-        n_stacks, n_solver = self._nmos_stack
-        p_stacks, p_solver = self._pmos_stack
-        shift_key = round(vt_shift, 6)
+        n_current = self._nmos_stack.current
+        p_current = self._pmos_stack.current
         out: List[float] = []
         append = out.append
         for vdd in vdds:
@@ -356,8 +346,8 @@ class OperatingPlan:
                 raise CharacterizationError(
                     f"vdd must be positive and finite, got {vdd}"
                 )
-            nmos_leak = n_stacks.lookup(n_solver, vdd, vt_shift, shift_key)
-            pmos_leak = p_stacks.lookup(p_solver, vdd, vt_shift, shift_key)
+            nmos_leak = n_current(vdd, vt_shift)
+            pmos_leak = p_current(vdd, vt_shift)
             append(p_high * nmos_leak + p_low * pmos_leak)
         if _obs.ENABLED and out:
             _obs.incr("opplan.points_batched", len(out))
@@ -378,9 +368,8 @@ class OperatingPlan:
         """
         p_high = self.output_high_probability
         p_low = 1.0 - p_high
-        n_stacks, n_solver = self._nmos_stack
-        p_stacks, p_solver = self._pmos_stack
-        shift_key = round(vt_shift, 6)
+        n_current = self._nmos_stack.current
+        p_current = self._pmos_stack.current
         load_and_cout = self._load_and_cout
         out: List[Tuple[float, float]] = []
         append = out.append
@@ -388,8 +377,8 @@ class OperatingPlan:
             load, cout = load_and_cout(vdd)
             total = load + cout
             transition = total * vdd * vdd
-            nmos_leak = n_stacks.lookup(n_solver, vdd, vt_shift, shift_key)
-            pmos_leak = p_stacks.lookup(p_solver, vdd, vt_shift, shift_key)
+            nmos_leak = n_current(vdd, vt_shift)
+            pmos_leak = p_current(vdd, vt_shift)
             leak = p_high * nmos_leak + p_low * pmos_leak
             append((transition, leak))
         if _obs.ENABLED and out:
@@ -414,8 +403,8 @@ class OperatingPlan:
         by callers that sweep many shifts over one supply axis.
 
         When ``max_delay_s`` is given, points whose delay exceeds it
-        return ``(delay, None, None)`` and skip the leakage-stack
-        lookups entirely — the surface engine's infeasible cells never
+        return ``(delay, None, None)`` and skip the stack-leakage
+        solves entirely — the surface engine's infeasible cells never
         consume their energies, so eliding the work changes nothing.
         """
         exp = math.exp
@@ -429,9 +418,8 @@ class OperatingPlan:
         p_vt0s = p_vt0 + vt_shift
         p_high = self.output_high_probability
         p_low = 1.0 - p_high
-        n_stacks, n_solver = self._nmos_stack
-        p_stacks, p_solver = self._pmos_stack
-        shift_key = round(vt_shift, 6)
+        n_current = self._nmos_stack.current
+        p_current = self._pmos_stack.current
         out: List[Tuple[float, Optional[float], Optional[float]]] = []
         append = out.append
         for vdd, (load, cout) in zip(vdds, loads):
@@ -490,8 +478,8 @@ class OperatingPlan:
                 append((delay, None, None))
                 continue
             transition = total_load * vdd * vdd
-            nmos_leak = n_stacks.lookup(n_solver, vdd, vt_shift, shift_key)
-            pmos_leak = p_stacks.lookup(p_solver, vdd, vt_shift, shift_key)
+            nmos_leak = n_current(vdd, vt_shift)
+            pmos_leak = p_current(vdd, vt_shift)
             leak = p_high * nmos_leak + p_low * pmos_leak
             append((delay, transition, leak))
         if _obs.ENABLED and out:

@@ -83,6 +83,53 @@ class TestSampling:
         d = tight.delay_distribution(inverter, 1.0)
         assert d.coefficient_of_variation < 1e-12
 
+    def test_one_draw_serves_every_pass(self, inverter, monkeypatch):
+        import random
+
+        draws = []
+        gauss = random.Random.gauss
+
+        def counting(rng, mu, sigma):
+            draws.append(sigma)
+            return gauss(rng, mu, sigma)
+
+        monkeypatch.setattr(random.Random, "gauss", counting)
+        analyzer = MonteCarloAnalyzer(
+            soi_low_vt(), vt_sigma=0.03, n_samples=40, seed=4
+        )
+        cell = standard_cells()["NAND3"]
+        analyzer.delay_distribution(cell, 0.6)
+        analyzer.leakage_distribution(cell, 0.6)
+        analyzer.leakage_amplification(cell, 0.6)
+        assert len(draws) == 40
+
+    def test_draw_follows_its_inputs_and_is_a_fresh_list(self):
+        def drawn(**inputs):
+            return MonteCarloAnalyzer(
+                soi_low_vt(), **inputs
+            ).sample_vt_shifts()
+
+        analyzer = MonteCarloAnalyzer(
+            soi_low_vt(), vt_sigma=0.03, n_samples=20, seed=4
+        )
+        analyzer.sample_vt_shifts()[0] = 9.0
+        assert analyzer.sample_vt_shifts() == drawn(
+            vt_sigma=0.03, n_samples=20, seed=4
+        )
+        # Reassigning any input the draw came from redraws.
+        analyzer.seed = 5
+        assert analyzer.sample_vt_shifts() == drawn(
+            vt_sigma=0.03, n_samples=20, seed=5
+        )
+        analyzer.vt_sigma = 0.04
+        assert analyzer.sample_vt_shifts() == drawn(
+            vt_sigma=0.04, n_samples=20, seed=5
+        )
+        analyzer.n_samples = 7
+        assert analyzer.sample_vt_shifts() == drawn(
+            vt_sigma=0.04, n_samples=7, seed=5
+        )
+
 
 class TestLeakageAmplification:
     def test_closed_form_value(self):
@@ -116,14 +163,11 @@ class TestLeakageAmplification:
             )
             # All draws in the window: only the shift-0 reference solves.
             assert obs.counter_value("leakage.stack_solves") == 1
-        # The stack memo keys shifts to 1e-6 V, so a later draw in the
-        # same bucket is served the first one's value.
-        first = {}
-        for s in shifts:
-            first.setdefault(round(s, 6), s)
-        expected = math.fsum(
-            math.exp(-first[round(s, 6)] / n_phi) for s in shifts
-        ) / len(shifts)
+        # Every draw is its own exact factor, even two draws within
+        # 1e-6 V of each other.
+        expected = math.fsum(math.exp(-s / n_phi) for s in shifts) / len(
+            shifts
+        )
         assert measured == pytest.approx(expected, rel=1e-12)
         assert measured == pytest.approx(
             lognormal_leakage_amplification(0.03, nmos.subthreshold_swing),
@@ -142,6 +186,20 @@ class TestLeakageAmplification:
     def test_validation(self):
         with pytest.raises(AnalysisError):
             lognormal_leakage_amplification(-0.01, 0.066)
+
+    @pytest.mark.parametrize(
+        "sigma, swing",
+        [
+            (math.nan, 0.066),
+            (math.inf, 0.066),
+            (0.03, math.nan),
+            (0.03, math.inf),
+            (0.03, 0.0),
+        ],
+    )
+    def test_non_finite_sigma_or_swing_rejected(self, sigma, swing):
+        with pytest.raises(AnalysisError, match="sigma or swing"):
+            lognormal_leakage_amplification(sigma, swing)
 
 
 class TestDelaySpread:
@@ -194,11 +252,25 @@ class TestTimingYield:
             MonteCarloAnalyzer(soi_low_vt(), n_samples=1)
 
     @pytest.mark.parametrize(
-        "bounds", [(0.0, 1.0), (-0.1, 1.0), (1.0, 1.0), (2.0, 0.1)]
+        "bounds",
+        [
+            (0.0, 1.0),
+            (-0.1, 1.0),
+            (1.0, 1.0),
+            (2.0, 0.1),
+            (0.1, math.inf),
+            (math.nan, 1.0),
+            (0.1, math.nan),
+        ],
     )
     def test_bad_vdd_bounds_rejected(self, analyzer, inverter, bounds):
         with pytest.raises(AnalysisError, match="bounds"):
             analyzer.timing_yield_vdd(inverter, 1e-9, vdd_bounds=bounds)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_target_rejected(self, analyzer, inverter, target):
+        with pytest.raises(AnalysisError, match="target delay"):
+            analyzer.timing_yield_vdd(inverter, target)
 
     def test_solve_memoizes_per_vdd_distributions(self, inverter):
         # The bisection revisits its bracket endpoints; each distinct

@@ -4,6 +4,7 @@ import pytest
 
 from repro.device.leakage import (
     StackLeakageModel,
+    StackSolver,
     gate_leakage_current,
     stack_leakage_current,
 )
@@ -103,12 +104,21 @@ class TestGateLeakage:
 
 
 class TestStackLeakageModel:
-    def test_caches_results(self, nmos_params):
+    def test_current_is_the_one_solvers_answer(self, nmos_params):
+        # No memo in front of the solver: every value is the widths
+        # tuple's one solver's exact answer, whatever was asked before,
+        # a shift within 1e-6 V included.
         model = StackLeakageModel(nmos_params)
-        first = model.current([1.0, 1.0], 1.0)
-        second = model.current([1.0, 1.0], 1.0)
-        assert first == second
-        assert len(model._cache) == 1
+        solver = model.solver([1.0, 1.0])
+        assert model.solver((1.0, 1.0)) is solver
+        first = model.current([1.0, 1.0], 1.0, 0.01)
+        near = model.current([1.0, 1.0], 1.0, 0.0100004)
+        assert near != first
+        assert model.current([1.0, 1.0], 1.0, 0.01) == first
+        assert first == solver.current(1.0, 0.01)
+        assert first == StackSolver(nmos_params, [1.0, 1.0]).current(
+            1.0, 0.01
+        )
 
     def test_suppression_factor_above_one(self, nmos_params):
         model = StackLeakageModel(nmos_params)

@@ -15,11 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.device.leakage import StackLeakageModel, StackSolver
+from repro.device.leakage import StackSolver
 from repro.device.mosfet import Mosfet, MosfetParameters
 from repro.device.technology import bulk_cmos_06um, soi_low_vt, soias_technology
 from repro.errors import DeviceModelError
 from repro.tech.cells import standard_cells
+from repro.tech.characterize import CellCharacterizer
 from tests.device.stack_oracle import ORACLE_RTOL, oracle_stack_current
 from tests.property.test_device_properties import mosfet_parameters
 
@@ -261,6 +262,113 @@ class TestShiftIdentity:
         assert ahead == behind[::-1]
 
 
+def _leakage_counters():
+    counters = obs.snapshot()["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("leakage.")}
+
+
+class TestBatchedCurrents:
+    """``currents(vdd, shifts)`` is ``current(vdd, s)`` per shift."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        technology=st.sampled_from(sorted(TECHNOLOGIES)),
+        polarity=st.sampled_from(["nmos", "pmos"]),
+        widths=st.lists(st.floats(0.5, 8.0), min_size=1, max_size=4),
+        vdd=st.floats(0.05, 3.3),
+        offsets=st.lists(
+            st.tuples(
+                st.sampled_from(["lowest", "off_clamp", "device_clamp"]),
+                st.floats(-0.05, 0.05),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @example("soi", "nmos", [4.0, 4.0, 4.0], 0.6, [("lowest", 0.0)] * 3)
+    @example("soi-vt0.02", "nmos", [2.0, 2.0], 1.2, [("lowest", 0.01)])
+    def test_equal_to_current_per_shift_counters_included(
+        self, technology, polarity, widths, vdd, offsets
+    ):
+        # Shifts straddle the window's lower edge, the off-current
+        # clamp edge and the device-exponent clamp at the solution.
+        parameters = _parameters(technology, polarity)
+        n_phi = parameters.ideality * parameters.thermal_voltage
+        lowest = parameters.dibl * vdd - parameters.vt0
+        nominal = StackSolver(parameters, widths).current(vdd, 0.0)
+        x_floor = max(math.log(parameters.i_spec * w) for w in widths) - 60.0
+        edges = {
+            "lowest": lowest,
+            "off_clamp": lowest + 60.0 * n_phi,
+            "device_clamp": n_phi * (math.log(nominal) - x_floor),
+        }
+        shifts = [edges[edge] + offset for edge, offset in offsets]
+        batched_solver = StackSolver(parameters, widths)
+        scalar_solver = StackSolver(parameters, widths)
+        # Twice each, so the second pass meets a kept reference root.
+        with obs.enabled_scope():
+            batched = [
+                batched_solver.currents(vdd, order)
+                for order in (shifts, shifts[::-1])
+            ]
+            batched_counts = _leakage_counters()
+        with obs.enabled_scope():
+            scalar = [
+                [scalar_solver.current(vdd, s) for s in order]
+                for order in (shifts, shifts[::-1])
+            ]
+            scalar_counts = _leakage_counters()
+        assert batched == scalar
+        assert batched_counts == scalar_counts
+
+    def test_rejects_a_bad_supply_for_any_depth(self):
+        for widths in ([2.0], [2.0, 2.0]):
+            solver = StackSolver(soi_low_vt().transistors.nmos, widths)
+            with pytest.raises(DeviceModelError, match="vdd"):
+                solver.currents(math.nan, [0.0])
+            assert solver.currents(0.5, []) == []
+
+
+class TestHistoryFree:
+    """A leakage never depends on which corners were asked before it."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        technology=st.sampled_from(sorted(TECHNOLOGIES)),
+        name=st.sampled_from(["INV", "NAND2", "NAND3", "NOR3", "AOI21"]),
+        vdd=st.floats(0.1, 1.5),
+        shifts=st.lists(
+            st.floats(-0.1, 0.1), min_size=1, max_size=8, unique=True
+        ),
+        nudges=st.lists(st.floats(-1e-6, 1e-6), min_size=1, max_size=8),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_order_and_near_duplicates_change_nothing(
+        self, technology, name, vdd, shifts, nudges, order
+    ):
+        cell = standard_cells()[name]
+        technology = TECHNOLOGIES[technology]
+        # Each shift asked of a fresh characterizer, with no history.
+        alone = [
+            CellCharacterizer(technology).leakage_current(cell, vdd, s)
+            for s in shifts
+        ]
+        # The same shifts shuffled, with shifts within 1e-6 V of them
+        # mixed in (index None), through the scalar and the plan path.
+        queries = list(enumerate(shifts))
+        queries += [(None, s + d) for d, (_, s) in zip(nudges, queries)]
+        order.shuffle(queries)
+        asked = [s for _, s in queries]
+        scalar = CellCharacterizer(technology)
+        planned = CellCharacterizer(technology).plan_variation(cell, vdd)
+        for values in (
+            [scalar.leakage_current(cell, vdd, s) for s in asked],
+            planned.leakages(asked),
+        ):
+            kept = {i: v for (i, _), v in zip(queries, values)}
+            assert [kept[i] for i in range(len(shifts))] == alone
+
+
 class TestEvaluationBudget:
     #: The nested bisection took ~13k (2-stack) and ~19k (3-stack).
     MAX_MEAN_EVALUATIONS = 250
@@ -311,12 +419,21 @@ class TestCounters:
             assert obs.counter_value("leakage.device_evals") > 2
 
 
-class TestMemoSharing:
-    def test_lookup_and_current_share_entries(self):
-        parameters = soi_low_vt().transistors.nmos
-        model = StackLeakageModel(parameters)
-        solver = StackSolver(parameters, [4.0, 4.0])
-        shift = 0.0123
-        planned = model.lookup(solver, 0.7, shift, round(shift, 6))
-        assert model.current([4.0, 4.0], 0.7, shift) == planned
-        assert len(model._cache) == 1
+class TestSolverSharing:
+    def test_plans_and_scalar_share_one_solver(self):
+        characterizer = CellCharacterizer(soi_low_vt())
+        cell = standard_cells()["NAND3"]
+        solver = characterizer._nmos_stacks.solver(cell.nmos_path_widths_um)
+        variation = characterizer.plan_variation(cell, 0.7)
+        operating = characterizer.plan_operating(cell)
+        assert variation._nmos_stack is solver
+        assert operating._nmos_stack is solver
+        shifts = [0.0123, 0.01230004, -0.02]
+        scalar = [
+            characterizer.leakage_current(cell, 0.7, vt_shift=s)
+            for s in shifts
+        ]
+        assert variation.leakages(shifts) == scalar
+        assert [operating.leakage(0.7, s) for s in shifts] == scalar
+        # The three paths found one reference root for the supply.
+        assert list(solver._references) == [0.7]

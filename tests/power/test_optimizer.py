@@ -178,6 +178,22 @@ class TestModuleThroughputOptimizer:
         best = module_optimizer.optimum(module_target, utilization=0.1)
         assert best.vdd < 1.0
 
+    def test_optimum_solves_once_per_probe(
+        self, module_optimizer, module_target
+    ):
+        # The winner is a probed V_T, so it is returned, not re-solved.
+        from repro import obs
+
+        with obs.enabled_scope():
+            best = module_optimizer.optimum(module_target, utilization=0.1)
+            counters = obs.snapshot()["counters"]
+        assert counters["optimizer.vdd_solves"] == counters[
+            "optimizer.golden_probes"
+        ]
+        assert best == module_optimizer.locus_point(
+            best.vt, module_target, 0.1
+        )
+
     def test_validation(self, module_optimizer, module_target):
         with pytest.raises(OptimizationError):
             module_optimizer.solve_vdd_for_delay(-1.0, 0.2)

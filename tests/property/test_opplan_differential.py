@@ -98,12 +98,8 @@ class TestPlanMatchesPerPointPath:
             for vdd in vdds
         ]
         assert plan.leakages(vdds, shift) == expected
-        # A supply whose rounded stack-memo key repeats is served the
-        # first one's value, so check each key's first point only.
-        first = {}
+        # Leakage is history-free: every point is its own corner's.
         for vdd, value in zip(vdds, expected):
-            first.setdefault(round(vdd, 6), (vdd, value))
-        for vdd, value in first.values():
             oracle = oracle_cell_leakage(reference.technology, cell, vdd, shift)
             assert math.isclose(value, oracle, rel_tol=ORACLE_RTOL)
 

@@ -23,6 +23,15 @@ def tech():
 
 
 class TestCatalog:
+    def test_calls_share_cells_but_not_the_dict(self):
+        first, second = standard_cells(), standard_cells()
+        assert first == second and first is not second
+        assert all(first[name] is second[name] for name in first)
+        first["INV"] = first["NAND2"]
+        del first["MUX2"]
+        assert second["INV"].name == "INV" and "MUX2" in second
+        assert standard_cells() == second
+
     def test_expected_cells_present(self, cells):
         for name in [
             "INV", "BUF", "NAND2", "NAND3", "NOR2", "NOR3",

@@ -217,6 +217,19 @@ class TestOptimizerInstrumentation:
         assert snap["timers"]["optimizer.sweep"]["count"] == 1
         assert snap["timers"]["optimizer.optimum"]["count"] == 1
 
+    def test_optimum_solves_once_per_probe(self):
+        # The winner is a probed V_T, so it is returned, not re-solved.
+        ring = RingOscillatorModel(soi_low_vt(), stages=11)
+        optimizer = FixedThroughputOptimizer(ring, cycle_stages=22)
+        target = 4.0 * ring.stage_delay(1.0, 0.2)
+        with obs.enabled_scope():
+            best = optimizer.optimum(target, vt_bounds=(0.05, 0.45))
+            counters = obs.snapshot()["counters"]
+        assert counters["optimizer.vdd_solves"] == counters[
+            "optimizer.golden_probes"
+        ]
+        assert best == optimizer.locus_point(best.vt, target)
+
     def test_one_plan_decode_per_ring_and_per_surface(self):
         from repro.analysis.surface import energy_surface
 

@@ -232,8 +232,8 @@ class TestOptimizerCornerCacheEquivalence:
     @pytest.mark.parametrize("name", ORACLE_TECHNOLOGIES)
     def test_yield_locus_identical(self, name):
         # A relaxed target clamps several V_T probes at the minimum
-        # supply, where 300 sampled thresholds per probe would meet in
-        # a shared rounded leakage memo.
+        # supply, where the 300 sampled thresholds of every probe are
+        # priced on the ring's one decode at one V_DD.
         ring, oracle = self._pair(name, stages=11)
         spec = VariationSpec(n_samples=300)
         target = 50.0 * ring.stage_delay(1.0, 0.2)
