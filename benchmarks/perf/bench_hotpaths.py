@@ -23,19 +23,20 @@ measurements to ``BENCH_hotpaths.json`` at the repo root:
    ``profile_from_counts``) on the same two workloads.  Profiles must
    be identical; the acceptance target is a >=5x speedup.
 5. **Batched variation engine** — the per-sample Monte-Carlo path (one
-   full ``propagation_delay``/``leakage_current`` call chain per V_T
-   sample) vs the decoded :class:`VariationPlan` batch path on the
-   same shift vector.  Samples must be bit-identical; the acceptance
-   target is a >=5x speedup.
+   scalar ``propagation_delay``/``leakage_current`` query per V_T
+   sample, each a one-element call of the cell's corner plan) vs the
+   analyzer's one fixed-V_DD kernel call of that
+   :class:`~repro.tech.opplan.CornerPlan` over the same shift vector.
+   Samples must be bit-identical.
 6. **Yield-constrained optimum** — the nominal optimum through the
    flow vs the seed optimizer (bit-identical), and the p-th percentile
    optimum's guard band and cost.
 7. **Batched (V_DD, V_T) energy surface** — the per-point chain (one
    ``fanout_delay``/``energy_per_transition``/``leakage_current`` call
    stack per grid cell, one cached characterizer per V_T corner) vs
-   the plan-based Fig. 3/4 ``energy_surface`` whose rows run through
-   decoded operating plans.  Grids must be bit-identical; the
-   acceptance target is a >=3x speedup.
+   the plan-based Fig. 3/4 ``energy_surface`` whose rows are batched
+   kernel calls of one decoded corner plan.  Grids must be
+   bit-identical; the acceptance target is a >=3x speedup.
 
 Usage::
 
@@ -291,14 +292,14 @@ def bench_variation(quick: bool) -> dict:
         technology, n_samples=n_samples, seed=0
     ).sample_vt_shifts()
 
-    # Before: the per-sample path — the full characterization call
-    # chain (effective-V_T resolve, drive solve, stack solve) runs once
-    # per V_T sample, exactly as the analyzer did pre-plan.  Both sides
-    # run the characterizer's one StackSolver per stack, which solves
-    # the shift-0 reference once per V_DD and answers every in-window
-    # shift with one exp, so the leakage ratio only measures the
-    # per-sample call overhead the plan hoists (~1.3x); the delay half
-    # (~6x) carries the overall ratio.
+    # Before: the per-sample path — one scalar characterizer query per
+    # V_T sample, each a memo miss served by a one-element plan call
+    # that recomputes the supply's C(V) terms.  Both sides run the
+    # characterizer's one StackSolver per stack, which solves the
+    # shift-0 reference once per V_DD and answers every in-window shift
+    # with one exp, so the leakage ratio only measures the per-sample
+    # call overhead the batch hoists; the delay half carries the
+    # overall ratio.
     reference = CellCharacterizer(technology)
     ref_delays, ref_delay_seconds = _timed(
         lambda: [
@@ -313,8 +314,8 @@ def bench_variation(quick: bool) -> dict:
         ]
     )
 
-    # After: the analyzer decodes the corner into one plan and pushes
-    # the whole shift vector through its tight inner loops.
+    # After: the analyzer pushes the whole shift vector through one
+    # kernel call of the cell's plan, the supply's terms computed once.
     analyzer = MonteCarloAnalyzer(
         technology, n_samples=n_samples, seed=0
     )
@@ -423,7 +424,7 @@ def bench_yield_optimum(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 7. Batched energy surface: per-point chain vs decoded operating plans
+# 7. Batched energy surface: per-point chain vs the decoded corner plan
 # ----------------------------------------------------------------------
 def bench_surface(quick: bool) -> dict:
     """The Fig. 3/4 plane: per-point characterization vs plan kernels.

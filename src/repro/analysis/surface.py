@@ -5,10 +5,11 @@ for each (V_DD, V_T) pair the ring either meets the cycle-time budget
 or it does not, and where it does, the cycle energy is the Fig. 4
 switching-plus-leakage sum.  This module samples that plane on a
 (V_T, V_DD) grid — one decoded :class:`~repro.tech.opplan.
-OperatingPlan` per call serves every row with the V_T as its shift,
-and the V_DD axis's loads are computed once for all rows, which is
-what makes whole-plane evaluation cheap — and marks infeasible cells
-(stage delay above the per-stage budget) as ``None``.
+CornerPlan` per call serves every row with the V_T as its shift,
+and the V_DD axis's supply terms are computed once for all rows,
+which is what makes whole-plane evaluation cheap — and marks
+infeasible cells (stage delay above the per-stage budget) as
+``None``.
 
 The interesting structure is one-dimensional: per V_T row, energy
 falls with V_DD until leakage-vs-delay trade-off turns it around, so
@@ -44,9 +45,9 @@ class _EnergyCell:
     Returns the ring's cycle energy [J] when the stage delay meets the
     per-stage budget, ``None`` where the corner is infeasible.  Like
     :class:`~repro.power.optimizer.RingOscillatorModel`, a cell decodes
-    once: the fanout-1 inverter plan at ``V_T0 = 0`` takes every V_T as
-    its kernels' shift.  The plan kernels and the association below are
-    float-for-float the ring's
+    once: the inverter's corner plan at ``V_T0 = 0`` takes every V_T as
+    its kernels' shift, driving a fanout of 1.  The plan kernels and
+    the association below are float-for-float the ring's
     :meth:`~repro.power.optimizer.RingOscillatorModel.stage_delay` /
     :meth:`~repro.power.optimizer.RingOscillatorModel.energy_per_cycle`
     chain (pinned by ``tests/analysis/test_surface.py``), minus the
@@ -70,26 +71,23 @@ class _EnergyCell:
         _, self.plan = _zero_threshold_decode(technology)
 
     def __call__(self, vt: float, vdd: float) -> Optional[float]:
-        plan = self.plan
-        if plan.delay(vdd, vt) > self.target_stage_delay_s:
-            return None
-        switching_per_stage, leak_per_stage = plan.energies((vdd,), vt)[0]
-        switching = self.stages * self.activity * switching_per_stage
-        leakage_current = self.stages * leak_per_stage
-        return switching + leakage_current * vdd * self.t_cycle_s
+        return self.row(vt, (vdd,), self.plan.supplies((vdd,), fanout=1))[0]
 
     def row(
-        self, vt: float, vdds: Sequence[float], loads: Sequence[tuple]
+        self, vt: float, vdds: Sequence[float], supplies: Sequence[tuple]
     ) -> Tuple[Optional[float], ...]:
         """One whole V_T row through the plan's batched kernel.
 
-        ``loads`` is ``plan.loads(vdds)``: C(V) does not depend on V_T,
-        so a grid computes its V_DD axis's loads once for every row.
-        Bit-identical to calling the cell per point — the kernel
-        evaluates points independently.
+        ``supplies`` is the plan's fanout-1 ``supplies(vdds)``: nothing
+        in them depends on V_T, so a grid computes its V_DD axis once
+        for every row.  Bit-identical to calling the cell per point —
+        the kernel evaluates points independently.
         """
         points = self.plan.operating_points(
-            vdds, vt, self.target_stage_delay_s, loads
+            vdds,
+            (vt,) * len(vdds),
+            max_delay_s=self.target_stage_delay_s,
+            supplies=supplies,
         )
         stages = self.stages
         stages_activity = stages * self.activity
@@ -213,8 +211,8 @@ def _row_batched_grid(
 ) -> Sweep2D:
     """The base grid, one batched kernel pass per V_T row."""
     vdds = [float(vdd) for vdd in vdd_values]
-    loads = cell.plan.loads(vdds)
-    rows = [cell.row(vt, vdds, loads) for vt in vt_values]
+    supplies = cell.plan.supplies(vdds, fanout=1)
+    rows = [cell.row(vt, vdds, supplies) for vt in vt_values]
     return Sweep2D(
         x_name="vt",
         y_name="vdd",

@@ -12,14 +12,12 @@ on real silicon.
 delay and leakage distributions for any cell; the closed-form
 lognormal mean amplification is provided for cross-checking.
 
-Every distribution is evaluated through the **batched variation
-engine**: the analyzer asks its characterizer for one
-:class:`~repro.tech.batch.VariationPlan` per (cell, V_DD, load) corner
-and pushes the whole shift vector through it, instead of running the
-full characterization call chain once per sample.  The plan path is
-bit-identical to the per-sample path (asserted by the differential
-property tests and the ``variation`` section of
-``bench_hotpaths.py``).
+Every distribution is one batched call of the cell's decoded
+:class:`~repro.tech.opplan.CornerPlan`: the whole shift vector at one
+V_DD, with the supply's terms computed once, instead of one
+characterization call chain per sample.  Each sample is the float the
+per-sample path computes (asserted by the differential property tests
+and the ``variation`` section of ``bench_hotpaths.py``).
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro import obs
 from repro.device.technology import Technology
 from repro.errors import AnalysisError
 from repro.tech.cells import Cell
@@ -148,13 +147,12 @@ class MonteCarloAnalyzer:
         self._characterizer = CellCharacterizer(technology)
         #: ``((seed, vt_sigma, n_samples), shifts)`` of the last draw.
         self._draw = (None, ())
+        #: ``((cell, vdd, draw key), distribution)`` of the last
+        #: leakage distribution.
+        self._leakage = (None, None)
 
-    def _distribution(
-        self, kind: str, cell: Cell, vdd: float, load_f: float
-    ) -> Distribution:
-        plan = self._characterizer.plan_variation(cell, vdd, load_f)
-        evaluate = plan.delays if kind == "delay" else plan.leakages
-        return Distribution(samples=tuple(evaluate(self.sample_vt_shifts())))
+    def _draw_key(self) -> tuple:
+        return (self.seed, self.vt_sigma, self.n_samples)
 
     def sample_vt_shifts(self) -> List[float]:
         """Deterministic Gaussian V_T offsets (one per sample).
@@ -163,7 +161,7 @@ class MonteCarloAnalyzer:
         delay, leakage and amplification passes share one draw; each
         call returns a new list.
         """
-        key = (self.seed, self.vt_sigma, self.n_samples)
+        key = self._draw_key()
         drawn, shifts = self._draw
         if drawn != key:
             rng = random.Random(self.seed)
@@ -182,16 +180,46 @@ class MonteCarloAnalyzer:
         so the values (and their order) are those of the per-sample
         characterizer chain.
         """
-        return self._distribution("delay", cell, vdd, load_f)
+        shifts = self.sample_vt_shifts()
+        plan = self._characterizer.corner_plan(cell)
+        count = len(shifts)
+        samples = plan.delays(
+            (vdd,) * count,
+            shifts,
+            supplies=plan.supplies((vdd,), load_f) * count,
+        )
+        if obs.ENABLED:
+            obs.incr("variation.samples_batched", count)
+        return Distribution(samples=tuple(samples))
 
     def leakage_distribution(
         self, cell: Cell, vdd: float
     ) -> Distribution:
-        """Cell leakage across the V_T samples at one supply."""
-        return self._distribution("leakage", cell, vdd, 0.0)
+        """Cell leakage across the V_T samples at one supply.
+
+        The last distribution is kept, keyed by the cell, the supply
+        and the draw's inputs, so asking again (as
+        :meth:`leakage_amplification` does) evaluates nothing.
+        """
+        key = (cell, vdd, self._draw_key())
+        kept, distribution = self._leakage
+        if kept != key:
+            shifts = self.sample_vt_shifts()
+            samples = self._characterizer.corner_plan(cell).leakages(
+                (vdd,) * len(shifts), shifts
+            )
+            if obs.ENABLED:
+                obs.incr("variation.samples_batched", len(samples))
+            distribution = Distribution(samples=tuple(samples))
+            self._leakage = (key, distribution)
+        return distribution
 
     def leakage_amplification(self, cell: Cell, vdd: float) -> float:
-        """Measured mean-vs-nominal leakage ratio (cf. the closed form)."""
+        """Measured mean-vs-nominal leakage ratio (cf. the closed form).
+
+        Reuses the kept :meth:`leakage_distribution` of the same cell
+        and supply.
+        """
         nominal = self._characterizer.leakage_current(cell, vdd)
         if nominal <= 0.0:
             raise AnalysisError("nominal leakage is zero")
@@ -202,8 +230,8 @@ class MonteCarloAnalyzer:
     ) -> List[Tuple[float, float]]:
         """(V_DD, delay CV) pairs: the low-voltage variation penalty.
 
-        Each supply point reuses its memoized plan on repeat visits —
-        sweeping the same supplies again costs only the vector loops.
+        Every supply point is one kernel call of the cell's decoded
+        plan.
         """
         if not vdds:
             raise AnalysisError("empty supply sweep")
@@ -229,10 +257,10 @@ class MonteCarloAnalyzer:
 
         The variation-aware version of Fig. 3's V_DD-for-delay solve:
         guard-banding the supply so slow-corner devices still make
-        timing.  Each bisection V_DD decodes one plan and evaluates the
-        shift vector through it, and the per-V_DD percentile is
-        memoized within the solve, so revisiting a bracket endpoint is
-        free.
+        timing.  Each bisection V_DD is one kernel call of the cell's
+        decoded plan over the shift vector, and the per-V_DD percentile
+        is memoized within the solve, so revisiting a bracket endpoint
+        is free.
         """
         if not 0.0 < target_delay_s < math.inf:
             raise AnalysisError(

@@ -71,6 +71,9 @@ class GateCapacitanceModel:
             raise DeviceModelError("depletion_floor must be in (0, 1)")
         if self.v_width <= 0.0:
             raise DeviceModelError("v_width must be positive")
+        # The lower limit of every switched-charge integral, kept once
+        # (not a field: equality, hashing and serialization ignore it).
+        object.__setattr__(self, "_charge_at_zero", self._charge(0.0))
 
     @classmethod
     def from_oxide_thickness(
@@ -108,19 +111,21 @@ class GateCapacitanceModel:
         """
         if vdd <= 0.0:
             raise DeviceModelError(f"vdd must be positive, got {vdd}")
+        charge_per_cox = self._charge(vdd) - self._charge_at_zero
+        return self.c_ox_f_per_um2 * charge_per_cox / vdd
+
+    def _charge(self, v: float) -> float:
+        """Antiderivative of ``c(v) / c_ox``: the ``ln cosh`` closed form.
+
+        Integral of ``floor + (1-floor)*0.5*(1 + tanh((v - mid)/width))``.
+        """
         floor = self.depletion_floor
         width = self.v_width
-
-        def antiderivative(v: float) -> float:
-            # Integral of floor + (1-floor)*0.5*(1 + tanh((v - mid)/width)).
-            tail = 0.5 * (
-                (v - self.v_mid)
-                + width * math.log(math.cosh((v - self.v_mid) / width))
-            )
-            return floor * v + (1.0 - floor) * tail
-
-        charge_per_cox = antiderivative(vdd) - antiderivative(0.0)
-        return self.c_ox_f_per_um2 * charge_per_cox / vdd
+        tail = 0.5 * (
+            (v - self.v_mid)
+            + width * math.log(math.cosh((v - self.v_mid) / width))
+        )
+        return floor * v + (1.0 - floor) * tail
 
     def gate_capacitance(
         self, width_um: float, length_um: float, vdd: float

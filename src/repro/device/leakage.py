@@ -12,10 +12,10 @@ matter for the tools it calls for:
   self-consistently, once per V_DD: a V_T shift that keeps the stack
   in subthreshold only rescales that solution by
   ``exp(-shift / (n phi_t))``.  :class:`StackLeakageModel` owns one
-  solver per stack, shared by the scalar characterizer and both
-  batched plans (:mod:`repro.tech.batch`, :mod:`repro.tech.opplan`);
-  every leakage is that solver's answer for (widths, V_DD, shift), so
-  no value depends on which corners were asked before it.
+  solver per stack, shared by the characterizer's corner plans
+  (:mod:`repro.tech.opplan`); every leakage is that solver's answer
+  for (widths, V_DD, shift), so no value depends on which corners were
+  asked before it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ _BRACKET_FLOOR = 1e-12
 _MAX_LOG_STEP = 40.0
 #: A V_DD whose reference root has not been looked for yet.
 _UNSOLVED = object()
+_INF = math.inf
 
 
 class StackSolver:
@@ -317,7 +318,8 @@ class StackSolver:
     def current(self, vdd: float, vt_shift: float = 0.0) -> float:
         """Stack leakage current at one (V_DD, shift) corner [A]."""
         devices = self._devices
-        if len(devices) == 1 and 0.0 < vdd < math.inf:
+        single = len(devices) == 1
+        if single and 0.0 < vdd < _INF and -_INF < vt_shift < _INF:
             return self._off_current(devices[0], vdd, vt_shift)
         return self.currents(vdd, (vt_shift,))[0]
 
@@ -329,12 +331,20 @@ class StackSolver:
         Equal float for float, and in every ``leakage.*`` counter, to
         ``[self.current(vdd, s) for s in vt_shifts]``; V_DD is checked
         and its window and reference root read once, so each in-window
-        shift costs one exp (a single device, its closed form).
+        shift costs one exp (a single device, its closed form).  A
+        non-finite V_DD or shift raises, before any solve: the Newton
+        levels would never converge on NaN.
         """
         if not 0.0 < vdd < math.inf:
             raise DeviceModelError(
                 f"vdd must be positive and finite, got {vdd}"
             )
+        if not -_INF < sum(vt_shifts) < _INF:
+            for shift in vt_shifts:
+                if not -_INF < shift < _INF:
+                    raise DeviceModelError(
+                        f"vt_shift must be finite, got {shift}"
+                    )
         devices = self._devices
         if len(devices) == 1:
             off_current, device = self._off_current, devices[0]
@@ -549,11 +559,10 @@ class StackLeakageModel:
     """Stack-effect evaluator for one transistor flavour.
 
     Owns one :class:`StackSolver` per widths tuple, so the V_DD
-    reference roots those solvers keep serve every caller: the scalar
-    characterizer chain comes through :meth:`current`, and the batched
-    plans of :mod:`repro.tech.batch` and :mod:`repro.tech.opplan` take
-    their solvers from :meth:`solver`.  Every value is the solver's
-    exact answer for (widths, V_DD, shift).
+    reference roots those solvers keep serve every caller: the corner
+    plans of :mod:`repro.tech.opplan` take their solvers from
+    :meth:`solver`, and :meth:`current` asks one directly.  Every value
+    is the solver's exact answer for (widths, V_DD, shift).
     """
 
     def __init__(self, parameters: MosfetParameters):

@@ -65,8 +65,8 @@ def _zero_threshold_decode(technology: Technology):
     """``(characterizer, plan)``: the ring inverter decoded at V_T0 = 0.
 
     The characterizer is of ``technology.with_vt(0.0)`` and the plan is
-    its fanout-1 inverter :class:`~repro.tech.opplan.OperatingPlan`;
-    callers pass each V_T as the kernels' ``vt_shift``.  The device
+    its inverter's :class:`~repro.tech.opplan.CornerPlan`; callers pass
+    each V_T as the kernels' shift.  The device
     kernels see a threshold only as ``V_T0 + shift``, and ``0.0 + V_T``
     is exactly ``V_T``, so every delay, energy, leakage, delay kink and
     solved supply is the very float a characterizer of
@@ -79,7 +79,7 @@ def _zero_threshold_decode(technology: Technology):
     ``V_T0 = 0``, so every shift would run the Newton solve.
     """
     characterizer = CellCharacterizer(technology.with_vt(0.0))
-    return characterizer, characterizer.plan_operating(_INVERTER, fanout=1)
+    return characterizer, characterizer.corner_plan(_INVERTER)
 
 
 def _check_target(target_delay_s: float) -> None:
@@ -94,6 +94,14 @@ def _check_vt(vt: float) -> None:
     """Reject a non-finite threshold before it reaches a kernel."""
     if not math.isfinite(vt):
         raise OptimizationError(f"V_T must be finite, got {vt}")
+
+
+def _check_time(name: str, seconds: float) -> None:
+    """Reject a cycle or operation time that is not positive and finite."""
+    if not 0.0 < seconds < math.inf:
+        raise OptimizationError(
+            f"{name} time must be positive and finite, got {seconds}"
+        )
 
 
 def _bracketed_golden_minimum(energy, low, high, tolerance):
@@ -156,7 +164,7 @@ def _solve_supply(
 
     The delay need not be monotone in between.  ``breaks`` are the
     supplies where it stops falling (see
-    :meth:`repro.tech.opplan.OperatingPlan.delay_breaks`): it rises
+    :meth:`repro.tech.opplan.CornerPlan.delay_breaks`): it rises
     for a band above each, so a target in that band has three roots.
     While a break lies strictly inside the bracket the solve takes
     exactly the steps of a 70-step bisection of ``[low, high]``, so it
@@ -342,7 +350,7 @@ class RingOscillatorModel:
     """Analytical ring-oscillator: the paper's measurement structure.
 
     The model decodes once, at construction: one characterizer of the
-    base process moved to ``V_T0 = 0`` and its fanout-1 inverter plan,
+    base process moved to ``V_T0 = 0`` and its inverter's corner plan,
     which take every query's V_T as their shift and return the very
     floats a corner ``technology.with_vt(V_T)`` would (see
     :func:`_zero_threshold_decode`).  No V_T probe, nominal or
@@ -385,20 +393,22 @@ class RingOscillatorModel:
     def stage_delay(self, vdd: float, vt: float) -> float:
         """Fanout-1 inverter delay at a corner [s].
 
-        Every call is exactly one characterizer fanout-delay query
-        (served through the decoded plan — same memo family, same
-        floats), and ``optimizer.delay_probes`` counts it here — at the
-        query site — so the counter matches the actual characterizer
-        traffic even for probes issued outside a solve
-        (``energy_per_cycle``'s re-probe, ``locus_point``, direct
-        calls).
+        Every call is exactly one characterizer
+        :meth:`~repro.tech.characterize.CellCharacterizer.fanout_delay`
+        query (a miss is one call of the decoded plan), and
+        ``optimizer.delay_probes`` counts it here — at the query site —
+        so the counter matches the actual characterizer traffic even
+        for probes issued outside a solve (``energy_per_cycle``'s
+        re-probe, ``locus_point``, direct calls).
         """
-        if vdd <= 0.0:
-            raise OptimizationError("vdd must be positive")
+        if not 0.0 < vdd < math.inf:
+            raise OptimizationError(
+                f"vdd must be positive and finite, got {vdd}"
+            )
         _check_vt(vt)
         if obs.ENABLED:
             obs.incr("optimizer.delay_probes")
-        return self._characterizer.planned_fanout_delay(
+        return self._characterizer.fanout_delay(
             _INVERTER, vdd, fanout=1, vt_shift=vt
         )
 
@@ -416,7 +426,7 @@ class RingOscillatorModel:
 
         The delay is not monotone in V_DD: above the kink at
         ``V_DD = V_T / (1 + DIBL)`` (:meth:`~repro.tech.opplan.
-        OperatingPlan.delay_breaks`) it rises for a band of about 1 mV
+        CornerPlan.delay_breaks`) it rises for a band of about 1 mV
         at V_T = 0.5 V, 6 mV at 0.2 V and 40 mV at 0.05 V before it
         falls again, so a target inside that band is met at three
         supplies.  The solve returns the one a bisection of the V_DD
@@ -446,14 +456,14 @@ class RingOscillatorModel:
             raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
         if obs.ENABLED:
             obs.incr("optimizer.vdd_solves")
-        # Every probe goes through the decoded plan: bit-identical to a
-        # stage_delay call at the same corner, and the plan knows where
-        # its delay curve kinks.  Plan-kernel probes bypass the
-        # characterizer memo, so ``optimizer.delay_probes`` keeps
-        # matching the characterizer's fanout-family traffic.
+        # Every probe is one plan call: bit-identical to a stage_delay
+        # call at the same corner, and the plan knows where its delay
+        # curve kinks.  The probes bypass the characterizer memo, so
+        # ``optimizer.delay_probes`` keeps matching the characterizer's
+        # fanout-family traffic.
         plan = self._plan
         vdd = _solve_supply(
-            lambda v: plan.delay(v, vt),
+            lambda v: plan.delay(v, vt, fanout=1),
             target_stage_delay_s,
             low,
             high,
@@ -476,15 +486,14 @@ class RingOscillatorModel:
         is the term that turns the energy-vs-V_T curve back up at low
         V_T (Fig. 4).
         """
-        if cycle_time_s <= 0.0:
-            raise OptimizationError("cycle time must be positive")
+        _check_time("cycle", cycle_time_s)
         _check_vt(vt)
         # The plan's energies kernel returns the raw (E_transition,
         # I_leak) pair — the same floats the scalar input_capacitance /
         # energy_per_transition / leakage_current chain produced — so
         # the stages/activity/cycle association below is unchanged.
         switching_per_stage, leak_per_stage = self._plan.energies(
-            (vdd,), vt
+            (vdd,), (vt,), fanout=1
         )[0]
         switching = self.stages * self.activity * switching_per_stage
         leakage_current = self.stages * leak_per_stage
@@ -507,19 +516,23 @@ class RingOscillatorModel:
     ) -> float:
         """p-th percentile of the batched stage-delay distribution [s].
 
-        One :class:`~repro.tech.batch.VariationPlan` per probed V_DD,
-        shared by every V_T, evaluates the sampled thresholds
-        ``vt + shift`` in its tight loop.  A plan delay at shift 0 is
-        bit-identical to :meth:`stage_delay` at the same corner.
+        The decoded plan evaluates the sampled thresholds
+        ``vt + shift`` at this V_DD in one kernel call, with the
+        supply's shift-independent terms computed once.  A sample at
+        shift 0 is bit-identical to :meth:`stage_delay` at the same
+        corner.
         """
-        characterizer = self._characterizer
-        load = characterizer._input_capacitance(_INVERTER, vdd)
-        plan = characterizer.plan_variation(_INVERTER, vdd, load)
+        plan = self._plan
+        count = len(shifts)
+        delays = plan.delays(
+            (vdd,) * count,
+            [vt + shift for shift in shifts],
+            supplies=plan.supplies((vdd,), fanout=1) * count,
+        )
         if obs.ENABLED:
             obs.incr("optimizer.mc_probes")
-        return _percentile(
-            plan.delays([vt + shift for shift in shifts]), percentile
-        )
+            obs.incr("variation.samples_batched", count)
+        return _percentile(delays, percentile)
 
     def solve_vdd_for_yield(
         self,
@@ -598,27 +611,24 @@ class RingOscillatorModel:
         """
         from repro.analysis.variation import lognormal_leakage_amplification
 
-        if cycle_time_s <= 0.0:
-            raise OptimizationError("cycle time must be positive")
+        _check_time("cycle", cycle_time_s)
         _check_vt(vt)
         shifts = variation.draw_shifts()
         # Each sample reaches the kernels as the shift ``vt + shift`` of
         # the zero-threshold decode, so its threshold ``0.0 + (vt +
-        # shift)`` is the float a ``with_vt(vt)`` corner forms.  Leakage
-        # does not depend on the load, so the delay percentile's plan
-        # at this V_DD serves it.
-        characterizer = self._characterizer
-        load = characterizer._input_capacitance(_INVERTER, vdd)
-        switching_per_stage = characterizer.energy_per_transition(
-            _INVERTER, vdd, load
-        )
+        # shift)`` is the float a ``with_vt(vt)`` corner forms.
+        plan = self._plan
+        switching_per_stage, nominal_leakage = plan.energies(
+            (vdd,), (vt,), fanout=1
+        )[0]
         switching = self.stages * self.activity * switching_per_stage
-        plan = characterizer.plan_variation(_INVERTER, vdd, load)
+        leakages = plan.leakages(
+            (vdd,) * len(shifts), [vt + shift for shift in shifts]
+        )
         if obs.ENABLED:
             obs.incr("optimizer.mc_probes")
-        leakages = plan.leakages([vt + shift for shift in shifts])
+            obs.incr("variation.samples_batched", len(leakages))
         mean_leakage = sum(leakages) / len(leakages)
-        nominal_leakage = characterizer.leakage_current(_INVERTER, vdd, vt)
         amplification = (
             mean_leakage / nominal_leakage if nominal_leakage > 0.0 else 1.0
         )
@@ -712,7 +722,7 @@ class FixedThroughputOptimizer:
         """Fig. 3/4 data: the fixed-delay locus over a V_T list.
 
         Every V_T's solve and energy evaluation run through the ring's
-        one decoded :class:`~repro.tech.opplan.OperatingPlan`, with the
+        one decoded :class:`~repro.tech.opplan.CornerPlan`, with the
         V_T as the kernels' shift, each probe bit-identical to the
         scalar per-probe chain at that corner.  A non-finite V_T or
         target is a configuration error and raises even with
@@ -965,8 +975,7 @@ class ModuleThroughputOptimizer:
         self, vdd: float, vt: float, operation_time_s: float
     ) -> OperatingPoint:
         """Switching + leakage energy for one operation period [J]."""
-        if operation_time_s <= 0.0:
-            raise OptimizationError("operation time must be positive")
+        _check_time("operation", operation_time_s)
         switching = self.report.switching_energy_per_cycle(
             self.netlist, self.technology, vdd, self._wire
         )
@@ -1003,8 +1012,7 @@ class ModuleThroughputOptimizer:
             lognormal_leakage_amplification,
         )
 
-        if operation_time_s <= 0.0:
-            raise OptimizationError("operation time must be positive")
+        _check_time("operation", operation_time_s)
         shifts = variation.draw_shifts()
         base = self._shift(vt)
         switching = self.report.switching_energy_per_cycle(

@@ -15,8 +15,8 @@ from repro.tech.cells import (
     register_styles,
 )
 from repro.tech.characterize import CellCharacterizer, CellTimings
-from repro.tech.batch import VariationPlan
 from repro.tech.library import CellLibrary
+from repro.tech.opplan import CornerPlan
 
 __all__ = [
     "Cell",
@@ -25,6 +25,6 @@ __all__ = [
     "register_styles",
     "CellCharacterizer",
     "CellTimings",
-    "VariationPlan",
+    "CornerPlan",
     "CellLibrary",
 ]

@@ -29,13 +29,9 @@ from repro.device.mosfet import Mosfet
 from repro.device.technology import Technology
 from repro.errors import CharacterizationError
 from repro.tech.cells import Cell
+from repro.tech.opplan import CornerPlan
 
 __all__ = ["CellTimings", "CellCharacterizer"]
-
-#: Effective-current delay constant: the switching transistor spends the
-#: transition between its saturation and linear currents; 0.7 matches
-#: the usual 50 %-swing convention.
-_DELAY_CONSTANT = 0.7
 
 #: Cache-miss sentinel (``None``/0.0 are legal cached values).
 _MISS = object()
@@ -67,24 +63,27 @@ class CellTimings:
 class CellCharacterizer:
     """Characterizes cells of one technology.
 
-    All corner queries (drive currents, delay, switching and
-    short-circuit energy, leakage) are memoized on the exact argument
+    Every corner query (drive currents, delay, switching and
+    short-circuit energy, leakage) is memoized on the exact argument
     tuple ``(cell, vdd, vt_shift, load, ...)``: the model functions are
-    pure, so a cache hit returns the very same float the first call
-    computed — results are bit-identical with caching on or off.  The
+    pure, so a hit returns the very float the first call computed.  A
+    miss in :meth:`propagation_delay`, :meth:`fanout_delay`,
+    :meth:`energy_per_transition` or :meth:`leakage_current` is a
+    one-element call of the cell's :class:`~repro.tech.opplan.
+    CornerPlan`, decoded once per cell by :meth:`corner_plan`, so a
+    scalar query and a batched one give the same float.  The
     stack-leakage solve (:class:`~repro.device.leakage.StackSolver`)
     keeps no memo of its own beyond one reference root per V_DD, so a
-    leakage never depends on which corners were asked before it.  Pass
-    ``cache=False`` to benchmark the uncached evaluation cost.
+    leakage never depends on which corners were asked before it.  A
+    fresh characterizer is the uncached reference.
 
     ``Cell`` is a frozen dataclass, so cells key the cache by *value*:
     equal cells from different ``standard_cells()`` catalogs share
     entries.
     """
 
-    def __init__(self, technology: Technology, cache: bool = True):
+    def __init__(self, technology: Technology):
         self.technology = technology
-        self.cache_enabled = bool(cache)
         self._memo: dict = {}
         # Frozen-dataclass hashing re-walks every Cell field on each
         # lookup; interning cells to small ints keeps keys cheap while
@@ -98,9 +97,8 @@ class CellCharacterizer:
         self._misses = 0
         self._nmos_stacks = StackLeakageModel(technology.transistors.nmos)
         self._pmos_stacks = StackLeakageModel(technology.transistors.pmos)
-        # Decoded variation and operating plans (repro.tech.batch,
-        # repro.tech.opplan); they share the stack models above, so
-        # both caches are dropped together.
+        # Cell token -> CornerPlan; plans share the stack models above,
+        # so both are dropped together.
         self._plans: dict = {}
 
     def _note(self, family: str, hit: bool) -> None:
@@ -108,6 +106,23 @@ class CellCharacterizer:
         kind = "hits" if hit else "misses"
         _obs.incr(f"characterizer.{kind}")
         _obs.incr(f"characterizer.{kind}.{family}")
+
+    def _recall(self, key: tuple):
+        """The memoized value of ``key`` (counting the hit), or a miss."""
+        result = self._memo.get(key, _MISS)
+        if result is not _MISS:
+            self._hits += 1
+            if _obs.ENABLED:
+                self._note(key[0], True)
+        return result
+
+    def _remember(self, key: tuple, result):
+        """Memoize a miss's freshly computed ``result`` and return it."""
+        self._misses += 1
+        if _obs.ENABLED:
+            self._note(key[0], False)
+        self._memo[key] = result
+        return result
 
     def _token(self, cell: Cell) -> int:
         entry = self._id_tokens.get(id(cell))
@@ -121,8 +136,8 @@ class CellCharacterizer:
         return token
 
     def clear_cache(self) -> None:
-        """Drop every memoized corner result (stack solvers included)
-        and zero the hit/miss statistics."""
+        """Drop every memoized corner result and decoded plan (stack
+        solvers included) and zero the hit/miss statistics."""
         self._memo.clear()
         self._cell_tokens.clear()
         self._id_tokens.clear()
@@ -130,8 +145,7 @@ class CellCharacterizer:
         self._misses = 0
         self._nmos_stacks = StackLeakageModel(self.technology.transistors.nmos)
         self._pmos_stacks = StackLeakageModel(self.technology.transistors.pmos)
-        # Plans hold references to the replaced stack solvers; drop
-        # them so stale reference roots cannot be revived.
+        # Plans hold references to the replaced stack solvers.
         self._plans.clear()
 
     @property
@@ -142,9 +156,7 @@ class CellCharacterizer:
     def cache_info(self) -> "_obs.CacheInfo":
         """``lru_cache``-style statistics for the corner memo.
 
-        Hits/misses count cached-mode lookups only (``cache=False``
-        instances never consult the memo, so they report zeros); the
-        memo itself is unbounded — ``maxsize`` is ``None``.
+        The memo is unbounded — ``maxsize`` is ``None``.
         """
         return _obs.CacheInfo(
             hits=self._hits,
@@ -161,6 +173,21 @@ class CellCharacterizer:
             sizes[family] = sizes.get(family, 0) + 1
         return sizes
 
+    def corner_plan(self, cell: Cell) -> CornerPlan:
+        """The cell's :class:`~repro.tech.opplan.CornerPlan`.
+
+        Decoded on first use and kept until :meth:`clear_cache`; it
+        shares this characterizer's stack solvers with every scalar
+        query.  Counted by ``optimizer.plan_builds``.
+        """
+        token = self._token(cell)
+        plan = self._plans.get(token)
+        if plan is None:
+            plan = self._plans[token] = CornerPlan(self, cell)
+            if _obs.ENABLED:
+                _obs.incr("optimizer.plan_builds")
+        return plan
+
     # ------------------------------------------------------------------
     # Drive
     # ------------------------------------------------------------------
@@ -168,85 +195,45 @@ class CellCharacterizer:
         self, cell: Cell, vdd: float, vt_shift: float = 0.0
     ) -> float:
         """Worst-case pull-down drive current [A]."""
-        if not self.cache_enabled:
-            width = cell.series_equivalent_width(cell.nmos_path_widths_um)
-            device = Mosfet(self.technology.transistors.nmos, width_um=width)
-            return device.on_current(vdd, vt_shift)
         key = ("pd", self._token(cell), vdd, vt_shift)
-        result = self._memo.get(key, _MISS)
+        result = self._recall(key)
         if result is _MISS:
-            self._misses += 1
-            if _obs.ENABLED:
-                self._note("pd", False)
             width = cell.series_equivalent_width(cell.nmos_path_widths_um)
             device = Mosfet(self.technology.transistors.nmos, width_um=width)
-            result = device.on_current(vdd, vt_shift)
-            self._memo[key] = result
-        else:
-            self._hits += 1
-            if _obs.ENABLED:
-                self._note("pd", True)
+            result = self._remember(key, device.on_current(vdd, vt_shift))
         return result
 
     def pull_up_current(
         self, cell: Cell, vdd: float, vt_shift: float = 0.0
     ) -> float:
         """Worst-case pull-up drive current [A]."""
-        if not self.cache_enabled:
-            width = cell.series_equivalent_width(cell.pmos_path_widths_um)
-            device = Mosfet(self.technology.transistors.pmos, width_um=width)
-            return device.on_current(vdd, vt_shift)
         key = ("pu", self._token(cell), vdd, vt_shift)
-        result = self._memo.get(key, _MISS)
+        result = self._recall(key)
         if result is _MISS:
-            self._misses += 1
-            if _obs.ENABLED:
-                self._note("pu", False)
             width = cell.series_equivalent_width(cell.pmos_path_widths_um)
             device = Mosfet(self.technology.transistors.pmos, width_um=width)
-            result = device.on_current(vdd, vt_shift)
-            self._memo[key] = result
-        else:
-            self._hits += 1
-            if _obs.ENABLED:
-                self._note("pu", True)
+            result = self._remember(key, device.on_current(vdd, vt_shift))
         return result
 
     # ------------------------------------------------------------------
     # Cached C(V) views
     # ------------------------------------------------------------------
     def _input_capacitance(self, cell: Cell, vdd: float) -> float:
-        if not self.cache_enabled:
-            return cell.input_capacitance(self.technology, vdd)
         key = ("cin", self._token(cell), vdd)
-        result = self._memo.get(key, _MISS)
+        result = self._recall(key)
         if result is _MISS:
-            self._misses += 1
-            if _obs.ENABLED:
-                self._note("cin", False)
-            result = cell.input_capacitance(self.technology, vdd)
-            self._memo[key] = result
-        else:
-            self._hits += 1
-            if _obs.ENABLED:
-                self._note("cin", True)
+            result = self._remember(
+                key, cell.input_capacitance(self.technology, vdd)
+            )
         return result
 
     def _output_capacitance(self, cell: Cell, vdd: float) -> float:
-        if not self.cache_enabled:
-            return cell.output_capacitance(self.technology, vdd)
         key = ("cout", self._token(cell), vdd)
-        result = self._memo.get(key, _MISS)
+        result = self._recall(key)
         if result is _MISS:
-            self._misses += 1
-            if _obs.ENABLED:
-                self._note("cout", False)
-            result = cell.output_capacitance(self.technology, vdd)
-            self._memo[key] = result
-        else:
-            self._hits += 1
-            if _obs.ENABLED:
-                self._note("cout", True)
+            result = self._remember(
+                key, cell.output_capacitance(self.technology, vdd)
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -260,31 +247,12 @@ class CellCharacterizer:
         vt_shift: float = 0.0,
     ) -> float:
         """Worst-edge propagation delay driving ``load_f`` [s]."""
-        self._check_vdd(vdd)
-        self._check_load(load_f)
-        if self.cache_enabled:
-            key = ("delay", self._token(cell), vdd, load_f, vt_shift)
-            result = self._memo.get(key, _MISS)
-            if result is not _MISS:
-                self._hits += 1
-                if _obs.ENABLED:
-                    self._note("delay", True)
-                return result
-            self._misses += 1
-            if _obs.ENABLED:
-                self._note("delay", False)
-        total_load = load_f + self._output_capacitance(cell, vdd)
-        weakest = min(
-            self.pull_down_current(cell, vdd, vt_shift),
-            self.pull_up_current(cell, vdd, vt_shift),
-        )
-        if weakest <= 0.0:
-            raise CharacterizationError(
-                f"cell {cell.name} has no drive at V_DD = {vdd} V"
+        key = ("delay", self._token(cell), vdd, load_f, vt_shift)
+        result = self._recall(key)
+        if result is _MISS:
+            result = self._remember(
+                key, self.corner_plan(cell).delay(vdd, vt_shift, load_f)
             )
-        result = _DELAY_CONSTANT * total_load * vdd / weakest
-        if self.cache_enabled:
-            self._memo[key] = result
         return result
 
     def energy_per_transition(
@@ -297,23 +265,12 @@ class CellCharacterizer:
         subsequent discharge).  Counting ``C V^2`` per 0->1 transition
         matches the paper's Eq. 1 convention with alpha_0->1.
         """
-        self._check_vdd(vdd)
-        self._check_load(load_f)
-        if self.cache_enabled:
-            key = ("energy", self._token(cell), vdd, load_f)
-            result = self._memo.get(key, _MISS)
-            if result is not _MISS:
-                self._hits += 1
-                if _obs.ENABLED:
-                    self._note("energy", True)
-                return result
-            self._misses += 1
-            if _obs.ENABLED:
-                self._note("energy", False)
-        total = load_f + self._output_capacitance(cell, vdd)
-        result = total * vdd * vdd
-        if self.cache_enabled:
-            self._memo[key] = result
+        key = ("energy", self._token(cell), vdd, load_f)
+        result = self._recall(key)
+        if result is _MISS:
+            # A supply record's second field is load_f + C_out.
+            total = self.corner_plan(cell).supplies((vdd,), load_f)[0][1]
+            result = self._remember(key, total * vdd * vdd)
         return result
 
     def short_circuit_energy(
@@ -329,18 +286,14 @@ class CellCharacterizer:
         (V_DD < V_Tn + |V_Tp|) — the classic result that slow rails
         remove short-circuit power entirely.
         """
-        self._check_vdd(vdd)
-        if self.cache_enabled:
-            key = ("sc", self._token(cell), vdd, load_f, input_transition_time_s)
-            cached = self._memo.get(key, _MISS)
-            if cached is not _MISS:
-                self._hits += 1
-                if _obs.ENABLED:
-                    self._note("sc", True)
-                return cached
-            self._misses += 1
-            if _obs.ENABLED:
-                self._note("sc", False)
+        if not 0.0 < vdd < math.inf:
+            raise CharacterizationError(
+                f"vdd must be positive and finite, got {vdd}"
+            )
+        key = ("sc", self._token(cell), vdd, load_f, input_transition_time_s)
+        result = self._recall(key)
+        if result is not _MISS:
+            return result
         nmos = self.technology.transistors.nmos
         pmos = self.technology.transistors.pmos
         overlap = vdd - nmos.vt0 - pmos.vt0
@@ -362,9 +315,7 @@ class CellCharacterizer:
                 * input_transition_time_s
                 / vdd
             )
-        if self.cache_enabled:
-            self._memo[key] = result
-        return result
+        return self._remember(key, result)
 
     def leakage_current(
         self,
@@ -374,174 +325,17 @@ class CellCharacterizer:
         output_high_probability: float = 0.5,
     ) -> float:
         """State-averaged cell leakage with stack effect [A]."""
-        self._check_vdd(vdd)
-        if not 0.0 <= output_high_probability <= 1.0:
-            raise CharacterizationError(
-                "output_high_probability must be in [0, 1]"
-            )
-        if self.cache_enabled:
-            key = ("leak", self._token(cell), vdd, vt_shift, output_high_probability)
-            cached = self._memo.get(key, _MISS)
-            if cached is not _MISS:
-                self._hits += 1
-                if _obs.ENABLED:
-                    self._note("leak", True)
-                return cached
-            self._misses += 1
-            if _obs.ENABLED:
-                self._note("leak", False)
-        nmos_leak = self._nmos_stacks.current(
-            cell.nmos_path_widths_um, vdd, vt_shift
-        )
-        pmos_leak = self._pmos_stacks.current(
-            cell.pmos_path_widths_um, vdd, vt_shift
-        )
-        p_high = output_high_probability
-        result = p_high * nmos_leak + (1.0 - p_high) * pmos_leak
-        if self.cache_enabled:
-            self._memo[key] = result
-        return result
-
-    # ------------------------------------------------------------------
-    # Batched variation evaluation
-    # ------------------------------------------------------------------
-    def plan_variation(
-        self,
-        cell: Cell,
-        vdd: float,
-        load_f: float = 0.0,
-        output_high_probability: float = 0.5,
-    ):
-        """Decode a (cell, V_DD, load) corner for vectorized V_T sweeps.
-
-        Returns a :class:`repro.tech.batch.VariationPlan` whose
-        ``delays``/``leakages`` evaluate whole shift vectors
-        bit-identically to :meth:`propagation_delay` /
-        :meth:`leakage_current` called per sample.  Plans are memoized
-        per corner (when caching is on) and share this characterizer's
-        stack solvers with the per-sample path.
-        """
-        self._check_vdd(vdd)
-        self._check_load(load_f)
-        if not 0.0 <= output_high_probability <= 1.0:
-            raise CharacterizationError(
-                "output_high_probability must be in [0, 1]"
-            )
-        from repro.tech.batch import VariationPlan
-
-        if not self.cache_enabled:
-            if _obs.ENABLED:
-                _obs.incr("variation.plan_builds")
-            return VariationPlan.build(
-                self, cell, vdd, load_f, output_high_probability
-            )
         key = (
-            "vplan",
-            self._token(cell),
-            vdd,
-            load_f,
-            output_high_probability,
+            "leak", self._token(cell), vdd, vt_shift, output_high_probability
         )
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = VariationPlan.build(
-                self, cell, vdd, load_f, output_high_probability
+        result = self._recall(key)
+        if result is _MISS:
+            result = self._remember(
+                key,
+                self.corner_plan(cell).leakages(
+                    (vdd,), (vt_shift,), output_high_probability
+                )[0],
             )
-            self._plans[key] = plan
-            if _obs.ENABLED:
-                _obs.incr("variation.plan_builds")
-        return plan
-
-    # ------------------------------------------------------------------
-    # Batched operating (V_DD) evaluation
-    # ------------------------------------------------------------------
-    def plan_operating(
-        self,
-        cell: Cell,
-        load_f: float = 0.0,
-        fanout=None,
-        output_high_probability: float = 0.5,
-    ):
-        """Decode a (cell, load) pair for vectorized V_DD sweeps.
-
-        Returns a :class:`repro.tech.opplan.OperatingPlan` whose
-        ``delays``/``leakages``/``energies`` kernels evaluate whole
-        supply vectors bit-identically to the per-point
-        :meth:`propagation_delay` / :meth:`fanout_delay` /
-        :meth:`leakage_current` / :meth:`energy_per_transition` chain.
-        With ``fanout`` set (an integer >= 1), the plan drives
-        ``fanout`` copies of the cell's own V_DD-dependent input
-        capacitance, exactly as :meth:`fanout_delay` does; otherwise it
-        drives the fixed external ``load_f``.  Plans are memoized per
-        (cell, load) pair (when caching is on) and share this
-        characterizer's stack solvers with the per-point path.
-        """
-        self._check_load(load_f)
-        if fanout is not None and fanout < 1:
-            raise CharacterizationError("fanout must be >= 1")
-        if not 0.0 <= output_high_probability <= 1.0:
-            raise CharacterizationError(
-                "output_high_probability must be in [0, 1]"
-            )
-        from repro.tech.opplan import OperatingPlan
-
-        if not self.cache_enabled:
-            if _obs.ENABLED:
-                _obs.incr("optimizer.plan_builds")
-            return OperatingPlan.build(
-                self, cell, load_f, fanout, output_high_probability
-            )
-        key = (
-            "oplan",
-            self._token(cell),
-            load_f,
-            fanout,
-            output_high_probability,
-        )
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = OperatingPlan.build(
-                self, cell, load_f, fanout, output_high_probability
-            )
-            self._plans[key] = plan
-            if _obs.ENABLED:
-                _obs.incr("optimizer.plan_builds")
-        return plan
-
-    def planned_fanout_delay(
-        self,
-        cell: Cell,
-        vdd: float,
-        fanout: int = 1,
-        vt_shift: float = 0.0,
-    ) -> float:
-        """:meth:`fanout_delay` evaluated through an operating plan.
-
-        Same memo family, keys and hit/miss accounting as
-        :meth:`fanout_delay` — the two entry points are interchangeable
-        and bit-identical — but a miss is served by the decoded
-        :class:`~repro.tech.opplan.OperatingPlan` kernel instead of the
-        scalar capacitance/drive chain, which is what makes optimizer
-        probe loops cheap.
-        """
-        if fanout < 1:
-            raise CharacterizationError("fanout must be >= 1")
-        if not self.cache_enabled:
-            plan = self.plan_operating(cell, fanout=fanout)
-            return plan.delays((vdd,), vt_shift)[0]
-        key = ("fanout", self._token(cell), vdd, fanout, vt_shift)
-        result = self._memo.get(key, _MISS)
-        if result is not _MISS:
-            self._hits += 1
-            if _obs.ENABLED:
-                self._note("fanout", True)
-            return result
-        self._misses += 1
-        if _obs.ENABLED:
-            self._note("fanout", False)
-        plan = self.plan_operating(cell, fanout=fanout)
-        result = plan.delays((vdd,), vt_shift)[0]
-        self._memo[key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -581,33 +375,11 @@ class CellCharacterizer:
         Fanout-of-1 inverter delay is the ring-oscillator stage delay
         used throughout the Fig. 3-4 experiments.
         """
-        if fanout < 1:
-            raise CharacterizationError("fanout must be >= 1")
-        if self.cache_enabled:
-            key = ("fanout", self._token(cell), vdd, fanout, vt_shift)
-            result = self._memo.get(key, _MISS)
-            if result is not _MISS:
-                self._hits += 1
-                if _obs.ENABLED:
-                    self._note("fanout", True)
-                return result
-            self._misses += 1
-            if _obs.ENABLED:
-                self._note("fanout", False)
-        load = fanout * self._input_capacitance(cell, vdd)
-        result = self.propagation_delay(cell, vdd, load, vt_shift)
-        if self.cache_enabled:
-            self._memo[key] = result
+        key = ("fanout", self._token(cell), vdd, fanout, vt_shift)
+        result = self._recall(key)
+        if result is _MISS:
+            result = self._remember(
+                key,
+                self.corner_plan(cell).delay(vdd, vt_shift, fanout=fanout),
+            )
         return result
-
-    def _check_vdd(self, vdd: float) -> None:
-        if not 0.0 < vdd < math.inf:
-            raise CharacterizationError(
-                f"vdd must be positive and finite, got {vdd}"
-            )
-
-    def _check_load(self, load_f: float) -> None:
-        if not 0.0 <= load_f < math.inf:
-            raise CharacterizationError(
-                f"load must be >= 0 and finite, got {load_f}"
-            )

@@ -174,6 +174,48 @@ class TestLeakageAmplification:
             rel=0.25,
         )
 
+    def test_amplification_reuses_the_leakage_distribution(self):
+        # leakage_amplification after leakage_distribution evaluates no
+        # sample again, and its ratio is exactly the kept mean's.
+        cell = standard_cells()["NAND3"]
+        analyzer = MonteCarloAnalyzer(
+            soi_low_vt(), vt_sigma=0.03, n_samples=30, seed=2
+        )
+        with obs.enabled_scope():
+            distribution = analyzer.leakage_distribution(cell, 0.8)
+            measured = analyzer.leakage_amplification(cell, 0.8)
+            assert obs.counter_value("variation.samples_batched") == 30
+            assert obs.counter_value("leakage.shift_scaled") == 30
+        assert analyzer.leakage_distribution(cell, 0.8) is distribution
+        fresh = MonteCarloAnalyzer(
+            soi_low_vt(), vt_sigma=0.03, n_samples=30, seed=2
+        )
+        assert measured == fresh.leakage_amplification(cell, 0.8)
+
+    def test_kept_leakage_distribution_follows_its_inputs(self):
+        cell = standard_cells()["NAND3"]
+        analyzer = MonteCarloAnalyzer(
+            soi_low_vt(), vt_sigma=0.03, n_samples=20, seed=2
+        )
+        first = analyzer.leakage_distribution(cell, 0.8)
+
+        def fresh(cell, vdd, **inputs):
+            settings = {"vt_sigma": 0.03, "n_samples": 20, "seed": 2}
+            settings.update(inputs)
+            return MonteCarloAnalyzer(
+                soi_low_vt(), **settings
+            ).leakage_distribution(cell, vdd)
+
+        assert analyzer.leakage_distribution(cell, 0.7) == fresh(cell, 0.7)
+        nor = standard_cells()["NOR2"]
+        assert analyzer.leakage_distribution(nor, 0.7) == fresh(nor, 0.7)
+        analyzer.seed = 3
+        assert analyzer.leakage_distribution(nor, 0.7) == fresh(
+            nor, 0.7, seed=3
+        )
+        analyzer.seed = 2
+        assert analyzer.leakage_distribution(cell, 0.8) == first
+
     def test_amplification_grows_with_sigma(self, inverter):
         small = MonteCarloAnalyzer(
             soi_low_vt(), vt_sigma=0.01, n_samples=300, seed=2

@@ -360,10 +360,10 @@ class TestHistoryFree:
         order.shuffle(queries)
         asked = [s for _, s in queries]
         scalar = CellCharacterizer(technology)
-        planned = CellCharacterizer(technology).plan_variation(cell, vdd)
+        planned = CellCharacterizer(technology).corner_plan(cell)
         for values in (
             [scalar.leakage_current(cell, vdd, s) for s in asked],
-            planned.leakages(asked),
+            planned.leakages([vdd] * len(asked), asked),
         ):
             kept = {i: v for (i, _), v in zip(queries, values)}
             assert [kept[i] for i in range(len(shifts))] == alone
@@ -407,6 +407,17 @@ class TestSupplyValidation:
         with pytest.raises(DeviceModelError, match="vdd"):
             solver.current(vdd)
 
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("widths", [[2.0], [1.0, 1.0], [1.0, 1.0, 1.0]])
+    def test_non_finite_shift_rejected(self, shift, widths):
+        # The inner Newton level of a stack solve never converged on a
+        # NaN or infinite shift; a single device answered NaN or ~0.
+        solver = StackSolver(soi_low_vt().transistors.nmos, widths)
+        with pytest.raises(DeviceModelError, match="vt_shift"):
+            solver.current(0.5, shift)
+        with pytest.raises(DeviceModelError, match="vt_shift"):
+            solver.currents(0.5, [0.0, shift, 0.01])
+
 
 class TestCounters:
     def test_one_count_per_multi_device_solve(self):
@@ -424,16 +435,14 @@ class TestSolverSharing:
         characterizer = CellCharacterizer(soi_low_vt())
         cell = standard_cells()["NAND3"]
         solver = characterizer._nmos_stacks.solver(cell.nmos_path_widths_um)
-        variation = characterizer.plan_variation(cell, 0.7)
-        operating = characterizer.plan_operating(cell)
-        assert variation._nmos_stack is solver
-        assert operating._nmos_stack is solver
+        plan = characterizer.corner_plan(cell)
+        assert plan._nmos_stack is solver
         shifts = [0.0123, 0.01230004, -0.02]
         scalar = [
             characterizer.leakage_current(cell, 0.7, vt_shift=s)
             for s in shifts
         ]
-        assert variation.leakages(shifts) == scalar
-        assert [operating.leakage(0.7, s) for s in shifts] == scalar
+        assert plan.leakages([0.7] * len(shifts), shifts) == scalar
+        assert [plan.leakages((0.7,), (s,))[0] for s in shifts] == scalar
         # The three paths found one reference root for the supply.
         assert list(solver._references) == [0.7]

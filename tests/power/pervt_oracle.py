@@ -3,8 +3,8 @@
 Before :class:`repro.power.optimizer.RingOscillatorModel` decoded its
 inverter once at ``V_T0 = 0``, every V_T probe built the corner
 ``technology.with_vt(vt)``: a new technology, characterizer and plan.
-:class:`PerVtRing` is that chain, uncached and rebuilt per query, so
-nothing it answers depends on what it was asked before.  The ring must
+:class:`PerVtRing` is that chain, with a fresh characterizer per
+query, so nothing it answers depends on what it was asked before.  The ring must
 match it bit for bit.
 """
 
@@ -24,7 +24,7 @@ from repro.tech.characterize import CellCharacterizer
 
 
 class PerVtRing:
-    """Test-only oracle: the ring as one uncached characterizer of
+    """Test-only oracle: the ring as one fresh characterizer of
     ``technology.with_vt(vt)`` per query, asked at shift 0.
 
     Duck-types the :class:`RingOscillatorModel` methods
@@ -39,15 +39,18 @@ class PerVtRing:
         self.bounds = (technology.min_vdd, technology.max_vdd)
 
     def corner(self, vt):
-        return CellCharacterizer(self.technology.with_vt(vt), cache=False)
+        return CellCharacterizer(self.technology.with_vt(vt))
 
     def stage_delay(self, vdd, vt):
         return self.corner(vt).fanout_delay(self.inverter, vdd, fanout=1)
 
     def solve_vdd_for_delay(self, target, vt):
-        plan = self.corner(vt).plan_operating(self.inverter, fanout=1)
+        plan = self.corner(vt).corner_plan(self.inverter)
         vdd = _solve_supply(
-            plan.delay, target, *self.bounds, plan.delay_breaks()
+            lambda v: plan.delay(v, fanout=1),
+            target,
+            *self.bounds,
+            plan.delay_breaks(),
         )
         if vdd is None:
             raise OptimizationError("unreachable")
@@ -76,8 +79,13 @@ class PerVtRing:
 
     def _percentile_delay(self, corner, vdd, shifts, percentile):
         load = corner._input_capacitance(self.inverter, vdd)
-        plan = corner.plan_variation(self.inverter, vdd, load)
-        return _percentile(plan.delays(shifts), percentile)
+        return _percentile(
+            [
+                corner.propagation_delay(self.inverter, vdd, load, shift)
+                for shift in shifts
+            ],
+            percentile,
+        )
 
     def solve_vdd_for_yield(
         self, target, vt, percentile, vt_sigma, n_samples, seed
@@ -100,9 +108,10 @@ class PerVtRing:
         shifts = spec.draw_shifts()
         corner = self.corner(vt)
         nominal = self.energy_per_cycle(vdd, vt, cycle_time_s)
-        leakages = corner.plan_variation(self.inverter, vdd, 0.0).leakages(
-            shifts
-        )
+        leakages = [
+            corner.leakage_current(self.inverter, vdd, shift)
+            for shift in shifts
+        ]
         mean_leakage = sum(leakages) / len(leakages)
         leakage = self.stages * mean_leakage * vdd * cycle_time_s
         predicted = lognormal_leakage_amplification(

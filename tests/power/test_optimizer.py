@@ -94,6 +94,20 @@ class TestVddSolve:
             with pytest.raises(OptimizationError, match="V_T must be finite"):
                 ring.energy_per_cycle(0.8, vt, 1e-8)
 
+    @pytest.mark.parametrize("vdd", [float("nan"), float("inf")])
+    def test_nonfinite_stage_vdd_rejected(self, vdd):
+        # The fanout-mode C(V) view let these through as a NaN delay.
+        ring = RingOscillatorModel(soi_low_vt(), stages=11)
+        with pytest.raises(OptimizationError, match="vdd"):
+            ring.stage_delay(vdd, 0.2)
+
+    @pytest.mark.parametrize(
+        "cycle", [float("nan"), float("inf"), 0.0, -1e-9]
+    )
+    def test_nonfinite_cycle_time_rejected(self, ring, cycle):
+        with pytest.raises(OptimizationError, match="cycle time"):
+            ring.energy_per_cycle(0.5, 0.2, cycle)
+
 
 class TestEnergyModel:
     def test_energy_components_positive(self, ring):
@@ -139,6 +153,21 @@ class TestModuleThroughputOptimizer:
     def module_target(self, module_optimizer):
         base_vt = module_optimizer.technology.transistors.nmos.vt0
         return 3.0 * module_optimizer.delay(1.0, base_vt)
+
+    @pytest.mark.parametrize(
+        "seconds", [float("nan"), float("inf"), 0.0]
+    )
+    def test_nonfinite_operation_time_rejected(
+        self, module_optimizer, seconds
+    ):
+        from repro.power.optimizer import VariationSpec
+
+        with pytest.raises(OptimizationError, match="operation time"):
+            module_optimizer.energy_per_operation(0.8, 0.2, seconds)
+        with pytest.raises(OptimizationError, match="operation time"):
+            module_optimizer.statistical_energy_per_operation(
+                0.8, 0.2, seconds, VariationSpec(n_samples=4)
+            )
 
     def test_solved_vdd_hits_target(self, module_optimizer, module_target):
         vdd = module_optimizer.solve_vdd_for_delay(module_target, 0.25)

@@ -2,7 +2,7 @@
 
 The ring-oscillator delay is not monotone in V_DD: it rises for a band
 above the kink where the gate drive crosses zero
-(:meth:`repro.tech.opplan.OperatingPlan.delay_breaks`), so a target in
+(:meth:`repro.tech.opplan.CornerPlan.delay_breaks`), so a target in
 that band has three roots.  The solve must land on the root the
 bisection oracle in ``tests/power/supply_oracle.py`` picks, to
 ``ORACLE_RTOL``, and solves that bisect throughout (module, yield) must
@@ -156,28 +156,27 @@ class TestDelayBreaks:
         nmos = technology.transistors.nmos
         characterizer = CellCharacterizer(technology)
         for cell in standard_cells().values():
-            for plan in (
-                characterizer.plan_operating(cell, fanout=1),
-                characterizer.plan_operating(cell, load_f=10e-15),
-            ):
-                for shift in (-0.1, 0.0, 0.05):
-                    assert plan.delay_breaks(shift) == (
-                        (nmos.vt0 + shift) / (1.0 + nmos.dibl),
-                    )
+            plan = characterizer.corner_plan(cell)
+            for shift in (-0.1, 0.0, 0.05):
+                assert plan.delay_breaks(shift) == (
+                    (nmos.vt0 + shift) / (1.0 + nmos.dibl),
+                )
 
     @pytest.mark.parametrize("vt", [0.05, 0.2, 0.5])
     def test_delay_stops_falling_at_the_kink(self, vt):
-        plan = CellCharacterizer(soi_low_vt().with_vt(vt)).plan_operating(
-            standard_cells()["INV"], fanout=1
+        plan = CellCharacterizer(soi_low_vt().with_vt(vt)).corner_plan(
+            standard_cells()["INV"]
         )
         (kink,) = plan.delay_breaks()
-        below, at, above = plan.delays((kink - 1e-4, kink, kink + 1e-4))
+        below, at, above = plan.delays(
+            (kink - 1e-4, kink, kink + 1e-4), (0.0,) * 3, fanout=1
+        )
         assert below > at < above
 
     @pytest.mark.parametrize("name", sorted(NON_PROPORTIONAL))
     def test_non_proportional_pair_has_no_breaks(self, name):
-        plan = CellCharacterizer(NON_PROPORTIONAL[name]).plan_operating(
-            standard_cells()["INV"], fanout=1
+        plan = CellCharacterizer(NON_PROPORTIONAL[name]).corner_plan(
+            standard_cells()["INV"]
         )
         assert plan.delay_breaks() is None
 

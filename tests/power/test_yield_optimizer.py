@@ -218,6 +218,9 @@ class TestStatisticalEnergy:
     def test_validation(self, ring, spec):
         with pytest.raises(OptimizationError, match="positive"):
             ring.statistical_energy_per_cycle(0.8, 0.2, -1.0, spec)
+        for cycle in (float("nan"), float("inf")):
+            with pytest.raises(OptimizationError, match="finite"):
+                ring.statistical_energy_per_cycle(0.8, 0.2, cycle, spec)
 
 
 class TestNominalEquivalence:

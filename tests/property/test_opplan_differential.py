@@ -1,14 +1,15 @@
-"""Differential tests: batched operating-plan engine vs the per-point path.
+"""Differential tests: the corner plan along the supply axis vs the chain.
 
 Random (cell, load, V_DD-vector, V_T-shift) corners are evaluated
-through both the decoded :class:`OperatingPlan` and the per-point
-``propagation_delay``/``fanout_delay``/``leakage_current``/
-``energy_per_transition`` chain; the results must be bit-identical —
-not approximately equal.  The leakage values are also checked against
-the nested-bisection oracle (``tests/device/stack_oracle.py``) at its
-declared relative tolerance.  Mirrors
-``tests/property/test_variation_differential.py``, which covers the
-V_T-variation axis of the same decode/run split.
+through the decoded :class:`~repro.tech.opplan.CornerPlan` — batched,
+as one-element calls and through the characterizer's scalar entry
+points — and through the scalar device chain kept as the test-only
+oracle (``tests/tech/chain_oracle.py``); the results must be
+bit-identical, not approximately equal.  The leakage values are also
+checked against the nested-bisection oracle
+(``tests/device/stack_oracle.py``) at its declared relative tolerance.
+``tests/property/test_variation_differential.py`` covers the shift
+axis of the same kernels.
 """
 
 import math
@@ -20,18 +21,17 @@ from repro.device.technology import bulk_cmos_06um, soi_low_vt
 from repro.tech.characterize import CellCharacterizer
 from repro.tech.cells import standard_cells
 from tests.device.stack_oracle import ORACLE_RTOL, oracle_cell_leakage
+from tests.tech.chain_oracle import ChainOracle
 
 _CELLS = standard_cells()
 
 technologies = st.sampled_from([soi_low_vt, bulk_cmos_06um])
 cell_names = st.sampled_from(["INV", "NAND2", "NOR2", "NAND3", "AOI21"])
-vdd_vectors = st.lists(
-    st.floats(0.3, 2.0, allow_nan=False, allow_infinity=False),
-    min_size=1,
-    max_size=5,
-)
+vdd_values = st.floats(0.3, 2.0, allow_nan=False, allow_infinity=False)
+vdd_vectors = st.lists(vdd_values, min_size=1, max_size=5)
 loads = st.floats(0.0, 50e-15, allow_nan=False, allow_infinity=False)
-shifts = st.floats(-0.1, 0.1, allow_nan=False, allow_infinity=False)
+shift_values = st.floats(-0.1, 0.1, allow_nan=False, allow_infinity=False)
+shifts = shift_values
 fanouts = st.integers(1, 4)
 
 
@@ -48,15 +48,19 @@ class TestPlanMatchesPerPointPath:
         self, make_technology, name, vdds, load_f, shift
     ):
         cell = _CELLS[name]
-        plan = CellCharacterizer(make_technology()).plan_operating(
-            cell, load_f=load_f
-        )
-        reference = CellCharacterizer(make_technology())
+        characterizer = CellCharacterizer(make_technology())
+        plan = characterizer.corner_plan(cell)
+        oracle = ChainOracle(make_technology())
         expected = [
-            reference.propagation_delay(cell, vdd, load_f, vt_shift=shift)
+            oracle.propagation_delay(cell, vdd, load_f, vt_shift=shift)
             for vdd in vdds
         ]
-        assert plan.delays(vdds, shift) == expected
+        assert plan.delays(vdds, [shift] * len(vdds), load_f) == expected
+        assert [plan.delay(vdd, shift, load_f) for vdd in vdds] == expected
+        assert [
+            characterizer.propagation_delay(cell, vdd, load_f, shift)
+            for vdd in vdds
+        ] == expected
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -70,15 +74,18 @@ class TestPlanMatchesPerPointPath:
         self, make_technology, name, vdds, fanout, shift
     ):
         cell = _CELLS[name]
-        plan = CellCharacterizer(make_technology()).plan_operating(
-            cell, fanout=fanout
-        )
-        reference = CellCharacterizer(make_technology())
+        plan = CellCharacterizer(make_technology()).corner_plan(cell)
+        oracle = ChainOracle(make_technology())
         expected = [
-            reference.fanout_delay(cell, vdd, fanout=fanout, vt_shift=shift)
+            oracle.fanout_delay(cell, vdd, fanout=fanout, vt_shift=shift)
             for vdd in vdds
         ]
-        assert plan.delays(vdds, shift) == expected
+        assert (
+            plan.delays(vdds, [shift] * len(vdds), fanout=fanout) == expected
+        )
+        assert [
+            plan.delay(vdd, shift, fanout=fanout) for vdd in vdds
+        ] == expected
 
     @settings(deadline=None, max_examples=15)
     @given(
@@ -91,17 +98,26 @@ class TestPlanMatchesPerPointPath:
         self, make_technology, name, vdds, shift
     ):
         cell = _CELLS[name]
-        plan = CellCharacterizer(make_technology()).plan_operating(cell)
-        reference = CellCharacterizer(make_technology())
+        characterizer = CellCharacterizer(make_technology())
+        plan = characterizer.corner_plan(cell)
+        oracle = ChainOracle(make_technology())
         expected = [
-            reference.leakage_current(cell, vdd, vt_shift=shift)
-            for vdd in vdds
+            oracle.leakage_current(cell, vdd, vt_shift=shift) for vdd in vdds
         ]
-        assert plan.leakages(vdds, shift) == expected
+        assert plan.leakages(vdds, [shift] * len(vdds)) == expected
+        assert [
+            plan.leakages((vdd,), (shift,))[0] for vdd in vdds
+        ] == expected
+        assert [
+            characterizer.leakage_current(cell, vdd, vt_shift=shift)
+            for vdd in vdds
+        ] == expected
         # Leakage is history-free: every point is its own corner's.
         for vdd, value in zip(vdds, expected):
-            oracle = oracle_cell_leakage(reference.technology, cell, vdd, shift)
-            assert math.isclose(value, oracle, rel_tol=ORACLE_RTOL)
+            reference = oracle_cell_leakage(
+                oracle.technology, cell, vdd, shift
+            )
+            assert math.isclose(value, reference, rel_tol=ORACLE_RTOL)
 
     @settings(deadline=None, max_examples=15)
     @given(
@@ -114,27 +130,35 @@ class TestPlanMatchesPerPointPath:
     def test_energies_bit_identical(
         self, make_technology, name, vdds, fanout, shift
     ):
-        # The (E_transition, I_leak) pairs must match the per-point
-        # chain the ring oscillator's energy_per_cycle walks: switching
+        # The (E_transition, I_leak) pairs must match the scalar chain
+        # the ring oscillator's energy_per_cycle walks: switching
         # energy at a load of `fanout` input capacitances, plus the
         # state-averaged leakage current.
         cell = _CELLS[name]
-        plan = CellCharacterizer(make_technology()).plan_operating(
-            cell, fanout=fanout
-        )
-        reference = CellCharacterizer(make_technology())
+        characterizer = CellCharacterizer(make_technology())
+        plan = characterizer.corner_plan(cell)
+        oracle = ChainOracle(make_technology())
         expected = []
         for vdd in vdds:
-            load = fanout * cell.input_capacitance(
-                reference.technology, vdd
-            )
+            load = fanout * cell.input_capacitance(oracle.technology, vdd)
             expected.append(
                 (
-                    reference.energy_per_transition(cell, vdd, load),
-                    reference.leakage_current(cell, vdd, vt_shift=shift),
+                    oracle.energy_per_transition(cell, vdd, load),
+                    oracle.leakage_current(cell, vdd, vt_shift=shift),
                 )
             )
-        assert plan.energies(vdds, shift) == expected
+        assert (
+            plan.energies(vdds, [shift] * len(vdds), fanout=fanout)
+            == expected
+        )
+        assert [
+            characterizer.energy_per_transition(
+                cell, vdd, fanout * cell.input_capacitance(
+                    oracle.technology, vdd
+                )
+            )
+            for vdd in vdds
+        ] == [energy for energy, _ in expected]
 
     @settings(deadline=None, max_examples=15)
     @given(
@@ -151,16 +175,15 @@ class TestPlanMatchesPerPointPath:
         # the delay numerator and the C*V^2 transition energy; both
         # halves must still be bit-identical to the split kernels.
         cell = _CELLS[name]
-        plan = CellCharacterizer(make_technology()).plan_operating(
-            cell, fanout=fanout
-        )
+        plan = CellCharacterizer(make_technology()).corner_plan(cell)
+        corners = [shift] * len(vdds)
         expected = list(
             zip(
-                plan.delays(vdds, shift),
-                *zip(*plan.energies(vdds, shift)),
+                plan.delays(vdds, corners, fanout=fanout),
+                *zip(*plan.energies(vdds, corners, fanout=fanout)),
             )
         )
-        assert plan.operating_points(vdds, shift) == expected
+        assert plan.operating_points(vdds, corners, fanout=fanout) == expected
 
     @settings(deadline=None, max_examples=15)
     @given(
@@ -177,13 +200,14 @@ class TestPlanMatchesPerPointPath:
         # None) and the rest are unchanged.  Use the median delay as
         # the budget so both branches are usually exercised.
         cell = _CELLS[name]
-        plan = CellCharacterizer(make_technology()).plan_operating(
-            cell, fanout=fanout
-        )
-        delays = plan.delays(vdds, shift)
+        plan = CellCharacterizer(make_technology()).corner_plan(cell)
+        corners = [shift] * len(vdds)
+        delays = plan.delays(vdds, corners, fanout=fanout)
         budget = sorted(delays)[len(delays) // 2]
-        full = plan.operating_points(vdds, shift)
-        gated = plan.operating_points(vdds, shift, max_delay_s=budget)
+        full = plan.operating_points(vdds, corners, fanout=fanout)
+        gated = plan.operating_points(
+            vdds, corners, fanout=fanout, max_delay_s=budget
+        )
         assert len(gated) == len(full)
         for (delay, transition, leak), reference in zip(gated, full):
             assert delay == reference[0]
@@ -192,20 +216,54 @@ class TestPlanMatchesPerPointPath:
             else:
                 assert (delay, transition, leak) == reference
 
+    @settings(deadline=None, max_examples=15)
+    @given(
+        make_technology=technologies,
+        name=cell_names,
+        corners=st.lists(
+            st.tuples(vdd_values, shift_values), min_size=1, max_size=6
+        ),
+        load_f=loads,
+        fanout=st.one_of(st.none(), fanouts),
+    )
+    def test_mixed_corners_bit_identical(
+        self, make_technology, name, corners, load_f, fanout
+    ):
+        # Both axes at once: every position is its own (V_DD, shift).
+        cell = _CELLS[name]
+        plan = CellCharacterizer(make_technology()).corner_plan(cell)
+        oracle = ChainOracle(make_technology())
+        vdds = [vdd for vdd, _ in corners]
+        corner_shifts = [shift for _, shift in corners]
+        if fanout is None:
+            expected = [
+                oracle.propagation_delay(cell, vdd, load_f, shift)
+                for vdd, shift in corners
+            ]
+        else:
+            expected = [
+                oracle.fanout_delay(cell, vdd, fanout, shift)
+                for vdd, shift in corners
+            ]
+        assert plan.delays(vdds, corner_shifts, load_f, fanout) == expected
+        assert plan.leakages(vdds, corner_shifts) == [
+            oracle.leakage_current(cell, vdd, shift)
+            for vdd, shift in corners
+        ]
+
     @settings(deadline=None, max_examples=10)
     @given(name=cell_names, vdds=vdd_vectors, shift=shifts)
     def test_shared_characterizer_interleaving(self, name, vdds, shift):
         # Plan and per-point calls share one characterizer's stack
-        # memos; alternating between them must still equal a pure
-        # per-point run on a fresh characterizer.
+        # solvers; alternating between them must still equal the
+        # history-free oracle.
         cell = _CELLS[name]
         shared = CellCharacterizer(soi_low_vt())
-        reference = CellCharacterizer(soi_low_vt())
+        oracle = ChainOracle(soi_low_vt())
         expected = [
-            reference.leakage_current(cell, vdd, vt_shift=shift)
-            for vdd in vdds
+            oracle.leakage_current(cell, vdd, vt_shift=shift) for vdd in vdds
         ]
-        plan = shared.plan_operating(cell)
+        plan = shared.corner_plan(cell)
         mixed = []
         for index, vdd in enumerate(vdds):
             if index % 2:
@@ -213,7 +271,7 @@ class TestPlanMatchesPerPointPath:
                     shared.leakage_current(cell, vdd, vt_shift=shift)
                 )
             else:
-                mixed.extend(plan.leakages([vdd], shift))
+                mixed.extend(plan.leakages([vdd], [shift]))
         assert mixed == expected
 
     @settings(deadline=None, max_examples=10)
@@ -227,17 +285,27 @@ class TestPlanMatchesPerPointPath:
     def test_uncached_plan_matches_cached(
         self, make_technology, name, vdds, fanout, shift
     ):
+        # A plan whose characterizer has answered other corners first
+        # matches a fresh characterizer per query.
         cell = _CELLS[name]
-        cached = CellCharacterizer(make_technology()).plan_operating(
-            cell, fanout=fanout
-        )
-        uncached = CellCharacterizer(
-            make_technology(), cache=False
-        ).plan_operating(cell, fanout=fanout)
-        assert uncached.delays(vdds, shift) == cached.delays(vdds, shift)
-        assert uncached.leakages(vdds, shift) == cached.leakages(
-            vdds, shift
-        )
+        used = CellCharacterizer(make_technology())
+        for vdd in vdds:
+            used.leakage_current(cell, vdd + 0.05, vt_shift=-shift)
+            used.fanout_delay(cell, vdd, fanout=fanout)
+        plan = used.corner_plan(cell)
+        corners = [shift] * len(vdds)
+        assert plan.delays(vdds, corners, fanout=fanout) == [
+            CellCharacterizer(make_technology())
+            .corner_plan(cell)
+            .delay(vdd, shift, fanout=fanout)
+            for vdd in vdds
+        ]
+        assert plan.leakages(vdds, corners) == [
+            CellCharacterizer(make_technology()).leakage_current(
+                cell, vdd, vt_shift=shift
+            )
+            for vdd in vdds
+        ]
 
     @settings(deadline=None, max_examples=10)
     @given(
@@ -250,12 +318,15 @@ class TestPlanMatchesPerPointPath:
     def test_planned_fanout_delay_matches_fanout_delay(
         self, make_technology, name, vdds, fanout, shift
     ):
+        # The scalar fanout_delay (a memo miss is a one-element plan
+        # call) against the oracle, asked twice so the second is a hit.
         cell = _CELLS[name]
-        planned = CellCharacterizer(make_technology())
-        reference = CellCharacterizer(make_technology())
-        for vdd in vdds:
-            assert planned.planned_fanout_delay(
-                cell, vdd, fanout=fanout, vt_shift=shift
-            ) == reference.fanout_delay(
-                cell, vdd, fanout=fanout, vt_shift=shift
-            )
+        characterizer = CellCharacterizer(make_technology())
+        oracle = ChainOracle(make_technology())
+        for _ in range(2):
+            for vdd in vdds:
+                assert characterizer.fanout_delay(
+                    cell, vdd, fanout=fanout, vt_shift=shift
+                ) == oracle.fanout_delay(
+                    cell, vdd, fanout=fanout, vt_shift=shift
+                )

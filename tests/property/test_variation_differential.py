@@ -1,11 +1,12 @@
-"""Differential tests: batched variation engine vs the per-sample path.
+"""Differential tests: the corner plan along the shift axis vs the chain.
 
-Random (cell, V_DD, load, shift-vector) corners are evaluated through
-both the decoded :class:`VariationPlan` and the per-sample
-``propagation_delay``/``leakage_current`` chain; the results must be
-bit-identical — not approximately equal.  Both paths share one stack
-solve, so the leakage samples are also checked against the
-nested-bisection oracle (``tests/device/stack_oracle.py``) at its
+Random (cell, V_DD, load, shift-vector) corners are evaluated as one
+fixed-V_DD sweep of the decoded :class:`~repro.tech.opplan.CornerPlan`
+(the Monte-Carlo path), as one-element calls, and through the scalar
+device chain kept as the test-only oracle
+(``tests/tech/chain_oracle.py``); the results must be bit-identical —
+not approximately equal.  The leakage samples are also checked against
+the nested-bisection oracle (``tests/device/stack_oracle.py``) at its
 declared relative tolerance.
 """
 
@@ -18,6 +19,7 @@ from repro.device.technology import bulk_cmos_06um, soi_low_vt
 from repro.tech.characterize import CellCharacterizer
 from repro.tech.cells import standard_cells
 from tests.device.stack_oracle import ORACLE_RTOL, oracle_cell_leakage
+from tests.tech.chain_oracle import ChainOracle
 
 _CELLS = standard_cells()
 
@@ -45,15 +47,19 @@ class TestPlanMatchesPerSamplePath:
         self, make_technology, name, vdd, load_f, shifts
     ):
         cell = _CELLS[name]
-        plan = CellCharacterizer(make_technology()).plan_variation(
-            cell, vdd, load_f
-        )
-        reference = CellCharacterizer(make_technology())
+        plan = CellCharacterizer(make_technology()).corner_plan(cell)
+        oracle = ChainOracle(make_technology())
         expected = [
-            reference.propagation_delay(cell, vdd, load_f, vt_shift=s)
+            oracle.propagation_delay(cell, vdd, load_f, vt_shift=s)
             for s in shifts
         ]
-        assert plan.delays(shifts) == expected
+        count = len(shifts)
+        assert plan.delays(
+            (vdd,) * count,
+            shifts,
+            supplies=plan.supplies((vdd,), load_f) * count,
+        ) == expected
+        assert [plan.delay(vdd, s, load_f) for s in shifts] == expected
 
     @settings(deadline=None, max_examples=15)
     @given(
@@ -66,34 +72,33 @@ class TestPlanMatchesPerSamplePath:
         self, make_technology, name, vdd, shifts
     ):
         cell = _CELLS[name]
-        plan = CellCharacterizer(make_technology()).plan_variation(
-            cell, vdd
-        )
-        reference = CellCharacterizer(make_technology())
+        plan = CellCharacterizer(make_technology()).corner_plan(cell)
+        oracle = ChainOracle(make_technology())
         expected = [
-            reference.leakage_current(cell, vdd, vt_shift=s)
-            for s in shifts
+            oracle.leakage_current(cell, vdd, vt_shift=s) for s in shifts
         ]
-        assert plan.leakages(shifts) == expected
+        assert plan.leakages((vdd,) * len(shifts), shifts) == expected
+        assert [plan.leakages((vdd,), (s,))[0] for s in shifts] == expected
         # Leakage is history-free: every sample is its own corner's.
         for shift, value in zip(shifts, expected):
-            oracle = oracle_cell_leakage(reference.technology, cell, vdd, shift)
-            assert math.isclose(value, oracle, rel_tol=ORACLE_RTOL)
+            reference = oracle_cell_leakage(
+                oracle.technology, cell, vdd, shift
+            )
+            assert math.isclose(value, reference, rel_tol=ORACLE_RTOL)
 
     @settings(deadline=None, max_examples=10)
     @given(name=cell_names, vdd=vdds, shifts=shift_vectors)
     def test_shared_characterizer_interleaving(self, name, vdd, shifts):
-        # Plan and per-sample calls share one characterizer's memos;
-        # alternating between them must still equal a pure per-sample
-        # run on a fresh characterizer.
+        # Plan and per-sample calls share one characterizer's stack
+        # solvers; alternating between them must still equal the
+        # history-free oracle.
         cell = _CELLS[name]
         shared = CellCharacterizer(soi_low_vt())
-        reference = CellCharacterizer(soi_low_vt())
+        oracle = ChainOracle(soi_low_vt())
         expected = [
-            reference.leakage_current(cell, vdd, vt_shift=s)
-            for s in shifts
+            oracle.leakage_current(cell, vdd, vt_shift=s) for s in shifts
         ]
-        plan = shared.plan_variation(cell, vdd)
+        plan = shared.corner_plan(cell)
         mixed = []
         for index, shift in enumerate(shifts):
             if index % 2:
@@ -101,6 +106,5 @@ class TestPlanMatchesPerSamplePath:
                     shared.leakage_current(cell, vdd, vt_shift=shift)
                 )
             else:
-                mixed.extend(plan.leakages([shift]))
+                mixed.extend(plan.leakages([vdd], [shift]))
         assert mixed == expected
-

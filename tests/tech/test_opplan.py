@@ -1,19 +1,22 @@
-"""Unit tests for the decoded operating-plan engine.
+"""Unit tests for the decoded corner plan.
 
-Bit-identity against the per-point chain is covered by
+Bit-identity against the scalar chain oracle is covered by
 ``tests/property/test_opplan_differential.py``; this module pins the
-plumbing — plan memoization in the characterizer, cache invalidation,
-input validation, error parity on bad corners, and the
+plumbing — one plan per cell in the characterizer, cache invalidation,
+input validation, the error types on bad corners, and the
 ``optimizer.plan_builds`` counter.
 """
+
+import math
 
 import pytest
 
 from repro import obs
 from repro.device.technology import soi_low_vt
-from repro.errors import CharacterizationError, DeviceModelError
+from repro.errors import CharacterizationError
 from repro.tech.characterize import CellCharacterizer
 from repro.tech.cells import standard_cells
+from tests.tech.chain_oracle import ChainOracle
 
 _CELLS = standard_cells()
 
@@ -25,35 +28,48 @@ def _reset_obs():
     obs.reset()
 
 
+def _inverter_plan():
+    return CellCharacterizer(soi_low_vt()).corner_plan(_CELLS["INV"])
+
+
 class TestPlanMemoization:
     def test_same_corner_returns_same_plan(self):
         characterizer = CellCharacterizer(soi_low_vt())
         inv = _CELLS["INV"]
-        first = characterizer.plan_operating(inv, fanout=1)
-        second = characterizer.plan_operating(inv, fanout=1)
+        first = characterizer.corner_plan(inv)
+        second = characterizer.corner_plan(inv)
         assert first is second
 
-    def test_distinct_loads_get_distinct_plans(self):
+    def test_one_plan_serves_every_load(self):
+        # The load is a call argument, so fanout and fixed-load corners
+        # come from one decode, each matching its scalar chain.
         characterizer = CellCharacterizer(soi_low_vt())
         inv = _CELLS["INV"]
-        fanout_plan = characterizer.plan_operating(inv, fanout=2)
-        load_plan = characterizer.plan_operating(inv, load_f=10e-15)
-        assert fanout_plan is not load_plan
-        assert fanout_plan.fanout == 2
-        assert load_plan.load_f == 10e-15
+        plan = characterizer.corner_plan(inv)
+        oracle = ChainOracle(soi_low_vt())
+        vdds = (0.4, 0.9)
+        assert plan.delays(vdds, (0.0, 0.0), fanout=2) == [
+            oracle.fanout_delay(inv, vdd, fanout=2) for vdd in vdds
+        ]
+        assert plan.delays(vdds, (0.0, 0.0), load_f=10e-15) == [
+            oracle.propagation_delay(inv, vdd, 10e-15) for vdd in vdds
+        ]
+        characterizer.fanout_delay(inv, 0.5, fanout=2)
+        characterizer.propagation_delay(inv, 0.5, 10e-15)
+        assert characterizer.corner_plan(inv) is plan
 
     def test_clear_cache_drops_plans(self):
         characterizer = CellCharacterizer(soi_low_vt())
         inv = _CELLS["INV"]
-        stale = characterizer.plan_operating(inv, fanout=1)
+        stale = characterizer.corner_plan(inv)
         characterizer.clear_cache()
-        assert characterizer.plan_operating(inv, fanout=1) is not stale
+        assert characterizer.corner_plan(inv) is not stale
 
     def test_uncached_characterizer_builds_fresh_plans(self):
-        characterizer = CellCharacterizer(soi_low_vt(), cache=False)
+        # The uncached reference is a fresh characterizer per query.
         inv = _CELLS["INV"]
-        first = characterizer.plan_operating(inv, fanout=1)
-        second = characterizer.plan_operating(inv, fanout=1)
+        first = CellCharacterizer(soi_low_vt()).corner_plan(inv)
+        second = CellCharacterizer(soi_low_vt()).corner_plan(inv)
         assert first is not second
 
     def test_plan_builds_counter(self):
@@ -61,74 +77,85 @@ class TestPlanMemoization:
         nand = _CELLS["NAND2"]
         with obs.enabled_scope():
             characterizer = CellCharacterizer(soi_low_vt())
-            characterizer.plan_operating(inv, fanout=1)
-            characterizer.plan_operating(inv, fanout=1)  # memo hit
-            characterizer.plan_operating(nand, fanout=1)
+            characterizer.corner_plan(inv)
+            characterizer.corner_plan(inv)  # memo hit
+            characterizer.corner_plan(nand)
             counters = obs.snapshot()["counters"]
         assert counters["optimizer.plan_builds"] == 2
 
     def test_plan_builds_counter_uncached(self):
+        # Scalar misses decode the cell's plan once; a fresh
+        # characterizer decodes again.
         inv = _CELLS["INV"]
         with obs.enabled_scope():
-            characterizer = CellCharacterizer(soi_low_vt(), cache=False)
-            characterizer.plan_operating(inv, fanout=1)
-            characterizer.plan_operating(inv, fanout=1)
+            for _ in range(2):
+                characterizer = CellCharacterizer(soi_low_vt())
+                characterizer.fanout_delay(inv, 1.0)
+                characterizer.leakage_current(inv, 1.0)
             counters = obs.snapshot()["counters"]
         assert counters["optimizer.plan_builds"] == 2
 
 
 class TestValidation:
     def test_negative_load_rejected(self):
-        characterizer = CellCharacterizer(soi_low_vt())
         with pytest.raises(CharacterizationError, match="load"):
-            characterizer.plan_operating(_CELLS["INV"], load_f=-1e-15)
+            _inverter_plan().delays((1.0,), (0.0,), load_f=-1e-15)
 
     def test_bad_fanout_rejected(self):
-        characterizer = CellCharacterizer(soi_low_vt())
         with pytest.raises(CharacterizationError, match="fanout"):
-            characterizer.plan_operating(_CELLS["INV"], fanout=0)
+            _inverter_plan().delays((1.0,), (0.0,), fanout=0)
 
     def test_bad_probability_rejected(self):
-        characterizer = CellCharacterizer(soi_low_vt())
-        with pytest.raises(
-            CharacterizationError, match="output_high_probability"
-        ):
-            characterizer.plan_operating(
-                _CELLS["INV"], output_high_probability=1.5
-            )
+        plan = _inverter_plan()
+        for kernel in (plan.operating_points, plan.energies):
+            with pytest.raises(
+                CharacterizationError, match="output_high_probability"
+            ):
+                kernel((1.0,), (0.0,), output_high_probability=1.5)
 
-    def test_planned_fanout_delay_validates_fanout(self):
-        characterizer = CellCharacterizer(soi_low_vt())
+    def test_one_point_delay_validates_fanout(self):
         with pytest.raises(CharacterizationError, match="fanout"):
-            characterizer.planned_fanout_delay(
-                _CELLS["INV"], 1.0, fanout=0
-            )
+            _inverter_plan().delay(1.0, fanout=0)
 
 
 class TestErrorParity:
-    """Bad V_DD corners raise the same types as the per-point chain."""
+    """Every kernel rejects a bad V_DD with CharacterizationError."""
 
     def test_fanout_mode_nonpositive_vdd(self):
-        plan = CellCharacterizer(soi_low_vt()).plan_operating(
-            _CELLS["INV"], fanout=1
-        )
-        with pytest.raises(DeviceModelError, match="vdd must be positive"):
-            plan.delays([1.0, 0.0])
+        with pytest.raises(
+            CharacterizationError, match="vdd must be positive"
+        ):
+            _inverter_plan().delays([1.0, 0.0], [0.0, 0.0], fanout=1)
 
     def test_fixed_load_mode_nonpositive_vdd(self):
-        plan = CellCharacterizer(soi_low_vt()).plan_operating(
-            _CELLS["INV"], load_f=10e-15
-        )
         with pytest.raises(
             CharacterizationError, match="vdd must be positive"
         ):
-            plan.delays([-0.5])
+            _inverter_plan().delays([-0.5], [0.0], load_f=10e-15)
 
     def test_leakages_nonpositive_vdd(self):
-        plan = CellCharacterizer(soi_low_vt()).plan_operating(
-            _CELLS["INV"]
-        )
         with pytest.raises(
             CharacterizationError, match="vdd must be positive"
         ):
-            plan.leakages([0.0])
+            _inverter_plan().leakages([0.0], [0.0])
+
+    @pytest.mark.parametrize("vdd", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fanout", [None, 1])
+    def test_non_finite_vdd_rejected_by_every_kernel(self, vdd, fanout):
+        plan = _inverter_plan()
+        load = {"load_f": 10e-15} if fanout is None else {"fanout": 1}
+        for kernel in (
+            lambda: plan.delays((0.5, vdd), (0.0, 0.0), **load),
+            lambda: plan.delay(vdd, 0.0, **load),
+            lambda: plan.supplies((vdd,), **load),
+            lambda: plan.operating_points((vdd,), (0.0,), **load),
+            lambda: plan.energies((vdd,), (0.0,), **load),
+            lambda: plan.leakages((vdd,), (0.0,)),
+        ):
+            with pytest.raises(CharacterizationError, match="vdd"):
+                kernel()
+
+    @pytest.mark.parametrize("vdd", [math.nan, math.inf])
+    def test_fanout_delay_rejects_non_finite_vdd(self, vdd):
+        with pytest.raises(CharacterizationError, match="vdd"):
+            CellCharacterizer(soi_low_vt()).fanout_delay(_CELLS["INV"], vdd)

@@ -159,8 +159,8 @@ class TestLeakageInstrumentation:
         nand2 = standard_cells()["NAND2"]
         shifts = [0.001 * i - 0.0205 for i in range(40)]
         with obs.enabled_scope():
-            plan = characterizer.plan_variation(nand2, 0.6)
-            plan.leakages(shifts)
+            plan = characterizer.corner_plan(nand2)
+            plan.leakages([0.6] * len(shifts), shifts)
             characterizer.leakage_current(nand2, 0.6)
             counters = obs.snapshot()["counters"]
         assert counters["leakage.stack_solves"] == 1
