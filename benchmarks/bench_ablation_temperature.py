@@ -38,7 +38,7 @@ def generate_ablation():
         off = device.off_current(1.0)
         swing = technology.transistors.nmos.subthreshold_swing
         ring = RingOscillatorModel(technology, stages=51)
-        optimizer = FixedThroughputOptimizer(ring, cycle_stages=102)
+        optimizer = FixedThroughputOptimizer(ring)
         target = 4.0 * ring.stage_delay(1.0, 0.2)
         best = optimizer.optimum(target, vt_bounds=(0.03, 0.45))
         rows.append(

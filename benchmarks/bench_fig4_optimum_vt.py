@@ -18,7 +18,7 @@ def _optimizer(activity: float) -> FixedThroughputOptimizer:
     ring = RingOscillatorModel(soi_low_vt(), stages=101, activity=activity)
     # Leakage integrates over the ring's own period (the paper's 1 MHz
     # oscillator dissipates leakage continuously at that rate).
-    return FixedThroughputOptimizer(ring, cycle_stages=202)
+    return FixedThroughputOptimizer(ring)
 
 
 def generate_fig4():

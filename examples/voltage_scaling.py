@@ -27,7 +27,7 @@ from repro import (
 def main():
     technology = soi_low_vt()
     ring = RingOscillatorModel(technology, stages=101)
-    optimizer = FixedThroughputOptimizer(ring, cycle_stages=202)
+    optimizer = FixedThroughputOptimizer(ring)
 
     target = 4.0 * ring.stage_delay(1.0, 0.2)
     print(f"Performance target: {target:.3e} s per stage "
@@ -58,8 +58,7 @@ def main():
     rows = []
     for activity in (1.0, 0.5, 0.2, 0.05):
         quiet = FixedThroughputOptimizer(
-            RingOscillatorModel(technology, stages=101, activity=activity),
-            cycle_stages=202,
+            RingOscillatorModel(technology, stages=101, activity=activity)
         ).optimum(target, vt_bounds=(0.02, 0.45))
         rows.append([activity, quiet.vt, quiet.vdd])
     print(

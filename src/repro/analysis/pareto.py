@@ -11,7 +11,7 @@ out of the same exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.device.technology import Technology
 from repro.errors import AnalysisError
@@ -68,33 +68,24 @@ class EnergyDelayExplorer:
     """Grid exploration of the (V_DD, V_T) plane for a ring module.
 
     Each point's delay is the ring stage delay; its energy is the
-    per-cycle energy of the ring clocked at its own speed
-    (``cycle_stages`` stage delays per operation), so the leakage term
-    grows as the design slows — the mechanism that curls the Pareto
-    front back up at the low-energy end.
+    per-cycle energy of the ring clocked at its own speed (one ring
+    period, ``2 * stages`` stage delays, per operation), so the
+    leakage term grows as the design slows — the mechanism that curls
+    the Pareto front back up at the low-energy end.
     """
 
     def __init__(
-        self,
-        technology: Technology,
-        stages: int = 51,
-        activity: float = 1.0,
-        cycle_stages: Optional[int] = None,
+        self, technology: Technology, stages: int = 51, activity: float = 1.0
     ):
         self.ring = RingOscillatorModel(
             technology, stages=stages, activity=activity
         )
-        self.cycle_stages = (
-            2 * stages if cycle_stages is None else cycle_stages
-        )
-        if self.cycle_stages < 1:
-            raise AnalysisError("cycle_stages must be >= 1")
 
     def design_point(self, vdd: float, vt: float) -> DesignPoint:
         """Evaluate one (V_DD, V_T) pair."""
         delay = self.ring.stage_delay(vdd, vt)
         operating = self.ring.energy_per_cycle(
-            vdd, vt, self.cycle_stages * delay
+            vdd, vt, (2 * self.ring.stages) * delay
         )
         return DesignPoint(
             vdd=vdd,

@@ -171,7 +171,6 @@ class EnergySurface:
     target_stage_delay_s: float
     stages: int
     activity: float
-    cycle_stages: int
     #: Present when the surface was computed with ``refine_levels > 0``.
     refined: Optional[RefinedSurface] = field(default=None)
 
@@ -371,16 +370,14 @@ def energy_surface(
     t_cycle_s: float,
     stages: int = 101,
     activity: float = 1.0,
-    cycle_stages: Optional[int] = None,
     refine_levels: int = 0,
     refine_band: float = 0.2,
 ) -> EnergySurface:
     """Sample the Fig. 3/4 energy plane over a (V_T, V_DD) grid.
 
-    ``cycle_stages`` converts the cycle time into the per-stage delay
-    budget ``t_cycle_s / cycle_stages`` (default ``2 * stages``, the
-    ring's own period — matching
-    :meth:`repro.core.flow.LowVoltageDesignFlow.throughput_optimizer`).
+    The cycle time is one ring period, so the per-stage delay budget is
+    ``t_cycle_s / (2 * stages)`` — matching
+    :meth:`repro.core.flow.LowVoltageDesignFlow.throughput_optimizer`.
     Cells whose stage delay misses the budget come back as ``None``.
 
     The grid is evaluated V_T-major through one decoded operating plan
@@ -404,12 +401,8 @@ def energy_surface(
         raise AnalysisError("vt values must be finite")
     if not all(0.0 < vdd < math.inf for vdd in vdd_values):
         raise AnalysisError("vdd values must be positive and finite")
-    if cycle_stages is None:
-        cycle_stages = 2 * stages
-    if cycle_stages < 1:
-        raise AnalysisError(
-            f"cycle_stages must be >= 1, got {cycle_stages}"
-        )
+    if stages < 1:
+        raise AnalysisError(f"stages must be >= 1, got {stages}")
     if refine_levels < 0:
         raise AnalysisError(
             f"refine_levels must be >= 0, got {refine_levels}"
@@ -428,7 +421,7 @@ def energy_surface(
             raise AnalysisError(
                 "refinement needs at least two points per axis"
             )
-    target_stage_delay_s = t_cycle_s / cycle_stages
+    target_stage_delay_s = t_cycle_s / (2 * stages)
     with obs.span("analysis.energy_surface"):
         cell = _EnergyCell(
             technology, stages, activity, t_cycle_s, target_stage_delay_s
@@ -446,6 +439,5 @@ def energy_surface(
         target_stage_delay_s=target_stage_delay_s,
         stages=stages,
         activity=activity,
-        cycle_stages=cycle_stages,
         refined=refined,
     )

@@ -227,16 +227,15 @@ class LowVoltageDesignFlow:
         vdd_values: Sequence[float],
         stages: int = 101,
         activity: float = 1.0,
-        cycle_stages: Optional[int] = None,
         refine_levels: int = 0,
         refine_band: float = 0.2,
     ) -> "EnergySurface":
         """Fig. 3/4 energy plane at this flow's clock rate.
 
         The ring-oscillator cycle energy over a (V_T, V_DD) grid, with
-        cells that miss the per-stage delay budget (``t_cycle_s /
-        cycle_stages``, ``cycle_stages`` defaulting to ``2 * stages``
-        like :meth:`throughput_optimizer`) marked infeasible.
+        cells that miss the per-stage delay budget (``t_cycle_s / (2 *
+        stages)``: one ring period per cycle, like
+        :meth:`throughput_optimizer`) marked infeasible.
         ``refine_levels``/``refine_band`` sharpen the optimum-energy
         locus; see :func:`repro.analysis.surface.energy_surface`.
         """
@@ -250,7 +249,6 @@ class LowVoltageDesignFlow:
                 self.t_cycle_s,
                 stages=stages,
                 activity=activity,
-                cycle_stages=cycle_stages,
                 refine_levels=refine_levels,
                 refine_band=refine_band,
             )
@@ -262,15 +260,14 @@ class LowVoltageDesignFlow:
         self,
         stages: int = 101,
         activity: float = 1.0,
-        cycle_stages: Optional[int] = None,
     ) -> "FixedThroughputOptimizer":
         """Figs. 3-4 optimizer on this flow's technology and variation.
 
         The returned optimizer carries the flow's ``variation`` spec:
         with one configured, ``locus_point``/``sweep``/``optimum``
         solve yield-constrained supplies; without, they reproduce the
-        nominal optimizer bit-for-bit.  ``cycle_stages`` defaults to
-        ``2 * stages`` (one ring period per cycle).
+        nominal optimizer bit-for-bit.  Leakage integrates over one
+        ring period per operation.
         """
         from repro.power.optimizer import (
             FixedThroughputOptimizer,
@@ -280,25 +277,18 @@ class LowVoltageDesignFlow:
         ring = RingOscillatorModel(
             self.technology, stages=stages, activity=activity
         )
-        return FixedThroughputOptimizer(
-            ring,
-            cycle_stages=2 * stages if cycle_stages is None else cycle_stages,
-            variation=self.variation,
-        )
+        return FixedThroughputOptimizer(ring, variation=self.variation)
 
     def optimize_throughput(
         self,
         target_stage_delay_s: float,
         stages: int = 101,
         activity: float = 1.0,
-        cycle_stages: Optional[int] = None,
         vt_bounds: Sequence[float] = (0.01, 0.6),
     ) -> "OperatingPoint":
         """Minimum-energy (V_DD, V_T) point at a fixed stage delay."""
         optimizer = self.throughput_optimizer(
-            stages=stages,
-            activity=activity,
-            cycle_stages=cycle_stages,
+            stages=stages, activity=activity
         )
         with obs.span("flow.optimize"):
             return optimizer.optimum(

@@ -1,18 +1,24 @@
 """Fixed-throughput (V_DD, V_T) optimization (paper Figs. 3-4).
 
 For a bounded-computation-rate application the delay is pinned and the
-knobs are the supply and the threshold:
+knobs are the supply and the threshold.  At each V_T the optimizer
+solves V_DD for the delay target (Fig. 3), prices switching plus
+leakage over the operation period, and minimises that energy over V_T
+(Fig. 4).  Because lowering V_T lets V_DD drop (quadratic switching
+win) while raising leakage (exponential loss), the energy is U-shaped
+in V_T with an optimum typically well below 1 V.
 
-* :class:`RingOscillatorModel` — the experimental structure the paper
-  measured: stage delay, supply-for-delay solving, and energy per
-  cycle including leakage.
-* :class:`FixedThroughputOptimizer` — sweeps V_T solving V_DD for the
-  delay target at every point (Fig. 3) and finds the energy-optimal
-  pair (Fig. 4).  Because lowering V_T lets V_DD drop (quadratic
-  switching win) while raising leakage (exponential loss), the energy
-  is U-shaped in V_T with an optimum typically well below 1 V.
+:class:`ThroughputOptimizer` is that algorithm, written once.  Two
+models plug into it through a handful of hooks:
 
-Both optimizers also support a **statistical mode** driven by a
+* :class:`FixedThroughputOptimizer` — the experimental structure the
+  paper measured, a :class:`RingOscillatorModel` (stage delay and
+  energy per cycle including leakage), whose operation period is one
+  ring period.
+* :class:`ModuleThroughputOptimizer` — a real netlist: register-aware
+  static timing, simulated activity and per-cell leakage.
+
+Both also support a **statistical mode** driven by a
 :class:`VariationSpec`: instead of the nominal corner, the V_DD solve
 targets the p-th percentile of a Monte-Carlo delay distribution
 (yield-constrained timing) and the energy model prices leakage at the
@@ -39,6 +45,7 @@ __all__ = [
     "StatisticalOperatingPoint",
     "VariationSpec",
     "RingOscillatorModel",
+    "ThroughputOptimizer",
     "FixedThroughputOptimizer",
     "ModuleThroughputOptimizer",
 ]
@@ -94,6 +101,15 @@ def _check_vt(vt: float) -> None:
     """Reject a non-finite threshold before it reaches a kernel."""
     if not math.isfinite(vt):
         raise OptimizationError(f"V_T must be finite, got {vt}")
+
+
+def _check_request(target_delay_s: float, utilization: float) -> None:
+    """Reject a target or utilization that no V_T could serve, before a
+    sweep or search would drop every V_T as infeasible (``locus_point``
+    checks its own utilization; its solve checks the target)."""
+    _check_target(target_delay_s)
+    if not 0.0 < utilization <= 1.0:
+        raise OptimizationError("utilization must be in (0, 1]")
 
 
 def _check_time(name: str, seconds: float) -> None:
@@ -247,9 +263,11 @@ def _percentile(values: Sequence[float], p: float) -> float:
     """Linear-interpolated percentile, p in [0, 100].
 
     Replicates :meth:`repro.analysis.variation.Distribution.percentile`
-    exactly (same order statistics, same interpolation) so yield solves
-    agree bit-for-bit with the Monte-Carlo analyzer's view of the same
-    samples.
+    exactly (same order statistics, same interpolation).  It is the
+    full-vector percentile that
+    :meth:`ThroughputOptimizer._delay_percentile` reads from two order
+    statistics, float for float, so yield solves agree bit-for-bit with
+    the Monte-Carlo analyzer's view of the same samples.
     """
     ordered = sorted(values)
     position = p / 100.0 * (len(ordered) - 1)
@@ -374,10 +392,7 @@ class RingOscillatorModel:
     """
 
     def __init__(
-        self,
-        technology: Technology,
-        stages: int = 101,
-        activity: float = 1.0,
+        self, technology: Technology, stages: int = 101, activity: float = 1.0
     ):
         if stages < 3 or stages % 2 == 0:
             raise OptimizationError("stages must be odd and >= 3")
@@ -416,66 +431,6 @@ class RingOscillatorModel:
         """Ring period: two traversals of the chain [s]."""
         return 2.0 * self.stages * self.stage_delay(vdd, vt)
 
-    def solve_vdd_for_delay(
-        self,
-        target_stage_delay_s: float,
-        vt: float,
-        vdd_bounds: Optional[Sequence[float]] = None,
-    ) -> float:
-        """Supply voltage giving the target stage delay (Fig. 3).
-
-        The delay is not monotone in V_DD: above the kink at
-        ``V_DD = V_T / (1 + DIBL)`` (:meth:`~repro.tech.opplan.
-        CornerPlan.delay_breaks`) it rises for a band of about 1 mV
-        at V_T = 0.5 V, 6 mV at 0.2 V and 40 mV at 0.05 V before it
-        falls again, so a target inside that band is met at three
-        supplies.  The solve returns the one a bisection of the V_DD
-        bounds lands on (within 1e-9 relative), which is not always the
-        lowest: it bisects while the kink is inside the bracket, then
-        finishes with a secant on the single root left.
-
-        If the ring already meets the target at the *low* V_DD bound,
-        the solve clamps and returns ``low`` — the structure simply
-        runs faster than required at the minimum supply (the same
-        semantics as
-        :meth:`ModuleThroughputOptimizer.solve_vdd_for_delay`; energy
-        accounting still integrates leakage over the target period).
-
-        Raises
-        ------
-        OptimizationError
-            If the target is unreachable inside the bounds (too slow
-            even at max V_DD).
-        """
-        _check_target(target_stage_delay_s)
-        _check_vt(vt)
-        if vdd_bounds is None:
-            vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
-        low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
-            raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
-        if obs.ENABLED:
-            obs.incr("optimizer.vdd_solves")
-        # Every probe is one plan call: bit-identical to a stage_delay
-        # call at the same corner, and the plan knows where its delay
-        # curve kinks.  The probes bypass the characterizer memo, so
-        # ``optimizer.delay_probes`` keeps matching the characterizer's
-        # fanout-family traffic.
-        plan = self._plan
-        vdd = _solve_supply(
-            lambda v: plan.delay(v, vt, fanout=1),
-            target_stage_delay_s,
-            low,
-            high,
-            plan.delay_breaks(vt),
-        )
-        if vdd is None:
-            raise OptimizationError(
-                f"target {target_stage_delay_s:.3e} s unreachable: still "
-                f"slower at V_DD = {high} V (V_T = {vt} V)"
-            )
-        return vdd
-
     def energy_per_cycle(
         self, vdd: float, vt: float, cycle_time_s: float
     ) -> OperatingPoint:
@@ -507,41 +462,166 @@ class RingOscillatorModel:
             leakage_energy_j=leakage,
         )
 
+
+class ThroughputOptimizer:
+    """Finds the energy-optimal (V_DD, V_T) of one model at a fixed delay.
+
+    The one implementation of the Figs. 3-4 algorithm: the target, V_T
+    and bound checks, the nominal and yield supply solves, the yield
+    percentile, the statistical energy, and :meth:`locus_point`,
+    :meth:`sweep` and :meth:`optimum`.  A model subclass supplies the
+    physics through five hooks:
+
+    * :meth:`_probe` — the delay at a V_T and a shift from it, as a
+      function of V_DD;
+    * :meth:`_breaks` — the supplies where the nominal delay stops
+      falling, or ``None`` (the solve then bisects throughout);
+    * :meth:`energy_per_operation` — the nominal energy point;
+    * :meth:`_leakages` — the leakage current over a shift vector, per
+      unit of ``_leak_units``;
+    * ``_period_units`` — delay targets per operation period, the
+      window leakage integrates over (before dividing by utilization).
+
+    With a :class:`VariationSpec` the whole locus turns statistical:
+    each V_DD is solved so the p-th percentile Monte-Carlo delay meets
+    the target (:meth:`solve_vdd_for_yield`) and the energy prices
+    leakage at the sampled mean.  ``variation=None`` reproduces the
+    nominal optimizer bit-for-bit.
+    """
+
+    #: :meth:`optimum`'s default V_T search range and tolerance.
+    _VT_BOUNDS: Sequence[float] = (0.01, 0.6)
+    _TOLERANCE = 1e-3
+    #: Copies of the unit whose current :meth:`_leakages` returns.
+    _leak_units = 1
+    #: Delay targets per operation period.
+    _period_units = 1
+
+    def __init__(
+        self, technology: Technology, variation: Optional[VariationSpec]
+    ):
+        if variation is not None and not isinstance(variation, VariationSpec):
+            raise OptimizationError(
+                "variation must be a VariationSpec or None"
+            )
+        self.technology = technology
+        self.variation = variation
+
     # ------------------------------------------------------------------
-    # Statistical (yield-constrained) mode
+    # Model hooks
     # ------------------------------------------------------------------
-    def _stage_delay_percentile(
-        self, vdd: float, vt: float, shifts: Sequence[float],
+    def _probe(
+        self, vt: float, shift: float = 0.0
+    ) -> Callable[[float], float]:
+        """The delay at threshold ``vt + shift`` as a function of V_DD."""
+        raise NotImplementedError
+
+    def _breaks(self, vt: float) -> Optional[Sequence[float]]:
+        """Supplies where the nominal delay stops falling, or ``None``."""
+        return None
+
+    def energy_per_operation(
+        self, vdd: float, vt: float, operation_time_s: float
+    ) -> OperatingPoint:
+        """Switching + leakage energy for one operation period [J]."""
+        raise NotImplementedError
+
+    def _leakages(
+        self, vdd: float, vt: float, shifts: Sequence[float]
+    ) -> List[float]:
+        """Leakage current of one unit at ``vt + shift`` per shift [A]."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Supply solves
+    # ------------------------------------------------------------------
+    def _vdd_bounds(
+        self, target_delay_s: float, vt: float,
+        vdd_bounds: Optional[Sequence[float]],
+    ) -> Sequence[float]:
+        """The checked ``(low, high)`` supply bracket of one solve."""
+        # Every locus point passes here: test inline, and let the
+        # helpers raise with their messages only when a check fails.
+        if not (0.0 < target_delay_s < math.inf and math.isfinite(vt)):
+            _check_target(target_delay_s)
+            _check_vt(vt)
+        if vdd_bounds is None:
+            vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
+        low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
+        if not 0.0 < low < high:
+            raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
+        return low, high
+
+    def solve_vdd_for_delay(
+        self, target_delay_s: float, vt: float,
+        vdd_bounds: Optional[Sequence[float]] = None,
+    ) -> float:
+        """Supply meeting the delay target at one V_T (Fig. 3).
+
+        The delay is not monotone in V_DD: above the kink at
+        ``V_DD = V_T / (1 + DIBL)`` (:meth:`~repro.tech.opplan.
+        CornerPlan.delay_breaks`) every cell delay rises for a band of
+        about 1 mV at V_T = 0.5 V, 6 mV at 0.2 V and 40 mV at 0.05 V
+        before it falls again, so a target inside that band is met at
+        three supplies.  The solve returns the one a bisection of the
+        V_DD bounds lands on: with the model's :meth:`_breaks` it
+        bisects while a kink is inside the bracket, then finishes with a
+        secant on the single root left (within 1e-9 relative);
+        without, it bisects throughout and returns that bisection's
+        answer exactly.
+
+        If the model already meets the target at the *low* V_DD bound
+        the solve clamps and returns ``low``: it simply runs faster than
+        required at the minimum supply (energy accounting still
+        integrates leakage over the operation period).
+
+        Raises
+        ------
+        OptimizationError
+            If the target is unreachable inside the bounds (too slow
+            even at max V_DD).
+        """
+        low, high = self._vdd_bounds(target_delay_s, vt, vdd_bounds)
+        if obs.ENABLED:
+            obs.incr("optimizer.vdd_solves")
+        vdd = _solve_supply(
+            self._probe(vt), target_delay_s, low, high, self._breaks(vt)
+        )
+        if vdd is None:
+            raise OptimizationError(
+                f"target {target_delay_s:.3e} s unreachable: still "
+                f"slower at V_DD = {high} V (V_T = {vt} V)"
+            )
+        return vdd
+
+    def _delay_percentile(
+        self, vdd: float, vt: float, ordered_shifts: Sequence[float],
         percentile: float,
     ) -> float:
-        """p-th percentile of the batched stage-delay distribution [s].
+        """p-th percentile of the sampled delay at one supply [s].
 
-        The decoded plan evaluates the sampled thresholds
-        ``vt + shift`` at this V_DD in one kernel call, with the
-        supply's shift-independent terms computed once.  A sample at
-        shift 0 is bit-identical to :meth:`stage_delay` at the same
-        corner.
+        The delay never falls as the V_T shift grows (a ring stage's
+        on-current, and each path of a static-timing max), so the
+        sorted delay vector is the delay at the *sorted shift vector*.
+        The percentile therefore needs only the two bracketing shift
+        order statistics, two probes instead of ``n_samples``, and
+        equals :func:`_percentile` of the full vector exactly.
         """
-        plan = self._plan
-        count = len(shifts)
-        delays = plan.delays(
-            (vdd,) * count,
-            [vt + shift for shift in shifts],
-            supplies=plan.supplies((vdd,), fanout=1) * count,
-        )
         if obs.ENABLED:
             obs.incr("optimizer.mc_probes")
-            obs.incr("variation.samples_batched", count)
-        return _percentile(delays, percentile)
+        position = percentile / 100.0 * (len(ordered_shifts) - 1)
+        low = int(position)
+        high = min(low + 1, len(ordered_shifts) - 1)
+        fraction = position - low
+        delay_low = self._probe(vt, ordered_shifts[low])(vdd)
+        if high == low or fraction == 0.0:
+            return delay_low
+        delay_high = self._probe(vt, ordered_shifts[high])(vdd)
+        return delay_low * (1.0 - fraction) + delay_high * fraction
 
     def solve_vdd_for_yield(
-        self,
-        target_stage_delay_s: float,
-        vt: float,
-        percentile: float = 99.0,
-        vt_sigma: float = 0.03,
-        n_samples: int = 300,
-        seed: int = 0,
+        self, target_delay_s: float, vt: float, percentile: float = 99.0,
+        vt_sigma: float = 0.03, n_samples: int = 300, seed: int = 0,
         vdd_bounds: Optional[Sequence[float]] = None,
     ) -> float:
         """Supply at which the p-th percentile delay meets the target.
@@ -552,10 +632,9 @@ class RingOscillatorModel:
         above its own kink ``(V_T + shift) / (1 + DIBL)``, so the
         percentile delay is not monotone near the kinks; the solve
         bisects throughout and returns exactly what a 70-step bisection
-        of the V_DD bounds returns.
-        Clamping at the low bound keeps the nominal solve's semantics:
-        the p-th percentile corner is already fast enough at the
-        minimum supply.
+        of the V_DD bounds returns.  Clamping at the low bound keeps the
+        nominal solve's semantics: the p-th percentile corner is
+        already fast enough at the minimum supply.
 
         Raises
         ------
@@ -563,43 +642,31 @@ class RingOscillatorModel:
             If the p-th percentile corner still misses the target at
             the high V_DD bound.
         """
-        _check_target(target_stage_delay_s)
-        _check_vt(vt)
-        spec = VariationSpec(
-            percentile=percentile, vt_sigma=vt_sigma,
-            n_samples=n_samples, seed=seed,
-        )
-        if vdd_bounds is None:
-            vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
-        low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
-            raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
+        low, high = self._vdd_bounds(target_delay_s, vt, vdd_bounds)
+        spec = VariationSpec(percentile, vt_sigma, n_samples, seed)
         if obs.ENABLED:
             obs.incr("optimizer.yield_solves")
-        shifts = spec.draw_shifts()
+        ordered = sorted(spec.draw_shifts())
         vdd = _solve_supply(
-            lambda v: self._stage_delay_percentile(v, vt, shifts, percentile),
-            target_stage_delay_s,
-            low,
-            high,
-            None,
+            lambda v: self._delay_percentile(v, vt, ordered, percentile),
+            target_delay_s, low, high, None,
         )
         if vdd is None:
             raise OptimizationError(
-                f"p{percentile:g} target {target_stage_delay_s:.3e} s "
+                f"p{percentile:g} target {target_delay_s:.3e} s "
                 f"unreachable: still slower at V_DD = {high} V "
                 f"(V_T = {vt} V, sigma = {vt_sigma} V)"
             )
         return vdd
 
-    def statistical_energy_per_cycle(
-        self,
-        vdd: float,
-        vt: float,
-        cycle_time_s: float,
+    # ------------------------------------------------------------------
+    # Statistical energy
+    # ------------------------------------------------------------------
+    def statistical_energy_per_operation(
+        self, vdd: float, vt: float, operation_time_s: float,
         variation: VariationSpec,
     ) -> StatisticalOperatingPoint:
-        """Cycle energy with leakage priced at the Monte-Carlo mean [J].
+        """Operation energy with leakage priced at the sampled mean [J].
 
         Switching energy is shift-independent (C and V_DD do not vary
         here), but leakage is exponential in V_T, so the sampled mean
@@ -607,27 +674,14 @@ class RingOscillatorModel:
         amplification.  The measured amplification is reported next to
         the closed-form :func:`repro.analysis.variation.
         lognormal_leakage_amplification` prediction as a cross-check
-        (they agree up to stack-effect and sampling corrections).
+        (they agree up to stack-effect and sampling corrections), on
+        the returned point and as obs gauges.
         """
         from repro.analysis.variation import lognormal_leakage_amplification
 
-        _check_time("cycle", cycle_time_s)
-        _check_vt(vt)
+        nominal = self.energy_per_operation(vdd, vt, operation_time_s)
         shifts = variation.draw_shifts()
-        # Each sample reaches the kernels as the shift ``vt + shift`` of
-        # the zero-threshold decode, so its threshold ``0.0 + (vt +
-        # shift)`` is the float a ``with_vt(vt)`` corner forms.
-        plan = self._plan
-        switching_per_stage, nominal_leakage = plan.energies(
-            (vdd,), (vt,), fanout=1
-        )[0]
-        switching = self.stages * self.activity * switching_per_stage
-        leakages = plan.leakages(
-            (vdd,) * len(shifts), [vt + shift for shift in shifts]
-        )
-        if obs.ENABLED:
-            obs.incr("optimizer.mc_probes")
-            obs.incr("variation.samples_batched", len(leakages))
+        nominal_leakage, *leakages = self._leakages(vdd, vt, [0.0, *shifts])
         mean_leakage = sum(leakages) / len(leakages)
         amplification = (
             mean_leakage / nominal_leakage if nominal_leakage > 0.0 else 1.0
@@ -637,100 +691,64 @@ class RingOscillatorModel:
             self.technology.transistors.nmos.subthreshold_swing,
         )
         if obs.ENABLED:
+            obs.incr("variation.samples_batched", len(leakages))
             obs.gauge("optimizer.leakage_amplification", amplification)
             obs.gauge("optimizer.leakage_amplification_lognormal", predicted)
-        leakage = self.stages * mean_leakage * vdd * cycle_time_s
-        delay_percentile = self._stage_delay_percentile(
-            vdd, vt, shifts, variation.percentile
-        )
+        leakage = self._leak_units * mean_leakage * vdd * operation_time_s
         return StatisticalOperatingPoint(
-            vt=vt,
-            vdd=vdd,
-            stage_delay_s=self.stage_delay(vdd, vt),
-            energy_per_cycle_j=switching + leakage,
-            switching_energy_j=switching,
-            leakage_energy_j=leakage,
-            percentile=variation.percentile,
-            delay_percentile_s=delay_percentile,
+            vt=vt, vdd=vdd, stage_delay_s=nominal.stage_delay_s,
+            energy_per_cycle_j=nominal.switching_energy_j + leakage,
+            switching_energy_j=nominal.switching_energy_j,
+            leakage_energy_j=leakage, percentile=variation.percentile,
+            delay_percentile_s=self._delay_percentile(
+                vdd, vt, sorted(shifts), variation.percentile
+            ),
             leakage_amplification=amplification,
             lognormal_amplification=predicted,
         )
 
-
-class FixedThroughputOptimizer:
-    """Finds energy-optimal (V_DD, V_T) at a fixed performance.
-
-    The performance constraint is a stage-delay target (equivalently a
-    ring-oscillator frequency, the paper's two "MHz" curve families in
-    Fig. 4); the cycle time against which leakage integrates is the
-    operation period ``cycle_stages * stage_delay``.
-
-    With a :class:`VariationSpec` the whole locus turns statistical:
-    each V_DD is solved so the p-th percentile Monte-Carlo delay meets
-    the target (:meth:`RingOscillatorModel.solve_vdd_for_yield`) and
-    the energy prices leakage at the sampled mean.  ``variation=None``
-    (the default) reproduces the nominal optimizer bit-for-bit.
-    """
-
-    def __init__(
-        self,
-        ring: RingOscillatorModel,
-        cycle_stages: int = 20,
-        variation: Optional[VariationSpec] = None,
-    ):
-        if cycle_stages < 1:
-            raise OptimizationError("cycle_stages must be >= 1")
-        if variation is not None and not isinstance(variation, VariationSpec):
-            raise OptimizationError(
-                "variation must be a VariationSpec or None"
-            )
-        self.ring = ring
-        self.cycle_stages = cycle_stages
-        self.variation = variation
-
+    # ------------------------------------------------------------------
+    # The fixed-delay locus and its optimum
+    # ------------------------------------------------------------------
     def locus_point(
-        self, vt: float, target_stage_delay_s: float
+        self, vt: float, target_delay_s: float, utilization: float = 1.0
     ) -> OperatingPoint:
-        """The fixed-delay operating point at one V_T.
+        """Fixed-throughput point: V_DD solved, leakage over the period.
 
-        Statistical mode (``variation`` set on the optimizer) returns a
+        ``utilization`` < 1 means the model is clocked slower than its
+        delay allows (operation period divided by ``utilization``),
+        lengthening the leakage integration window.  Statistical mode
+        (``variation`` set on the optimizer) returns a
         :class:`StatisticalOperatingPoint` at the yield-constrained
         supply instead of the nominal one.
         """
+        if not 0.0 < utilization <= 1.0:
+            raise OptimizationError("utilization must be in (0, 1]")
+        seconds = self._period_units * target_delay_s / utilization
         spec = self.variation
         if spec is None:
-            vdd = self.ring.solve_vdd_for_delay(target_stage_delay_s, vt)
-            cycle = self.cycle_stages * target_stage_delay_s
-            return self.ring.energy_per_cycle(vdd, vt, cycle)
-        vdd = self.ring.solve_vdd_for_yield(
-            target_stage_delay_s,
-            vt,
-            percentile=spec.percentile,
-            vt_sigma=spec.vt_sigma,
-            n_samples=spec.n_samples,
-            seed=spec.seed,
+            vdd = self.solve_vdd_for_delay(target_delay_s, vt)
+            return self.energy_per_operation(vdd, vt, seconds)
+        vdd = self.solve_vdd_for_yield(
+            target_delay_s, vt, spec.percentile, spec.vt_sigma,
+            spec.n_samples, spec.seed,
         )
-        cycle = self.cycle_stages * target_stage_delay_s
-        return self.ring.statistical_energy_per_cycle(vdd, vt, cycle, spec)
+        return self.statistical_energy_per_operation(vdd, vt, seconds, spec)
 
     def sweep(
-        self,
-        vts: Sequence[float],
-        target_stage_delay_s: float,
-        skip_infeasible: bool = True,
+        self, vts: Sequence[float], target_delay_s: float,
+        utilization: float = 1.0, skip_infeasible: bool = True,
     ) -> List[OperatingPoint]:
         """Fig. 3/4 data: the fixed-delay locus over a V_T list.
 
-        Every V_T's solve and energy evaluation run through the ring's
-        one decoded :class:`~repro.tech.opplan.CornerPlan`, with the
-        V_T as the kernels' shift, each probe bit-identical to the
-        scalar per-probe chain at that corner.  A non-finite V_T or
-        target is a configuration error and raises even with
-        ``skip_infeasible``.
+        By default infeasible V_T corners are dropped from the locus;
+        ``skip_infeasible=False`` lets them raise instead.  A non-finite
+        V_T or target, or a utilization outside (0, 1], is a
+        configuration error and raises either way.
         """
         if not vts:
             raise OptimizationError("empty V_T sweep")
-        _check_target(target_stage_delay_s)
+        _check_request(target_delay_s, utilization)
         for vt in vts:
             _check_vt(vt)
         points: List[OperatingPoint] = []
@@ -738,7 +756,7 @@ class FixedThroughputOptimizer:
             for vt in vts:
                 try:
                     points.append(
-                        self.locus_point(vt, target_stage_delay_s)
+                        self.locus_point(vt, target_delay_s, utilization)
                     )
                 except OptimizationError:
                     if not skip_infeasible:
@@ -750,22 +768,27 @@ class FixedThroughputOptimizer:
         return points
 
     def optimum(
-        self,
-        target_stage_delay_s: float,
-        vt_bounds: Sequence[float] = (0.01, 0.6),
-        tolerance: float = 1e-3,
+        self, target_delay_s: float,
+        vt_bounds: Optional[Sequence[float]] = None,
+        utilization: float = 1.0, tolerance: Optional[float] = None,
     ) -> OperatingPoint:
         """Minimum-energy V_T (Fig. 4): coarse scan + golden section.
 
         The coarse scan brackets the global basin first because the
-        low-V_DD clamp (see :meth:`RingOscillatorModel.
-        solve_vdd_for_delay`) makes the energy landscape bimodal for
-        targets the ring already meets at the minimum supply.
+        low-V_DD clamp (see :meth:`solve_vdd_for_delay`) makes the
+        energy landscape bimodal for targets the model already meets at
+        the minimum supply.  ``vt_bounds`` and ``tolerance`` default to
+        the model's: (0.01, 0.6) V and 1 mV for the ring, (0.02, 0.5) V
+        and 2 mV for a module.
         """
+        if vt_bounds is None:
+            vt_bounds = self._VT_BOUNDS
+        if tolerance is None:
+            tolerance = self._TOLERANCE
         low, high = float(vt_bounds[0]), float(vt_bounds[1])
         if not low < high:
             raise OptimizationError(f"bad vt bounds [{low}, {high}]")
-        _check_target(target_stage_delay_s)
+        _check_request(target_delay_s, utilization)
 
         # The winner is always a probed, feasible V_T: return its point.
         probed = {}
@@ -774,7 +797,7 @@ class FixedThroughputOptimizer:
             if obs.ENABLED:
                 obs.incr("optimizer.golden_probes")
             try:
-                point = self.locus_point(vt, target_stage_delay_s)
+                point = self.locus_point(vt, target_delay_s, utilization)
             except OptimizationError:
                 return float("inf")
             probed[vt] = point
@@ -786,15 +809,69 @@ class FixedThroughputOptimizer:
             ]
 
 
-class ModuleThroughputOptimizer:
-    """Fixed-throughput (V_DD, V_T) optimization for a real netlist.
+class FixedThroughputOptimizer(ThroughputOptimizer):
+    """The throughput optimizer on the paper's ring oscillator.
 
-    The ring-oscillator version above mirrors the paper's measurement
+    The performance constraint is a stage-delay target (equivalently a
+    ring-oscillator frequency, the paper's two "MHz" curve families in
+    Fig. 4); leakage integrates over one ring period, ``2 * stages``
+    stage delays (divided by ``utilization``).  Every solve probe and
+    sampled leakage runs on the ring's one decoded
+    :class:`~repro.tech.opplan.CornerPlan`, with the V_T as the
+    kernels' shift.
+    """
+
+    def __init__(
+        self, ring: RingOscillatorModel,
+        variation: Optional[VariationSpec] = None,
+    ):
+        super().__init__(ring.technology, variation)
+        self.ring = ring
+        self._leak_units = ring.stages
+        # One ring period: each of the stages switches twice.
+        self._period_units = 2 * ring.stages
+
+    def _probe(
+        self, vt: float, shift: float = 0.0
+    ) -> Callable[[float], float]:
+        # One direct plan call per probe: bit-identical to a stage_delay
+        # call at the same corner.  The probes bypass the characterizer
+        # memo, so ``optimizer.delay_probes`` keeps matching the
+        # characterizer's fanout-family traffic.
+        delay = self.ring._plan.delay
+        threshold = vt + shift
+        return lambda vdd: delay(vdd, threshold, fanout=1)
+
+    def _breaks(self, vt: float) -> Optional[Sequence[float]]:
+        return self.ring._plan.delay_breaks(vt)
+
+    def energy_per_operation(
+        self, vdd: float, vt: float, operation_time_s: float
+    ) -> OperatingPoint:
+        """The ring's :meth:`~RingOscillatorModel.energy_per_cycle`."""
+        return self.ring.energy_per_cycle(vdd, vt, operation_time_s)
+
+    def _leakages(
+        self, vdd: float, vt: float, shifts: Sequence[float]
+    ) -> List[float]:
+        # Each sample reaches the kernels as the shift ``vt + shift`` of
+        # the zero-threshold decode, so its threshold ``0.0 + (vt +
+        # shift)`` is the float a ``with_vt(vt)`` corner forms.
+        return self.ring._plan.leakages(
+            (vdd,) * len(shifts), [vt + shift for shift in shifts]
+        )
+
+
+class ModuleThroughputOptimizer(ThroughputOptimizer):
+    """The throughput optimizer on a real netlist.
+
+    The ring-oscillator version mirrors the paper's measurement
     structure; this one runs the same optimization on an arbitrary
     module: delay from register-aware static timing, switching energy
     from a simulated activity report (re-priced at each supply through
     the non-linear C(V)), leakage from the cell models at each
-    (V_DD, V_T) corner.
+    (V_DD, V_T) corner.  The operation period is the delay target
+    (divided by ``utilization``), and every solve bisects throughout.
 
     Parameters
     ----------
@@ -813,344 +890,80 @@ class ModuleThroughputOptimizer:
         energy pricing); ``None`` keeps the nominal behavior exactly.
     """
 
+    _VT_BOUNDS = (0.02, 0.5)
+    _TOLERANCE = 2e-3
+
     def __init__(
-        self,
-        netlist,
-        technology: Technology,
-        activity_report,
+        self, netlist, technology: Technology, activity_report,
         wire_length_per_fanout_um: float = 5.0,
         variation: Optional[VariationSpec] = None,
     ):
         from repro.circuits.timing import StaticTimingAnalyzer
-        from repro.power.estimator import PowerEstimator
 
-        if variation is not None and not isinstance(variation, VariationSpec):
-            raise OptimizationError(
-                "variation must be a VariationSpec or None"
-            )
+        super().__init__(technology, variation)
+        netlist.validate()
         self.netlist = netlist
-        self.technology = technology
         self.report = activity_report
-        self.variation = variation
         self._analyzer = StaticTimingAnalyzer(
             technology, wire_length_per_fanout_um
         )
-        self._estimator = PowerEstimator(
-            netlist, technology, wire_length_per_fanout_um
-        )
+        self._characterizer = CellCharacterizer(technology)
         self._base_vt = technology.transistors.nmos.vt0
         self._wire = wire_length_per_fanout_um
 
-    def _shift(self, vt: float) -> float:
-        _check_vt(vt)
-        return vt - self._base_vt
-
     def delay(self, vdd: float, vt: float) -> float:
         """Critical-path delay at an absolute-V_T corner [s]."""
-        return self._delay_at_shift(vdd, self._shift(vt))
+        _check_vt(vt)
+        return self._probe(vt)(vdd)
 
-    def _delay_at_shift(self, vdd: float, vt_shift: float) -> float:
-        """STA delay at an explicit global shift (probe-counted)."""
-        if obs.ENABLED:
-            obs.incr("optimizer.delay_probes")
-        return self._analyzer.analyze(
-            self.netlist, vdd, vt_shift=vt_shift
-        ).delay_s
+    def _probe(
+        self, vt: float, shift: float = 0.0
+    ) -> Callable[[float], float]:
+        # Static timing at the global shift from the base threshold,
+        # each run counted as one ``optimizer.delay_probes``.
+        vt_shift = (vt - self._base_vt) + shift
+        analyze, netlist = self._analyzer.analyze, self.netlist
 
-    def solve_vdd_for_delay(
-        self,
-        target_delay_s: float,
-        vt: float,
-        vdd_bounds: Optional[Sequence[float]] = None,
-    ) -> float:
-        """Supply meeting the delay target at one V_T (Fig. 3).
+        def delay(vdd: float) -> float:
+            if obs.ENABLED:
+                obs.incr("optimizer.delay_probes")
+            return analyze(netlist, vdd, vt_shift=vt_shift).delay_s
 
-        Clamps to the low V_DD bound when the module is already faster
-        than the target there (the shared low-bound semantics — see
-        :meth:`RingOscillatorModel.solve_vdd_for_delay`); raises only
-        when the target is unreachable at the *high* bound.  Every cell
-        delay on a path rises in a band above the kink at
-        ``V_DD = V_T / (1 + DIBL)``, so the critical-path delay is not
-        monotone there either; the solve bisects throughout and returns
-        exactly what a 70-step bisection of the V_DD bounds returns.
-        """
-        _check_target(target_delay_s)
-        if vdd_bounds is None:
-            vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
-        low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
-            raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
-        if obs.ENABLED:
-            obs.incr("optimizer.vdd_solves")
-        vdd = _solve_supply(
-            lambda v: self.delay(v, vt), target_delay_s, low, high, None
-        )
-        if vdd is None:
-            raise OptimizationError(
-                f"target {target_delay_s:.3e} s unreachable at "
-                f"V_DD = {high} V (V_T = {vt} V)"
-            )
-        return vdd
-
-    def _delay_percentile(
-        self,
-        vdd: float,
-        vt: float,
-        ordered_shifts: Sequence[float],
-        percentile: float,
-    ) -> float:
-        """p-th percentile of the sampled critical-path delay [s].
-
-        The STA delay is a max over per-path delays, each monotone
-        nondecreasing in the global V_T shift, so the sorted delay
-        vector equals the delay evaluated at the *sorted shift vector*.
-        The percentile therefore needs only the two bracketing shift
-        order statistics — two STA runs per probe instead of
-        ``n_samples`` — and is exactly equal to the full-vector
-        percentile it shortcuts.
-        """
-        if obs.ENABLED:
-            obs.incr("optimizer.mc_probes")
-        position = percentile / 100.0 * (len(ordered_shifts) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered_shifts) - 1)
-        fraction = position - low
-        base = self._shift(vt)
-        delay_low = self._delay_at_shift(vdd, base + ordered_shifts[low])
-        if high == low or fraction == 0.0:
-            return delay_low
-        delay_high = self._delay_at_shift(vdd, base + ordered_shifts[high])
-        return delay_low * (1.0 - fraction) + delay_high * fraction
-
-    def solve_vdd_for_yield(
-        self,
-        target_delay_s: float,
-        vt: float,
-        percentile: float = 99.0,
-        vt_sigma: float = 0.03,
-        n_samples: int = 300,
-        seed: int = 0,
-        vdd_bounds: Optional[Sequence[float]] = None,
-    ) -> float:
-        """Supply at which the p-th percentile delay meets the target.
-
-        The module-level twin of
-        :meth:`RingOscillatorModel.solve_vdd_for_yield`: one shift
-        vector per solve, reused across probed supplies.  Like
-        :meth:`solve_vdd_for_delay` it bisects throughout, since the
-        delay rises above each sample's kink, and returns exactly what
-        a 70-step bisection of the V_DD bounds returns.  Low-bound
-        clamp and unreachable semantics mirror
-        :meth:`solve_vdd_for_delay`.
-        """
-        _check_target(target_delay_s)
-        spec = VariationSpec(
-            percentile=percentile, vt_sigma=vt_sigma,
-            n_samples=n_samples, seed=seed,
-        )
-        if vdd_bounds is None:
-            vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
-        low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
-            raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
-        if obs.ENABLED:
-            obs.incr("optimizer.yield_solves")
-        ordered = sorted(spec.draw_shifts())
-        vdd = _solve_supply(
-            lambda v: self._delay_percentile(v, vt, ordered, percentile),
-            target_delay_s,
-            low,
-            high,
-            None,
-        )
-        if vdd is None:
-            raise OptimizationError(
-                f"p{percentile:g} target {target_delay_s:.3e} s "
-                f"unreachable: still slower at V_DD = {high} V "
-                f"(V_T = {vt} V, sigma = {vt_sigma} V)"
-            )
-        return vdd
+        return delay
 
     def energy_per_operation(
         self, vdd: float, vt: float, operation_time_s: float
     ) -> OperatingPoint:
         """Switching + leakage energy for one operation period [J]."""
         _check_time("operation", operation_time_s)
+        _check_vt(vt)
         switching = self.report.switching_energy_per_cycle(
             self.netlist, self.technology, vdd, self._wire
         )
-        leakage = (
-            self._estimator.leakage_current(vdd, self._shift(vt))
-            * vdd
-            * operation_time_s
-        )
+        (leakage_current,) = self._leakages(vdd, vt, (0.0,))
+        leakage = leakage_current * vdd * operation_time_s
         return OperatingPoint(
-            vt=vt,
-            vdd=vdd,
-            stage_delay_s=self.delay(vdd, vt),
+            vt=vt, vdd=vdd, stage_delay_s=self.delay(vdd, vt),
             energy_per_cycle_j=switching + leakage,
-            switching_energy_j=switching,
-            leakage_energy_j=leakage,
+            switching_energy_j=switching, leakage_energy_j=leakage,
         )
 
-    def statistical_energy_per_operation(
-        self,
-        vdd: float,
-        vt: float,
-        operation_time_s: float,
-        variation: VariationSpec,
-    ) -> StatisticalOperatingPoint:
-        """Operation energy with leakage priced at the sampled mean [J].
-
-        Leakage current is averaged over the full shift vector (the
-        lognormal amplification the paper's subthreshold model implies)
-        and cross-checked against the closed-form
-        ``lognormal_leakage_amplification`` prediction; both ratios are
-        reported on the returned point and as obs gauges.
-        """
-        from repro.analysis.variation import (
-            lognormal_leakage_amplification,
-        )
-
-        _check_time("operation", operation_time_s)
-        shifts = variation.draw_shifts()
-        base = self._shift(vt)
-        switching = self.report.switching_energy_per_cycle(
-            self.netlist, self.technology, vdd, self._wire
-        )
-        currents = [
-            self._estimator.leakage_current(vdd, base + s) for s in shifts
-        ]
-        mean_leakage = sum(currents) / len(currents)
-        nominal_leakage = self._estimator.leakage_current(vdd, base)
-        amplification = (
-            mean_leakage / nominal_leakage if nominal_leakage > 0.0 else 1.0
-        )
-        predicted = lognormal_leakage_amplification(
-            variation.vt_sigma,
-            self.technology.transistors.nmos.subthreshold_swing,
-        )
-        if obs.ENABLED:
-            obs.gauge("optimizer.leakage_amplification", amplification)
-            obs.gauge(
-                "optimizer.leakage_amplification_lognormal", predicted
-            )
-        leakage = mean_leakage * vdd * operation_time_s
-        delay_percentile = self._delay_percentile(
-            vdd, vt, sorted(shifts), variation.percentile
-        )
-        return StatisticalOperatingPoint(
-            vt=vt,
-            vdd=vdd,
-            stage_delay_s=self.delay(vdd, vt),
-            energy_per_cycle_j=switching + leakage,
-            switching_energy_j=switching,
-            leakage_energy_j=leakage,
-            percentile=variation.percentile,
-            delay_percentile_s=delay_percentile,
-            leakage_amplification=amplification,
-            lognormal_amplification=predicted,
-        )
-
-    def locus_point(
-        self, vt: float, target_delay_s: float, utilization: float = 1.0
-    ) -> OperatingPoint:
-        """Fixed-throughput point: V_DD solved, leakage over the period.
-
-        ``utilization`` < 1 means the module is clocked slower than its
-        critical path allows (operation period = delay / utilization),
-        lengthening the leakage integration window.  With a
-        ``variation`` spec the supply is solved for the p-th percentile
-        corner and the energy uses the statistical leakage mean.
-        """
-        if not 0.0 < utilization <= 1.0:
-            raise OptimizationError("utilization must be in (0, 1]")
-        spec = self.variation
-        if spec is None:
-            vdd = self.solve_vdd_for_delay(target_delay_s, vt)
-            return self.energy_per_operation(
-                vdd, vt, target_delay_s / utilization
-            )
-        vdd = self.solve_vdd_for_yield(
-            target_delay_s,
-            vt,
-            percentile=spec.percentile,
-            vt_sigma=spec.vt_sigma,
-            n_samples=spec.n_samples,
-            seed=spec.seed,
-        )
-        return self.statistical_energy_per_operation(
-            vdd, vt, target_delay_s / utilization, spec
-        )
-
-    def sweep(
-        self,
-        vts: Sequence[float],
-        target_delay_s: float,
-        utilization: float = 1.0,
-        skip_infeasible: bool = True,
-    ) -> List[OperatingPoint]:
-        """Fixed-throughput locus over a V_T list (Figs. 3-4 shape).
-
-        ``skip_infeasible`` mirrors
-        :meth:`FixedThroughputOptimizer.sweep`: by default infeasible
-        V_T corners are dropped from the locus, but passing ``False``
-        lets configuration errors (bad utilization, unreachable
-        targets) surface instead of being silently swallowed.
-        """
-        if not vts:
-            raise OptimizationError("empty V_T sweep")
-        _check_target(target_delay_s)
-        for vt in vts:
-            _check_vt(vt)
-        points = []
-        with obs.span("optimizer.module_sweep"):
-            for vt in vts:
-                try:
-                    points.append(
-                        self.locus_point(vt, target_delay_s, utilization)
-                    )
-                except OptimizationError:
-                    if not skip_infeasible:
-                        raise
-        if not points:
-            raise OptimizationError(
-                "no feasible V_T in the sweep for this delay target"
-            )
-        return points
-
-    def optimum(
-        self,
-        target_delay_s: float,
-        vt_bounds: Sequence[float] = (0.02, 0.5),
-        utilization: float = 1.0,
-        tolerance: float = 2e-3,
-    ) -> OperatingPoint:
-        """Minimum-energy V_T at fixed throughput (scan + golden section).
-
-        Uses the same bracketed search as
-        :meth:`FixedThroughputOptimizer.optimum` — the shared low-bound
-        clamp makes the landscape bimodal for relaxed targets here too.
-        """
-        low, high = float(vt_bounds[0]), float(vt_bounds[1])
-        if not low < high:
-            raise OptimizationError(f"bad vt bounds [{low}, {high}]")
-        _check_target(target_delay_s)
-
-        # The winner is always a probed, feasible V_T: return its point.
-        probed = {}
-
-        def energy(vt: float) -> float:
-            if obs.ENABLED:
-                obs.incr("optimizer.golden_probes")
-            try:
-                point = self.locus_point(vt, target_delay_s, utilization)
-            except OptimizationError:
-                return float("inf")
-            probed[vt] = point
-            return point.energy_per_cycle_j
-
-        with obs.span("optimizer.module_optimum"):
-            return probed[
-                _bracketed_golden_minimum(energy, low, high, tolerance)
-            ]
+    def _leakages(
+        self, vdd: float, vt: float, shifts: Sequence[float]
+    ) -> List[float]:
+        # One CornerPlan.leakages call per distinct cell over the whole
+        # shift vector.  Each total adds its instances in netlist order,
+        # so it is the very float the per-instance sum of
+        # PowerEstimator.leakage_current gives at that shift.
+        base = vt - self._base_vt
+        corner_shifts = [base + shift for shift in shifts]
+        vdds = (vdd,) * len(corner_shifts)
+        per_cell = {}
+        columns = []
+        for instance in self.netlist.instances.values():
+            cell = instance.cell
+            if cell not in per_cell:
+                plan = self._characterizer.corner_plan(cell)
+                per_cell[cell] = plan.leakages(vdds, corner_shifts)
+            columns.append(per_cell[cell])
+        return [sum(total) for total in zip(*columns)]

@@ -41,7 +41,6 @@ class TestSurfaceGrid:
 
     def test_default_budget_is_ring_period(self):
         surface = _surface()
-        assert surface.cycle_stages == 2 * STAGES
         assert surface.target_stage_delay_s == T_CYCLE / (2 * STAGES)
 
     def test_infeasible_cells_are_none(self):
@@ -132,9 +131,10 @@ class TestValidation:
             with pytest.raises(AnalysisError, match="activity"):
                 _surface(activity=activity)
 
-    def test_bad_cycle_stages_rejected(self):
-        with pytest.raises(AnalysisError, match="cycle_stages"):
-            _surface(cycle_stages=0)
+    def test_bad_stages_rejected(self):
+        # The budget is t_cycle / (2 * stages): no stages, no budget.
+        with pytest.raises(AnalysisError, match="stages"):
+            _surface(stages=0)
 
     def test_negative_refine_levels_rejected(self):
         with pytest.raises(AnalysisError, match="refine_levels"):

@@ -4,8 +4,11 @@ Before :class:`repro.power.optimizer.RingOscillatorModel` decoded its
 inverter once at ``V_T0 = 0``, every V_T probe built the corner
 ``technology.with_vt(vt)``: a new technology, characterizer and plan.
 :class:`PerVtRing` is that chain, with a fresh characterizer per
-query, so nothing it answers depends on what it was asked before.  The ring must
-match it bit for bit.
+query, so nothing it answers depends on what it was asked before.  It
+carries its own fixed-delay locus, sweep and optimum, with the yield
+percentile taken over the full sampled delay vector; the ring and
+:class:`~repro.power.optimizer.FixedThroughputOptimizer` must match it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from repro.power.optimizer import (
     OperatingPoint,
     StatisticalOperatingPoint,
     VariationSpec,
+    _bracketed_golden_minimum,
     _percentile,
     _solve_supply,
 )
@@ -27,8 +31,9 @@ class PerVtRing:
     """Test-only oracle: the ring as one fresh characterizer of
     ``technology.with_vt(vt)`` per query, asked at shift 0.
 
-    Duck-types the :class:`RingOscillatorModel` methods
-    :class:`FixedThroughputOptimizer` calls.
+    Answers the ring model's ``stage_delay`` and ``energy_per_cycle``
+    and the optimizer's ``locus_point``, ``sweep`` and ``optimum``,
+    leakage integrating over one ring period.
     """
 
     def __init__(self, technology, stages=101, activity=1.0):
@@ -134,3 +139,43 @@ class PerVtRing:
             ),
             lognormal_amplification=predicted,
         )
+
+    def locus_point(self, vt, target, variation=None):
+        period = (2 * self.stages) * target
+        if variation is None:
+            vdd = self.solve_vdd_for_delay(target, vt)
+            return self.energy_per_cycle(vdd, vt, period)
+        vdd = self.solve_vdd_for_yield(
+            target,
+            vt,
+            variation.percentile,
+            variation.vt_sigma,
+            variation.n_samples,
+            variation.seed,
+        )
+        return self.statistical_energy_per_cycle(vdd, vt, period, variation)
+
+    def sweep(self, vts, target, variation=None):
+        points = []
+        for vt in vts:
+            try:
+                points.append(self.locus_point(vt, target, variation))
+            except OptimizationError:
+                pass
+        return points
+
+    def optimum(
+        self, target, vt_bounds=(0.01, 0.6), tolerance=1e-3, variation=None
+    ):
+        probed = {}
+
+        def energy(vt):
+            try:
+                point = self.locus_point(vt, target, variation)
+            except OptimizationError:
+                return float("inf")
+            probed[vt] = point
+            return point.energy_per_cycle_j
+
+        low, high = vt_bounds
+        return probed[_bracketed_golden_minimum(energy, low, high, tolerance)]

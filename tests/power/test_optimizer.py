@@ -20,7 +20,7 @@ def target(ring):
 
 @pytest.fixture(scope="module")
 def optimizer(ring):
-    return FixedThroughputOptimizer(ring, cycle_stages=202)
+    return FixedThroughputOptimizer(ring)
 
 
 class TestRingModel:
@@ -46,49 +46,51 @@ class TestRingModel:
 
 
 class TestVddSolve:
-    def test_solution_hits_target(self, ring, target):
-        vdd = ring.solve_vdd_for_delay(target, vt=0.2)
+    def test_solution_hits_target(self, ring, optimizer, target):
+        vdd = optimizer.solve_vdd_for_delay(target, vt=0.2)
         assert ring.stage_delay(vdd, 0.2) == pytest.approx(target, rel=1e-6)
 
-    def test_fig3_vdd_falls_with_vt(self, ring, target):
+    def test_fig3_vdd_falls_with_vt(self, optimizer, target):
         # The headline of Fig. 3: lower V_T allows lower V_DD at fixed
         # performance.
         vdds = [
-            ring.solve_vdd_for_delay(target, vt)
+            optimizer.solve_vdd_for_delay(target, vt)
             for vt in (0.1, 0.2, 0.3, 0.4)
         ]
         assert vdds == sorted(vdds)
 
-    def test_fig3_slower_target_needs_less_vdd(self, ring, target):
-        fast = ring.solve_vdd_for_delay(target, 0.25)
-        slow = ring.solve_vdd_for_delay(2.0 * target, 0.25)
+    def test_fig3_slower_target_needs_less_vdd(self, optimizer, target):
+        fast = optimizer.solve_vdd_for_delay(target, 0.25)
+        slow = optimizer.solve_vdd_for_delay(2.0 * target, 0.25)
         assert slow < fast
 
-    def test_unreachable_fast_target(self, ring):
+    def test_unreachable_fast_target(self, optimizer):
         with pytest.raises(OptimizationError, match="unreachable"):
-            ring.solve_vdd_for_delay(1e-15, vt=0.4)
+            optimizer.solve_vdd_for_delay(1e-15, vt=0.4)
 
-    def test_slow_target_clamps_to_low_bound(self, ring):
+    def test_slow_target_clamps_to_low_bound(self, ring, optimizer):
         # A target the ring already meets at the minimum supply clamps
         # to the low bound (the shared semantics with
         # ModuleThroughputOptimizer) instead of raising.
-        vdd = ring.solve_vdd_for_delay(1.0, vt=0.05)
+        vdd = optimizer.solve_vdd_for_delay(1.0, vt=0.05)
         assert vdd == pytest.approx(ring.technology.min_vdd)
         assert ring.stage_delay(vdd, 0.05) < 1.0
 
-    def test_bad_bounds_rejected(self, ring, target):
+    def test_bad_bounds_rejected(self, optimizer, target):
         with pytest.raises(OptimizationError, match="bounds"):
-            ring.solve_vdd_for_delay(target, 0.2, vdd_bounds=(1.0, 0.5))
+            optimizer.solve_vdd_for_delay(
+                target, 0.2, vdd_bounds=(1.0, 0.5)
+            )
 
-    def test_nonfinite_target_rejected(self, ring):
+    def test_nonfinite_target_rejected(self, optimizer):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(OptimizationError, match="target delay"):
-                ring.solve_vdd_for_delay(bad, 0.2)
+                optimizer.solve_vdd_for_delay(bad, 0.2)
 
-    def test_nonfinite_vt_rejected(self, ring, target):
+    def test_nonfinite_vt_rejected(self, ring, optimizer, target):
         for vt in (float("nan"), float("inf")):
             with pytest.raises(OptimizationError, match="V_T must be finite"):
-                ring.solve_vdd_for_delay(target, vt)
+                optimizer.solve_vdd_for_delay(target, vt)
             with pytest.raises(OptimizationError, match="V_T must be finite"):
                 ring.stage_delay(0.8, vt)
             with pytest.raises(OptimizationError, match="V_T must be finite"):
@@ -240,6 +242,8 @@ class TestModuleThroughputOptimizer:
             module_optimizer.optimum(float("nan"))
         with pytest.raises(OptimizationError):
             module_optimizer.locus_point(0.2, module_target, utilization=0.0)
+        with pytest.raises(OptimizationError, match="utilization"):
+            module_optimizer.optimum(module_target, utilization=0.0)
         with pytest.raises(OptimizationError):
             module_optimizer.sweep([], module_target)
         with pytest.raises(OptimizationError, match="unreachable"):
@@ -281,12 +285,10 @@ class TestFixedThroughputSweep:
         # Paper: "a circuit which has very low switching activity will
         # require a high-threshold voltage".
         busy = FixedThroughputOptimizer(
-            RingOscillatorModel(soi_low_vt(), stages=101, activity=1.0),
-            cycle_stages=202,
+            RingOscillatorModel(soi_low_vt(), stages=101, activity=1.0)
         ).optimum(target, vt_bounds=(0.02, 0.5))
         idle = FixedThroughputOptimizer(
-            RingOscillatorModel(soi_low_vt(), stages=101, activity=0.05),
-            cycle_stages=202,
+            RingOscillatorModel(soi_low_vt(), stages=101, activity=0.05)
         ).optimum(target, vt_bounds=(0.02, 0.5))
         assert idle.vt > busy.vt
 
@@ -305,6 +307,21 @@ class TestFixedThroughputSweep:
             optimizer.optimum(float("nan"))
         with pytest.raises(OptimizationError, match="vt bounds"):
             optimizer.optimum(target, vt_bounds=(0.02, float("nan")))
+
+    @pytest.mark.parametrize("utilization", [0.0, 1.5, float("nan")])
+    def test_bad_utilization_rejected_before_search(
+        self, optimizer, target, utilization
+    ):
+        # Every locus point rejects it, so the search and the default
+        # sweep used to drop each V_T as infeasible and report that.
+        from repro import obs
+
+        with obs.enabled_scope():
+            with pytest.raises(OptimizationError, match="utilization"):
+                optimizer.optimum(target, utilization=utilization)
+            assert obs.counter_value("optimizer.golden_probes") == 0
+        with pytest.raises(OptimizationError, match="utilization"):
+            optimizer.sweep([0.1, 0.2], target, utilization=utilization)
 
     def test_all_infeasible_sweep_rejected(self, optimizer):
         with pytest.raises(OptimizationError, match="no feasible"):

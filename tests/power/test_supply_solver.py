@@ -27,7 +27,12 @@ from repro.device.technology import (
     soias_technology,
 )
 from repro.errors import OptimizationError
-from repro.power.optimizer import RingOscillatorModel, VariationSpec
+from repro.power.optimizer import (
+    FixedThroughputOptimizer,
+    RingOscillatorModel,
+    VariationSpec,
+    _percentile,
+)
 from repro.tech.cells import standard_cells
 from repro.tech.characterize import CellCharacterizer
 from tests.power.supply_oracle import ORACLE_RTOL, oracle_supply
@@ -80,6 +85,7 @@ def _target(ring, vt, kind, scale, offset, rel, polarity=0):
 
 def _assert_matches_oracle(ring, vt, target):
     technology = ring.technology
+    optimizer = FixedThroughputOptimizer(ring)
     want = oracle_supply(
         lambda v: ring.stage_delay(v, vt),
         target,
@@ -88,9 +94,9 @@ def _assert_matches_oracle(ring, vt, target):
     )
     if want is None:
         with pytest.raises(OptimizationError, match="unreachable"):
-            ring.solve_vdd_for_delay(target, vt)
+            optimizer.solve_vdd_for_delay(target, vt)
         return
-    got = ring.solve_vdd_for_delay(target, vt)
+    got = optimizer.solve_vdd_for_delay(target, vt)
     assert math.isclose(got, want, rel_tol=ORACLE_RTOL), (got, want)
 
 
@@ -229,13 +235,21 @@ class TestExactSolves:
 
     @pytest.mark.parametrize("vt", [0.1, 0.1765, 0.3])
     def test_ring_yield_solve_equals_oracle(self, vt):
+        # The oracle's percentile sorts the full batched delay vector,
+        # so this also pins the solve's two-order-statistic shortcut.
         ring = RINGS["soias"]
+        plan = ring._plan
         target = 3.0 * ring.stage_delay(1.0, 0.2)
-        shifts = VariationSpec(n_samples=24).draw_shifts()
-        assert ring.solve_vdd_for_yield(
+        thresholds = [
+            vt + shift for shift in VariationSpec(n_samples=24).draw_shifts()
+        ]
+        assert FixedThroughputOptimizer(ring).solve_vdd_for_yield(
             target, vt, n_samples=24
         ) == oracle_supply(
-            lambda v: ring._stage_delay_percentile(v, vt, shifts, 99.0),
+            lambda v: _percentile(
+                plan.delays((v,) * len(thresholds), thresholds, fanout=1),
+                99.0,
+            ),
             target,
             ring.technology.min_vdd,
             ring.technology.max_vdd,
@@ -266,12 +280,12 @@ class TestEvaluationBudget:
         )
 
     def test_bracket_checks_are_counted(self):
-        ring = RINGS["soi"]
+        optimizer = FixedThroughputOptimizer(RINGS["soi"])
         with obs.enabled_scope():
-            ring.solve_vdd_for_delay(1.0, vt=0.05)
+            optimizer.solve_vdd_for_delay(1.0, vt=0.05)
             clamped = obs.counter_value("optimizer.supply_evals")
         with obs.enabled_scope():
             with pytest.raises(OptimizationError):
-                ring.solve_vdd_for_delay(1e-15, vt=0.4)
+                optimizer.solve_vdd_for_delay(1e-15, vt=0.4)
             unreachable = obs.counter_value("optimizer.supply_evals")
         assert (clamped, unreachable) == (2, 1)

@@ -108,16 +108,17 @@ class TestFig1FeedsFig4:
 
     def test_optimum_supply_below_one_volt(self):
         ring = RingOscillatorModel(soi_low_vt(), stages=11)
-        optimizer = FixedThroughputOptimizer(ring, cycle_stages=22)
+        optimizer = FixedThroughputOptimizer(ring)
         target = 4.0 * ring.stage_delay(1.0, 0.2)
         best = optimizer.optimum(target, vt_bounds=(0.03, 0.45))
         assert best.vdd < 1.0
 
     def test_fixed_delay_locus_is_fig3(self):
         ring = RingOscillatorModel(soi_low_vt(), stages=11)
+        optimizer = FixedThroughputOptimizer(ring)
         target = 2.0 * ring.stage_delay(1.0, 0.2)
         vdds = [
-            ring.solve_vdd_for_delay(target, vt)
+            optimizer.solve_vdd_for_delay(target, vt)
             for vt in (0.1, 0.2, 0.3)
         ]
         assert vdds == sorted(vdds)

@@ -204,7 +204,7 @@ class TestRingHistoryIndependence:
 class TestOptimizerInstrumentation:
     def test_sweep_and_optimum_record_probes(self):
         ring = RingOscillatorModel(soi_low_vt(), stages=11)
-        optimizer = FixedThroughputOptimizer(ring, cycle_stages=22)
+        optimizer = FixedThroughputOptimizer(ring)
         target = 4.0 * ring.stage_delay(1.0, 0.2)
         with obs.enabled_scope():
             optimizer.sweep([0.1, 0.2, 0.3], target)
@@ -220,7 +220,7 @@ class TestOptimizerInstrumentation:
     def test_optimum_solves_once_per_probe(self):
         # The winner is a probed V_T, so it is returned, not re-solved.
         ring = RingOscillatorModel(soi_low_vt(), stages=11)
-        optimizer = FixedThroughputOptimizer(ring, cycle_stages=22)
+        optimizer = FixedThroughputOptimizer(ring)
         target = 4.0 * ring.stage_delay(1.0, 0.2)
         with obs.enabled_scope():
             best = optimizer.optimum(target, vt_bounds=(0.05, 0.45))
@@ -235,7 +235,7 @@ class TestOptimizerInstrumentation:
 
         with obs.enabled_scope():
             ring = RingOscillatorModel(soi_low_vt(), stages=11)
-            optimizer = FixedThroughputOptimizer(ring, cycle_stages=22)
+            optimizer = FixedThroughputOptimizer(ring)
             target = 4.0 * ring.stage_delay(1.0, 0.2)
             optimizer.sweep([0.1, 0.2, 0.3], target)
             optimizer.optimum(target, vt_bounds=(0.05, 0.45))
@@ -248,9 +248,11 @@ class TestOptimizerInstrumentation:
             assert obs.counter_value("optimizer.plan_builds") == 1
 
     def test_low_bound_clamp_counted(self):
-        ring = RingOscillatorModel(soi_low_vt(), stages=11)
+        optimizer = FixedThroughputOptimizer(
+            RingOscillatorModel(soi_low_vt(), stages=11)
+        )
         with obs.enabled_scope():
-            vdd = ring.solve_vdd_for_delay(1.0, vt=0.05)
+            vdd = optimizer.solve_vdd_for_delay(1.0, vt=0.05)
             counters = obs.snapshot()["counters"]
         assert vdd == pytest.approx(soi_low_vt().min_vdd)
         assert counters["optimizer.low_bound_clamps"] == 1
@@ -262,7 +264,7 @@ class TestOptimizerInstrumentation:
         # the invariant exact: every stage_delay is exactly one
         # "fanout"-family memo access on the characterizer.
         ring = RingOscillatorModel(soi_low_vt(), stages=11)
-        optimizer = FixedThroughputOptimizer(ring, cycle_stages=22)
+        optimizer = FixedThroughputOptimizer(ring)
         target = 4.0 * ring.stage_delay(1.0, 0.2)
         with obs.enabled_scope():
             optimizer.sweep([0.1, 0.2, 0.3], target)
@@ -278,8 +280,7 @@ class TestOptimizerInstrumentation:
 
         ring = RingOscillatorModel(soi_low_vt(), stages=11)
         optimizer = FixedThroughputOptimizer(
-            ring, cycle_stages=22,
-            variation=VariationSpec(n_samples=20),
+            ring, variation=VariationSpec(n_samples=20)
         )
         target = 4.0 * ring.stage_delay(1.0, 0.2)
         with obs.enabled_scope():
@@ -297,7 +298,7 @@ class TestOptimizerInstrumentation:
 
     def test_nominal_solve_records_no_yield_counters(self):
         ring = RingOscillatorModel(soi_low_vt(), stages=11)
-        optimizer = FixedThroughputOptimizer(ring, cycle_stages=22)
+        optimizer = FixedThroughputOptimizer(ring)
         target = 4.0 * ring.stage_delay(1.0, 0.2)
         with obs.enabled_scope():
             optimizer.locus_point(0.2, target)

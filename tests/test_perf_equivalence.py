@@ -224,11 +224,9 @@ class TestOptimizerCornerCacheEquivalence:
             ring, oracle = self._pair(name)
             target = 4.0 * ring.stage_delay(1.0, 0.2)
             vts = [0.04 + 0.02 * i for i in range(20)]
-            assert FixedThroughputOptimizer(ring, cycle_stages=202).sweep(
+            assert FixedThroughputOptimizer(ring).sweep(
                 vts, target
-            ) == FixedThroughputOptimizer(oracle, cycle_stages=202).sweep(
-                vts, target
-            ), name
+            ) == oracle.sweep(vts, target), name
 
     @pytest.mark.parametrize("name", ORACLE_TECHNOLOGIES)
     def test_optimum_identical(self, name):
@@ -236,9 +234,7 @@ class TestOptimizerCornerCacheEquivalence:
         target = 3.0 * ring.stage_delay(1.0, 0.2)
         assert FixedThroughputOptimizer(ring).optimum(
             target, vt_bounds=(0.02, 0.45)
-        ) == FixedThroughputOptimizer(oracle).optimum(
-            target, vt_bounds=(0.02, 0.45)
-        )
+        ) == oracle.optimum(target, vt_bounds=(0.02, 0.45))
 
     @pytest.mark.parametrize("name", ORACLE_TECHNOLOGIES)
     def test_yield_locus_identical(self, name):
@@ -249,13 +245,27 @@ class TestOptimizerCornerCacheEquivalence:
         spec = VariationSpec(n_samples=300)
         target = 50.0 * ring.stage_delay(1.0, 0.2)
         vts = [0.02 + 0.01 * i for i in range(8)]
-        points = FixedThroughputOptimizer(
-            ring, cycle_stages=22, variation=spec
-        ).sweep(vts, target)
+        points = FixedThroughputOptimizer(ring, variation=spec).sweep(
+            vts, target
+        )
         assert sum(p.vdd == ring.technology.min_vdd for p in points) > 1
-        assert points == FixedThroughputOptimizer(
-            oracle, cycle_stages=22, variation=spec
-        ).sweep(vts, target)
+        assert points == oracle.sweep(vts, target, spec)
+
+    @pytest.mark.parametrize("name", ORACLE_TECHNOLOGIES)
+    def test_yield_optimum_identical(self, name):
+        # The statistical optimum, golden probes and all: the core's
+        # two-order-statistic percentile against the oracle's sort of
+        # every sampled delay at every probe.
+        ring, oracle = self._pair(name, stages=11, activity=0.4)
+        spec = VariationSpec(n_samples=40, seed=2)
+        target = 3.0 * ring.stage_delay(1.0, 0.2)
+        best = FixedThroughputOptimizer(ring, variation=spec).optimum(
+            target, vt_bounds=(0.02, 0.45)
+        )
+        assert best.delay_percentile_s > best.stage_delay_s
+        assert best == oracle.optimum(
+            target, vt_bounds=(0.02, 0.45), variation=spec
+        )
 
     @pytest.mark.parametrize("name", ORACLE_TECHNOLOGIES)
     def test_energy_surface_identical(self, name):
