@@ -35,159 +35,105 @@ Quickstart::
     program = idea.build_program(idea.random_blocks(8))
     result = flow.evaluate(program, standard_datapath(), duty_cycle=0.2)
     print(result.savings_table())
+
+Every package here is a lazy namespace: a public name is imported
+from its defining module on first access, so ``import repro`` (or
+``repro.cli``) loads no layer that the caller does not use.
 """
 
-from repro.analysis import (
-    ApplicationPoint,
-    RatioSurface,
-    RefinedSurface,
-    TechnologyComparator,
-    TechnologyVerdict,
-    breakeven_bga,
-    energy_ratio_surface,
-    format_series,
-    format_table,
-)
-from repro.circuits import (
-    InverterDcAnalysis,
-    Netlist,
-    NoiseMargins,
-    StaticTimingAnalyzer,
-    array_multiplier,
-    barrel_shifter,
-    carry_select_adder,
-    equality_comparator,
-    pipelined_adder,
-    ring_oscillator,
-    ripple_carry_adder,
-)
-from repro.core import (
-    ApplicationEvaluation,
-    DatapathUnit,
-    LowVoltageDesignFlow,
-    Scenario,
-    UnitEvaluation,
-    continuous_scenario,
-    standard_datapath,
-    xserver_scenario,
-)
-from repro.device import (
-    BodyBiasModel,
-    Mosfet,
-    MosfetParameters,
-    SoiasBackGateModel,
-    Technology,
-    bulk_cmos_06um,
-    mtcmos_technology,
-    soi_low_vt,
-    soias_from_film_stack,
-    soias_technology,
-)
-from repro.errors import ReproError
-from repro.isa import (
-    Machine,
-    Program,
-    assemble,
-    FunctionalUnitProfile,
-    profile_program,
-)
-from repro.power import (
-    FixedThroughputOptimizer,
-    ModuleEnergyParameters,
-    OperatingPoint,
-    PowerBreakdown,
-    PowerEstimator,
-    RingOscillatorModel,
-    e_mtcmos,
-    e_soi,
-    e_soias,
-    e_vtcmos,
-    energy_ratio_soias_vs_soi,
-    module_parameters_from_activity,
-)
-from repro.switchsim import (
-    ActivityReport,
-    SwitchLevelSimulator,
-    counting_bus_vectors,
-    gray_code_bus_vectors,
-    random_bus_vectors,
-)
-from repro.tech import CellLibrary, register_styles, standard_cells
+import importlib
 
 __version__ = "1.0.0"
+__all__ = ["__version__"]
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    # device
-    "Mosfet",
-    "MosfetParameters",
-    "BodyBiasModel",
-    "SoiasBackGateModel",
-    "soias_from_film_stack",
-    "Technology",
-    "bulk_cmos_06um",
-    "soi_low_vt",
-    "soias_technology",
-    "mtcmos_technology",
-    # tech
-    "CellLibrary",
-    "standard_cells",
-    "register_styles",
-    # circuits
-    "Netlist",
-    "StaticTimingAnalyzer",
-    "InverterDcAnalysis",
-    "NoiseMargins",
-    "ripple_carry_adder",
-    "carry_select_adder",
-    "barrel_shifter",
-    "array_multiplier",
-    "ring_oscillator",
-    "equality_comparator",
-    "pipelined_adder",
-    # switchsim
-    "SwitchLevelSimulator",
-    "ActivityReport",
-    "random_bus_vectors",
-    "counting_bus_vectors",
-    "gray_code_bus_vectors",
-    # isa
-    "assemble",
-    "Program",
-    "Machine",
-    "FunctionalUnitProfile",
-    "profile_program",
-    # power
-    "PowerBreakdown",
-    "PowerEstimator",
-    "ModuleEnergyParameters",
-    "e_soi",
-    "e_soias",
-    "e_mtcmos",
-    "e_vtcmos",
-    "energy_ratio_soias_vs_soi",
-    "module_parameters_from_activity",
-    "RingOscillatorModel",
-    "FixedThroughputOptimizer",
-    "OperatingPoint",
-    # analysis
-    "RatioSurface",
-    "RefinedSurface",
-    "ApplicationPoint",
-    "energy_ratio_surface",
-    "breakeven_bga",
-    "TechnologyComparator",
-    "TechnologyVerdict",
-    "format_table",
-    "format_series",
-    # core
-    "LowVoltageDesignFlow",
-    "UnitEvaluation",
-    "ApplicationEvaluation",
-    "DatapathUnit",
-    "Scenario",
-    "standard_datapath",
-    "xserver_scenario",
-    "continuous_scenario",
-]
+
+def _lazy_namespace(namespace, exports, submodules=()):
+    """Make a package a PEP 562 lazy namespace.
+
+    ``exports`` maps each defining module (relative to the package when
+    it starts with a dot) to the public names it provides; the names in
+    ``submodules`` are the package's own submodules.  A name is imported
+    on first access and then stored in the package's globals, so later
+    lookups never reach ``__getattr__``.  Unknown names raise
+    :class:`AttributeError`.  Every public name is appended to the
+    package's ``__all__`` (which lists its own names, if any), and
+    ``dir()`` shows them all before they are loaded.
+    """
+    package = namespace["__name__"]
+    owners = {
+        name: module for module, names in exports.items() for name in names
+    }
+
+    def __getattr__(name):
+        if name in owners:
+            module = importlib.import_module(owners[name], package)
+            value = getattr(module, name)
+        elif name in submodules:
+            value = importlib.import_module(f"{package}.{name}")
+        else:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *owners, *submodules})
+
+    namespace.setdefault("__all__", []).extend([*owners, *submodules])
+    namespace.update(__getattr__=__getattr__, __dir__=__dir__)
+
+
+_lazy_namespace(globals(), {
+    ".errors": ("ReproError",),
+    ".device.mosfet": ("Mosfet", "MosfetParameters"),
+    ".device.threshold": (
+        "BodyBiasModel", "SoiasBackGateModel", "soias_from_film_stack",
+    ),
+    ".device.technology": (
+        "Technology", "bulk_cmos_06um", "soi_low_vt", "soias_technology",
+        "mtcmos_technology",
+    ),
+    ".tech.library": ("CellLibrary",),
+    ".tech.cells": ("standard_cells", "register_styles"),
+    ".circuits.netlist": ("Netlist",),
+    ".circuits.timing": ("StaticTimingAnalyzer",),
+    ".circuits.dc": ("InverterDcAnalysis", "NoiseMargins"),
+    ".circuits.builders.adder": ("ripple_carry_adder", "carry_select_adder"),
+    ".circuits.builders.shifter": ("barrel_shifter",),
+    ".circuits.builders.multiplier": ("array_multiplier",),
+    ".circuits.builders.ring": ("ring_oscillator",),
+    ".circuits.builders.comparator": ("equality_comparator",),
+    ".circuits.builders.pipeline": ("pipelined_adder",),
+    ".switchsim.simulator": ("SwitchLevelSimulator",),
+    ".switchsim.activity": ("ActivityReport",),
+    ".switchsim.stimulus": (
+        "random_bus_vectors", "counting_bus_vectors", "gray_code_bus_vectors",
+    ),
+    ".isa.assembler": ("assemble", "Program"),
+    ".isa.machine": ("Machine",),
+    ".isa.profiler": ("FunctionalUnitProfile", "profile_program"),
+    ".power.components": ("PowerBreakdown",),
+    ".power.estimator": ("PowerEstimator",),
+    ".power.energy": (
+        "ModuleEnergyParameters", "e_soi", "e_soias", "e_mtcmos", "e_vtcmos",
+        "energy_ratio_soias_vs_soi", "module_parameters_from_activity",
+    ),
+    ".power.optimizer": (
+        "RingOscillatorModel", "FixedThroughputOptimizer", "OperatingPoint",
+    ),
+    ".analysis.contour": (
+        "RatioSurface", "ApplicationPoint", "energy_ratio_surface",
+        "breakeven_bga",
+    ),
+    ".analysis.surface": ("RefinedSurface",),
+    ".analysis.comparator": ("TechnologyComparator", "TechnologyVerdict"),
+    ".analysis.tables": ("format_table", "format_series"),
+    ".core.flow": (
+        "LowVoltageDesignFlow", "UnitEvaluation", "ApplicationEvaluation",
+    ),
+    ".core.scenarios": (
+        "DatapathUnit", "Scenario", "standard_datapath", "xserver_scenario",
+        "continuous_scenario",
+    ),
+})

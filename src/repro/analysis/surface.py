@@ -391,6 +391,8 @@ def energy_surface(
     ``2**levels`` times the grid resolution while flat regions are
     never re-sampled.  The sparse points live in ``surface.refined``.
     """
+    from repro.power.optimizer import _check_stages
+
     if not 0.0 < t_cycle_s < math.inf:
         raise AnalysisError(
             f"cycle time must be positive and finite, got {t_cycle_s}"
@@ -401,8 +403,7 @@ def energy_surface(
         raise AnalysisError("vt values must be finite")
     if not all(0.0 < vdd < math.inf for vdd in vdd_values):
         raise AnalysisError("vdd values must be positive and finite")
-    if stages < 1:
-        raise AnalysisError(f"stages must be >= 1, got {stages}")
+    _check_stages(stages, AnalysisError)
     if refine_levels < 0:
         raise AnalysisError(
             f"refine_levels must be >= 0, got {refine_levels}"

@@ -8,41 +8,17 @@ The builders here create the circuits the paper's experiments run on:
 * ring oscillators (the fixed-delay V_DD/V_T experiments, Figs. 3-4).
 """
 
-from repro.circuits.netlist import Instance, Netlist
-from repro.circuits.timing import CriticalPath, StaticTimingAnalyzer
-from repro.circuits.dc import InverterDcAnalysis, NoiseMargins
-from repro.circuits.io import (
-    load_netlist,
-    parse_netlist,
-    save_netlist,
-    write_netlist,
-)
-from repro.circuits.builders import (
-    ripple_carry_adder,
-    carry_select_adder,
-    barrel_shifter,
-    array_multiplier,
-    ring_oscillator,
-    equality_comparator,
-    pipelined_adder,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "Instance",
-    "Netlist",
-    "CriticalPath",
-    "StaticTimingAnalyzer",
-    "InverterDcAnalysis",
-    "NoiseMargins",
-    "write_netlist",
-    "parse_netlist",
-    "save_netlist",
-    "load_netlist",
-    "ripple_carry_adder",
-    "carry_select_adder",
-    "barrel_shifter",
-    "array_multiplier",
-    "ring_oscillator",
-    "equality_comparator",
-    "pipelined_adder",
-]
+_lazy_namespace(globals(), {
+    ".netlist": ("Instance", "Netlist"),
+    ".timing": ("CriticalPath", "StaticTimingAnalyzer"),
+    ".dc": ("InverterDcAnalysis", "NoiseMargins"),
+    ".io": ("write_netlist", "parse_netlist", "save_netlist", "load_netlist"),
+    ".builders.adder": ("ripple_carry_adder", "carry_select_adder"),
+    ".builders.shifter": ("barrel_shifter",),
+    ".builders.multiplier": ("array_multiplier",),
+    ".builders.ring": ("ring_oscillator",),
+    ".builders.comparator": ("equality_comparator",),
+    ".builders.pipeline": ("pipelined_adder",),
+})

@@ -16,22 +16,13 @@ over the standard-cell catalog:
   :meth:`Netlist.add_register`).
 """
 
-from repro.circuits.builders.adder import (
-    carry_select_adder,
-    ripple_carry_adder,
-)
-from repro.circuits.builders.comparator import equality_comparator
-from repro.circuits.builders.multiplier import array_multiplier
-from repro.circuits.builders.pipeline import pipelined_adder
-from repro.circuits.builders.ring import ring_oscillator
-from repro.circuits.builders.shifter import barrel_shifter
+from repro import _lazy_namespace
 
-__all__ = [
-    "ripple_carry_adder",
-    "carry_select_adder",
-    "barrel_shifter",
-    "array_multiplier",
-    "ring_oscillator",
-    "equality_comparator",
-    "pipelined_adder",
-]
+_lazy_namespace(globals(), {
+    ".adder": ("ripple_carry_adder", "carry_select_adder"),
+    ".shifter": ("barrel_shifter",),
+    ".multiplier": ("array_multiplier",),
+    ".ring": ("ring_oscillator",),
+    ".comparator": ("equality_comparator",),
+    ".pipeline": ("pipelined_adder",),
+})

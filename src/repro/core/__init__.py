@@ -7,44 +7,19 @@ comparison — one call per paper experiment.  Canned scenarios (the
 X server, continuous DSP) live in :mod:`~repro.core.scenarios`.
 """
 
-from repro.core.flow import (
-    LowVoltageDesignFlow,
-    UnitEvaluation,
-    ApplicationEvaluation,
-)
-from repro.core.scenarios import (
-    DatapathUnit,
-    standard_datapath,
-    xserver_scenario,
-    continuous_scenario,
-    Scenario,
-)
-from repro.core.shutdown import (
-    ActivityPeriod,
-    OraclePolicy,
-    PredictivePolicy,
-    ShutdownCosts,
-    ShutdownReport,
-    TimeoutPolicy,
-    evaluate_policy,
-    synthetic_session_trace,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "ActivityPeriod",
-    "ShutdownCosts",
-    "ShutdownReport",
-    "TimeoutPolicy",
-    "PredictivePolicy",
-    "OraclePolicy",
-    "evaluate_policy",
-    "synthetic_session_trace",
-    "LowVoltageDesignFlow",
-    "UnitEvaluation",
-    "ApplicationEvaluation",
-    "DatapathUnit",
-    "standard_datapath",
-    "xserver_scenario",
-    "continuous_scenario",
-    "Scenario",
-]
+_lazy_namespace(globals(), {
+    ".shutdown": (
+        "ActivityPeriod", "ShutdownCosts", "ShutdownReport", "TimeoutPolicy",
+        "PredictivePolicy", "OraclePolicy", "evaluate_policy",
+        "synthetic_session_trace",
+    ),
+    ".flow": (
+        "LowVoltageDesignFlow", "UnitEvaluation", "ApplicationEvaluation",
+    ),
+    ".scenarios": (
+        "DatapathUnit", "standard_datapath", "xserver_scenario",
+        "continuous_scenario", "Scenario",
+    ),
+})

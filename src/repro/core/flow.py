@@ -17,22 +17,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 from repro import obs
-from repro.analysis.comparator import TechnologyComparator, TechnologyVerdict
-from repro.analysis.contour import ApplicationPoint, RatioSurface, energy_ratio_surface
-from repro.circuits.netlist import Netlist
 from repro.device.technology import Technology, soias_technology
 from repro.errors import AnalysisError
-from repro.isa.assembler import Program
-from repro.isa.profiler import FunctionalUnitProfile, profile_program
-from repro.power.energy import (
-    ModuleEnergyParameters,
-    module_parameters_from_activity,
-)
-from repro.switchsim.activity import ActivityReport
-from repro.switchsim.simulator import SwitchLevelSimulator
+
+# Each stage imports its layer when called, so a flow that only
+# optimizes (or only profiles) loads no simulator, ISA or contour code.
+if TYPE_CHECKING:
+    from repro.analysis.comparator import (
+        TechnologyComparator,
+        TechnologyVerdict,
+    )
+    from repro.analysis.contour import ApplicationPoint, RatioSurface
+    from repro.analysis.surface import EnergySurface
+    from repro.circuits.netlist import Netlist
+    from repro.isa.assembler import Program
+    from repro.isa.profiler import FunctionalUnitProfile
+    from repro.power.energy import ModuleEnergyParameters
+    from repro.power.optimizer import (
+        FixedThroughputOptimizer,
+        OperatingPoint,
+        VariationSpec,
+    )
+    from repro.switchsim.activity import ActivityReport
 
 __all__ = [
     "LowVoltageDesignFlow",
@@ -113,7 +122,7 @@ class LowVoltageDesignFlow:
         vdd: float = 1.0,
         clock_hz: float = 1e6,
         profile_engine: str = "fast",
-        variation: Optional["VariationSpec"] = None,
+        variation: Optional[VariationSpec] = None,
     ):
         from repro.power.optimizer import VariationSpec
 
@@ -151,6 +160,8 @@ class LowVoltageDesignFlow:
         self, program: Program, max_instructions: int = 50_000_000
     ) -> FunctionalUnitProfile:
         """Run the workload and extract per-unit fga/bga."""
+        from repro.isa.profiler import profile_program
+
         with obs.span("flow.profile"):
             return profile_program(
                 program,
@@ -167,6 +178,8 @@ class LowVoltageDesignFlow:
         vectors: Sequence[Mapping[str, int]],
     ) -> ActivityReport:
         """Switch-level simulation of a unit under stimulus."""
+        from repro.switchsim.simulator import SwitchLevelSimulator
+
         active_shift = 0.0
         if self.technology.is_back_gated:
             active_shift = self.technology.back_gate.vt_shift_at(
@@ -188,6 +201,8 @@ class LowVoltageDesignFlow:
         self, netlist: Netlist, report: ActivityReport
     ) -> ModuleEnergyParameters:
         """Eq. 3/4 parameters from simulated activity."""
+        from repro.power.energy import module_parameters_from_activity
+
         with obs.span("flow.module_parameters"):
             return module_parameters_from_activity(
                 netlist, report, self.technology, self.vdd
@@ -200,6 +215,8 @@ class LowVoltageDesignFlow:
         self, module: ModuleEnergyParameters
     ) -> TechnologyComparator:
         """Technology comparator at this flow's operating point."""
+        from repro.analysis.comparator import TechnologyComparator
+
         return TechnologyComparator(module, self.vdd, self.t_cycle_s)
 
     def ratio_surface(
@@ -212,6 +229,8 @@ class LowVoltageDesignFlow:
 
         See :func:`repro.analysis.contour.energy_ratio_surface`.
         """
+        from repro.analysis.contour import energy_ratio_surface
+
         with obs.span("flow.ratio_surface"):
             return energy_ratio_surface(
                 module,
@@ -229,7 +248,7 @@ class LowVoltageDesignFlow:
         activity: float = 1.0,
         refine_levels: int = 0,
         refine_band: float = 0.2,
-    ) -> "EnergySurface":
+    ) -> EnergySurface:
         """Fig. 3/4 energy plane at this flow's clock rate.
 
         The ring-oscillator cycle energy over a (V_T, V_DD) grid, with
@@ -260,7 +279,7 @@ class LowVoltageDesignFlow:
         self,
         stages: int = 101,
         activity: float = 1.0,
-    ) -> "FixedThroughputOptimizer":
+    ) -> FixedThroughputOptimizer:
         """Figs. 3-4 optimizer on this flow's technology and variation.
 
         The returned optimizer carries the flow's ``variation`` spec:
@@ -285,7 +304,7 @@ class LowVoltageDesignFlow:
         stages: int = 101,
         activity: float = 1.0,
         vt_bounds: Sequence[float] = (0.01, 0.6),
-    ) -> "OperatingPoint":
+    ) -> OperatingPoint:
         """Minimum-energy (V_DD, V_T) point at a fixed stage delay."""
         optimizer = self.throughput_optimizer(
             stages=stages, activity=activity

@@ -16,51 +16,26 @@ SOI/SOIAS devices and SPICE decks.  It provides:
   :class:`~repro.device.leakage.StackSolver`).
 """
 
-from repro.device.mosfet import Mosfet, MosfetParameters, fit_i_spec_for_off_current, fit_k_drive_for_on_current
-from repro.device.threshold import (
-    BodyBiasModel,
-    SoiasBackGateModel,
-    soias_from_film_stack,
-)
-from repro.device.capacitance import (
-    GateCapacitanceModel,
-    JunctionCapacitanceModel,
-    WireCapacitanceModel,
-)
-from repro.device.technology import (
-    Technology,
-    TransistorPair,
-    bulk_cmos_06um,
-    soi_low_vt,
-    soias_technology,
-    mtcmos_technology,
-)
-from repro.device.leakage import (
-    StackLeakageModel,
-    StackSolver,
-    gate_leakage_current,
-    stack_leakage_current,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "Mosfet",
-    "MosfetParameters",
-    "fit_i_spec_for_off_current",
-    "fit_k_drive_for_on_current",
-    "BodyBiasModel",
-    "SoiasBackGateModel",
-    "soias_from_film_stack",
-    "GateCapacitanceModel",
-    "JunctionCapacitanceModel",
-    "WireCapacitanceModel",
-    "Technology",
-    "TransistorPair",
-    "bulk_cmos_06um",
-    "soi_low_vt",
-    "soias_technology",
-    "mtcmos_technology",
-    "StackLeakageModel",
-    "StackSolver",
-    "gate_leakage_current",
-    "stack_leakage_current",
-]
+_lazy_namespace(globals(), {
+    ".mosfet": (
+        "Mosfet", "MosfetParameters", "fit_i_spec_for_off_current",
+        "fit_k_drive_for_on_current",
+    ),
+    ".threshold": (
+        "BodyBiasModel", "SoiasBackGateModel", "soias_from_film_stack",
+    ),
+    ".capacitance": (
+        "GateCapacitanceModel", "JunctionCapacitanceModel",
+        "WireCapacitanceModel",
+    ),
+    ".technology": (
+        "Technology", "TransistorPair", "bulk_cmos_06um", "soi_low_vt",
+        "soias_technology", "mtcmos_technology",
+    ),
+    ".leakage": (
+        "StackLeakageModel", "StackSolver", "gate_leakage_current",
+        "stack_leakage_current",
+    ),
+})

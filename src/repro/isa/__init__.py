@@ -25,41 +25,19 @@ provides the offline equivalent:
   cipher) plus extension workloads.
 """
 
-from repro.isa.instructions import (
-    FUNCTIONAL_UNITS,
-    Instruction,
-    InstructionSpec,
-    instruction_set,
-)
-from repro.isa.assembler import Program, assemble
-from repro.isa.machine import Machine, UnitClassCounts
-from repro.isa.profiler import (
-    FunctionalUnitProfile,
-    UnitStats,
-    profile_from_counts,
-    profile_program,
-)
-from repro.isa.policy import GatedUnitStats, UnitTraceRecorder, apply_hysteresis
-from repro.isa.operands import OperandTraceRecorder
-from repro.isa.disasm import disassemble, listing
+from repro import _lazy_namespace
 
-__all__ = [
-    "GatedUnitStats",
-    "UnitTraceRecorder",
-    "apply_hysteresis",
-    "OperandTraceRecorder",
-    "disassemble",
-    "listing",
-    "FUNCTIONAL_UNITS",
-    "Instruction",
-    "InstructionSpec",
-    "instruction_set",
-    "Program",
-    "assemble",
-    "Machine",
-    "UnitClassCounts",
-    "FunctionalUnitProfile",
-    "UnitStats",
-    "profile_from_counts",
-    "profile_program",
-]
+_lazy_namespace(globals(), {
+    ".policy": ("GatedUnitStats", "UnitTraceRecorder", "apply_hysteresis"),
+    ".operands": ("OperandTraceRecorder",),
+    ".disasm": ("disassemble", "listing"),
+    ".instructions": (
+        "FUNCTIONAL_UNITS", "Instruction", "InstructionSpec", "instruction_set",
+    ),
+    ".assembler": ("Program", "assemble"),
+    ".machine": ("Machine", "UnitClassCounts"),
+    ".profiler": (
+        "FunctionalUnitProfile", "UnitStats", "profile_from_counts",
+        "profile_program",
+    ),
+})

@@ -20,20 +20,13 @@
   bga ≈ fga/4 (the run-length contrast to IDEA).
 """
 
+from repro import _lazy_namespace
 from repro.errors import ReproError
-from repro.isa.workloads import crc, espresso_like, fir, idea, li_like, matmul, sort
 
-__all__ = [
-    "idea",
-    "espresso_like",
-    "li_like",
-    "fir",
-    "crc",
-    "sort",
-    "matmul",
-    "WORKLOAD_NAMES",
-    "build",
-]
+__all__ = ["WORKLOAD_NAMES", "build"]
+_lazy_namespace(globals(), {}, submodules=(
+    "idea", "espresso_like", "li_like", "fir", "crc", "sort", "matmul",
+))
 
 #: CLI/benchmark short names, in paper-table order then extensions.
 WORKLOAD_NAMES = ("idea", "espresso", "li", "fir", "crc", "sort", "matmul")
@@ -47,20 +40,27 @@ def build(name: str, scale: int = 48):
     floors so tiny scales still produce runnable programs.
     """
     if name == "idea":
+        from repro.isa.workloads import idea
         return idea.build_program(idea.random_blocks(max(scale // 8, 1)))
     if name == "espresso":
+        from repro.isa.workloads import espresso_like
         return espresso_like.build_program(n_cubes=max(scale, 8), n_vars=10)
     if name == "li":
+        from repro.isa.workloads import li_like
         return li_like.build_program(
             n=max(scale, 4), n_lookups=max(scale // 2, 2)
         )
     if name == "fir":
+        from repro.isa.workloads import fir
         return fir.build_program(n_samples=max(scale, 8))[0]
     if name == "crc":
+        from repro.isa.workloads import crc
         return crc.build_program(n_words=max(scale // 2, 4))
     if name == "sort":
+        from repro.isa.workloads import sort
         return sort.build_program(count=max(scale, 8))
     if name == "matmul":
+        from repro.isa.workloads import matmul
         return matmul.build_program(n=max(4 * (scale // 8), 4))
     raise ReproError(
         f"unknown workload {name!r}; known: {', '.join(WORKLOAD_NAMES)}"

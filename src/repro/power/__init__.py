@@ -11,64 +11,25 @@
   optimization: the machinery behind Figs. 3-4.
 """
 
-from repro.power.components import (
-    PowerBreakdown,
-    switching_power,
-    leakage_power,
-    short_circuit_power_veendrick,
-)
-from repro.power.energy import (
-    ModuleEnergyParameters,
-    e_soi,
-    e_soias,
-    e_soias_gated,
-    e_mtcmos,
-    e_vtcmos,
-    energy_ratio_soias_vs_soi,
-    module_parameters_from_activity,
-)
-from repro.power.estimator import PowerEstimator
-from repro.power.dualvt import DualVtAssignment, DualVtOptimizer
-from repro.power.sizing import GateSizingOptimizer, SizingSolution
-from repro.power.mtcmos import (
-    MtcmosSizing,
-    SleepTransistorSizer,
-    estimate_peak_current,
-)
-from repro.power.optimizer import (
-    RingOscillatorModel,
-    FixedThroughputOptimizer,
-    ModuleThroughputOptimizer,
-    OperatingPoint,
-    StatisticalOperatingPoint,
-    VariationSpec,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "PowerBreakdown",
-    "switching_power",
-    "leakage_power",
-    "short_circuit_power_veendrick",
-    "ModuleEnergyParameters",
-    "e_soi",
-    "e_soias",
-    "e_soias_gated",
-    "e_mtcmos",
-    "e_vtcmos",
-    "energy_ratio_soias_vs_soi",
-    "module_parameters_from_activity",
-    "PowerEstimator",
-    "DualVtAssignment",
-    "DualVtOptimizer",
-    "GateSizingOptimizer",
-    "SizingSolution",
-    "MtcmosSizing",
-    "SleepTransistorSizer",
-    "estimate_peak_current",
-    "RingOscillatorModel",
-    "FixedThroughputOptimizer",
-    "ModuleThroughputOptimizer",
-    "OperatingPoint",
-    "StatisticalOperatingPoint",
-    "VariationSpec",
-]
+_lazy_namespace(globals(), {
+    ".components": (
+        "PowerBreakdown", "switching_power", "leakage_power",
+        "short_circuit_power_veendrick",
+    ),
+    ".energy": (
+        "ModuleEnergyParameters", "e_soi", "e_soias", "e_soias_gated",
+        "e_mtcmos", "e_vtcmos", "energy_ratio_soias_vs_soi",
+        "module_parameters_from_activity",
+    ),
+    ".estimator": ("PowerEstimator",),
+    ".dualvt": ("DualVtAssignment", "DualVtOptimizer"),
+    ".sizing": ("GateSizingOptimizer", "SizingSolution"),
+    ".mtcmos": ("MtcmosSizing", "SleepTransistorSizer", "estimate_peak_current"),
+    ".optimizer": (
+        "RingOscillatorModel", "FixedThroughputOptimizer",
+        "ModuleThroughputOptimizer", "OperatingPoint",
+        "StatisticalOperatingPoint", "VariationSpec",
+    ),
+})

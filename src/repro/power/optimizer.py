@@ -103,6 +103,13 @@ def _check_vt(vt: float) -> None:
         raise OptimizationError(f"V_T must be finite, got {vt}")
 
 
+def _check_stages(stages: int, error=OptimizationError) -> None:
+    """Reject a ring that cannot oscillate: the stage count must be odd
+    and at least 3 (``error`` is the caller's layer's error type)."""
+    if stages < 3 or stages % 2 == 0:
+        raise error("stages must be odd and >= 3")
+
+
 def _check_request(target_delay_s: float, utilization: float) -> None:
     """Reject a target or utilization that no V_T could serve, before a
     sweep or search would drop every V_T as infeasible (``locus_point``
@@ -394,8 +401,7 @@ class RingOscillatorModel:
     def __init__(
         self, technology: Technology, stages: int = 101, activity: float = 1.0
     ):
-        if stages < 3 or stages % 2 == 0:
-            raise OptimizationError("stages must be odd and >= 3")
+        _check_stages(stages)
         if not 0.0 < activity <= 2.0:
             raise OptimizationError("activity must be in (0, 2]")
         self.technology = technology

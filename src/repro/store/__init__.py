@@ -8,13 +8,9 @@
 See ``docs/store.md`` for the manifest layout.
 """
 
-from repro.store.hashing import canonical_json, digest
-from repro.store.registry import DEFAULT_RUNS_ROOT, RunManifest, RunRegistry
+from repro import _lazy_namespace
 
-__all__ = [
-    "RunManifest",
-    "RunRegistry",
-    "DEFAULT_RUNS_ROOT",
-    "canonical_json",
-    "digest",
-]
+_lazy_namespace(globals(), {
+    ".registry": ("RunManifest", "RunRegistry", "DEFAULT_RUNS_ROOT"),
+    ".hashing": ("canonical_json", "digest"),
+})

@@ -16,20 +16,13 @@ a switch-level simulator.  This package provides the same observable:
   histograms of Figs. 8-9.
 """
 
-from repro.switchsim.simulator import SwitchLevelSimulator
-from repro.switchsim.activity import ActivityReport
-from repro.switchsim.stimulus import (
-    random_bus_vectors,
-    counting_bus_vectors,
-    gray_code_bus_vectors,
-    vectors_from_values,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "SwitchLevelSimulator",
-    "ActivityReport",
-    "random_bus_vectors",
-    "counting_bus_vectors",
-    "gray_code_bus_vectors",
-    "vectors_from_values",
-]
+_lazy_namespace(globals(), {
+    ".simulator": ("SwitchLevelSimulator",),
+    ".activity": ("ActivityReport",),
+    ".stimulus": (
+        "random_bus_vectors", "counting_bus_vectors", "gray_code_bus_vectors",
+        "vectors_from_values",
+    ),
+})

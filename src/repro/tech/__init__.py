@@ -8,23 +8,11 @@ at any (V_DD, V_T-shift) corner, and a whole catalog of cells into a
 serializable :class:`~repro.tech.library.CellLibrary`.
 """
 
-from repro.tech.cells import (
-    Cell,
-    RegisterStyle,
-    standard_cells,
-    register_styles,
-)
-from repro.tech.characterize import CellCharacterizer, CellTimings
-from repro.tech.library import CellLibrary
-from repro.tech.opplan import CornerPlan
+from repro import _lazy_namespace
 
-__all__ = [
-    "Cell",
-    "RegisterStyle",
-    "standard_cells",
-    "register_styles",
-    "CellCharacterizer",
-    "CellTimings",
-    "CornerPlan",
-    "CellLibrary",
-]
+_lazy_namespace(globals(), {
+    ".cells": ("Cell", "RegisterStyle", "standard_cells", "register_styles"),
+    ".characterize": ("CellCharacterizer", "CellTimings"),
+    ".opplan": ("CornerPlan",),
+    ".library": ("CellLibrary",),
+})

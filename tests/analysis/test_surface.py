@@ -136,6 +136,13 @@ class TestValidation:
         with pytest.raises(AnalysisError, match="stages"):
             _surface(stages=0)
 
+    @pytest.mark.parametrize("stages", [1, 2, 100])
+    def test_non_oscillating_ring_rejected(self, stages):
+        # The ring's own rule: only an odd chain of at least three
+        # inverters oscillates, so no budget exists for these.
+        with pytest.raises(AnalysisError, match="odd and >= 3"):
+            _surface(stages=stages)
+
     def test_negative_refine_levels_rejected(self):
         with pytest.raises(AnalysisError, match="refine_levels"):
             _surface(refine_levels=-1)

@@ -300,6 +300,8 @@ class TestNonFiniteInputs:
             ["activity", "--vdd", "nan"],
             ["shutdown", "--clock", "0"],
             ["shutdown", "--clock", "nan"],
+            ["surface", "--grid", "4", "--stages", "100"],
+            ["activity", "--vectors", "1"],
         ],
     )
     def test_exits_with_error(self, argv, capsys):
