@@ -11,9 +11,12 @@ measurements to ``BENCH_hotpaths.json`` at the repo root:
    bit-identical :class:`ActivityReport`.
 2. **Fixed-throughput optimizer V_T sweep** (Figs. 3-4) — the per-V_T
    chain (a fresh, uncached ``technology.with_vt(vt)`` characterizer
-   per query, the test-only oracle in ``tests/power/pervt_oracle.py``)
-   vs the ring model's one zero-threshold decode, each repetition on a
-   freshly built model.  Operating points must match exactly.
+   per query, one supply probe at a time: the test-only oracle in
+   ``tests/power/pervt_oracle.py``) vs the ring model's one
+   zero-threshold decode, whose supply solves run in lockstep, each
+   repetition on a freshly built model.  Operating points must match
+   exactly, and so must the two chains' ``optimum`` (its coarse scan
+   one lockstep batch).
 3. **ISA interpreter** — the reference per-step loop (``run``) vs the
    decoded block-dispatch engine (``run_fast``) on the Table-2 li-like
    workload, and on matmul, which retires most of its instructions in
@@ -188,6 +191,13 @@ def bench_optimizer(quick: bool) -> dict:
 
     per_vt_total = sum(per_vt_rep_seconds)
     decoded_total = sum(decoded_rep_seconds)
+    oracle = PerVtRing(technology, stages=101)
+    ring = RingOscillatorModel(technology, stages=101)
+    target = 4.0 * ring.stage_delay(1.0, 0.2)
+    optimum_identical = (
+        FixedThroughputOptimizer(ring).optimum(target)
+        == oracle.optimum(target)
+    )
     return {
         "vt_points": len(vts),
         "repetitions": repetitions,
@@ -197,6 +207,7 @@ def bench_optimizer(quick: bool) -> dict:
         "decoded_seconds_total": decoded_total,
         "speedup": per_vt_total / decoded_total,
         "points_identical": per_vt_points == decoded_points,
+        "optimum_identical": optimum_identical,
     }
 
 
@@ -625,7 +636,8 @@ def main(argv=None) -> int:
     print(
         f"optimizer sweep {opt['speedup']:6.2f}x over "
         f"{opt['repetitions']} fresh-model sweeps "
-        f"(identical={opt['points_identical']})"
+        f"(identical={opt['points_identical']}, "
+        f"optimum identical={opt['optimum_identical']})"
     )
     for section in (interp, interp[_TRANSLATED_WORKLOAD]):
         print(
@@ -672,6 +684,7 @@ def main(argv=None) -> int:
     ok = (
         sim["reports_identical"]
         and opt["points_identical"]
+        and opt["optimum_identical"]
         and interp["state_identical"]
         and interp[_TRANSLATED_WORKLOAD]["state_identical"]
         and prof["profiles_identical"]

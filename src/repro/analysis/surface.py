@@ -43,15 +43,13 @@ class _EnergyCell:
     """One (V_T, V_DD) surface cell.
 
     Returns the ring's cycle energy [J] when the stage delay meets the
-    per-stage budget, ``None`` where the corner is infeasible.  Like
-    :class:`~repro.power.optimizer.RingOscillatorModel`, a cell decodes
-    once: the inverter's corner plan at ``V_T0 = 0`` takes every V_T as
-    its kernels' shift, driving a fanout of 1.  The plan kernels and
-    the association below are float-for-float the ring's
-    :meth:`~repro.power.optimizer.RingOscillatorModel.stage_delay` /
-    :meth:`~repro.power.optimizer.RingOscillatorModel.energy_per_cycle`
-    chain (pinned by ``tests/analysis/test_surface.py``), minus the
-    per-point memo traffic.
+    per-stage budget, ``None`` where the corner is infeasible.  A cell
+    is one :class:`~repro.power.optimizer.RingOscillatorModel`, decoded
+    once: its inverter's corner plan at ``V_T0 = 0`` takes every V_T as
+    its kernels' shift, driving a fanout of 1, and every value is the
+    ring's own :meth:`~repro.power.optimizer.RingOscillatorModel.
+    cycle_energies` (pinned against ``energy_per_cycle`` by
+    ``tests/analysis/test_surface.py``).
     """
 
     def __init__(
@@ -62,13 +60,12 @@ class _EnergyCell:
         t_cycle_s: float,
         target_stage_delay_s: float,
     ):
-        from repro.power.optimizer import _zero_threshold_decode
+        from repro.power.optimizer import RingOscillatorModel
 
-        self.stages = stages
-        self.activity = activity
         self.t_cycle_s = t_cycle_s
         self.target_stage_delay_s = target_stage_delay_s
-        _, self.plan = _zero_threshold_decode(technology)
+        self.ring = RingOscillatorModel(technology, stages, activity)
+        self.plan = self.ring._plan
 
     def __call__(self, vt: float, vdd: float) -> Optional[float]:
         return self.row(vt, (vdd,), self.plan.supplies((vdd,), fanout=1))[0]
@@ -83,27 +80,10 @@ class _EnergyCell:
         for every row.  Bit-identical to calling the cell per point —
         the kernel evaluates points independently.
         """
-        points = self.plan.operating_points(
-            vdds,
-            (vt,) * len(vdds),
-            max_delay_s=self.target_stage_delay_s,
-            supplies=supplies,
-        )
-        stages = self.stages
-        stages_activity = stages * self.activity
-        t_cycle_s = self.t_cycle_s
-        out = []
-        append = out.append
-        for vdd, (_delay, switching_per_stage, leak_per_stage) in zip(
-            vdds, points
-        ):
-            if switching_per_stage is None:
-                append(None)
-                continue
-            switching = stages_activity * switching_per_stage
-            leakage_current = stages * leak_per_stage
-            append(switching + leakage_current * vdd * t_cycle_s)
-        return tuple(out)
+        return tuple(self.ring.cycle_energies(
+            vdds, (vt,) * len(vdds), self.t_cycle_s, supplies,
+            self.target_stage_delay_s,
+        ))
 
 
 @dataclass(frozen=True)
@@ -380,9 +360,10 @@ def energy_surface(
     :meth:`repro.core.flow.LowVoltageDesignFlow.throughput_optimizer`.
     Cells whose stage delay misses the budget come back as ``None``.
 
-    The grid is evaluated V_T-major through one decoded operating plan
-    per call, each row one kernel pass along the whole V_DD axis with
-    the V_T as the plan's shift; nothing is cached across calls.
+    The grid is evaluated V_T-major through one decoded ring per call,
+    each row one :meth:`~repro.power.optimizer.RingOscillatorModel.
+    cycle_energies` pass along the whole V_DD axis with the V_T as the
+    plan's shift; nothing is cached across calls.
 
     ``refine_levels > 0`` turns on **adaptive locus refinement**: the
     cells whose corners touch the feasibility boundary or fall within
@@ -391,7 +372,7 @@ def energy_surface(
     ``2**levels`` times the grid resolution while flat regions are
     never re-sampled.  The sparse points live in ``surface.refined``.
     """
-    from repro.power.optimizer import _check_stages
+    from repro.tech.cells import check_ring_stages
 
     if not 0.0 < t_cycle_s < math.inf:
         raise AnalysisError(
@@ -403,7 +384,7 @@ def energy_surface(
         raise AnalysisError("vt values must be finite")
     if not all(0.0 < vdd < math.inf for vdd in vdd_values):
         raise AnalysisError("vdd values must be positive and finite")
-    _check_stages(stages, AnalysisError)
+    check_ring_stages(stages, AnalysisError)
     if refine_levels < 0:
         raise AnalysisError(
             f"refine_levels must be >= 0, got {refine_levels}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.circuits.netlist import Netlist
 from repro.errors import NetlistError
-from repro.tech.cells import standard_cells
+from repro.tech.cells import check_ring_stages, standard_cells
 
 __all__ = ["ring_oscillator"]
 
@@ -23,10 +23,7 @@ def ring_oscillator(stages: int) -> Netlist:
     The closed loop means :meth:`Netlist.levelize` rejects the circuit
     (it is not combinational); only event-driven simulation applies.
     """
-    if stages < 3 or stages % 2 == 0:
-        raise NetlistError(
-            f"ring oscillator needs an odd stage count >= 3, got {stages}"
-        )
+    check_ring_stages(stages, NetlistError)
     netlist = Netlist(f"ring{stages}")
     nets = [f"ro[{i}]" for i in range(stages)]
     for i in range(stages):

@@ -111,7 +111,13 @@ class GateCapacitanceModel:
         """
         if vdd <= 0.0:
             raise DeviceModelError(f"vdd must be positive, got {vdd}")
-        charge_per_cox = self._charge(vdd) - self._charge_at_zero
+        try:
+            charge_per_cox = self._charge(vdd) - self._charge_at_zero
+        except OverflowError:
+            # cosh overflows a float a few hundred volts out.
+            raise DeviceModelError(
+                f"vdd {vdd} V is out of the gate capacitance model's range"
+            ) from None
         return self.c_ox_f_per_um2 * charge_per_cox / vdd
 
     def _charge(self, v: float) -> float:

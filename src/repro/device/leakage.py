@@ -48,6 +48,12 @@ _UNSOLVED = object()
 _INF = math.inf
 
 
+def _overflow(vdd: float) -> DeviceModelError:
+    """The error for a supply so high an above-threshold off current
+    (its alpha-power term) overflows a float."""
+    return DeviceModelError(f"stack current overflows at V_DD = {vdd} V")
+
+
 class StackSolver:
     """Decoded leakage solve for one series stack of one flavour.
 
@@ -320,7 +326,10 @@ class StackSolver:
         devices = self._devices
         single = len(devices) == 1
         if single and 0.0 < vdd < _INF and -_INF < vt_shift < _INF:
-            return self._off_current(devices[0], vdd, vt_shift)
+            try:
+                return self._off_current(devices[0], vdd, vt_shift)
+            except OverflowError:
+                raise _overflow(vdd) from None
         return self.currents(vdd, (vt_shift,))[0]
 
     def currents(
@@ -345,34 +354,37 @@ class StackSolver:
                     raise DeviceModelError(
                         f"vt_shift must be finite, got {shift}"
                     )
-        devices = self._devices
-        if len(devices) == 1:
-            off_current, device = self._off_current, devices[0]
-            return [off_current(device, vdd, s) for s in vt_shifts]
-        exp = math.exp
-        n_phi, x_floor = self._n_phi, self._x_floor
-        # The window, read from the inputs: below ``lowest`` a device
-        # may be above threshold, and above ``highest`` an off current
-        # clamps.
-        lowest = self._dibl * vdd - self._vt0
-        highest = lowest + self._clamp_shift
-        reference = self._references.get(vdd, _UNSOLVED)
-        scaled = 0
-        out: List[float] = []
-        append = out.append
-        for shift in vt_shifts:
-            if lowest <= shift <= highest:
-                solved = reference is _UNSOLVED
-                if solved:
-                    reference = self._reference(vdd, lowest)
-                if reference is not None:
-                    x = reference - shift / n_phi
-                    if x >= x_floor:
-                        if not solved:
-                            scaled += 1
-                        append(exp(x))
-                        continue
-            append(exp(self._solve(vdd, shift)))
+        try:
+            devices = self._devices
+            if len(devices) == 1:
+                off_current, device = self._off_current, devices[0]
+                return [off_current(device, vdd, s) for s in vt_shifts]
+            exp = math.exp
+            n_phi, x_floor = self._n_phi, self._x_floor
+            # The window, read from the inputs: below ``lowest`` a device
+            # may be above threshold, and above ``highest`` an off current
+            # clamps.
+            lowest = self._dibl * vdd - self._vt0
+            highest = lowest + self._clamp_shift
+            reference = self._references.get(vdd, _UNSOLVED)
+            scaled = 0
+            out: List[float] = []
+            append = out.append
+            for shift in vt_shifts:
+                if lowest <= shift <= highest:
+                    solved = reference is _UNSOLVED
+                    if solved:
+                        reference = self._reference(vdd, lowest)
+                    if reference is not None:
+                        x = reference - shift / n_phi
+                        if x >= x_floor:
+                            if not solved:
+                                scaled += 1
+                            append(exp(x))
+                            continue
+                append(exp(self._solve(vdd, shift)))
+        except OverflowError:
+            raise _overflow(vdd) from None
         if scaled and _obs.ENABLED:
             _obs.incr("leakage.shift_scaled", scaled)
         return out

@@ -213,8 +213,13 @@ class Mosfet:
         overdrive = vgs - self.effective_vt(vds, vt_shift)
         if overdrive <= 0.0:
             return 0.0
-        i_dsat = p.k_drive * self.width_um * overdrive**p.alpha
-        vdsat = p.vdsat_coeff * overdrive ** (p.alpha / 2.0)
+        try:
+            i_dsat = p.k_drive * self.width_um * overdrive**p.alpha
+            vdsat = p.vdsat_coeff * overdrive ** (p.alpha / 2.0)
+        except OverflowError:
+            raise DeviceModelError(
+                f"drive current overflows at V_GS - V_T = {overdrive} V"
+            ) from None
         if vds >= vdsat:
             return i_dsat * (1.0 + p.channel_length_modulation * (vds - vdsat))
         ratio = vds / vdsat

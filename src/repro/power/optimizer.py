@@ -32,12 +32,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.device.technology import Technology
 from repro.errors import OptimizationError
-from repro.tech.cells import standard_cells
+from repro.power.search import (
+    _bracketed_golden_minimum,
+    _lockstep,
+    _solve_supply,
+)
+from repro.tech.cells import check_ring_stages, standard_cells
 from repro.tech.characterize import CellCharacterizer
 
 __all__ = [
@@ -50,20 +55,7 @@ __all__ = [
     "ModuleThroughputOptimizer",
 ]
 
-#: Bisection steps a supply solve takes at most: a 70-step bisection of
-#: the V_DD bounds defines which root the solve returns.
-_BISECTION_STEPS = 70
-#: The secant phase stops once ``|ln(delay / target)|`` is this small.
-_RESIDUAL_TOL = 1e-13
-#: Coarse-scan resolution used to bracket the global energy basin
-#: before golden-section refinement.  Clamping at the low V_DD bound
-#: splits the landscape into two regimes — a clamped boundary branch
-#: (energy falling with V_T at fixed minimum supply) and the interior
-#: fixed-delay locus (the Fig. 4 U) — so the energy is not globally
-#: unimodal and an unbracketed golden-section can converge to the
-#: wrong basin.
-_SCAN_POINTS = 25
-_GOLDEN = 0.6180339887498949
+_INF = math.inf
 #: The ring's inverter.
 _INVERTER = standard_cells()["INV"]
 
@@ -103,13 +95,6 @@ def _check_vt(vt: float) -> None:
         raise OptimizationError(f"V_T must be finite, got {vt}")
 
 
-def _check_stages(stages: int, error=OptimizationError) -> None:
-    """Reject a ring that cannot oscillate: the stage count must be odd
-    and at least 3 (``error`` is the caller's layer's error type)."""
-    if stages < 3 or stages % 2 == 0:
-        raise error("stages must be odd and >= 3")
-
-
 def _check_request(target_delay_s: float, utilization: float) -> None:
     """Reject a target or utilization that no V_T could serve, before a
     sweep or search would drop every V_T as infeasible (``locus_point``
@@ -127,152 +112,13 @@ def _check_time(name: str, seconds: float) -> None:
         )
 
 
-def _bracketed_golden_minimum(energy, low, high, tolerance):
-    """V_T of the global energy minimum in [low, high].
-
-    Scans ``_SCAN_POINTS`` evenly spaced probes to find the best
-    basin, then golden-section refines inside the bracketing pair of
-    neighbours.  ``energy`` returns +inf for infeasible V_T.  The
-    refinement also stops once its golden points no longer fall
-    strictly inside the bracket in order, which a ``tolerance`` at or
-    below the float spacing of V_T would otherwise never allow.
-    """
-    if not tolerance > 0.0:
-        raise OptimizationError(f"tolerance must be positive, got {tolerance}")
-    grid = [
-        low + (high - low) * i / (_SCAN_POINTS - 1)
-        for i in range(_SCAN_POINTS)
-    ]
-    coarse = [energy(vt) for vt in grid]
-    if all(value == float("inf") for value in coarse):
-        raise OptimizationError(
-            "delay target infeasible across the whole V_T range"
-        )
-    best = min(range(len(coarse)), key=coarse.__getitem__)
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = energy(c), energy(d)
-    while b - a > tolerance and a < c < d < b:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = energy(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = energy(d)
-    candidates = [(coarse[best], grid[best]), (fc, c), (fd, d)]
-    # Ties (degenerate brackets, plateaus) break to the lowest V_T —
-    # explicitly, rather than leaning on tuple comparison reaching the
-    # V_T element.
-    return min(candidates, key=lambda pair: (pair[0], pair[1]))[1]
-
-
-def _solve_supply(
-    delay_at: Callable[[float], float],
-    target: float,
-    low: float,
-    high: float,
-    breaks: Optional[Sequence[float]],
-) -> Optional[float]:
-    """Supply in ``[low, high]`` at which ``delay_at`` meets ``target``.
-
-    Returns ``None`` when the delay still exceeds the target at
-    ``high`` (the caller raises, with its own context), and ``low``
-    when the delay is already below the target there: the circuit
-    simply runs faster than required at the minimum supply
-    (``optimizer.low_bound_clamps``).
-
-    The delay need not be monotone in between.  ``breaks`` are the
-    supplies where it stops falling (see
-    :meth:`repro.tech.opplan.CornerPlan.delay_breaks`): it rises
-    for a band above each, so a target in that band has three roots.
-    While a break lies strictly inside the bracket the solve takes
-    exactly the steps of a 70-step bisection of ``[low, high]``, so it
-    settles on the same root.  Once none does, the bracket holds one
-    root, and a bracketed Illinois secant on ``ln(delay / target)``
-    finishes: it takes the midpoint whenever a step would leave the
-    bracket and stops once ``|ln(delay / target)| <= 1e-13`` or the
-    bracket reaches float resolution.  With ``breaks=None`` (shape
-    unknown) it bisects throughout and returns the 70-step result
-    exactly, stopping early once the midpoint rounds to an endpoint,
-    after which further steps cannot change it.
-
-    ``optimizer.supply_evals`` counts the delay evaluations, bracket
-    checks included, in one increment per solve.
-    """
-    evaluations = 0
-    try:
-        evaluations += 1
-        delay_high = delay_at(high)
-        if delay_high > target:
-            return None
-        evaluations += 1
-        delay_low = delay_at(low)
-        if delay_low < target:
-            if obs.ENABLED:
-                obs.incr("optimizer.low_bound_clamps")
-            return low
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (low + high)
-            if mid == low or mid == high:
-                return mid
-            if breaks is not None and not any(
-                low < point < high for point in breaks
-            ):
-                break
-            evaluations += 1
-            delay_mid = delay_at(mid)
-            if delay_mid > target:
-                low, delay_low = mid, delay_mid
-            else:
-                high, delay_high = mid, delay_mid
-        else:
-            return 0.5 * (low + high)
-        f_low = math.log(delay_low / target)
-        f_high = math.log(delay_high / target)
-        # +1 after a step that moved ``low``, -1 after one that moved
-        # ``high``: an endpoint kept twice in a row has its residual
-        # halved (the Illinois rule), so the next step leans toward it.
-        moved = 0
-        while True:
-            mid = 0.5 * (low + high)
-            if mid == low or mid == high:
-                return mid
-            vdd = mid
-            if f_low > f_high:
-                trial = high - f_high * (high - low) / (f_high - f_low)
-                if low < trial < high:
-                    vdd = trial
-            evaluations += 1
-            delay = delay_at(vdd)
-            residual = math.log(delay / target)
-            if abs(residual) <= _RESIDUAL_TOL:
-                return vdd
-            if delay > target:
-                low, f_low = vdd, residual
-                if moved > 0:
-                    f_high *= 0.5
-                moved = 1
-            else:
-                high, f_high = vdd, residual
-                if moved < 0:
-                    f_low *= 0.5
-                moved = -1
-    finally:
-        if obs.ENABLED:
-            obs.incr("optimizer.supply_evals", evaluations)
-
-
 def _percentile(values: Sequence[float], p: float) -> float:
     """Linear-interpolated percentile, p in [0, 100].
 
     Replicates :meth:`repro.analysis.variation.Distribution.percentile`
     exactly (same order statistics, same interpolation).  It is the
     full-vector percentile that
-    :meth:`ThroughputOptimizer._delay_percentile` reads from two order
+    :meth:`ThroughputOptimizer._percentile_delays` reads from two order
     statistics, float for float, so yield solves agree bit-for-bit with
     the Monte-Carlo analyzer's view of the same samples.
     """
@@ -298,10 +144,11 @@ class VariationSpec:
         Gaussian V_T spread [V], applied as a common shift to both
         device polarities per sample (die-to-die variation).
     n_samples:
-        Monte-Carlo samples per solve.  The shift vector is drawn once
-        per solve and reused across every probed V_DD, so every probe
-        of one solve prices the same corners and the percentile delay
-        is one fixed function of V_DD for the solve to bisect.
+        Monte-Carlo samples per solve.  The optimizer draws the shift
+        vector once and reuses it across every probed V_DD and every
+        solve of the spec, so every probe prices the same corners and
+        the percentile delay is one fixed function of V_DD for the
+        solve to bisect.
     seed:
         Deterministic sampling seed; the draw matches
         :meth:`repro.analysis.variation.MonteCarloAnalyzer.
@@ -393,15 +240,15 @@ class RingOscillatorModel:
         stands in for (1.0 for the ring itself, lower for logic).
 
     The characterizer's memo grows with the distinct (V_DD, V_T)
-    probes answered, like any characterizer's; a model that serves
-    many independent optimizations can simply be rebuilt, since
-    construction is one decode.
+    :meth:`stage_delay` queries answered, like any characterizer's; a
+    model that serves many independent optimizations can simply be
+    rebuilt, since construction is one decode.
     """
 
     def __init__(
         self, technology: Technology, stages: int = 101, activity: float = 1.0
     ):
-        _check_stages(stages)
+        check_ring_stages(stages, OptimizationError)
         if not 0.0 < activity <= 2.0:
             raise OptimizationError("activity must be in (0, 2]")
         self.technology = technology
@@ -418,9 +265,9 @@ class RingOscillatorModel:
         :meth:`~repro.tech.characterize.CellCharacterizer.fanout_delay`
         query (a miss is one call of the decoded plan), and
         ``optimizer.delay_probes`` counts it here — at the query site —
-        so the counter matches the actual characterizer traffic even
-        for probes issued outside a solve (``energy_per_cycle``'s
-        re-probe, ``locus_point``, direct calls).
+        so the counter matches the actual characterizer traffic.  The
+        optimizer's solves and energy points run on the plan directly
+        and are not counted here.
         """
         if not 0.0 < vdd < math.inf:
             raise OptimizationError(
@@ -437,36 +284,61 @@ class RingOscillatorModel:
         """Ring period: two traversals of the chain [s]."""
         return 2.0 * self.stages * self.stage_delay(vdd, vt)
 
-    def energy_per_cycle(
-        self, vdd: float, vt: float, cycle_time_s: float
-    ) -> OperatingPoint:
-        """Switching + leakage energy of the ring per clock cycle [J].
+    def cycle_energies(
+        self, vdds: Sequence[float], vts: Sequence[float],
+        cycle_time_s: float, supplies: Sequence[tuple],
+        max_delay_s: Optional[float] = None,
+        parts: Optional[list] = None,
+    ) -> List[Optional[float]]:
+        """Energy per cycle at every ``(V_DD, V_T)`` corner [J].
+
+        One :meth:`~repro.tech.opplan.CornerPlan.operating_points` pass
+        over the corners, ``supplies`` being the plan's fanout-1
+        records of ``vdds``; with ``max_delay_s`` given, a corner whose
+        stage delay exceeds it is ``None``.  With ``parts`` given, each
+        priced corner's ``(stage delay [s], switching, leakage [J])``
+        is appended to it: the terms the energy adds, from the same
+        pass.
 
         Switching: every stage's load charges ``activity`` times per
         cycle.  Leakage: every stage leaks for the whole cycle — this
         is the term that turns the energy-vs-V_T curve back up at low
         V_T (Fig. 4).
         """
+        points = self._plan.operating_points(
+            vdds, vts, max_delay_s=max_delay_s, supplies=supplies
+        )
+        stages = self.stages
+        stages_activity = stages * self.activity
+        out: List[Optional[float]] = []
+        append = out.append
+        for vdd, (delay, transition, leak) in zip(vdds, points):
+            if transition is None:
+                append(None)
+                continue
+            switching = stages_activity * transition
+            leakage = stages * leak * vdd * cycle_time_s
+            append(switching + leakage)
+            if parts is not None:
+                parts.append((delay, switching, leakage))
+        return out
+
+    def energy_per_cycle(
+        self, vdd: float, vt: float, cycle_time_s: float
+    ) -> OperatingPoint:
+        """Switching + leakage energy of the ring per clock cycle [J].
+
+        One corner of :meth:`cycle_energies`.
+        """
         _check_time("cycle", cycle_time_s)
         _check_vt(vt)
-        # The plan's energies kernel returns the raw (E_transition,
-        # I_leak) pair — the same floats the scalar input_capacitance /
-        # energy_per_transition / leakage_current chain produced — so
-        # the stages/activity/cycle association below is unchanged.
-        switching_per_stage, leak_per_stage = self._plan.energies(
-            (vdd,), (vt,), fanout=1
-        )[0]
-        switching = self.stages * self.activity * switching_per_stage
-        leakage_current = self.stages * leak_per_stage
-        leakage = leakage_current * vdd * cycle_time_s
-        return OperatingPoint(
-            vt=vt,
-            vdd=vdd,
-            stage_delay_s=self.stage_delay(vdd, vt),
-            energy_per_cycle_j=switching + leakage,
-            switching_energy_j=switching,
-            leakage_energy_j=leakage,
+        parts: list = []
+        (energy,) = self.cycle_energies(
+            (vdd,), (vt,), cycle_time_s,
+            self._plan.supplies((vdd,), fanout=1), parts=parts,
         )
+        ((delay, switching, leakage),) = parts
+        return OperatingPoint(vt, vdd, delay, energy, switching, leakage)
 
 
 class ThroughputOptimizer:
@@ -475,14 +347,20 @@ class ThroughputOptimizer:
     The one implementation of the Figs. 3-4 algorithm: the target, V_T
     and bound checks, the nominal and yield supply solves, the yield
     percentile, the statistical energy, and :meth:`locus_point`,
-    :meth:`sweep` and :meth:`optimum`.  A model subclass supplies the
-    physics through five hooks:
+    :meth:`sweep` and :meth:`optimum`.  Every supply solve is one lane
+    of a lockstep batch (:func:`_lockstep`): :meth:`sweep` and the
+    coarse scan of :meth:`optimum` are one batch over all their V_Ts,
+    the search's first two golden points one more, and every other
+    solve is a batch of one.  A model subclass supplies the physics
+    through six hooks:
 
-    * :meth:`_probe` — the delay at a V_T and a shift from it, as a
-      function of V_DD;
+    * :meth:`_delays` — the delay at many ``(V_T + shift, V_DD)``
+      queries, one call per round of a batch;
     * :meth:`_breaks` — the supplies where the nominal delay stops
       falling, or ``None`` (the solve then bisects throughout);
     * :meth:`energy_per_operation` — the nominal energy point;
+    * :meth:`_energy_points` — the nominal energy points of a batch's
+      solved lanes (by default one :meth:`energy_per_operation` each);
     * :meth:`_leakages` — the leakage current over a shift vector, per
       unit of ``_leak_units``;
     * ``_period_units`` — delay targets per operation period, the
@@ -512,14 +390,21 @@ class ThroughputOptimizer:
             )
         self.technology = technology
         self.variation = variation
+        #: ``((sigma, samples, seed), (shifts, sorted shifts))`` of the
+        #: last shift draw.
+        self._draw: tuple = (None, None)
 
     # ------------------------------------------------------------------
     # Model hooks
     # ------------------------------------------------------------------
-    def _probe(
-        self, vt: float, shift: float = 0.0
-    ) -> Callable[[float], float]:
-        """The delay at threshold ``vt + shift`` as a function of V_DD."""
+    def _delays(
+        self, vts: Sequence[float], shifts: Sequence[float],
+        vdds: Sequence[float], records: dict,
+    ) -> List[float]:
+        """The delay at threshold ``vt + shift`` and supply ``vdd``, per
+        query [s].  ``records`` is the batch's scratch: a model may keep
+        per-supply terms there for the batch's other rounds and its
+        energy points; it is dropped with the batch."""
         raise NotImplementedError
 
     def _breaks(self, vt: float) -> Optional[Sequence[float]]:
@@ -532,6 +417,16 @@ class ThroughputOptimizer:
         """Switching + leakage energy for one operation period [J]."""
         raise NotImplementedError
 
+    def _energy_points(
+        self, vdds: Sequence[float], vts: Sequence[float],
+        operation_time_s: float, records: dict,
+    ) -> List[OperatingPoint]:
+        """:meth:`energy_per_operation` of every solved lane."""
+        return [
+            self.energy_per_operation(vdd, vt, operation_time_s)
+            for vdd, vt in zip(vdds, vts)
+        ]
+
     def _leakages(
         self, vdd: float, vt: float, shifts: Sequence[float]
     ) -> List[float]:
@@ -542,21 +437,116 @@ class ThroughputOptimizer:
     # Supply solves
     # ------------------------------------------------------------------
     def _vdd_bounds(
-        self, target_delay_s: float, vt: float,
+        self, target_delay_s: float, vts: Sequence[float],
         vdd_bounds: Optional[Sequence[float]],
     ) -> Sequence[float]:
-        """The checked ``(low, high)`` supply bracket of one solve."""
-        # Every locus point passes here: test inline, and let the
-        # helpers raise with their messages only when a check fails.
-        if not (0.0 < target_delay_s < math.inf and math.isfinite(vt)):
+        """The checked ``(low, high)`` supply bracket of one batch."""
+        # Every batch passes here: test inline, and let the helpers
+        # raise with their messages only when a check fails.
+        if not (
+            0.0 < target_delay_s < _INF and all(map(math.isfinite, vts))
+        ):
             _check_target(target_delay_s)
-            _check_vt(vt)
+            for vt in vts:
+                _check_vt(vt)
         if vdd_bounds is None:
             vdd_bounds = (self.technology.min_vdd, self.technology.max_vdd)
         low, high = float(vdd_bounds[0]), float(vdd_bounds[1])
-        if not 0.0 < low < high:
+        if not 0.0 < low < high < _INF:
             raise OptimizationError(f"bad vdd bounds [{low}, {high}]")
         return low, high
+
+    def _shift_draw(self, spec: VariationSpec) -> tuple:
+        """``(shifts, sorted shifts)`` of ``spec``'s draw, kept for the
+        last (sigma, samples, seed) so a locus draws and sorts once."""
+        key = (spec.vt_sigma, spec.n_samples, spec.seed)
+        drawn, shifts = self._draw
+        if drawn != key:
+            drawn_shifts = spec.draw_shifts()
+            shifts = (drawn_shifts, sorted(drawn_shifts))
+            self._draw = (key, shifts)
+        return shifts
+
+    def _percentile_delays(
+        self, vts: Sequence[float], vdds: Sequence[float],
+        ordered_shifts: Sequence[float], percentile: float, records: dict,
+    ) -> List[float]:
+        """p-th percentile of the sampled delay at each (V_T, V_DD) [s].
+
+        The delay never falls as the V_T shift grows (a ring stage's
+        on-current, and each path of a static-timing max), so the
+        sorted delay vector is the delay at the *sorted shift vector*.
+        The percentile therefore needs only the two bracketing shift
+        order statistics, two queries per lane instead of
+        ``n_samples``, and equals :func:`_percentile` of the full
+        vector exactly.  Both order statistics of every lane go to
+        one :meth:`_delays` call.
+        """
+        count = len(vts)
+        if obs.ENABLED:
+            obs.incr("optimizer.mc_probes", count)
+        position = percentile / 100.0 * (len(ordered_shifts) - 1)
+        low = int(position)
+        high = min(low + 1, len(ordered_shifts) - 1)
+        fraction = position - low
+        if high == low or fraction == 0.0:
+            return self._delays(
+                vts, [ordered_shifts[low]] * count, vdds, records
+            )
+        both = self._delays(
+            [*vts, *vts],
+            [ordered_shifts[low]] * count + [ordered_shifts[high]] * count,
+            [*vdds, *vdds],
+            records,
+        )
+        return [
+            delay_low * (1.0 - fraction) + delay_high * fraction
+            for delay_low, delay_high in zip(both[:count], both[count:])
+        ]
+
+    def _solve_lanes(
+        self, vts: Sequence[float], target_delay_s: float,
+        vdd_bounds: Optional[Sequence[float]],
+        spec: Optional[VariationSpec], records: dict,
+    ) -> list:
+        """Each V_T's supply, or the error its unreachable target raises.
+
+        One lockstep batch: with ``spec=None`` each lane solves the
+        nominal delay (:meth:`solve_vdd_for_delay`), otherwise the
+        spec's percentile delay (:meth:`solve_vdd_for_yield`).
+        """
+        low, high = self._vdd_bounds(target_delay_s, vts, vdd_bounds)
+        if spec is None:
+            counter, breaks = "optimizer.vdd_solves", self._breaks
+            label = context = ""
+
+            def delays(lane_vts, probes):
+                return self._delays(
+                    lane_vts, [0.0] * len(probes), probes, records
+                )
+        else:
+            counter, breaks = "optimizer.yield_solves", lambda vt: None
+            label = f"p{spec.percentile:g} "
+            context = f", sigma = {spec.vt_sigma} V"
+            ordered = self._shift_draw(spec)[1]
+
+            def delays(lane_vts, probes):
+                return self._percentile_delays(
+                    lane_vts, probes, ordered, spec.percentile, records
+                )
+        if obs.ENABLED:
+            obs.incr(counter, len(vts))
+        solves = [
+            _solve_supply(target_delay_s, low, high, breaks(vt)) for vt in vts
+        ]
+        vdds = _lockstep(solves, vts, delays)
+        return [
+            OptimizationError(
+                f"{label}target {target_delay_s:.3e} s unreachable: still "
+                f"slower at V_DD = {high} V (V_T = {vt} V{context})"
+            ) if vdd is None else vdd
+            for vt, vdd in zip(vts, vdds)
+        ]
 
     def solve_vdd_for_delay(
         self, target_delay_s: float, vt: float,
@@ -585,45 +575,13 @@ class ThroughputOptimizer:
         ------
         OptimizationError
             If the target is unreachable inside the bounds (too slow
-            even at max V_DD).
+            even at max V_DD), or the bounds are not a finite,
+            positive, increasing pair.
         """
-        low, high = self._vdd_bounds(target_delay_s, vt, vdd_bounds)
-        if obs.ENABLED:
-            obs.incr("optimizer.vdd_solves")
-        vdd = _solve_supply(
-            self._probe(vt), target_delay_s, low, high, self._breaks(vt)
-        )
-        if vdd is None:
-            raise OptimizationError(
-                f"target {target_delay_s:.3e} s unreachable: still "
-                f"slower at V_DD = {high} V (V_T = {vt} V)"
-            )
+        (vdd,) = self._solve_lanes((vt,), target_delay_s, vdd_bounds, None, {})
+        if vdd.__class__ is not float:
+            raise vdd
         return vdd
-
-    def _delay_percentile(
-        self, vdd: float, vt: float, ordered_shifts: Sequence[float],
-        percentile: float,
-    ) -> float:
-        """p-th percentile of the sampled delay at one supply [s].
-
-        The delay never falls as the V_T shift grows (a ring stage's
-        on-current, and each path of a static-timing max), so the
-        sorted delay vector is the delay at the *sorted shift vector*.
-        The percentile therefore needs only the two bracketing shift
-        order statistics, two probes instead of ``n_samples``, and
-        equals :func:`_percentile` of the full vector exactly.
-        """
-        if obs.ENABLED:
-            obs.incr("optimizer.mc_probes")
-        position = percentile / 100.0 * (len(ordered_shifts) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered_shifts) - 1)
-        fraction = position - low
-        delay_low = self._probe(vt, ordered_shifts[low])(vdd)
-        if high == low or fraction == 0.0:
-            return delay_low
-        delay_high = self._probe(vt, ordered_shifts[high])(vdd)
-        return delay_low * (1.0 - fraction) + delay_high * fraction
 
     def solve_vdd_for_yield(
         self, target_delay_s: float, vt: float, percentile: float = 99.0,
@@ -633,14 +591,14 @@ class ThroughputOptimizer:
         """Supply at which the p-th percentile delay meets the target.
 
         The yield-constrained twin of :meth:`solve_vdd_for_delay`: the
-        shift vector is drawn **once per solve** and reused across
-        every probed V_DD.  Each sample's delay rises in its own band
-        above its own kink ``(V_T + shift) / (1 + DIBL)``, so the
-        percentile delay is not monotone near the kinks; the solve
-        bisects throughout and returns exactly what a 70-step bisection
-        of the V_DD bounds returns.  Clamping at the low bound keeps the
-        nominal solve's semantics: the p-th percentile corner is
-        already fast enough at the minimum supply.
+        shift vector is drawn once and reused across every probed
+        V_DD.  Each sample's delay rises in its own band above its own
+        kink ``(V_T + shift) / (1 + DIBL)``, so the percentile delay is
+        not monotone near the kinks; the solve bisects throughout and
+        returns exactly what a 70-step bisection of the V_DD bounds
+        returns.  Clamping at the low bound keeps the nominal solve's
+        semantics: the p-th percentile corner is already fast enough at
+        the minimum supply.
 
         Raises
         ------
@@ -648,21 +606,10 @@ class ThroughputOptimizer:
             If the p-th percentile corner still misses the target at
             the high V_DD bound.
         """
-        low, high = self._vdd_bounds(target_delay_s, vt, vdd_bounds)
         spec = VariationSpec(percentile, vt_sigma, n_samples, seed)
-        if obs.ENABLED:
-            obs.incr("optimizer.yield_solves")
-        ordered = sorted(spec.draw_shifts())
-        vdd = _solve_supply(
-            lambda v: self._delay_percentile(v, vt, ordered, percentile),
-            target_delay_s, low, high, None,
-        )
-        if vdd is None:
-            raise OptimizationError(
-                f"p{percentile:g} target {target_delay_s:.3e} s "
-                f"unreachable: still slower at V_DD = {high} V "
-                f"(V_T = {vt} V, sigma = {vt_sigma} V)"
-            )
+        (vdd,) = self._solve_lanes((vt,), target_delay_s, vdd_bounds, spec, {})
+        if vdd.__class__ is not float:
+            raise vdd
         return vdd
 
     # ------------------------------------------------------------------
@@ -686,7 +633,7 @@ class ThroughputOptimizer:
         from repro.analysis.variation import lognormal_leakage_amplification
 
         nominal = self.energy_per_operation(vdd, vt, operation_time_s)
-        shifts = variation.draw_shifts()
+        shifts, ordered = self._shift_draw(variation)
         nominal_leakage, *leakages = self._leakages(vdd, vt, [0.0, *shifts])
         mean_leakage = sum(leakages) / len(leakages)
         amplification = (
@@ -701,14 +648,15 @@ class ThroughputOptimizer:
             obs.gauge("optimizer.leakage_amplification", amplification)
             obs.gauge("optimizer.leakage_amplification_lognormal", predicted)
         leakage = self._leak_units * mean_leakage * vdd * operation_time_s
+        (delay_percentile,) = self._percentile_delays(
+            (vt,), (vdd,), ordered, variation.percentile, {}
+        )
         return StatisticalOperatingPoint(
             vt=vt, vdd=vdd, stage_delay_s=nominal.stage_delay_s,
             energy_per_cycle_j=nominal.switching_energy_j + leakage,
             switching_energy_j=nominal.switching_energy_j,
             leakage_energy_j=leakage, percentile=variation.percentile,
-            delay_percentile_s=self._delay_percentile(
-                vdd, vt, sorted(shifts), variation.percentile
-            ),
+            delay_percentile_s=delay_percentile,
             leakage_amplification=amplification,
             lognormal_amplification=predicted,
         )
@@ -716,6 +664,42 @@ class ThroughputOptimizer:
     # ------------------------------------------------------------------
     # The fixed-delay locus and its optimum
     # ------------------------------------------------------------------
+    def _locus_points(
+        self, vts: Sequence[float], target_delay_s: float,
+        utilization: float, records: dict,
+    ) -> list:
+        """Each V_T's locus point, or the :class:`OptimizationError` that
+        V_T raises: one lockstep batch of supply solves, then the energy
+        points of the solved lanes.  ``records`` is the calling sweep,
+        search or point's scratch (see :meth:`_delays`)."""
+        if not 0.0 < utilization <= 1.0:
+            raise OptimizationError("utilization must be in (0, 1]")
+        seconds = self._period_units * target_delay_s / utilization
+        spec = self.variation
+        lanes = self._solve_lanes(vts, target_delay_s, None, spec, records)
+        solved = [
+            index for index, vdd in enumerate(lanes) if vdd.__class__ is float
+        ]
+        vdds = [lanes[index] for index in solved]
+        solved_vts = [vts[index] for index in solved]
+        try:
+            if spec is None:
+                points = self._energy_points(
+                    vdds, solved_vts, seconds, records
+                )
+            else:
+                points = [
+                    self.statistical_energy_per_operation(
+                        vdd, vt, seconds, spec
+                    )
+                    for vdd, vt in zip(vdds, solved_vts)
+                ]
+        except OptimizationError as error:
+            points = [error] * len(solved)
+        for index, point in zip(solved, points):
+            lanes[index] = point
+        return lanes
+
     def locus_point(
         self, vt: float, target_delay_s: float, utilization: float = 1.0
     ) -> OperatingPoint:
@@ -728,18 +712,12 @@ class ThroughputOptimizer:
         :class:`StatisticalOperatingPoint` at the yield-constrained
         supply instead of the nominal one.
         """
-        if not 0.0 < utilization <= 1.0:
-            raise OptimizationError("utilization must be in (0, 1]")
-        seconds = self._period_units * target_delay_s / utilization
-        spec = self.variation
-        if spec is None:
-            vdd = self.solve_vdd_for_delay(target_delay_s, vt)
-            return self.energy_per_operation(vdd, vt, seconds)
-        vdd = self.solve_vdd_for_yield(
-            target_delay_s, vt, spec.percentile, spec.vt_sigma,
-            spec.n_samples, spec.seed,
+        (point,) = self._locus_points(
+            (vt,), target_delay_s, utilization, {}
         )
-        return self.statistical_energy_per_operation(vdd, vt, seconds, spec)
+        if isinstance(point, OptimizationError):
+            raise point
+        return point
 
     def sweep(
         self, vts: Sequence[float], target_delay_s: float,
@@ -747,10 +725,11 @@ class ThroughputOptimizer:
     ) -> List[OperatingPoint]:
         """Fig. 3/4 data: the fixed-delay locus over a V_T list.
 
-        By default infeasible V_T corners are dropped from the locus;
-        ``skip_infeasible=False`` lets them raise instead.  A non-finite
-        V_T or target, or a utilization outside (0, 1], is a
-        configuration error and raises either way.
+        Every V_T's supply solve runs in one lockstep batch.  By
+        default infeasible V_T corners are dropped from the locus;
+        ``skip_infeasible=False`` raises the first one's error instead.
+        A non-finite V_T or target, or a utilization outside (0, 1],
+        is a configuration error and raises either way.
         """
         if not vts:
             raise OptimizationError("empty V_T sweep")
@@ -759,14 +738,14 @@ class ThroughputOptimizer:
             _check_vt(vt)
         points: List[OperatingPoint] = []
         with obs.span("optimizer.sweep"):
-            for vt in vts:
-                try:
-                    points.append(
-                        self.locus_point(vt, target_delay_s, utilization)
-                    )
-                except OptimizationError:
+            for point in self._locus_points(
+                vts, target_delay_s, utilization, {}
+            ):
+                if isinstance(point, OptimizationError):
                     if not skip_infeasible:
-                        raise
+                        raise point
+                else:
+                    points.append(point)
         if not points:
             raise OptimizationError(
                 "no feasible V_T in the sweep for this delay target"
@@ -783,9 +762,10 @@ class ThroughputOptimizer:
         The coarse scan brackets the global basin first because the
         low-V_DD clamp (see :meth:`solve_vdd_for_delay`) makes the
         energy landscape bimodal for targets the model already meets at
-        the minimum supply.  ``vt_bounds`` and ``tolerance`` default to
-        the model's: (0.01, 0.6) V and 1 mV for the ring, (0.02, 0.5) V
-        and 2 mV for a module.
+        the minimum supply; its V_Ts are one lockstep batch.
+        ``vt_bounds`` and ``tolerance`` default to the model's:
+        (0.01, 0.6) V and 1 mV for the ring, (0.02, 0.5) V and 2 mV
+        for a module.
         """
         if vt_bounds is None:
             vt_bounds = self._VT_BOUNDS
@@ -797,21 +777,29 @@ class ThroughputOptimizer:
         _check_request(target_delay_s, utilization)
 
         # The winner is always a probed, feasible V_T: return its point.
+        # The scan and every refinement step share one call's supply
+        # records: the refinement's solves start from the same bracket.
         probed = {}
+        records: dict = {}
 
-        def energy(vt: float) -> float:
+        def energies(vts: List[float]) -> List[float]:
             if obs.ENABLED:
-                obs.incr("optimizer.golden_probes")
-            try:
-                point = self.locus_point(vt, target_delay_s, utilization)
-            except OptimizationError:
-                return float("inf")
-            probed[vt] = point
-            return point.energy_per_cycle_j
+                obs.incr("optimizer.golden_probes", len(vts))
+            out = []
+            for vt, point in zip(
+                vts,
+                self._locus_points(vts, target_delay_s, utilization, records),
+            ):
+                if isinstance(point, OptimizationError):
+                    out.append(_INF)
+                else:
+                    probed[vt] = point
+                    out.append(point.energy_per_cycle_j)
+            return out
 
         with obs.span("optimizer.optimum"):
             return probed[
-                _bracketed_golden_minimum(energy, low, high, tolerance)
+                _bracketed_golden_minimum(energies, low, high, tolerance)
             ]
 
 
@@ -821,8 +809,8 @@ class FixedThroughputOptimizer(ThroughputOptimizer):
     The performance constraint is a stage-delay target (equivalently a
     ring-oscillator frequency, the paper's two "MHz" curve families in
     Fig. 4); leakage integrates over one ring period, ``2 * stages``
-    stage delays (divided by ``utilization``).  Every solve probe and
-    sampled leakage runs on the ring's one decoded
+    stage delays (divided by ``utilization``).  Every solve round,
+    energy point and sampled leakage runs on the ring's one decoded
     :class:`~repro.tech.opplan.CornerPlan`, with the V_T as the
     kernels' shift.
     """
@@ -833,23 +821,34 @@ class FixedThroughputOptimizer(ThroughputOptimizer):
     ):
         super().__init__(ring.technology, variation)
         self.ring = ring
+        self._plan = ring._plan
         self._leak_units = ring.stages
         # One ring period: each of the stages switches twice.
         self._period_units = 2 * ring.stages
 
-    def _probe(
-        self, vt: float, shift: float = 0.0
-    ) -> Callable[[float], float]:
-        # One direct plan call per probe: bit-identical to a stage_delay
-        # call at the same corner.  The probes bypass the characterizer
-        # memo, so ``optimizer.delay_probes`` keeps matching the
-        # characterizer's fanout-family traffic.
-        delay = self.ring._plan.delay
-        threshold = vt + shift
-        return lambda vdd: delay(vdd, threshold, fanout=1)
+    def _delays(
+        self, vts: Sequence[float], shifts: Sequence[float],
+        vdds: Sequence[float], records: dict,
+    ) -> List[float]:
+        # One plan call per round, bit-identical to a stage_delay call
+        # at each corner.  A supply's record is computed once and kept
+        # in ``records``: the lanes share the bracket ends and the
+        # first bisection midpoints.  The plan call bypasses the
+        # characterizer memo, so ``optimizer.delay_probes`` keeps
+        # matching the characterizer's fanout-family traffic.
+        supply = self._plan.supply
+        thresholds = []
+        supplies = []
+        for vt, shift, vdd in zip(vts, shifts, vdds):
+            thresholds.append(vt + shift)
+            record = records.get(vdd)
+            if record is None:
+                record = records[vdd] = supply(vdd, 0.0, 1)
+            supplies.append(record)
+        return self._plan.delays(vdds, thresholds, supplies=supplies)
 
     def _breaks(self, vt: float) -> Optional[Sequence[float]]:
-        return self.ring._plan.delay_breaks(vt)
+        return self._plan.delay_breaks(vt)
 
     def energy_per_operation(
         self, vdd: float, vt: float, operation_time_s: float
@@ -857,13 +856,34 @@ class FixedThroughputOptimizer(ThroughputOptimizer):
         """The ring's :meth:`~RingOscillatorModel.energy_per_cycle`."""
         return self.ring.energy_per_cycle(vdd, vt, operation_time_s)
 
+    def _energy_points(
+        self, vdds: Sequence[float], vts: Sequence[float],
+        operation_time_s: float, records: dict,
+    ) -> List[OperatingPoint]:
+        # One cycle_energies pass over the solved lanes, on the batch's
+        # supply records: each stage delay comes with its energy.
+        _check_time("cycle", operation_time_s)
+        supply = self._plan.supply
+        parts: list = []
+        energies = self.ring.cycle_energies(
+            vdds, vts, operation_time_s,
+            [records.get(vdd) or supply(vdd, 0.0, 1) for vdd in vdds],
+            parts=parts,
+        )
+        return [
+            OperatingPoint(vt, vdd, delay, energy, switching, leakage)
+            for vt, vdd, energy, (delay, switching, leakage) in zip(
+                vts, vdds, energies, parts
+            )
+        ]
+
     def _leakages(
         self, vdd: float, vt: float, shifts: Sequence[float]
     ) -> List[float]:
         # Each sample reaches the kernels as the shift ``vt + shift`` of
         # the zero-threshold decode, so its threshold ``0.0 + (vt +
         # shift)`` is the float a ``with_vt(vt)`` corner forms.
-        return self.ring._plan.leakages(
+        return self._plan.leakages(
             (vdd,) * len(shifts), [vt + shift for shift in shifts]
         )
 
@@ -920,22 +940,25 @@ class ModuleThroughputOptimizer(ThroughputOptimizer):
     def delay(self, vdd: float, vt: float) -> float:
         """Critical-path delay at an absolute-V_T corner [s]."""
         _check_vt(vt)
-        return self._probe(vt)(vdd)
+        return self._delays((vt,), (0.0,), (vdd,), {})[0]
 
-    def _probe(
-        self, vt: float, shift: float = 0.0
-    ) -> Callable[[float], float]:
-        # Static timing at the global shift from the base threshold,
-        # each run counted as one ``optimizer.delay_probes``.
-        vt_shift = (vt - self._base_vt) + shift
-        analyze, netlist = self._analyzer.analyze, self.netlist
-
-        def delay(vdd: float) -> float:
+    def _delays(
+        self, vts: Sequence[float], shifts: Sequence[float],
+        vdds: Sequence[float], records: dict,
+    ) -> List[float]:
+        # One static-timing run per query, at the global shift from the
+        # base threshold, each counted as one ``optimizer.delay_probes``.
+        analyze, netlist, base_vt = (
+            self._analyzer.analyze, self.netlist, self._base_vt
+        )
+        out = []
+        for vt, shift, vdd in zip(vts, shifts, vdds):
             if obs.ENABLED:
                 obs.incr("optimizer.delay_probes")
-            return analyze(netlist, vdd, vt_shift=vt_shift).delay_s
-
-        return delay
+            out.append(
+                analyze(netlist, vdd, vt_shift=(vt - base_vt) + shift).delay_s
+            )
+        return out
 
     def energy_per_operation(
         self, vdd: float, vt: float, operation_time_s: float

@@ -14,7 +14,7 @@ low-clock-load register, "LCLR").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Type
 
 from repro.device.technology import Technology
 from repro.errors import NetlistError
@@ -24,6 +24,7 @@ __all__ = [
     "RegisterStyle",
     "standard_cells",
     "register_styles",
+    "check_ring_stages",
     "UNKNOWN",
 ]
 
@@ -298,6 +299,18 @@ def standard_cells() -> Dict[str, Cell]:
     once at import.
     """
     return dict(_CATALOG)
+
+
+def check_ring_stages(stages: int, error: Type[Exception]) -> None:
+    """Reject an inverter ring that cannot oscillate.
+
+    A ring oscillates only with an odd number of at least three
+    inverters.  ``ring_oscillator`` netlists, the ring-oscillator model
+    and the energy surface share this rule; each raises its own layer's
+    ``error`` type.
+    """
+    if stages < 3 or stages % 2 == 0:
+        raise error(f"ring stages must be odd and >= 3, got {stages}")
 
 
 _CATALOG: Dict[str, Cell] = {

@@ -186,8 +186,8 @@ class CornerPlan:
     # ------------------------------------------------------------------
     # The supply axis (the only V_DD-dependent model calls)
     # ------------------------------------------------------------------
-    def _supply(
-        self, vdd: float, load_f: float, fanout: Optional[int]
+    def supply(
+        self, vdd: float, load_f: float = 0.0, fanout: Optional[int] = None
     ) -> tuple:
         """One supply's shift-independent terms (see :meth:`supplies`)."""
         if not 0.0 < vdd < _INF:
@@ -247,7 +247,7 @@ class CornerPlan:
         a fixed-V_DD sweep repeats one record, a (V_T, V_DD) grid
         reuses its V_DD axis for every row.
         """
-        supply = self._supply
+        supply = self.supply
         return [supply(vdd, load_f, fanout) for vdd in vdds]
 
     # ------------------------------------------------------------------
@@ -268,7 +268,8 @@ class CornerPlan:
         probability given, each point becomes ``(delay, E_transition,
         I_leak)``, and a point whose delay exceeds ``max_delay_s``
         skips the energy and leakage work: ``(delay, None, None)``.
-        Callers check the shifts.
+        Callers check the shifts.  A drive that overflows a float raises
+        :class:`~repro.errors.CharacterizationError`.
         """
         exp = math.exp
         n_vt0, _, n_phi_n, _, n_iw, n_kw, n_alpha, n_half_alpha, \
@@ -282,62 +283,68 @@ class CornerPlan:
             p_current = self._pmos_stack.current
         out: list = []
         append = out.append
-        for shift, (
-            vdd, total_load, numerator, n_dibl_vdd, n_drain, p_dibl_vdd,
-            p_drain,
-        ) in zip(shifts, supplies):
-            # Pull-down (NMOS) on-current.
-            vt = (n_vt0 + shift) - n_dibl_vdd
-            drive = vdd - vt
-            gate_drive = drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / n_phi_n
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            pull_down = n_iw * exp(exponent) * n_drain
-            if drive > 0.0:
-                i_dsat = n_kw * drive**n_alpha
-                vdsat = n_vdsat_c * drive**n_half_alpha
-                if vdd >= vdsat:
-                    pull_down += i_dsat * (1.0 + n_clm * (vdd - vdsat))
+        try:
+            for shift, (
+                vdd, total_load, numerator, n_dibl_vdd, n_drain, p_dibl_vdd,
+                p_drain,
+            ) in zip(shifts, supplies):
+                # Pull-down (NMOS) on-current.
+                vt = (n_vt0 + shift) - n_dibl_vdd
+                drive = vdd - vt
+                gate_drive = drive
+                if gate_drive > 0.0:
+                    gate_drive = 0.0
+                exponent = gate_drive / n_phi_n
+                if exponent < -_MAX_EXP_ARG:
+                    exponent = -_MAX_EXP_ARG
+                pull_down = n_iw * exp(exponent) * n_drain
+                if drive > 0.0:
+                    i_dsat = n_kw * drive**n_alpha
+                    vdsat = n_vdsat_c * drive**n_half_alpha
+                    if vdd >= vdsat:
+                        pull_down += i_dsat * (1.0 + n_clm * (vdd - vdsat))
+                    else:
+                        ratio = vdd / vdsat
+                        pull_down += i_dsat * ratio * (2.0 - ratio)
+                # Pull-up (PMOS) on-current.
+                vt = (p_vt0 + shift) - p_dibl_vdd
+                drive = vdd - vt
+                gate_drive = drive
+                if gate_drive > 0.0:
+                    gate_drive = 0.0
+                exponent = gate_drive / p_phi_n
+                if exponent < -_MAX_EXP_ARG:
+                    exponent = -_MAX_EXP_ARG
+                pull_up = p_iw * exp(exponent) * p_drain
+                if drive > 0.0:
+                    i_dsat = p_kw * drive**p_alpha
+                    vdsat = p_vdsat_c * drive**p_half_alpha
+                    if vdd >= vdsat:
+                        pull_up += i_dsat * (1.0 + p_clm * (vdd - vdsat))
+                    else:
+                        ratio = vdd / vdsat
+                        pull_up += i_dsat * ratio * (2.0 - ratio)
+                weakest = pull_down if pull_down <= pull_up else pull_up
+                if weakest <= 0.0:
+                    raise CharacterizationError(
+                        f"cell {self.cell_name} has no drive at "
+                        f"V_DD = {vdd} V"
+                    )
+                delay = numerator / weakest
+                if p_high is None:
+                    append(delay)
+                elif max_delay_s is not None and delay > max_delay_s:
+                    append((delay, None, None))
                 else:
-                    ratio = vdd / vdsat
-                    pull_down += i_dsat * ratio * (2.0 - ratio)
-            # Pull-up (PMOS) on-current.
-            vt = (p_vt0 + shift) - p_dibl_vdd
-            drive = vdd - vt
-            gate_drive = drive
-            if gate_drive > 0.0:
-                gate_drive = 0.0
-            exponent = gate_drive / p_phi_n
-            if exponent < -_MAX_EXP_ARG:
-                exponent = -_MAX_EXP_ARG
-            pull_up = p_iw * exp(exponent) * p_drain
-            if drive > 0.0:
-                i_dsat = p_kw * drive**p_alpha
-                vdsat = p_vdsat_c * drive**p_half_alpha
-                if vdd >= vdsat:
-                    pull_up += i_dsat * (1.0 + p_clm * (vdd - vdsat))
-                else:
-                    ratio = vdd / vdsat
-                    pull_up += i_dsat * ratio * (2.0 - ratio)
-            weakest = pull_down if pull_down <= pull_up else pull_up
-            if weakest <= 0.0:
-                raise CharacterizationError(
-                    f"cell {self.cell_name} has no drive at "
-                    f"V_DD = {vdd} V"
-                )
-            delay = numerator / weakest
-            if p_high is None:
-                append(delay)
-            elif max_delay_s is not None and delay > max_delay_s:
-                append((delay, None, None))
-            else:
-                leak = p_high * n_current(vdd, shift) + p_low * p_current(
-                    vdd, shift
-                )
-                append((delay, total_load * vdd * vdd, leak))
+                    leak = p_high * n_current(vdd, shift) + p_low * p_current(
+                        vdd, shift
+                    )
+                    append((delay, total_load * vdd * vdd, leak))
+        except OverflowError:
+            # The alpha-power drive overflows a float at an absurd V_DD.
+            raise CharacterizationError(
+                f"cell {self.cell_name} drive overflows at V_DD = {vdd} V"
+            ) from None
         if _obs.ENABLED and out:
             _obs.incr("opplan.points_batched", len(out))
         return out
@@ -357,7 +364,8 @@ class CornerPlan:
         """
         if supplies is None:
             supplies = self.supplies(vdds, load_f, fanout)
-        _check_corners(supplies, shifts)
+        if len(shifts) != len(supplies) or not -_INF < sum(shifts) < _INF:
+            _check_corners(supplies, shifts)
         return self._run(shifts, supplies)
 
     def delay(
@@ -367,8 +375,8 @@ class CornerPlan:
         load_f: float = 0.0,
         fanout: Optional[int] = None,
     ) -> float:
-        """:meth:`delays` at one corner: the supply solves' probe."""
-        supply = self._supply(vdd, load_f, fanout)
+        """:meth:`delays` at one corner: a characterizer miss."""
+        supply = self.supply(vdd, load_f, fanout)
         if not -_INF < vt_shift < _INF:
             _check_shifts((vt_shift,))
         return self._run((vt_shift,), (supply,))[0]
@@ -398,40 +406,6 @@ class CornerPlan:
         return self._run(
             shifts, supplies, output_high_probability, max_delay_s
         )
-
-    def energies(
-        self,
-        vdds: Sequence[float],
-        shifts: Sequence[float],
-        load_f: float = 0.0,
-        fanout: Optional[int] = None,
-        output_high_probability: float = 0.5,
-    ) -> List[Tuple[float, float]]:
-        """Raw ``(E_transition, I_leak)`` pairs at every corner.
-
-        ``E_transition`` is the ``C V^2`` drawn per output charging
-        event [J] and ``I_leak`` the state-averaged leakage [A] — the
-        two numbers the ring oscillator's cycle energy combines with
-        its stage count, activity and cycle time, in the caller's own
-        association order.
-        """
-        _check_corners(vdds, shifts, output_high_probability)
-        p_high = output_high_probability
-        p_low = 1.0 - p_high
-        n_current = self._nmos_stack.current
-        p_current = self._pmos_stack.current
-        supply = self._supply
-        out: List[Tuple[float, float]] = []
-        append = out.append
-        for vdd, shift in zip(vdds, shifts):
-            total_load = supply(vdd, load_f, fanout)[1]
-            leak = p_high * n_current(vdd, shift) + p_low * p_current(
-                vdd, shift
-            )
-            append((total_load * vdd * vdd, leak))
-        if _obs.ENABLED and out:
-            _obs.incr("opplan.points_batched", len(out))
-        return out
 
     def leakages(
         self,

@@ -21,10 +21,10 @@ from repro.power.estimator import PowerEstimator
 from repro.power.optimizer import (
     OperatingPoint,
     StatisticalOperatingPoint,
-    _bracketed_golden_minimum,
     _percentile,
-    _solve_supply,
 )
+from repro.power.search import _bracketed_golden_minimum
+from tests.power.supply_oracle import solve_probe_by_probe
 
 
 class PerInstanceModule:
@@ -52,7 +52,7 @@ class PerInstanceModule:
         )
 
     def solve(self, delay_at, target):
-        vdd = _solve_supply(delay_at, target, *self.bounds, None)
+        vdd = solve_probe_by_probe(delay_at, target, *self.bounds, None)
         if vdd is None:
             raise OptimizationError("unreachable")
         return vdd
@@ -136,4 +136,8 @@ class PerInstanceModule:
             return point.energy_per_cycle_j
 
         low, high = vt_bounds
-        return probed[_bracketed_golden_minimum(energy, low, high, tolerance)]
+        return probed[
+            _bracketed_golden_minimum(
+                lambda vts: [energy(vt) for vt in vts], low, high, tolerance
+            )
+        ]

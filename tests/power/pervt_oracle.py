@@ -19,12 +19,12 @@ from repro.power.optimizer import (
     OperatingPoint,
     StatisticalOperatingPoint,
     VariationSpec,
-    _bracketed_golden_minimum,
     _percentile,
-    _solve_supply,
 )
+from repro.power.search import _bracketed_golden_minimum
 from repro.tech.cells import standard_cells
 from repro.tech.characterize import CellCharacterizer
+from tests.power.supply_oracle import solve_probe_by_probe
 
 
 class PerVtRing:
@@ -51,7 +51,7 @@ class PerVtRing:
 
     def solve_vdd_for_delay(self, target, vt):
         plan = self.corner(vt).corner_plan(self.inverter)
-        vdd = _solve_supply(
+        vdd = solve_probe_by_probe(
             lambda v: plan.delay(v, fanout=1),
             target,
             *self.bounds,
@@ -99,7 +99,7 @@ class PerVtRing:
             percentile, vt_sigma, n_samples, seed
         ).draw_shifts()
         corner = self.corner(vt)
-        vdd = _solve_supply(
+        vdd = solve_probe_by_probe(
             lambda v: self._percentile_delay(corner, v, shifts, percentile),
             target,
             *self.bounds,
@@ -178,4 +178,8 @@ class PerVtRing:
             return point.energy_per_cycle_j
 
         low, high = vt_bounds
-        return probed[_bracketed_golden_minimum(energy, low, high, tolerance)]
+        return probed[
+            _bracketed_golden_minimum(
+                lambda vts: [energy(vt) for vt in vts], low, high, tolerance
+            )
+        ]

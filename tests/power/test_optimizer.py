@@ -334,27 +334,31 @@ class TestFixedThroughputSweep:
 
 class TestGoldenTieBreaking:
     def test_flat_plateau_ties_break_to_lowest_vt(self):
-        from repro.power.optimizer import _bracketed_golden_minimum
+        from repro.power.search import _bracketed_golden_minimum
 
         # Every candidate has the same energy: the explicit key must
         # resolve the tie to the lowest V_T, not to float luck in
         # tuple comparison.
-        assert _bracketed_golden_minimum(lambda vt: 1.0, 0.1, 0.5, 1e-3) == 0.1
+        assert _bracketed_golden_minimum(
+            lambda vts: [1.0] * len(vts), 0.1, 0.5, 1e-3
+        ) == 0.1
 
     def test_degenerate_bracket_on_entry(self):
-        from repro.power.optimizer import _bracketed_golden_minimum
+        from repro.power.search import _bracketed_golden_minimum
 
         # b - a <= tolerance before the first golden iteration: the
         # refinement loop never runs and only the coarse-scan
         # candidates compete.
         result = _bracketed_golden_minimum(
-            lambda vt: (vt - 0.05) ** 2, 0.0, 1e-4, 1e-3
+            lambda vts: [(vt - 0.05) ** 2 for vt in vts], 0.0, 1e-4, 1e-3
         )
         assert 0.0 <= result <= 1e-4
         # A plateau inside the degenerate bracket still resolves to
         # the lowest V_T.
         assert (
-            _bracketed_golden_minimum(lambda vt: 7.0, 0.3, 0.3005, 1e-3)
+            _bracketed_golden_minimum(
+                lambda vts: [7.0] * len(vts), 0.3, 0.3005, 1e-3
+            )
             == 0.3
         )
 
@@ -367,22 +371,22 @@ class TestGoldenTieBreaking:
 
 
 def _bounded_energy(minimum_at=0.1234, max_calls=10_000):
-    """Convex energy that fails the test instead of letting it hang."""
+    """Convex energies that fail the test instead of letting it hang."""
     calls = [0]
 
-    def energy(vt):
-        calls[0] += 1
+    def energies(vts):
+        calls[0] += len(vts)
         if calls[0] > max_calls:
             raise AssertionError("golden-section search did not terminate")
-        return (vt - minimum_at) ** 2
+        return [(vt - minimum_at) ** 2 for vt in vts]
 
-    return energy
+    return energies
 
 
 class TestGoldenTermination:
     @pytest.mark.parametrize("tolerance", [1e-18, 5e-324])
     def test_tolerance_below_float_spacing_terminates(self, tolerance):
-        from repro.power.optimizer import _bracketed_golden_minimum
+        from repro.power.search import _bracketed_golden_minimum
 
         best = _bracketed_golden_minimum(
             _bounded_energy(), 0.02, 0.45, tolerance
@@ -391,7 +395,7 @@ class TestGoldenTermination:
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-3, float("nan")])
     def test_nonpositive_tolerance_rejected(self, tolerance):
-        from repro.power.optimizer import _bracketed_golden_minimum
+        from repro.power.search import _bracketed_golden_minimum
 
         with pytest.raises(OptimizationError, match="tolerance"):
             _bracketed_golden_minimum(

@@ -225,9 +225,9 @@ class TestExactSolves:
         assert module_optimizer.solve_vdd_for_yield(
             target, 0.2, percentile=97.0, n_samples=24, seed=3
         ) == oracle_supply(
-            lambda v: module_optimizer._delay_percentile(
-                v, 0.2, ordered, 97.0
-            ),
+            lambda v: module_optimizer._percentile_delays(
+                (0.2,), (v,), ordered, 97.0, {}
+            )[0],
             target,
             technology.min_vdd,
             technology.max_vdd,
@@ -289,3 +289,143 @@ class TestEvaluationBudget:
                 optimizer.solve_vdd_for_delay(1e-15, vt=0.4)
             unreachable = obs.counter_value("optimizer.supply_evals")
         assert (clamped, unreachable) == (2, 1)
+
+
+def _one_lane_solves(optimizer, vts, target, spec):
+    """Each V_T solved alone: its supply or its error message, and the
+    solve counters."""
+    answers = []
+    with obs.enabled_scope():
+        for vt in vts:
+            try:
+                if spec is None:
+                    answers.append(optimizer.solve_vdd_for_delay(target, vt))
+                else:
+                    answers.append(
+                        optimizer.solve_vdd_for_yield(
+                            target, vt, spec.percentile, spec.vt_sigma,
+                            spec.n_samples, spec.seed,
+                        )
+                    )
+            except OptimizationError as error:
+                answers.append(str(error))
+        counters = obs.snapshot()["counters"]
+    return answers, counters
+
+
+def _batch_solves(optimizer, vts, target, spec):
+    """The same V_Ts as one lockstep batch."""
+    with obs.enabled_scope():
+        lanes = optimizer._solve_lanes(vts, target, None, spec, {})
+        counters = obs.snapshot()["counters"]
+    answers = [
+        lane if isinstance(lane, float) else str(lane) for lane in lanes
+    ]
+    return answers, counters
+
+
+SOLVE_COUNTERS = (
+    "optimizer.supply_evals",
+    "optimizer.low_bound_clamps",
+    "optimizer.vdd_solves",
+    "optimizer.yield_solves",
+    "optimizer.mc_probes",
+)
+
+
+class TestLockstep:
+    """A lockstep batch answers every lane exactly as a batch of one."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        technology=st.sampled_from(["soi", "soias"]),
+        stages=st.integers(1, 50).map(lambda half: 2 * half + 1),
+        vts=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=10),
+        scale=st.floats(0.5, 8.0),
+        duplicate=st.booleans(),
+    )
+    # Two lanes clamp, one is unreachable, one repeats; the rest bisect
+    # across the kink and finish in different rounds.
+    @example(
+        technology="soi", stages=11,
+        vts=[0.02, 0.05, 0.1, 0.2, 0.4, 1.8], scale=4.0, duplicate=True,
+    )
+    def test_batch_equals_one_lane_solves(
+        self, technology, stages, vts, scale, duplicate
+    ):
+        ring = RingOscillatorModel(SHIPPED[technology], stages=stages)
+        optimizer = FixedThroughputOptimizer(ring)
+        target = scale * ring.stage_delay(1.0, 0.2)
+        if duplicate:
+            vts = vts + vts[:1]
+        alone, alone_counts = _one_lane_solves(optimizer, vts, target, None)
+        batch, batch_counts = _batch_solves(optimizer, vts, target, None)
+        assert batch == alone
+        for name in SOLVE_COUNTERS:
+            assert batch_counts.get(name, 0) == alone_counts.get(name, 0)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        technology=st.sampled_from(["soi", "soias"]),
+        stages=st.integers(1, 50).map(lambda half: 2 * half + 1),
+        vts=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+        scale=st.floats(0.5, 8.0),
+        percentile=st.floats(50.0, 100.0),
+    )
+    def test_yield_batch_equals_one_lane_solves(
+        self, technology, stages, vts, scale, percentile
+    ):
+        ring = RingOscillatorModel(SHIPPED[technology], stages=stages)
+        optimizer = FixedThroughputOptimizer(ring)
+        target = scale * ring.stage_delay(1.0, 0.2)
+        spec = VariationSpec(percentile, 0.03, 16, 5)
+        alone, alone_counts = _one_lane_solves(optimizer, vts, target, spec)
+        batch, batch_counts = _batch_solves(optimizer, vts, target, spec)
+        assert batch == alone
+        for name in SOLVE_COUNTERS:
+            assert batch_counts.get(name, 0) == alone_counts.get(name, 0)
+
+    def test_mixed_batch_reaches_every_exit(self):
+        # The explicit example above does cover clamped, unreachable
+        # and bisecting lanes that finish in different rounds.
+        ring = RingOscillatorModel(SHIPPED["soi"], stages=11)
+        optimizer = FixedThroughputOptimizer(ring)
+        target = 4.0 * ring.stage_delay(1.0, 0.2)
+        vts = [0.02, 0.05, 0.1, 0.2, 0.4, 1.8, 0.02]
+        rounds = []
+        for vt in vts:
+            _, counters = _one_lane_solves(optimizer, [vt], target, None)
+            rounds.append(counters["optimizer.supply_evals"])
+        batch, counters = _batch_solves(optimizer, vts, target, None)
+        assert counters["optimizer.low_bound_clamps"] == 3
+        assert sum(isinstance(lane, str) for lane in batch) == 1
+        assert len(set(rounds)) >= 3
+
+    def test_sweep_raises_the_first_infeasible_message(self):
+        ring = RingOscillatorModel(SHIPPED["soias"], stages=11)
+        optimizer = FixedThroughputOptimizer(ring)
+        target = 4.0 * ring.stage_delay(1.0, 0.2)
+        with pytest.raises(OptimizationError) as first:
+            optimizer.solve_vdd_for_delay(target, 1.8)
+        with pytest.raises(OptimizationError) as raised:
+            optimizer.sweep(
+                [0.2, 1.8, 1.9, 0.3], target, skip_infeasible=False
+            )
+        assert str(raised.value) == str(first.value)
+        assert [point.vt for point in optimizer.sweep(
+            [0.2, 1.8, 1.9, 0.3], target
+        )] == [0.2, 0.3]
+
+
+class TestBoundValidation:
+    def test_infinite_high_bound_rejected(self):
+        ring = RINGS["soi"]
+        optimizer = FixedThroughputOptimizer(ring)
+        target = 4.0 * ring.stage_delay(1.0, 0.2)
+        bounds = (0.1, math.inf)
+        with pytest.raises(OptimizationError, match="bad vdd bounds"):
+            optimizer.solve_vdd_for_delay(target, 0.2, vdd_bounds=bounds)
+        with pytest.raises(OptimizationError, match="bad vdd bounds"):
+            optimizer.solve_vdd_for_yield(
+                target, 0.2, n_samples=10, vdd_bounds=bounds
+            )

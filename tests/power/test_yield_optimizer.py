@@ -140,9 +140,9 @@ class TestOrderStatisticShortcut:
             (vdd,) * n_samples, [vt + shift for shift in shifts], fanout=1
         )
         assert all(a <= b for a, b in zip(delays, delays[1:]))
-        assert FixedThroughputOptimizer(ring)._delay_percentile(
-            vdd, vt, shifts, percentile
-        ) == _percentile(delays, percentile)
+        assert FixedThroughputOptimizer(ring)._percentile_delays(
+            (vt,), (vdd,), shifts, percentile, {}
+        ) == [_percentile(delays, percentile)]
 
 
 class TestRingYieldSolve:
@@ -153,8 +153,8 @@ class TestRingYieldSolve:
             seed=spec.seed,
         )
         shifts = sorted(spec.draw_shifts())
-        plan_delay = optimizer._delay_percentile(
-            vdd, 0.2, shifts, spec.percentile
+        (plan_delay,) = optimizer._percentile_delays(
+            (0.2,), (vdd,), shifts, spec.percentile, {}
         )
         assert plan_delay == pytest.approx(target, rel=1e-6)
 
@@ -223,8 +223,8 @@ class TestLowBoundClampInteraction:
         assert statistical > min_vdd
         shifts = sorted(VariationSpec(n_samples=60).draw_shifts())
         assert (
-            optimizer._delay_percentile(min_vdd, vt, shifts, 99.0)
-            > relaxed
+            optimizer._percentile_delays((vt,), (min_vdd,), shifts, 99.0, {})
+            > [relaxed]
         )
 
     def test_statistical_solve_still_clamps_when_tail_meets_timing(
@@ -352,10 +352,13 @@ class TestModuleYieldSolve:
             percentile=97.0, vt_sigma=0.03, n_samples=41, seed=3
         )
         shifts = spec.draw_shifts()
-        full = [module_optimizer._probe(0.2, s)(0.7) for s in shifts]
-        assert module_optimizer._delay_percentile(
-            0.7, 0.2, sorted(shifts), 97.0
-        ) == _percentile(full, 97.0)
+        count = len(shifts)
+        full = module_optimizer._delays(
+            [0.2] * count, shifts, [0.7] * count, {}
+        )
+        assert module_optimizer._percentile_delays(
+            (0.2,), (0.7,), sorted(shifts), 97.0, {}
+        ) == [_percentile(full, 97.0)]
 
     def test_guard_band_over_nominal(
         self, module_optimizer, module_target

@@ -203,7 +203,6 @@ class TestValidation:
         for kernel in (
             lambda: sweep_delays(plan, 0.5, 10e-15, shifts),
             lambda: sweep_leakages(plan, 0.5, shifts),
-            lambda: plan.energies((0.5, 0.5), shifts),
             lambda: plan.operating_points((0.5, 0.5), shifts),
             lambda: plan.delay(0.5, bad),
         ):

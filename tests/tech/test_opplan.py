@@ -107,7 +107,7 @@ class TestValidation:
 
     def test_bad_probability_rejected(self):
         plan = _inverter_plan()
-        for kernel in (plan.operating_points, plan.energies):
+        for kernel in (plan.operating_points, plan.leakages):
             with pytest.raises(
                 CharacterizationError, match="output_high_probability"
             ):
@@ -149,7 +149,7 @@ class TestErrorParity:
             lambda: plan.delay(vdd, 0.0, **load),
             lambda: plan.supplies((vdd,), **load),
             lambda: plan.operating_points((vdd,), (0.0,), **load),
-            lambda: plan.energies((vdd,), (0.0,), **load),
+            lambda: plan.supply(vdd, **load),
             lambda: plan.leakages((vdd,), (0.0,)),
         ):
             with pytest.raises(CharacterizationError, match="vdd"):

@@ -302,6 +302,9 @@ class TestNonFiniteInputs:
             ["shutdown", "--clock", "nan"],
             ["surface", "--grid", "4", "--stages", "100"],
             ["activity", "--vectors", "1"],
+            ["characterize", "--vdd", "240"],
+            ["characterize", "--vdd", "1e308"],
+            ["margins", "--vdd", "1e308"],
         ],
     )
     def test_exits_with_error(self, argv, capsys):

@@ -212,7 +212,7 @@ class TestOptimizerInstrumentation:
             snap = obs.snapshot()
         counters = snap["counters"]
         assert counters["optimizer.vdd_solves"] >= 3
-        assert counters["optimizer.delay_probes"] > 0
+        assert counters["optimizer.supply_evals"] > 0
         assert counters["optimizer.golden_probes"] > 0
         assert snap["timers"]["optimizer.sweep"]["count"] == 1
         assert snap["timers"]["optimizer.optimum"]["count"] == 1
@@ -259,21 +259,22 @@ class TestOptimizerInstrumentation:
 
     def test_delay_probes_match_characterizer_queries(self):
         # Regression: probes used to be counted inside the solve's
-        # batched accounting, so energy_per_cycle / locus_point stage
-        # delays escaped the count.  Counting at the query site makes
-        # the invariant exact: every stage_delay is exactly one
-        # "fanout"-family memo access on the characterizer.
+        # batched accounting, so stage delays asked outside a solve
+        # escaped the count.  Counting at the query site makes the
+        # invariant exact: every stage_delay is exactly one
+        # "fanout"-family memo access on the characterizer.  The target
+        # is computed inside the scope, so the counts are not zero.
         ring = RingOscillatorModel(soi_low_vt(), stages=11)
         optimizer = FixedThroughputOptimizer(ring)
-        target = 4.0 * ring.stage_delay(1.0, 0.2)
         with obs.enabled_scope():
+            target = 4.0 * ring.stage_delay(1.0, 0.2)
             optimizer.sweep([0.1, 0.2, 0.3], target)
             optimizer.optimum(target, vt_bounds=(0.05, 0.45))
             counters = obs.snapshot()["counters"]
         fanout_queries = counters.get(
             "characterizer.hits.fanout", 0
         ) + counters.get("characterizer.misses.fanout", 0)
-        assert counters["optimizer.delay_probes"] == fanout_queries
+        assert counters["optimizer.delay_probes"] == fanout_queries > 0
 
     def test_yield_solve_counters(self):
         from repro.power.optimizer import VariationSpec
