@@ -12,7 +12,7 @@ comparable or less switching energy.
 
 from repro.analysis.tables import format_table
 from repro.circuits.builders import carry_select_adder, ripple_carry_adder
-from repro.circuits.timing import StaticTimingAnalyzer
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import soi_low_vt
 from repro.errors import OptimizationError
 from repro.switchsim.simulator import SwitchLevelSimulator
@@ -22,14 +22,14 @@ WIDTH = 16
 VECTORS = 120
 
 
-def _solve_vdd_for_delay(analyzer, netlist, target_s, bounds=(0.2, 2.0)):
+def _solve_vdd_for_delay(plan, target_s, bounds=(0.2, 2.0)):
     """Supply at which the netlist's critical path hits the target."""
     low, high = bounds
-    if analyzer.analyze(netlist, high).delay_s > target_s:
+    if plan.analyze(high).delay_s > target_s:
         raise OptimizationError("target unreachable at max V_DD")
     for _ in range(50):
         mid = 0.5 * (low + high)
-        if analyzer.analyze(netlist, mid).delay_s > target_s:
+        if plan.analyze(mid).delay_s > target_s:
             low = mid
         else:
             high = mid
@@ -38,20 +38,21 @@ def _solve_vdd_for_delay(analyzer, netlist, target_s, bounds=(0.2, 2.0)):
 
 def generate_ablation():
     technology = soi_low_vt()
-    analyzer = StaticTimingAnalyzer(technology)
     ripple = ripple_carry_adder(WIDTH)
     select = carry_select_adder(WIDTH, block_width=4)
+    ripple_plan = NetlistPlan(ripple, technology)
+    select_plan = NetlistPlan(select, technology)
 
     # Throughput target: what the ripple adder achieves at 1 V.
-    target = analyzer.analyze(ripple, 1.0).delay_s
+    target = ripple_plan.analyze(1.0).delay_s
 
     vdd_ripple = 1.0
-    vdd_select = _solve_vdd_for_delay(analyzer, select, target)
+    vdd_select = _solve_vdd_for_delay(select_plan, target)
 
     rows = {}
-    for name, netlist, vdd in (
-        ("ripple", ripple, vdd_ripple),
-        ("carry-select", select, vdd_select),
+    for name, netlist, plan, vdd in (
+        ("ripple", ripple, ripple_plan, vdd_ripple),
+        ("carry-select", select, select_plan, vdd_select),
     ):
         stimulus = random_bus_vectors(
             {"a": WIDTH, "b": WIDTH}, VECTORS, seed=42
@@ -65,7 +66,7 @@ def generate_ablation():
         rows[name] = {
             "gates": len(netlist.instances),
             "vdd": vdd,
-            "delay": analyzer.analyze(netlist, vdd).delay_s,
+            "delay": plan.analyze(vdd).delay_s,
             "energy": energy,
         }
     return target, rows

@@ -11,7 +11,6 @@ mirror of the paper's Fig. 4 optimum.
 
 from repro.analysis.tables import format_table
 from repro.circuits.builders import ripple_carry_adder
-from repro.circuits.timing import StaticTimingAnalyzer
 from repro.device.technology import soi_low_vt
 from repro.errors import OptimizationError
 from repro.power.estimator import PowerEstimator
@@ -26,13 +25,13 @@ PARALLELISM = (1, 2, 4, 8, 16, 32, 64)
 DISTRIBUTION_OVERHEAD = 0.15
 
 
-def _solve_vdd(analyzer, netlist, target_s, bounds=(0.05, 1.5)):
+def _solve_vdd(plan, target_s, bounds=(0.05, 1.5)):
     low, high = bounds
-    if analyzer.analyze(netlist, high).delay_s > target_s:
+    if plan.analyze(high).delay_s > target_s:
         raise OptimizationError("target unreachable")
     for _ in range(48):
         mid = 0.5 * (low + high)
-        if analyzer.analyze(netlist, mid).delay_s > target_s:
+        if plan.analyze(mid).delay_s > target_s:
             low = mid
         else:
             high = mid
@@ -42,16 +41,14 @@ def _solve_vdd(analyzer, netlist, target_s, bounds=(0.05, 1.5)):
 def generate_ablation():
     technology = soi_low_vt()
     adder = ripple_carry_adder(WIDTH)
-    analyzer = StaticTimingAnalyzer(technology)
     estimator = PowerEstimator(adder, technology)
-    base_period = analyzer.analyze(adder, 1.0).delay_s
+    plan = estimator.plan
+    base_period = plan.analyze(1.0).delay_s
     stimulus = random_bus_vectors({"a": WIDTH, "b": WIDTH}, 60, seed=12)
 
     rows = []
     for n in PARALLELISM:
-        vdd = 1.0 if n == 1 else _solve_vdd(
-            analyzer, adder, n * base_period
-        )
+        vdd = 1.0 if n == 1 else _solve_vdd(plan, n * base_period)
         report = SwitchLevelSimulator(adder, technology, vdd).run_vectors(
             stimulus
         )

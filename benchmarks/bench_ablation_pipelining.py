@@ -9,7 +9,7 @@ C V^2 win.
 
 from repro.analysis.tables import format_table
 from repro.circuits.builders import pipelined_adder
-from repro.circuits.timing import StaticTimingAnalyzer
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import soi_low_vt
 from repro.errors import OptimizationError
 from repro.switchsim.simulator import SwitchLevelSimulator
@@ -20,13 +20,13 @@ STAGES = (1, 2, 4)
 VECTORS = 80
 
 
-def _solve_vdd(analyzer, netlist, target_s, bounds=(0.15, 1.5)):
+def _solve_vdd(plan, target_s, bounds=(0.15, 1.5)):
     low, high = bounds
-    if analyzer.analyze(netlist, high).delay_s > target_s:
+    if plan.analyze(high).delay_s > target_s:
         raise OptimizationError("target unreachable at max V_DD")
     for _ in range(48):
         mid = 0.5 * (low + high)
-        if analyzer.analyze(netlist, mid).delay_s > target_s:
+        if plan.analyze(mid).delay_s > target_s:
             low = mid
         else:
             high = mid
@@ -44,15 +44,16 @@ def _clock_energy_per_cycle(netlist, technology, vdd):
 
 def generate_ablation():
     technology = soi_low_vt()
-    analyzer = StaticTimingAnalyzer(technology)
     designs = {s: pipelined_adder(WIDTH, s) for s in STAGES}
+    plans = {s: NetlistPlan(design, technology) for s, design in designs.items()}
 
     # Throughput target: the combinational adder's speed at 1 V.
-    target = analyzer.analyze(designs[1], 1.0).delay_s
+    target = plans[1].analyze(1.0).delay_s
 
     rows = {}
     for stages, netlist in designs.items():
-        vdd = 1.0 if stages == 1 else _solve_vdd(analyzer, netlist, target)
+        plan = plans[stages]
+        vdd = 1.0 if stages == 1 else _solve_vdd(plan, target)
         stimulus = random_bus_vectors(
             {"a": WIDTH, "b": WIDTH}, VECTORS, seed=1996
         )
@@ -69,7 +70,7 @@ def generate_ablation():
             "gates": len(netlist.instances),
             "registers": len(netlist.registers),
             "vdd": vdd,
-            "cycle": analyzer.analyze(netlist, vdd).delay_s,
+            "cycle": plan.analyze(vdd).delay_s,
             "logic_energy": logic_energy,
             "clock_energy": clock_energy,
             "total_energy": logic_energy + clock_energy,

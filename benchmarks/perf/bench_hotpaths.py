@@ -40,6 +40,12 @@ measurements to ``BENCH_hotpaths.json`` at the repo root:
    the plan-based Fig. 3/4 ``energy_surface`` whose rows are batched
    kernel calls of one decoded corner plan.  Grids must be
    bit-identical; the acceptance target is a >=3x speedup.
+8. **Module timing** — the module optimizer's ``optimum`` on the 8-bit
+   ripple adder at three utilizations, through one decoded
+   :class:`~repro.circuits.plan.NetlistPlan` vs the per-pin,
+   per-instance chain (static timing at every probe, the test-only
+   oracle in ``tests/power/module_oracle.py``).  Optima must be
+   bit-identical.
 
 Usage::
 
@@ -69,6 +75,7 @@ from repro.device.technology import soi_low_vt, soias_technology
 from repro.power.energy import ModuleEnergyParameters
 from repro.power.optimizer import (
     FixedThroughputOptimizer,
+    ModuleThroughputOptimizer,
     RingOscillatorModel,
     VariationSpec,
 )
@@ -535,7 +542,67 @@ def bench_surface(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 8. Observability snapshot (instrumented rerun of small workloads)
+# 8. Module timing: one decoded netlist plan vs the per-instance chain
+# ----------------------------------------------------------------------
+#: The module-optimum ablation's utilizations.
+MODULE_UTILIZATIONS = (1.0, 0.1, 0.02)
+
+
+def bench_module_timing(quick: bool) -> dict:
+    # The per-instance chain is a test-only oracle, imported from tests/.
+    sys.path.insert(0, str(REPO_ROOT))
+    from tests.power.module_oracle import PerInstanceModule
+
+    technology = soi_low_vt()
+    width = 4 if quick else 8
+    adder = ripple_carry_adder(width)
+    report = SwitchLevelSimulator(adder, technology, 1.0).run_vectors(
+        random_bus_vectors({"a": width, "b": width}, 80, seed=1996)
+    )
+    base_vt = technology.transistors.nmos.vt0
+
+    def planned():
+        optimizer = ModuleThroughputOptimizer(adder, technology, report)
+        target = 3.0 * optimizer.delay(1.0, base_vt)
+        return [
+            optimizer.optimum(target, utilization=utilization)
+            for utilization in MODULE_UTILIZATIONS
+        ]
+
+    def chain():
+        oracle = PerInstanceModule(adder, technology, report)
+        target = 3.0 * oracle.delay(1.0, 0.0)
+        return [
+            oracle.optimum(
+                target,
+                ModuleThroughputOptimizer._VT_BOUNDS,
+                ModuleThroughputOptimizer._TOLERANCE,
+                utilization,
+            )
+            for utilization in MODULE_UTILIZATIONS
+        ]
+
+    # Each call builds its optimizer (and plan) or its oracle afresh;
+    # the fastest of a few calls per side.
+    repeats = 1 if quick else 3
+    planned_optima, planned_seconds = _best_of(repeats, planned)
+    chain_optima, chain_seconds = _best_of(repeats, chain)
+    return {
+        "circuit": adder.name,
+        "utilizations": list(MODULE_UTILIZATIONS),
+        "optima": [
+            {"vt": p.vt, "vdd": p.vdd, "energy_j": p.energy_per_cycle_j}
+            for p in planned_optima
+        ],
+        "chain_seconds": chain_seconds,
+        "plan_seconds": planned_seconds,
+        "speedup": chain_seconds / planned_seconds,
+        "identical": planned_optima == chain_optima,
+    }
+
+
+# ----------------------------------------------------------------------
+# 9. Observability snapshot (instrumented rerun of small workloads)
 # ----------------------------------------------------------------------
 def _bench_grid_module() -> ModuleEnergyParameters:
     """A representative datapath module (Fig. 10 operating regime)."""
@@ -595,6 +662,7 @@ def run(quick: bool) -> dict:
         "variation": bench_variation(quick),
         "yield_optimum": bench_yield_optimum(quick),
         "surface": bench_surface(quick),
+        "module_timing": bench_module_timing(quick),
         "observability": bench_observability(),
     }
     return results
@@ -625,6 +693,7 @@ def main(argv=None) -> int:
     var = results["variation"]
     yld = results["yield_optimum"]
     surf = results["surface"]
+    module = results["module_timing"]
     print(f"wrote {args.out}")
     for circuit in sim["circuits"]:
         print(
@@ -674,6 +743,12 @@ def main(argv=None) -> int:
         f"{surf['grid'][0]}x{surf['grid'][1]} (V_T, V_DD) grid, "
         f"identical={surf['identical']})"
     )
+    print(
+        f"module timing   {module['speedup']:6.2f}x  "
+        f"({module['chain_seconds']:.2f} -> {module['plan_seconds']:.2f} s "
+        f"for {len(module['utilizations'])} optima on {module['circuit']}, "
+        f"identical={module['identical']})"
+    )
     n_counters = len(results["observability"]["counters"])
     n_timers = len(results["observability"]["timers"])
     print(
@@ -692,6 +767,7 @@ def main(argv=None) -> int:
         and var["identical"]
         and yld["identical"]
         and surf["identical"]
+        and module["identical"]
     )
     if not ok:
         print("ERROR: fast paths diverged from reference", file=sys.stderr)

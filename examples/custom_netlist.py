@@ -17,8 +17,8 @@ import pathlib
 import random
 
 from repro import (
+    NetlistPlan,
     PowerEstimator,
-    StaticTimingAnalyzer,
     SwitchLevelSimulator,
     format_table,
     soi_low_vt,
@@ -48,10 +48,10 @@ def main():
     assert totals == [0, 3, 6, 9, 12, 15]
 
     # 2. Timing.
-    analyzer = StaticTimingAnalyzer(technology)
-    cycle = analyzer.min_cycle_time(netlist, VDD)
+    plan = NetlistPlan(netlist, technology)
+    cycle = plan.min_cycle_time(VDD)
     print(
-        f"Critical path {analyzer.analyze(netlist, VDD).delay_s:.3e} s -> "
+        f"Critical path {plan.analyze(VDD).delay_s:.3e} s -> "
         f"max clock {1.0 / cycle / 1e6:.0f} MHz at {VDD} V"
     )
 

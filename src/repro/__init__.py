@@ -97,7 +97,7 @@ _lazy_namespace(globals(), {
     ".tech.library": ("CellLibrary",),
     ".tech.cells": ("standard_cells", "register_styles"),
     ".circuits.netlist": ("Netlist",),
-    ".circuits.timing": ("StaticTimingAnalyzer",),
+    ".circuits.plan": ("NetlistPlan",),
     ".circuits.dc": ("InverterDcAnalysis", "NoiseMargins"),
     ".circuits.builders.adder": ("ripple_carry_adder", "carry_select_adder"),
     ".circuits.builders.shifter": ("barrel_shifter",),

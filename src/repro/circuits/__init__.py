@@ -12,7 +12,7 @@ from repro import _lazy_namespace
 
 _lazy_namespace(globals(), {
     ".netlist": ("Instance", "Netlist"),
-    ".timing": ("CriticalPath", "StaticTimingAnalyzer"),
+    ".plan": ("CriticalPath", "NetlistPlan"),
     ".dc": ("InverterDcAnalysis", "NoiseMargins"),
     ".io": ("write_netlist", "parse_netlist", "save_netlist", "load_netlist"),
     ".builders.adder": ("ripple_carry_adder", "carry_select_adder"),

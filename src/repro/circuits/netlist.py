@@ -5,9 +5,11 @@ string-named nets.  It supports:
 
 * structural queries (drivers, fanout, levelization),
 * zero-delay functional evaluation (the reference model the
-  event-driven simulator is checked against),
-* per-net capacitance extraction against a technology, which is what
-  turns switch-level activity counts into switched capacitance.
+  event-driven simulator is checked against).
+
+Its electrical view (per-net capacitance, gate delays, static timing
+and leakage) is a :class:`~repro.circuits.plan.NetlistPlan` decoded
+from it.
 
 Cycles are allowed structurally (ring oscillators need them) but
 rejected by :meth:`Netlist.levelize` and functional evaluation.
@@ -24,16 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.device.technology import Technology
 from repro.errors import NetlistError
 from repro.tech.cells import Cell
 
 __all__ = ["Instance", "Register", "Netlist"]
-
-#: Device widths assumed for a register's D-pin load (one
-#: inverter-equivalent gate).
-_REGISTER_D_NMOS_UM = 2.0
-_REGISTER_D_PMOS_UM = 4.0
 
 
 @dataclass(frozen=True)
@@ -408,59 +404,6 @@ class Netlist:
                 raise NetlistError(f"no net {net!r} in {self.name!r}")
             result |= values[net] << i
         return result
-
-    # ------------------------------------------------------------------
-    # Electrical extraction
-    # ------------------------------------------------------------------
-    def net_capacitance(
-        self,
-        net: str,
-        technology: Technology,
-        vdd: float,
-        wire_length_per_fanout_um: float = 5.0,
-    ) -> float:
-        """Total switched capacitance attached to a net [F].
-
-        Sum of the input capacitance of every load pin, the driving
-        cell's output (junction) capacitance, and an estimated wire
-        length proportional to fanout.  This is the C of Eq. 1 that the
-        activity numbers multiply.
-        """
-        loads = self.fanout(net)
-        capacitance = sum(
-            instance.cell.input_capacitance(technology, vdd)
-            for instance, _ in loads
-        )
-        register_loads = self.register_fanout(net)
-        if register_loads:
-            length = technology.drawn_length_um
-            d_pin = technology.gate_cap.gate_capacitance(
-                _REGISTER_D_NMOS_UM, length, vdd
-            ) + technology.gate_cap.gate_capacitance(
-                _REGISTER_D_PMOS_UM, length, vdd
-            )
-            capacitance += len(register_loads) * d_pin
-        driver = self.driver(net)
-        if driver is not None:
-            capacitance += driver.cell.output_capacitance(technology, vdd)
-        total_fanout = len(loads) + len(register_loads)
-        wire_length = wire_length_per_fanout_um * max(total_fanout, 1)
-        capacitance += technology.wire_cap.wire_capacitance(wire_length)
-        return capacitance
-
-    def total_capacitance(
-        self,
-        technology: Technology,
-        vdd: float,
-        wire_length_per_fanout_um: float = 5.0,
-    ) -> float:
-        """Sum of :meth:`net_capacitance` over all internal+output nets."""
-        return sum(
-            self.net_capacitance(
-                net, technology, vdd, wire_length_per_fanout_um
-            )
-            for net in self.nets()
-        )
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import FrozenSet, Optional
 
 from repro.circuits.netlist import Netlist
-from repro.circuits.timing import StaticTimingAnalyzer
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import Technology
 from repro.errors import OptimizationError
-from repro.tech.characterize import CellCharacterizer
 
 __all__ = ["DualVtAssignment", "DualVtOptimizer"]
 
@@ -93,36 +92,21 @@ class DualVtOptimizer:
         self.technology = technology
         self.vdd = vdd
         self.high_vt_shift = high_vt_shift
-        self._analyzer = StaticTimingAnalyzer(
-            technology, wire_length_per_fanout_um
+        self._plan = NetlistPlan(
+            netlist, technology, wire_length_per_fanout_um
         )
-        self._characterizer = CellCharacterizer(technology)
-        self._leakage_cache: Dict = {}
 
     # ------------------------------------------------------------------
     def leakage(self, assignment: Optional[FrozenSet[str]] = None) -> float:
         """Netlist leakage current for a high-V_T gate set [A]."""
-        assignment = assignment or frozenset()
-        total = 0.0
-        for name, instance in self.netlist.instances.items():
-            shift = self.high_vt_shift if name in assignment else 0.0
-            key = (instance.cell.name, shift)
-            if key not in self._leakage_cache:
-                self._leakage_cache[key] = (
-                    self._characterizer.leakage_current(
-                        instance.cell, self.vdd, vt_shift=shift
-                    )
-                )
-            total += self._leakage_cache[key]
+        shifts = dict.fromkeys(assignment or (), self.high_vt_shift)
+        (total,) = self._plan.leakage_currents(self.vdd, (0.0,), shifts)
         return total
 
     def delay(self, assignment: Optional[FrozenSet[str]] = None) -> float:
         """Critical-path delay for a high-V_T gate set [s]."""
-        shifts = {
-            name: self.high_vt_shift for name in (assignment or frozenset())
-        }
-        return self._analyzer.analyze(
-            self.netlist, self.vdd, per_instance_vt_shifts=shifts
+        return self._plan.analyze(
+            self.vdd, 0.0, dict.fromkeys(assignment or (), self.high_vt_shift)
         ).delay_s
 
     # ------------------------------------------------------------------
@@ -148,12 +132,9 @@ class DualVtOptimizer:
 
         assignment: set = set()
         for _ in range(max_passes):
-            shifts = {name: self.high_vt_shift for name in assignment}
-            slacks = self._analyzer.slacks(
-                self.netlist,
-                self.vdd,
-                per_instance_vt_shifts=shifts,
-                required_time_s=target,
+            shifts = dict.fromkeys(assignment, self.high_vt_shift)
+            slacks = self._plan.slacks(
+                self.vdd, per_instance_vt_shifts=shifts, required_time_s=target
             )
             candidates = sorted(
                 (

@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.circuits.netlist import Netlist
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import Technology
 from repro.errors import AnalysisError
 from repro.switchsim.activity import ActivityReport
-from repro.tech.characterize import CellCharacterizer
 
 __all__ = [
     "ModuleEnergyParameters",
@@ -288,18 +288,13 @@ def module_parameters_from_activity(
     switched = report.switched_capacitance(
         netlist, technology, vdd, wire_length_per_fanout_um
     )
-    characterizer = CellCharacterizer(technology)
-    leak_low = 0.0
-    leak_high = 0.0
+    plan = NetlistPlan(netlist, technology, wire_length_per_fanout_um)
+    leak_low, leak_high = plan.leakage_currents(
+        vdd, (active_vt_shift, standby_vt_shift)
+    )
     gate_area_um2 = 0.0
     for instance in netlist.instances.values():
         cell = instance.cell
-        leak_low += characterizer.leakage_current(
-            cell, vdd, vt_shift=active_vt_shift
-        )
-        leak_high += characterizer.leakage_current(
-            cell, vdd, vt_shift=standby_vt_shift
-        )
         device_width = (
             cell.nmos_count * cell.input_nmos_width_um
             + cell.pmos_count * cell.input_pmos_width_um

@@ -9,16 +9,19 @@ leakage (summed per cell with the stack effect).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.circuits.netlist import Netlist
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import Technology
 from repro.errors import AnalysisError
 from repro.power.components import PowerBreakdown
 from repro.switchsim.activity import ActivityReport
-from repro.tech.characterize import CellCharacterizer
+from repro.tech.cells import standard_cells
 
 __all__ = ["PowerEstimator"]
+
+_INVERTER = standard_cells()["INV"]
 
 
 class PowerEstimator:
@@ -34,7 +37,7 @@ class PowerEstimator:
         self.netlist = netlist
         self.technology = technology
         self.wire_length_per_fanout_um = wire_length_per_fanout_um
-        self._characterizer = CellCharacterizer(technology)
+        self.plan = NetlistPlan(netlist, technology, wire_length_per_fanout_um)
 
     # ------------------------------------------------------------------
     # Components
@@ -54,12 +57,8 @@ class PowerEstimator:
         """Total subthreshold leakage of the netlist [A]."""
         if vdd <= 0.0:
             raise AnalysisError("vdd must be positive")
-        return sum(
-            self._characterizer.leakage_current(
-                instance.cell, vdd, vt_shift=vt_shift
-            )
-            for instance in self.netlist.instances.values()
-        )
+        (total,) = self.plan.leakage_currents(vdd, (vt_shift,))
+        return total
 
     def leakage_power(self, vdd: float, vt_shift: float = 0.0) -> float:
         """Static power of the netlist [W]."""
@@ -75,16 +74,19 @@ class PowerEstimator:
         under which the paper bounds this term below ~10 %.
         """
         self._check(vdd, frequency_hz)
+        transition_times = self._input_transition_times(vdd)
+        characterizer = self.plan.characterizer
         total_energy = 0.0
-        for instance in self.netlist.instances.values():
+        for instance, driver_delay in zip(
+            self.plan.instances, transition_times
+        ):
             transitions = sum(
                 report.rising.get(net, 0) + report.falling.get(net, 0)
                 for net in instance.inputs
             ) / report.cycles
             if transitions == 0.0:
                 continue
-            driver_delay = self._input_transition_time(instance, vdd)
-            energy = self._characterizer.short_circuit_energy(
+            energy = characterizer.short_circuit_energy(
                 instance.cell, vdd, 0.0, driver_delay
             )
             total_energy += energy * transitions
@@ -106,24 +108,16 @@ class PowerEstimator:
             leakage_w=self.leakage_power(vdd, vt_shift),
         )
 
-    # ------------------------------------------------------------------
-    def _input_transition_time(self, instance, vdd: float) -> float:
-        driver = self.netlist.driver(instance.inputs[0])
-        if driver is None:
-            # Primary input: assume an inverter-quality edge.
-            from repro.tech.cells import standard_cells
-
-            inverter = standard_cells()["INV"]
-            return self._characterizer.propagation_delay(
-                inverter, vdd, 10e-15
-            )
-        load = self.netlist.net_capacitance(
-            driver.output, self.technology, vdd,
-            self.wire_length_per_fanout_um,
-        )
-        return self._characterizer.propagation_delay(
-            driver.cell, vdd, load
-        )
+    def _input_transition_times(self, vdd: float) -> List[float]:
+        """Each gate's input transition time [s], in netlist order: the
+        delay of the gate driving its first input, or of an inverter
+        driving 10 fF for a primary input (an inverter-quality edge)."""
+        plan = self.plan
+        delays = plan.gate_delays(vdd)
+        edge = plan.characterizer.propagation_delay(_INVERTER, vdd, 10e-15)
+        firsts = (plan.net_ids[i.inputs[0]] for i in plan.instances)
+        drivers = [plan.drivers[net] for net in firsts]
+        return [edge if k is None else delays[k] for k in drivers]
 
     @staticmethod
     def _check(vdd: float, frequency_hz: float) -> None:

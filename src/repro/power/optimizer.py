@@ -112,24 +112,6 @@ def _check_time(name: str, seconds: float) -> None:
         )
 
 
-def _percentile(values: Sequence[float], p: float) -> float:
-    """Linear-interpolated percentile, p in [0, 100].
-
-    Replicates :meth:`repro.analysis.variation.Distribution.percentile`
-    exactly (same order statistics, same interpolation).  It is the
-    full-vector percentile that
-    :meth:`ThroughputOptimizer._percentile_delays` reads from two order
-    statistics, float for float, so yield solves agree bit-for-bit with
-    the Monte-Carlo analyzer's view of the same samples.
-    """
-    ordered = sorted(values)
-    position = p / 100.0 * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
-
 @dataclass(frozen=True)
 class VariationSpec:
     """Statistical corner description for yield-constrained optimization.
@@ -478,8 +460,9 @@ class ThroughputOptimizer:
         sorted delay vector is the delay at the *sorted shift vector*.
         The percentile therefore needs only the two bracketing shift
         order statistics, two queries per lane instead of
-        ``n_samples``, and equals :func:`_percentile` of the full
-        vector exactly.  Both order statistics of every lane go to
+        ``n_samples``, and equals the full vector's
+        :meth:`~repro.analysis.variation.Distribution.percentile`
+        exactly.  Both order statistics of every lane go to
         one :meth:`_delays` call.
         """
         count = len(vts)
@@ -924,16 +907,15 @@ class ModuleThroughputOptimizer(ThroughputOptimizer):
         wire_length_per_fanout_um: float = 5.0,
         variation: Optional[VariationSpec] = None,
     ):
-        from repro.circuits.timing import StaticTimingAnalyzer
+        from repro.circuits.plan import NetlistPlan
 
         super().__init__(technology, variation)
         netlist.validate()
         self.netlist = netlist
         self.report = activity_report
-        self._analyzer = StaticTimingAnalyzer(
-            technology, wire_length_per_fanout_um
+        self._plan = NetlistPlan(
+            netlist, technology, wire_length_per_fanout_um
         )
-        self._characterizer = CellCharacterizer(technology)
         self._base_vt = technology.transistors.nmos.vt0
         self._wire = wire_length_per_fanout_um
 
@@ -946,19 +928,14 @@ class ModuleThroughputOptimizer(ThroughputOptimizer):
         self, vts: Sequence[float], shifts: Sequence[float],
         vdds: Sequence[float], records: dict,
     ) -> List[float]:
-        # One static-timing run per query, at the global shift from the
-        # base threshold, each counted as one ``optimizer.delay_probes``.
-        analyze, netlist, base_vt = (
-            self._analyzer.analyze, self.netlist, self._base_vt
+        # One plan call for the round, at the global shifts from the base
+        # threshold; each query counts as one ``optimizer.delay_probes``.
+        if obs.ENABLED:
+            obs.incr("optimizer.delay_probes", len(vts))
+        base_vt = self._base_vt
+        return self._plan.critical_delays(
+            vdds, [(vt - base_vt) + shift for vt, shift in zip(vts, shifts)]
         )
-        out = []
-        for vt, shift, vdd in zip(vts, shifts, vdds):
-            if obs.ENABLED:
-                obs.incr("optimizer.delay_probes")
-            out.append(
-                analyze(netlist, vdd, vt_shift=(vt - base_vt) + shift).delay_s
-            )
-        return out
 
     def energy_per_operation(
         self, vdd: float, vt: float, operation_time_s: float
@@ -981,18 +958,8 @@ class ModuleThroughputOptimizer(ThroughputOptimizer):
         self, vdd: float, vt: float, shifts: Sequence[float]
     ) -> List[float]:
         # One CornerPlan.leakages call per distinct cell over the whole
-        # shift vector.  Each total adds its instances in netlist order,
-        # so it is the very float the per-instance sum of
-        # PowerEstimator.leakage_current gives at that shift.
+        # shift vector, summed per instance in netlist order.
         base = vt - self._base_vt
-        corner_shifts = [base + shift for shift in shifts]
-        vdds = (vdd,) * len(corner_shifts)
-        per_cell = {}
-        columns = []
-        for instance in self.netlist.instances.values():
-            cell = instance.cell
-            if cell not in per_cell:
-                plan = self._characterizer.corner_plan(cell)
-                per_cell[cell] = plan.leakages(vdds, corner_shifts)
-            columns.append(per_cell[cell])
-        return [sum(total) for total in zip(*columns)]
+        return self._plan.leakage_currents(
+            vdd, [base + shift for shift in shifts]
+        )

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.circuits.netlist import Netlist
-from repro.circuits.timing import StaticTimingAnalyzer
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import Technology
 from repro.errors import OptimizationError
-from repro.tech.characterize import CellCharacterizer
 
 __all__ = ["SizingSolution", "GateSizingOptimizer"]
 
@@ -88,38 +87,29 @@ class GateSizingOptimizer:
         self.technology = technology
         self.vdd = vdd
         self.allowed_factors = tuple(sorted(allowed_factors))
-        self._analyzer = StaticTimingAnalyzer(
-            technology, wire_length_per_fanout_um
+        self._plan = NetlistPlan(
+            netlist, technology, wire_length_per_fanout_um
         )
-        self._characterizer = CellCharacterizer(technology)
 
     # ------------------------------------------------------------------
     def delay(self, sizes: Optional[Mapping[str, float]] = None) -> float:
         """Critical path under a sizing [s]."""
-        return self._analyzer.analyze(
-            self.netlist, self.vdd, per_instance_size_factors=sizes or {}
+        return self._plan.analyze(
+            self.vdd, per_instance_size_factors=sizes
         ).delay_s
 
     def total_input_capacitance(
         self, sizes: Optional[Mapping[str, float]] = None
     ) -> float:
         """Sum of (sized) input capacitances — the switching-cost proxy."""
-        sizes = sizes or {}
-        return sum(
-            instance.cell.input_capacitance(self.technology, self.vdd)
-            * instance.cell.n_inputs
-            * sizes.get(name, 1.0)
-            for name, instance in self.netlist.instances.items()
-        )
+        return self._plan.total_input_capacitance(self.vdd, sizes)
 
     def leakage(self, sizes: Optional[Mapping[str, float]] = None) -> float:
         """Netlist leakage under a sizing [A] (linear in width)."""
-        sizes = sizes or {}
-        return sum(
-            self._characterizer.leakage_current(instance.cell, self.vdd)
-            * sizes.get(name, 1.0)
-            for name, instance in self.netlist.instances.items()
+        (total,) = self._plan.leakage_currents(
+            self.vdd, (0.0,), per_instance_size_factors=sizes
         )
+        return total
 
     # ------------------------------------------------------------------
     def optimize(self, delay_budget: float = 1.0) -> SizingSolution:
@@ -132,9 +122,7 @@ class GateSizingOptimizer:
         target = baseline_delay * delay_budget
         sizes: Dict[str, float] = {}
 
-        slacks = self._analyzer.slacks(
-            self.netlist, self.vdd, required_time_s=target
-        )
+        slacks = self._plan.slacks(self.vdd, required_time_s=target)
         candidates = sorted(
             self.netlist.instances, key=lambda n: slacks[n], reverse=True
         )

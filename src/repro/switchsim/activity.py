@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.netlist import Netlist
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import Technology
 from repro.errors import ProfileError
 
@@ -133,15 +134,9 @@ class ActivityReport:
                 f"report is for {self.netlist_name!r}, not "
                 f"{netlist.name!r}"
             )
-        total = 0.0
-        for net in self.rising:
-            if self.rising[net] == 0:
-                continue
-            capacitance = netlist.net_capacitance(
-                net, technology, vdd, wire_length_per_fanout_um
-            )
-            total += self.alpha(net) * capacitance
-        return total
+        alphas = {n: c / self.cycles for n, c in self.rising.items() if c}
+        plan = NetlistPlan(netlist, technology, wire_length_per_fanout_um)
+        return plan.switched_capacitance(alphas, vdd)
 
     def switching_energy_per_cycle(
         self,

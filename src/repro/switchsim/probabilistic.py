@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Union
 
 from repro.circuits.netlist import Netlist
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import Technology
 from repro.errors import ProfileError
 
@@ -75,13 +76,9 @@ class ProbabilisticActivity:
                 f"activity is for {self.netlist_name!r}, not "
                 f"{netlist.name!r}"
             )
-        return sum(
-            self.alpha(net)
-            * netlist.net_capacitance(
-                net, technology, vdd, wire_length_per_fanout_um
-            )
-            for net in self.p_one
-        )
+        alphas = {net: self.alpha(net) for net in self.p_one}
+        plan = NetlistPlan(netlist, technology, wire_length_per_fanout_um)
+        return plan.switched_capacitance(alphas, vdd)
 
     def _check(self, net: str) -> None:
         if net not in self.p_one:

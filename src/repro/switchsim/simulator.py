@@ -1,9 +1,9 @@
 """Event-driven gate-level simulator with inertial delays.
 
-Each gate's propagation delay is derived from the cell characterizer at
-the simulation corner, with the load extracted from the netlist — so
-heavily loaded nets are slower, carry chains straggle, and the sum XORs
-of a ripple adder glitch exactly as the paper's IRSIM runs showed.
+Each gate's propagation delay is its :class:`~repro.circuits.plan.
+NetlistPlan` delay at the simulation corner (every load pin and wire
+counted) — so heavily loaded nets are slower, carry chains straggle,
+and the sum XORs of a ripple adder glitch as the paper's IRSIM showed.
 
 The simulator exposes two levels of use:
 
@@ -14,10 +14,10 @@ The simulator exposes two levels of use:
 
 Every entry point runs one indexed event kernel:
 
-* **Decoded loads.** Nets and gates are integers.  Each net carries one
-  ``(gate, pin weight, output net, delay, table)`` entry per gate it
-  drives; a gate that takes the net on several pins gets one entry
-  whose weight sums those pins.
+* **Decoded loads.** Nets and gates are the plan's integers.  Each net
+  carries one ``(gate, pin weight, output net, delay, table)`` entry
+  per gate it drives; a gate that takes the net on several pins gets
+  one entry whose weight sums those pins.
 * **Three-valued gate tables.** Each cell type has one table indexed in
   base 3, digit ``i`` being input ``i``'s value (0, 1, or 2 for
   unknown), built from :meth:`Cell.evaluate`.  Every gate keeps its
@@ -38,11 +38,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.circuits.netlist import Netlist
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import Technology
 from repro.errors import SimulationError
 from repro.switchsim.activity import ActivityReport
 from repro.tech.cells import Cell
-from repro.tech.characterize import CellCharacterizer
 
 __all__ = ["SwitchLevelSimulator"]
 
@@ -94,39 +94,19 @@ class SwitchLevelSimulator:
         self.vt_shift = vt_shift
         self.wire_length_per_fanout_um = wire_length_per_fanout_um
 
-        names = netlist.nets()
-        ids = {name: i for i, name in enumerate(names)}
-        instances = list(netlist.instances.values())
-        gate = {instance.name: k for k, instance in enumerate(instances)}
-        fanouts = [
-            [(gate[instance.name], pin) for instance, pin in netlist.fanout(name)]
-            for name in names
-        ]
-        pin_cap: Dict[int, float] = {}
-        tables: Dict[int, Tuple[int, ...]] = {}
-        for instance in instances:
-            cell = instance.cell
-            if id(cell) not in tables:
-                pin_cap[id(cell)] = cell.input_capacitance(technology, vdd)
-                tables[id(cell)] = _ternary_table(cell)
-        self._outs = [ids[instance.output] for instance in instances]
-        self._tables = [tables[id(instance.cell)] for instance in instances]
-
-        # An output's external load: its pins' input capacitance summed
-        # in fanout order, plus the wire.
-        caps = [pin_cap[id(instance.cell)] for instance in instances]
-        characterizer = CellCharacterizer(technology)
-        wire = technology.wire_cap
+        plan = NetlistPlan(netlist, technology, wire_length_per_fanout_um)
+        names = plan.nets
+        ids = plan.net_ids
+        instances = plan.instances
+        fanouts = plan.fanout
+        tables = [_ternary_table(cell) for cell in plan.cells]
+        self._outs = plan.gate_outputs
+        self._tables = [tables[c] for c in plan.gate_cells]
         self._delay_fs: Dict[str, int] = {}
         self._delays: List[int] = []
-        for instance, out in zip(instances, self._outs):
-            fanout = fanouts[out]
-            external = sum([caps[k] for k, _ in fanout]) + wire.wire_capacitance(
-                wire_length_per_fanout_um * max(len(fanout), 1)
-            )
-            delay_s = characterizer.propagation_delay(
-                instance.cell, vdd, external, vt_shift
-            )
+        for instance, delay_s in zip(
+            instances, plan.gate_delays(vdd, vt_shift)
+        ):
             delay_fs = max(int(delay_s * _FS_PER_S), 1)
             self._delay_fs[instance.name] = delay_fs
             self._delays.append(delay_fs)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.circuits.netlist import Netlist
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import soi_low_vt
 from repro.errors import NetlistError
 from repro.tech.cells import standard_cells
@@ -149,32 +150,32 @@ class TestEvaluation:
 
 class TestCapacitance:
     def test_net_capacitance_positive(self, inverter_chain):
-        tech = soi_low_vt()
-        for net in inverter_chain.nets():
-            assert inverter_chain.net_capacitance(net, tech, 1.0) > 0.0
+        plan = NetlistPlan(inverter_chain, soi_low_vt())
+        capacitance = plan.net_capacitances(1.0)
+        assert list(capacitance) == inverter_chain.nets()
+        assert all(c > 0.0 for c in capacitance.values())
 
     def test_fanout_increases_capacitance(self, cells):
         tech = soi_low_vt()
         netlist = Netlist("fan")
         netlist.add_input("x")
         netlist.add_gate(cells["INV"], ["x"], "y")
-        single = netlist.net_capacitance("x", tech, 1.0)
+        single = NetlistPlan(netlist, tech).net_capacitances(1.0)["x"]
         netlist.add_gate(cells["INV"], ["x"], "z")
-        double = netlist.net_capacitance("x", tech, 1.0)
+        double = NetlistPlan(netlist, tech).net_capacitances(1.0)["x"]
         assert double > single
 
-    def test_total_capacitance_sums_nets(self, inverter_chain):
-        tech = soi_low_vt()
-        total = inverter_chain.total_capacitance(tech, 1.0)
-        parts = sum(
-            inverter_chain.net_capacitance(net, tech, 1.0)
-            for net in inverter_chain.nets()
+    def test_switched_capacitance_sums_nets(self, inverter_chain):
+        plan = NetlistPlan(inverter_chain, soi_low_vt())
+        capacitance = plan.net_capacitances(1.0)
+        every_net_once = dict.fromkeys(capacitance, 1.0)
+        assert plan.switched_capacitance(every_net_once, 1.0) == sum(
+            capacitance.values()
         )
-        assert total == pytest.approx(parts)
 
     def test_capacitance_grows_with_vdd(self, inverter_chain):
         # The Fig. 1 non-linearity propagates to net extraction.
-        tech = soi_low_vt()
-        low = inverter_chain.net_capacitance("mid", tech, 0.8)
-        high = inverter_chain.net_capacitance("mid", tech, 1.8)
+        plan = NetlistPlan(inverter_chain, soi_low_vt())
+        low = plan.net_capacitances(0.8)["mid"]
+        high = plan.net_capacitances(1.8)["mid"]
         assert high > low

@@ -6,7 +6,7 @@ import pytest
 
 from repro.circuits.builders import pipelined_adder, ripple_carry_adder
 from repro.circuits.netlist import Netlist, Register
-from repro.circuits.timing import StaticTimingAnalyzer
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import soi_low_vt
 from repro.errors import NetlistError, SimulationError
 from repro.switchsim.simulator import SwitchLevelSimulator
@@ -74,12 +74,12 @@ class TestRegisterStructure:
 
     def test_d_pin_adds_capacitance(self, toggler):
         tech = soi_low_vt()
-        with_register = toggler.net_capacitance("d", tech, 1.0)
+        with_register = NetlistPlan(toggler, tech).net_capacitances(1.0)["d"]
         bare = Netlist("bare")
         bare.add_input("en")
         cells = standard_cells()
         bare.add_gate(cells["INV"], ["en"], "d")
-        without = bare.net_capacitance("d", tech, 1.0)
+        without = NetlistPlan(bare, tech).net_capacitances(1.0)["d"]
         assert with_register > without
 
 
@@ -140,9 +140,10 @@ class TestPipelinedAdder:
         assert not pipelined_adder(8, 1).is_sequential
 
     def test_deeper_pipelines_cut_the_cycle_time(self):
-        analyzer = StaticTimingAnalyzer(soi_low_vt())
         times = [
-            analyzer.analyze(pipelined_adder(16, s), 1.0).delay_s
+            NetlistPlan(pipelined_adder(16, s), soi_low_vt()).analyze(
+                1.0
+            ).delay_s
             for s in (1, 2, 4)
         ]
         assert times[0] > 1.7 * times[1] > 1.7 * 1.7 * times[2] / 1.7

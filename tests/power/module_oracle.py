@@ -1,29 +1,29 @@
 """Per-instance module chain: the test-only oracle for the module optimizer.
 
-:class:`~repro.power.optimizer.ModuleThroughputOptimizer` prices a
-module's leakage with one corner-plan call per distinct cell over a
-whole shift vector, and takes a yield percentile from the two
-bracketing shift order statistics.  :class:`PerInstanceModule` is the
-chain those shortcuts replace: one :meth:`PowerEstimator.leakage_current
-<repro.power.estimator.PowerEstimator.leakage_current>` call per shift
-(one memoized characterizer leakage per instance), static timing at
-every sample and :func:`~repro.power.optimizer._percentile` of the full
-delay vector.  The optimizer's locus points, sweeps and optima must
-match it bit for bit.
+:class:`~repro.power.optimizer.ModuleThroughputOptimizer` times and
+prices a module through one :class:`~repro.circuits.plan.NetlistPlan`:
+loads once per supply, one kernel call per (cell, load) group, one
+leakage call per distinct cell over a whole shift vector, and a yield
+percentile from the two bracketing shift order statistics.
+:class:`PerInstanceModule` is the chain those shortcuts replace, built
+on the per-pin, per-instance oracle in
+``tests/circuits/netlist_oracle.py``: static timing at every sample,
+one memoized characterizer leakage per instance and shift, per-net
+switched capacitance, and the full delay vector's
+:meth:`~repro.analysis.variation.Distribution.percentile`.  The
+optimizer's locus points, sweeps and optima must match it bit for bit.
 """
 
 from __future__ import annotations
 
-from repro.analysis.variation import lognormal_leakage_amplification
-from repro.circuits.timing import StaticTimingAnalyzer
-from repro.errors import OptimizationError
-from repro.power.estimator import PowerEstimator
-from repro.power.optimizer import (
-    OperatingPoint,
-    StatisticalOperatingPoint,
-    _percentile,
+from repro.analysis.variation import (
+    Distribution,
+    lognormal_leakage_amplification,
 )
+from repro.errors import OptimizationError
+from repro.power.optimizer import OperatingPoint, StatisticalOperatingPoint
 from repro.power.search import _bracketed_golden_minimum
+from tests.circuits import netlist_oracle
 from tests.power.supply_oracle import solve_probe_by_probe
 
 
@@ -35,8 +35,10 @@ class PerInstanceModule:
         self.technology = technology
         self.report = report
         self.wire = wire_length_um
-        self.analyzer = StaticTimingAnalyzer(technology, wire_length_um)
-        self.estimator = PowerEstimator(netlist, technology, wire_length_um)
+        self.analyzer = netlist_oracle.StaticTimingAnalyzer(
+            technology, wire_length_um
+        )
+        self.characterizer = self.analyzer.characterizer
         self.base_vt = technology.transistors.nmos.vt0
         self.bounds = (technology.min_vdd, technology.max_vdd)
 
@@ -46,9 +48,13 @@ class PerInstanceModule:
         ).delay_s
 
     def percentile_delay(self, vdd, shift, samples, percentile):
-        return _percentile(
-            [self.delay(vdd, shift + sample) for sample in samples],
-            percentile,
+        return Distribution(
+            tuple(self.delay(vdd, shift + sample) for sample in samples)
+        ).percentile(percentile)
+
+    def leakage_current(self, vdd, shift):
+        return netlist_oracle.leakage_current(
+            self.characterizer, self.netlist, vdd, shift
         )
 
     def solve(self, delay_at, target):
@@ -59,10 +65,19 @@ class PerInstanceModule:
 
     def energy(self, vdd, vt, seconds):
         shift = vt - self.base_vt
-        switching = self.report.switching_energy_per_cycle(
-            self.netlist, self.technology, vdd, self.wire
+        alphas = {
+            net: self.report.alpha(net)
+            for net, count in self.report.rising.items()
+            if count
+        }
+        switching = (
+            netlist_oracle.switched_capacitance(
+                self.netlist, alphas, self.technology, vdd, self.wire
+            )
+            * vdd
+            * vdd
         )
-        leakage = self.estimator.leakage_current(vdd, shift) * vdd * seconds
+        leakage = self.leakage_current(vdd, shift) * vdd * seconds
         return OperatingPoint(
             vt=vt,
             vdd=vdd,
@@ -86,7 +101,7 @@ class PerInstanceModule:
         )
         nominal = self.energy(vdd, vt, seconds)
         currents = [
-            self.estimator.leakage_current(vdd, shift + sample)
+            self.leakage_current(vdd, shift + sample)
             for sample in samples
         ]
         mean = sum(currents) / len(currents)
@@ -103,7 +118,7 @@ class PerInstanceModule:
                 vdd, shift, samples, percentile
             ),
             leakage_amplification=(
-                mean / self.estimator.leakage_current(vdd, shift)
+                mean / self.leakage_current(vdd, shift)
             ),
             lognormal_amplification=lognormal_leakage_amplification(
                 variation.vt_sigma,

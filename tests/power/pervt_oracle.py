@@ -13,13 +13,15 @@ bit for bit.
 
 from __future__ import annotations
 
-from repro.analysis.variation import lognormal_leakage_amplification
+from repro.analysis.variation import (
+    Distribution,
+    lognormal_leakage_amplification,
+)
 from repro.errors import OptimizationError
 from repro.power.optimizer import (
     OperatingPoint,
     StatisticalOperatingPoint,
     VariationSpec,
-    _percentile,
 )
 from repro.power.search import _bracketed_golden_minimum
 from repro.tech.cells import standard_cells
@@ -84,13 +86,12 @@ class PerVtRing:
 
     def _percentile_delay(self, corner, vdd, shifts, percentile):
         load = corner._input_capacitance(self.inverter, vdd)
-        return _percentile(
-            [
+        return Distribution(
+            tuple(
                 corner.propagation_delay(self.inverter, vdd, load, shift)
                 for shift in shifts
-            ],
-            percentile,
-        )
+            )
+        ).percentile(percentile)
 
     def solve_vdd_for_yield(
         self, target, vt, percentile, vt_sigma, n_samples, seed

@@ -7,7 +7,7 @@ from repro.circuits.builders import (
     pipelined_adder,
     ripple_carry_adder,
 )
-from repro.circuits.timing import StaticTimingAnalyzer
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import soi_low_vt
 from repro.errors import NetlistError, OptimizationError
 from repro.power.dualvt import DualVtOptimizer
@@ -19,69 +19,63 @@ def tech():
 
 
 @pytest.fixture(scope="module")
-def analyzer(tech):
-    return StaticTimingAnalyzer(tech)
+def plan_of(tech):
+    """Times any netlist through a plan decoded for it."""
+    return lambda netlist: NetlistPlan(netlist, tech)
 
 
 class TestSlacks:
-    def test_critical_gate_has_zero_slack(self, analyzer):
-        netlist = ripple_carry_adder(8)
-        slacks = analyzer.slacks(netlist, 1.0)
+    def test_critical_gate_has_zero_slack(self, plan_of):
+        slacks = plan_of(ripple_carry_adder(8)).slacks(1.0)
         assert min(slacks.values()) == pytest.approx(0.0, abs=1e-15)
 
-    def test_all_slacks_nonnegative_at_default_required(self, analyzer):
-        netlist = carry_select_adder(12, 4)
-        slacks = analyzer.slacks(netlist, 1.0)
+    def test_all_slacks_nonnegative_at_default_required(self, plan_of):
+        slacks = plan_of(carry_select_adder(12, 4)).slacks(1.0)
         assert all(s >= -1e-15 for s in slacks.values())
 
-    def test_looser_required_time_adds_uniform_slack(self, analyzer):
-        netlist = ripple_carry_adder(6)
-        base = analyzer.slacks(netlist, 1.0)
-        critical = analyzer.analyze(netlist, 1.0).delay_s
-        loose = analyzer.slacks(
-            netlist, 1.0, required_time_s=critical * 1.5
-        )
+    def test_looser_required_time_adds_uniform_slack(self, plan_of):
+        plan = plan_of(ripple_carry_adder(6))
+        base = plan.slacks(1.0)
+        critical = plan.analyze(1.0).delay_s
+        loose = plan.slacks(1.0, required_time_s=critical * 1.5)
         for name in base:
             assert loose[name] == pytest.approx(
                 base[name] + 0.5 * critical, rel=1e-6
             )
 
-    def test_slacks_cover_every_instance(self, analyzer):
+    def test_slacks_cover_every_instance(self, plan_of):
         netlist = carry_select_adder(8, 4)
-        slacks = analyzer.slacks(netlist, 1.0)
+        slacks = plan_of(netlist).slacks(1.0)
         assert set(slacks) == set(netlist.instances)
 
-    def test_sequential_endpoints_respected(self, analyzer):
-        netlist = pipelined_adder(8, 2)
-        slacks = analyzer.slacks(netlist, 1.0)
+    def test_sequential_endpoints_respected(self, plan_of):
+        slacks = plan_of(pipelined_adder(8, 2)).slacks(1.0)
         assert min(slacks.values()) == pytest.approx(0.0, abs=1e-15)
 
-    def test_unknown_instance_shift_rejected(self, analyzer):
-        netlist = ripple_carry_adder(4)
+    def test_unknown_instance_shift_rejected(self, plan_of):
+        plan = plan_of(ripple_carry_adder(4))
         with pytest.raises(NetlistError, match="unknown instances"):
-            analyzer.analyze(
-                netlist, 1.0, per_instance_vt_shifts={"ghost": 0.1}
-            )
+            plan.analyze(1.0, per_instance_vt_shifts={"ghost": 0.1})
 
 
 class TestPerInstanceShifts:
-    def test_slowing_off_critical_gate_keeps_delay(self, analyzer):
-        netlist = carry_select_adder(12, 4)
-        slacks = analyzer.slacks(netlist, 1.0)
+    def test_slowing_off_critical_gate_keeps_delay(self, plan_of):
+        plan = plan_of(carry_select_adder(12, 4))
+        slacks = plan.slacks(1.0)
         laziest = max(slacks, key=slacks.get)
-        base = analyzer.analyze(netlist, 1.0).delay_s
-        shifted = analyzer.analyze(
-            netlist, 1.0, per_instance_vt_shifts={laziest: 0.2}
+        base = plan.analyze(1.0).delay_s
+        shifted = plan.analyze(
+            1.0, per_instance_vt_shifts={laziest: 0.2}
         ).delay_s
         assert shifted <= base * 1.001
 
-    def test_slowing_critical_gate_grows_delay(self, analyzer):
-        netlist = ripple_carry_adder(8)
-        slacks = analyzer.slacks(netlist, 1.0)
+    def test_slowing_critical_gate_grows_delay(self, plan_of):
+        plan = plan_of(ripple_carry_adder(8))
+        slacks = plan.slacks(1.0)
         tightest = min(slacks, key=slacks.get)
-        base = analyzer.analyze(netlist, 1.0).delay_s
-        shifted = analyzer.analyze(
-            netlist, 1.0, per_instance_vt_shifts={tightest: 0.2}
+        base = plan.analyze(1.0).delay_s
+        shifted = plan.analyze(
+            1.0, per_instance_vt_shifts={tightest: 0.2}
         ).delay_s
         assert shifted > base
 

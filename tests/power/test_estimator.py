@@ -3,11 +3,13 @@
 import pytest
 
 from repro.circuits.builders import ripple_carry_adder
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import soi_low_vt
 from repro.errors import AnalysisError
 from repro.power.estimator import PowerEstimator
 from repro.switchsim.simulator import SwitchLevelSimulator
 from repro.switchsim.stimulus import counting_bus_vectors, random_bus_vectors
+from repro.tech.characterize import CellCharacterizer
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,32 @@ class TestShortCircuit:
         tech = soi_low_vt(vt0=0.3)
         estimator = PowerEstimator(adder, tech)
         assert estimator.short_circuit_power(report, 0.55, FREQ) == 0.0
+
+    def test_transition_time_is_the_driving_gates_delay(
+        self, adder, tech, estimator
+    ):
+        # A gate's input edge is as slow as the gate driving that input,
+        # timed with its external load: the driver's own output
+        # capacitance is counted once, by the cell, not again through
+        # the net's Eq. 1 capacitance.
+        plan = NetlistPlan(adder, tech)
+        delays = dict(zip(adder.instances, plan.gate_delays(VDD)))
+        net_capacitance = plan.net_capacitances(VDD)
+        characterizer = CellCharacterizer(tech)
+        driven = 0
+        for instance, time in zip(
+            adder.instances.values(),
+            estimator._input_transition_times(VDD),
+        ):
+            driver = adder.driver(instance.inputs[0])
+            if driver is None:
+                continue
+            driven += 1
+            assert time == delays[driver.name]
+            assert time < characterizer.propagation_delay(
+                driver.cell, VDD, net_capacitance[driver.output]
+            )
+        assert driven > 0
 
 
 class TestBreakdown:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits.builders import carry_select_adder, ripple_carry_adder
-from repro.circuits.timing import StaticTimingAnalyzer
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import soi_low_vt
 from repro.errors import NetlistError, OptimizationError
 from repro.power.sizing import GateSizingOptimizer
@@ -33,39 +33,35 @@ class TestSizedTiming:
         netlist.add_gate(cells["INV"], ["x"], "y", name="load")
         netlist.add_output("x")
         netlist.add_output("y")
-        analyzer = StaticTimingAnalyzer(tech)
-        base = analyzer.analyze(netlist, 1.0).arrival_times["x"]
-        resized = analyzer.analyze(
-            netlist, 1.0, per_instance_size_factors={"load": 0.5}
+        plan = NetlistPlan(netlist, tech)
+        base = plan.analyze(1.0).arrival_times["x"]
+        resized = plan.analyze(
+            1.0, per_instance_size_factors={"load": 0.5}
         ).arrival_times["x"]
         assert resized < base
 
     def test_downsizing_everything_slows_endpoints(self, tech):
         netlist = ripple_carry_adder(8)
-        analyzer = StaticTimingAnalyzer(tech)
-        base = analyzer.analyze(netlist, 1.0).delay_s
+        plan = NetlistPlan(netlist, tech)
+        base = plan.analyze(1.0).delay_s
         # Uniform shrink: internal load ratios unchanged but wire and
         # register loads don't shrink, so paths get slower.
         sizes = {name: 0.3 for name in netlist.instances}
-        resized = analyzer.analyze(
-            netlist, 1.0, per_instance_size_factors=sizes
-        ).delay_s
+        resized = plan.analyze(1.0, per_instance_size_factors=sizes).delay_s
         assert resized > base
 
     def test_invalid_factors_rejected(self, tech):
         netlist = ripple_carry_adder(4)
-        analyzer = StaticTimingAnalyzer(tech)
+        plan = NetlistPlan(netlist, tech)
         with pytest.raises(NetlistError, match="positive"):
-            analyzer.analyze(
-                netlist, 1.0,
+            plan.analyze(
+                1.0,
                 per_instance_size_factors={
                     next(iter(netlist.instances)): 0.0
                 },
             )
         with pytest.raises(NetlistError, match="unknown"):
-            analyzer.analyze(
-                netlist, 1.0, per_instance_size_factors={"ghost": 0.5}
-            )
+            plan.analyze(1.0, per_instance_size_factors={"ghost": 0.5})
 
 
 class TestOptimizer:

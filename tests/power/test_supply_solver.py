@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.analysis.variation import Distribution
 from repro.core.flow import LowVoltageDesignFlow
 from repro.device.technology import (
     TransistorPair,
@@ -31,7 +32,6 @@ from repro.power.optimizer import (
     FixedThroughputOptimizer,
     RingOscillatorModel,
     VariationSpec,
-    _percentile,
 )
 from repro.tech.cells import standard_cells
 from repro.tech.characterize import CellCharacterizer
@@ -246,10 +246,11 @@ class TestExactSolves:
         assert FixedThroughputOptimizer(ring).solve_vdd_for_yield(
             target, vt, n_samples=24
         ) == oracle_supply(
-            lambda v: _percentile(
-                plan.delays((v,) * len(thresholds), thresholds, fanout=1),
-                99.0,
-            ),
+            lambda v: Distribution(
+                tuple(
+                    plan.delays((v,) * len(thresholds), thresholds, fanout=1)
+                )
+            ).percentile(99.0),
             target,
             ring.technology.min_vdd,
             ring.technology.max_vdd,

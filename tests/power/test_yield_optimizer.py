@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.variation import Distribution
 from repro.device.technology import (
     bulk_cmos_06um,
     soi_low_vt,
@@ -21,7 +22,6 @@ from repro.power.optimizer import (
     RingOscillatorModel,
     StatisticalOperatingPoint,
     VariationSpec,
-    _percentile,
 )
 from tests.power.module_oracle import PerInstanceModule
 
@@ -84,16 +84,6 @@ class TestVariationSpec:
             FixedThroughputOptimizer(ring, variation=0.99)
 
 
-class TestPercentileMath:
-    def test_matches_distribution_percentile(self):
-        from repro.analysis.variation import Distribution
-
-        values = [4.0, 1.0, 3.5, 2.0, 9.0, 0.5, 6.25]
-        dist = Distribution(values)
-        for p in (0.0, 10.0, 50.0, 90.0, 99.0, 100.0):
-            assert _percentile(values, p) == dist.percentile(p)
-
-
 #: Rings the order-statistic property is drawn over: the paper's two
 #: processes, bulk, and an N/P pair with unmatched thresholds.
 SHORTCUT_RINGS = {
@@ -142,7 +132,7 @@ class TestOrderStatisticShortcut:
         assert all(a <= b for a, b in zip(delays, delays[1:]))
         assert FixedThroughputOptimizer(ring)._percentile_delays(
             (vt,), (vdd,), shifts, percentile, {}
-        ) == [_percentile(delays, percentile)]
+        ) == [Distribution(tuple(delays)).percentile(percentile)]
 
 
 class TestRingYieldSolve:
@@ -358,7 +348,7 @@ class TestModuleYieldSolve:
         )
         assert module_optimizer._percentile_delays(
             (0.2,), (0.7,), sorted(shifts), 97.0, {}
-        ) == [_percentile(full, 97.0)]
+        ) == [Distribution(tuple(full)).percentile(97.0)]
 
     def test_guard_band_over_nominal(
         self, module_optimizer, module_target
@@ -444,7 +434,8 @@ class TestFlowThreading:
 
 class TestModuleOracle:
     """The module optimizer against its per-instance chain, bit for bit:
-    per-shift PowerEstimator leakage, static timing at every sample."""
+    per-instance leakage at every shift, per-pin static timing at every
+    sample."""
 
     SPEC = VariationSpec(percentile=90.0, vt_sigma=0.03, n_samples=5, seed=4)
 
@@ -476,10 +467,9 @@ class TestModuleOracle:
         point = optimizer.locus_point(0.2, target, 0.5)
         assert isinstance(point, StatisticalOperatingPoint)
         assert point == oracle.locus_point(0.2, target, 0.5, self.SPEC)
-        for characterizer in (
-            optimizer._characterizer, optimizer._analyzer._characterizer
-        ):
-            assert "leak" not in characterizer.family_sizes()
+        # The plan calls its cells' corner plans directly: its
+        # characterizer memoizes nothing.
+        assert optimizer._plan.characterizer.family_sizes() == {}
 
     def test_sweeps_identical(self, pair):
         make, oracle, target = pair

@@ -7,7 +7,10 @@ min-heap of :class:`Event` records with per-net generation numbers for
 inertial cancellation.  It is several times slower, but obviously
 right, so the tests require the kernel to equal it exactly: the same
 :class:`ActivityReport`, final state, ``now_fs``, superseded count and
-errors.
+errors.  It takes its gate delays from the netlist's
+:class:`~repro.circuits.plan.NetlistPlan`, as the kernel does, so it
+tests event semantics only (the plan's loads have their own oracle in
+``tests/circuits/netlist_oracle.py``).
 
 :class:`EventQueue` also counts the events it supersedes (a pending
 event replaced by a newer one or cancelled), which the kernel reports
@@ -21,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional
 
 from repro.circuits.netlist import Netlist
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import Technology
 from repro.errors import SimulationError
 from repro.switchsim.activity import ActivityReport
-from repro.tech.characterize import CellCharacterizer
 
 __all__ = ["Event", "EventQueue", "ReferenceSimulator"]
 
@@ -147,14 +150,13 @@ class ReferenceSimulator:
         self.vt_shift = vt_shift
         self.wire_length_per_fanout_um = wire_length_per_fanout_um
 
-        characterizer = CellCharacterizer(technology)
-        self._delay_fs: Dict[str, int] = {}
-        for instance in netlist.instances.values():
-            external = self._external_load(instance.output)
-            delay_s = characterizer.propagation_delay(
-                instance.cell, vdd, external, vt_shift
+        plan = NetlistPlan(netlist, technology, wire_length_per_fanout_um)
+        self._delay_fs: Dict[str, int] = {
+            instance.name: max(int(delay_s * _FS_PER_S), 1)
+            for instance, delay_s in zip(
+                plan.instances, plan.gate_delays(vdd, vt_shift)
             )
-            self._delay_fs[instance.name] = max(int(delay_s * _FS_PER_S), 1)
+        }
 
         self.state: Dict[str, Optional[int]] = {
             net: None for net in netlist.nets()
@@ -428,14 +430,3 @@ class ReferenceSimulator:
                     f"{self.netlist.name!r} may oscillate"
                 )
             self._commit(event, count=True)
-
-    def _external_load(self, net: str) -> float:
-        loads = self.netlist.fanout(net)
-        capacitance = sum(
-            instance.cell.input_capacitance(self.technology, self.vdd)
-            for instance, _ in loads
-        )
-        wire = self.technology.wire_cap.wire_capacitance(
-            self.wire_length_per_fanout_um * max(len(loads), 1)
-        )
-        return capacitance + wire

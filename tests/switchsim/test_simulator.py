@@ -2,13 +2,19 @@
 
 import pytest
 
-from repro.circuits.builders import ring_oscillator, ripple_carry_adder
+from repro.circuits.builders import (
+    pipelined_adder,
+    ring_oscillator,
+    ripple_carry_adder,
+)
 from repro.circuits.netlist import Netlist
+from repro.circuits.plan import NetlistPlan
 from repro.device.technology import soi_low_vt
 from repro.errors import SimulationError
 from repro.switchsim.simulator import SwitchLevelSimulator
 from repro.switchsim.stimulus import random_bus_vectors
 from repro.tech.cells import standard_cells
+from repro.tech.characterize import CellCharacterizer
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +76,41 @@ class TestBasicPropagation:
         sim = SwitchLevelSimulator(netlist, tech, 1.0)
         sim.initialize({"in": 1})
         assert sim.apply({"in": 1}) == 0
+
+
+class TestGateDelays:
+    def test_register_d_pins_load_their_drivers(self, tech):
+        # Each gate's inertial delay is the plan's, whose loads count
+        # every register D pin and its wire: a gate driving D pins is
+        # slower than with its gate pins alone.
+        netlist = pipelined_adder(16, 4)
+        simulator = SwitchLevelSimulator(netlist, tech, 0.6)
+        plan = NetlistPlan(netlist, tech)
+        assert simulator._delay_fs == {
+            instance.name: max(int(delay * 1e15), 1)
+            for instance, delay in zip(plan.instances, plan.gate_delays(0.6))
+        }
+        characterizer = CellCharacterizer(tech)
+        d_nets = {
+            register.data_input for register in netlist.registers.values()
+        }
+        drivers = [
+            instance
+            for instance in netlist.instances.values()
+            if instance.output in d_nets
+        ]
+        assert drivers
+        for instance in drivers:
+            pins = netlist.fanout(instance.output)
+            gate_pins_only = sum(
+                load.cell.input_capacitance(tech, 0.6) for load, _ in pins
+            ) + tech.wire_cap.wire_capacitance(5.0 * max(len(pins), 1))
+            delay = characterizer.propagation_delay(
+                instance.cell, 0.6, gate_pins_only
+            )
+            assert simulator._delay_fs[instance.name] > max(
+                int(delay * 1e15), 1
+            )
 
 
 class TestFunctionalEquivalence:
