@@ -36,7 +36,7 @@ measurements to ``BENCH_hotpaths.json`` at the repo root:
    optimum's guard band and cost.
 7. **Batched (V_DD, V_T) energy surface** — the per-point chain (one
    ``fanout_delay``/``energy_per_transition``/``leakage_current`` call
-   stack per grid cell, one cached characterizer per V_T corner) vs
+   stack per grid cell, one characterizer per V_T corner) vs
    the plan-based Fig. 3/4 ``energy_surface`` whose rows are batched
    kernel calls of one decoded corner plan.  Grids must be
    bit-identical; the acceptance target is a >=3x speedup.
@@ -328,8 +328,8 @@ def bench_variation(quick: bool) -> dict:
     ).sample_vt_shifts()
 
     # Before: the per-sample path — one scalar characterizer query per
-    # V_T sample, each a memo miss served by a one-element plan call
-    # that recomputes the supply's C(V) terms.  Both sides run the
+    # V_T sample, each a one-element plan call that recomputes the
+    # supply's C(V) terms.  Both sides run the
     # characterizer's one StackSolver per stack, which solves the
     # shift-0 reference once per V_DD and answers every in-window shift
     # with one exp, so the leakage ratio only measures the per-sample
@@ -339,9 +339,9 @@ def bench_variation(quick: bool) -> dict:
     # computed once.
     #
     # Each side takes the fastest of the same number of repeats, each
-    # repeat on a fresh characterizer and analyzer: both memoize (the
-    # analyzer keeps its last leakage distribution), so a second call
-    # on the same one would time a lookup.
+    # repeat on a fresh characterizer and analyzer: the analyzer keeps
+    # its last leakage distribution and the characterizer its decoded
+    # plans, so a second call on the same pair would time a lookup.
     ref_delay_seconds = ref_leakage_seconds = float("inf")
     fast_delay_seconds = fast_leakage_seconds = float("inf")
     for _ in range(_repeats(quick)):
@@ -475,7 +475,7 @@ def bench_surface(quick: bool) -> dict:
     """The Fig. 3/4 plane: per-point characterization vs plan kernels.
 
     The reference replicates what the surface does cell by cell with
-    the pre-plan call chain — one cached characterizer per V_T corner,
+    the pre-plan call chain — one characterizer per V_T corner,
     a full ``fanout_delay`` feasibility probe and (where feasible) the
     ``energy_per_transition``/``leakage_current`` pair per V_DD point,
     associated exactly like ``RingOscillatorModel.energy_per_cycle``.

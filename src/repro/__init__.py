@@ -126,7 +126,6 @@ _lazy_namespace(globals(), {
         "RatioSurface", "ApplicationPoint", "energy_ratio_surface",
         "breakeven_bga",
     ),
-    ".analysis.surface": ("RefinedSurface",),
     ".analysis.comparator": ("TechnologyComparator", "TechnologyVerdict"),
     ".analysis.tables": ("format_table", "format_series"),
     ".core.flow": (

@@ -13,7 +13,7 @@ _lazy_namespace(globals(), {
         "RatioSurface", "energy_ratio_surface", "breakeven_bga",
         "zero_crossing_cells", "ApplicationPoint",
     ),
-    ".surface": ("RefinedSurface", "EnergySurface", "energy_surface"),
+    ".surface": ("EnergySurface", "energy_surface"),
     ".comparator": ("TechnologyComparator", "TechnologyVerdict"),
     ".tables": ("format_table", "format_series"),
 })

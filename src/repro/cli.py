@@ -8,7 +8,7 @@ extensions::
     python -m repro optimize --delay-factor 4          # Figs. 3-4
     python -m repro compare --duty 0.2                 # Fig. 10
     python -m repro contour --grid 24                  # Fig. 10 surface
-    python -m repro surface --grid 12 --refine 2       # Fig. 3/4 plane
+    python -m repro surface --grid 12                  # Fig. 3/4 plane
     python -m repro variation --cell INV --vdd 0.5     # V_T Monte-Carlo
     python -m repro characterize --vdd 0.8 1.0 1.2     # liberty-lite
     python -m repro margins --floor 0.3                # V_DD floor
@@ -398,8 +398,6 @@ def _cmd_surface(args: argparse.Namespace) -> Tuple[dict, dict]:
         vdd_values,
         stages=args.stages,
         activity=args.activity,
-        refine_levels=args.refine,
-        refine_band=args.refine_band,
     )
     locus = surface.optimum_locus()
     if not locus:
@@ -421,29 +419,6 @@ def _cmd_surface(args: argparse.Namespace) -> Tuple[dict, dict]:
     ]
     for vt, vdd, energy in locus:
         rows.append(["locus", f"{energy:.3e} J", f"{vdd:.3f}", f"{vt:.3f}"])
-    refined = surface.refined
-    if refined is not None:
-        rows += [
-            [
-                "refined grid",
-                f"{len(refined.xs)} x {len(refined.ys)}",
-                "",
-                "",
-            ],
-            [
-                "points evaluated",
-                f"{refined.evaluated}/{refined.total_points} "
-                f"({100.0 * refined.coverage:.1f}%)",
-                "",
-                "",
-            ],
-            [
-                "cells refined/skipped",
-                f"{refined.cells_refined}/{refined.cells_skipped}",
-                "",
-                "",
-            ],
-        ]
     _print_table(
         ["quantity", "value", "vdd", "vt"],
         rows,
@@ -464,14 +439,6 @@ def _cmd_surface(args: argparse.Namespace) -> Tuple[dict, dict]:
         "optimum": [vdd_best, vt_best, energy_best],
         "locus": [list(row) for row in locus],
         "zs": [list(row) for row in surface.grid.zs],
-        "refined": None
-        if refined is None
-        else {
-            "levels": refined.levels,
-            "band": refined.band,
-            "evaluated": refined.evaluated,
-            "total_points": refined.total_points,
-        },
     }
 
 
@@ -898,16 +865,6 @@ VERBS = (
         _option("--vt-max", type=float, default=0.5),
         _option("--vdd-min", type=float, default=0.2),
         _option("--vdd-max", type=float, default=1.5),
-        _option(
-            "--refine", type=int, default=0, metavar="N",
-            help="adaptive subdivision levels around the optimum-energy "
-            "locus (0 = uniform grid only)",
-        ),
-        _option(
-            "--refine-band", type=float, default=0.2, metavar="B",
-            help="relative distance from the per-V_T energy minimum that "
-            "marks a cell for refinement (default: 0.2)",
-        ),
         *_RECORD,
         *_METRICS,
     ), _cmd_surface),
@@ -1011,10 +968,6 @@ def _record_run(
 
 def _emit_metrics(args: argparse.Namespace) -> None:
     """Print (and optionally persist) the metrics collected for a run."""
-    hits = obs.counter_value("characterizer.hits")
-    misses = obs.counter_value("characterizer.misses")
-    if hits + misses:
-        obs.gauge("characterizer.hit_rate", hits / (hits + misses))
     print()
     print(obs.format_summary(title=f"Metrics: {args.command}"))
     path = getattr(args, "metrics_json", None)

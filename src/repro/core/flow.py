@@ -246,17 +246,14 @@ class LowVoltageDesignFlow:
         vdd_values: Sequence[float],
         stages: int = 101,
         activity: float = 1.0,
-        refine_levels: int = 0,
-        refine_band: float = 0.2,
     ) -> EnergySurface:
         """Fig. 3/4 energy plane at this flow's clock rate.
 
         The ring-oscillator cycle energy over a (V_T, V_DD) grid, with
         cells that miss the per-stage delay budget (``t_cycle_s / (2 *
         stages)``: one ring period per cycle, like
-        :meth:`throughput_optimizer`) marked infeasible.
-        ``refine_levels``/``refine_band`` sharpen the optimum-energy
-        locus; see :func:`repro.analysis.surface.energy_surface`.
+        :meth:`throughput_optimizer`) marked infeasible; see
+        :func:`repro.analysis.surface.energy_surface`.
         """
         from repro.analysis.surface import energy_surface
 
@@ -268,8 +265,6 @@ class LowVoltageDesignFlow:
                 self.t_cycle_s,
                 stages=stages,
                 activity=activity,
-                refine_levels=refine_levels,
-                refine_band=refine_band,
             )
 
     # ------------------------------------------------------------------

@@ -13,9 +13,9 @@ nothing measurable.
 Metric model
 ------------
 * **Counters** — monotonically increasing integers
-  (``obs.incr("characterizer.hits")``).  Dotted names form families:
-  ``characterizer.hits.delay`` is the per-family breakdown of
-  ``characterizer.hits``.
+  (``obs.incr("optimizer.plan_builds")``).  Dotted names group a
+  layer's counters: ``optimizer.delay_probes``,
+  ``optimizer.vdd_solves``, ...
 * **Timers / spans** — ``with obs.span("optimizer.sweep"): ...``
   records call count and total wall-clock seconds per name.  Spans do
   not nest semantically; a nested span is simply a second independent
@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -56,14 +55,12 @@ __all__ = [
     "observe_seconds",
     "span",
     "counter_value",
-    "counters_with_prefix",
     "timer_value",
     "snapshot",
     "reset",
     "summary_rows",
     "format_summary",
     "dump_json",
-    "CacheInfo",
 ]
 
 #: Global instrumentation switch.  Hot paths read this attribute
@@ -75,27 +72,6 @@ _counters: Dict[str, int] = {}
 _gauges: Dict[str, float] = {}
 #: name -> [count, total_seconds]
 _timers: Dict[str, List[float]] = {}
-
-
-@dataclass(frozen=True)
-class CacheInfo:
-    """``functools.lru_cache``-style cache statistics.
-
-    ``maxsize`` is ``None`` for unbounded caches; ``hits``/``misses``
-    count every lookup since construction (or the last ``clear``),
-    independent of whether :mod:`repro.obs` is enabled.
-    """
-
-    hits: int
-    misses: int
-    currsize: int
-    maxsize: Optional[int] = None
-
-    @property
-    def hit_rate(self) -> float:
-        """hits / (hits + misses); 0.0 before any lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 def enable() -> None:
@@ -204,22 +180,6 @@ def span(name: str):
 def counter_value(name: str) -> int:
     """Current value of a counter (0 if never incremented)."""
     return _counters.get(name, 0)
-
-
-def counters_with_prefix(prefix: str) -> Dict[str, int]:
-    """Every counter whose dotted name starts with ``prefix``.
-
-    ``counters_with_prefix("characterizer")`` collects the corner-memo
-    family (``characterizer.hits``, ``characterizer.misses``,
-    ``characterizer.hits.delay``, ...).  A bare prefix matches both the
-    exact name and its sub-families.
-    """
-    dotted = prefix + "."
-    return {
-        name: value
-        for name, value in sorted(_counters.items())
-        if name == prefix or name.startswith(dotted)
-    }
 
 
 def timer_value(name: str) -> Tuple[int, float]:

@@ -285,10 +285,8 @@ def module_parameters_from_activity(
         )
     active_vt_shift = 0.0 if active_vt_shift is None else active_vt_shift
 
-    switched = report.switched_capacitance(
-        netlist, technology, vdd, wire_length_per_fanout_um
-    )
     plan = NetlistPlan(netlist, technology, wire_length_per_fanout_um)
+    switched = report.switched_capacitance_on(plan, vdd)
     leak_low, leak_high = plan.leakage_currents(
         vdd, (active_vt_shift, standby_vt_shift)
     )

@@ -47,10 +47,7 @@ class PowerEstimator:
     ) -> float:
         """Eq. 1 summed over nets, using simulated alphas [W]."""
         self._check(vdd, frequency_hz)
-        energy = report.switching_energy_per_cycle(
-            self.netlist, self.technology, vdd,
-            self.wire_length_per_fanout_um,
-        )
+        energy = report.switched_capacitance_on(self.plan, vdd) * vdd * vdd
         return energy * frequency_hz
 
     def leakage_current(self, vdd: float, vt_shift: float = 0.0) -> float:

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.device.technology import Technology
-from repro.errors import OptimizationError
+from repro.errors import OptimizationError, ProfileError
 from repro.power.search import (
     _bracketed_golden_minimum,
     _lockstep,
@@ -61,11 +61,12 @@ _INVERTER = standard_cells()["INV"]
 
 
 def _zero_threshold_decode(technology: Technology):
-    """``(characterizer, plan)``: the ring inverter decoded at V_T0 = 0.
+    """The ring inverter's :class:`~repro.tech.opplan.CornerPlan`,
+    decoded at V_T0 = 0.
 
-    The characterizer is of ``technology.with_vt(0.0)`` and the plan is
-    its inverter's :class:`~repro.tech.opplan.CornerPlan`; callers pass
-    each V_T as the kernels' shift.  The device
+    The plan is the inverter's in a characterizer of
+    ``technology.with_vt(0.0)``; callers pass each V_T as the kernels'
+    shift.  The device
     kernels see a threshold only as ``V_T0 + shift``, and ``0.0 + V_T``
     is exactly ``V_T``, so every delay, energy, leakage, delay kink and
     solved supply is the very float a characterizer of
@@ -77,8 +78,7 @@ def _zero_threshold_decode(technology: Technology):
     shift-0 reference root that lies outside its window once
     ``V_T0 = 0``, so every shift would run the Newton solve.
     """
-    characterizer = CellCharacterizer(technology.with_vt(0.0))
-    return characterizer, characterizer.corner_plan(_INVERTER)
+    return CellCharacterizer(technology.with_vt(0.0)).corner_plan(_INVERTER)
 
 
 def _check_target(target_delay_s: float) -> None:
@@ -203,10 +203,10 @@ class StatisticalOperatingPoint(OperatingPoint):
 class RingOscillatorModel:
     """Analytical ring-oscillator: the paper's measurement structure.
 
-    The model decodes once, at construction: one characterizer of the
-    base process moved to ``V_T0 = 0`` and its inverter's corner plan,
-    which take every query's V_T as their shift and return the very
-    floats a corner ``technology.with_vt(V_T)`` would (see
+    The model decodes once, at construction: its inverter's corner
+    plan in the base process moved to ``V_T0 = 0``, which takes every
+    query's V_T as its shift and returns the very floats a corner
+    ``technology.with_vt(V_T)`` would (see
     :func:`_zero_threshold_decode`).  No V_T probe, nominal or
     sampled, builds a technology, a characterizer or a plan.
 
@@ -220,11 +220,6 @@ class RingOscillatorModel:
     activity:
         Average node transition activity of the *module* the ring
         stands in for (1.0 for the ring itself, lower for logic).
-
-    The characterizer's memo grows with the distinct (V_DD, V_T)
-    :meth:`stage_delay` queries answered, like any characterizer's; a
-    model that serves many independent optimizations can simply be
-    rebuilt, since construction is one decode.
     """
 
     def __init__(
@@ -236,20 +231,14 @@ class RingOscillatorModel:
         self.technology = technology
         self.stages = stages
         self.activity = activity
-        self._characterizer, self._plan = _zero_threshold_decode(
-            technology
-        )
+        self._plan = _zero_threshold_decode(technology)
 
     def stage_delay(self, vdd: float, vt: float) -> float:
         """Fanout-1 inverter delay at a corner [s].
 
-        Every call is exactly one characterizer
-        :meth:`~repro.tech.characterize.CellCharacterizer.fanout_delay`
-        query (a miss is one call of the decoded plan), and
-        ``optimizer.delay_probes`` counts it here — at the query site —
-        so the counter matches the actual characterizer traffic.  The
-        optimizer's solves and energy points run on the plan directly
-        and are not counted here.
+        One call of the decoded plan, counted here by
+        ``optimizer.delay_probes``.  The optimizer's solves and energy
+        points run on the plan directly and are not counted here.
         """
         if not 0.0 < vdd < math.inf:
             raise OptimizationError(
@@ -258,9 +247,7 @@ class RingOscillatorModel:
         _check_vt(vt)
         if obs.ENABLED:
             obs.incr("optimizer.delay_probes")
-        return self._characterizer.fanout_delay(
-            _INVERTER, vdd, fanout=1, vt_shift=vt
-        )
+        return self._plan.delay(vdd, vt, fanout=1)
 
     def oscillation_period(self, vdd: float, vt: float) -> float:
         """Ring period: two traversals of the chain [s]."""
@@ -816,9 +803,7 @@ class FixedThroughputOptimizer(ThroughputOptimizer):
         # One plan call per round, bit-identical to a stage_delay call
         # at each corner.  A supply's record is computed once and kept
         # in ``records``: the lanes share the bracket ends and the
-        # first bisection midpoints.  The plan call bypasses the
-        # characterizer memo, so ``optimizer.delay_probes`` keeps
-        # matching the characterizer's fanout-family traffic.
+        # first bisection midpoints.
         supply = self._plan.supply
         thresholds = []
         supplies = []
@@ -911,13 +896,17 @@ class ModuleThroughputOptimizer(ThroughputOptimizer):
 
         super().__init__(technology, variation)
         netlist.validate()
+        if activity_report.netlist_name != netlist.name:
+            raise ProfileError(
+                f"report is for {activity_report.netlist_name!r}, not "
+                f"{netlist.name!r}"
+            )
         self.netlist = netlist
         self.report = activity_report
         self._plan = NetlistPlan(
             netlist, technology, wire_length_per_fanout_um
         )
         self._base_vt = technology.transistors.nmos.vt0
-        self._wire = wire_length_per_fanout_um
 
     def delay(self, vdd: float, vt: float) -> float:
         """Critical-path delay at an absolute-V_T corner [s]."""
@@ -943,8 +932,8 @@ class ModuleThroughputOptimizer(ThroughputOptimizer):
         """Switching + leakage energy for one operation period [J]."""
         _check_time("operation", operation_time_s)
         _check_vt(vt)
-        switching = self.report.switching_energy_per_cycle(
-            self.netlist, self.technology, vdd, self._wire
+        switching = (
+            self.report.switched_capacitance_on(self._plan, vdd) * vdd * vdd
         )
         (leakage_current,) = self._leakages(vdd, vt, (0.0,))
         leakage = leakage_current * vdd * operation_time_s

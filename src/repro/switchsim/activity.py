@@ -127,15 +127,22 @@ class ActivityReport:
 
         ``sum over nets of alpha_0->1(net) * C(net)`` — the effective C
         of Eq. 1, with the capacitance extracted at the same V_DD so
-        the Fig. 1 non-linearity is honoured.
+        the Fig. 1 non-linearity is honoured.  Decodes the netlist
+        once; a caller that holds a plan prices it with
+        :meth:`switched_capacitance_on`.
         """
-        if netlist.name != self.netlist_name:
+        plan = NetlistPlan(netlist, technology, wire_length_per_fanout_um)
+        return self.switched_capacitance_on(plan, vdd)
+
+    def switched_capacitance_on(self, plan: NetlistPlan, vdd: float) -> float:
+        """:meth:`switched_capacitance` on a decoded plan of the report's
+        netlist [F]."""
+        if plan.netlist.name != self.netlist_name:
             raise ProfileError(
                 f"report is for {self.netlist_name!r}, not "
-                f"{netlist.name!r}"
+                f"{plan.netlist.name!r}"
             )
         alphas = {n: c / self.cycles for n, c in self.rising.items() if c}
-        plan = NetlistPlan(netlist, technology, wire_length_per_fanout_um)
         return plan.switched_capacitance(alphas, vdd)
 
     def switching_energy_per_cycle(

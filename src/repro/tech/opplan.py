@@ -18,7 +18,7 @@ output-high probability as call arguments.
 The delay is ``t = 0.7 C V / I`` with ``I`` the weaker network's
 on-current: Eq. 2's subthreshold floor plus the alpha-power drive.  One
 private loop, :meth:`CornerPlan._run`, computes it for every kernel
-that returns a delay, and the characterizer's memo misses are
+that returns a delay, and the characterizer's scalar queries are
 one-element calls of the same kernels, so it is the only cell-delay
 implementation in the package.
 
@@ -375,7 +375,7 @@ class CornerPlan:
         load_f: float = 0.0,
         fanout: Optional[int] = None,
     ) -> float:
-        """:meth:`delays` at one corner: a characterizer miss."""
+        """:meth:`delays` at one corner: a scalar characterizer query."""
         supply = self.supply(vdd, load_f, fanout)
         if not -_INF < vt_shift < _INF:
             _check_shifts((vt_shift,))

@@ -8,9 +8,9 @@ This module is the chain it replaces, kept per pin and per instance:
 * :func:`external_load` and :func:`net_capacitance` sum one C(V) view
   per load pin (register D pins included);
 * :class:`StaticTimingAnalyzer` levelizes on every query and takes
-  each gate's delay from a memoized
+  each gate's delay from a scalar
   :meth:`~repro.tech.characterize.CellCharacterizer.propagation_delay`;
-* :func:`leakage_current` adds one memoized
+* :func:`leakage_current` adds one scalar
   :meth:`~repro.tech.characterize.CellCharacterizer.leakage_current`
   per instance.
 
@@ -136,7 +136,7 @@ class Timing:
 
 
 class StaticTimingAnalyzer:
-    """Topological arrival-time propagation, one memoized characterizer
+    """Topological arrival-time propagation, one scalar characterizer
     delay per gate, loads per pin."""
 
     def __init__(self, technology, wire_length_per_fanout_um: float = 5.0):

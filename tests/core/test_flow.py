@@ -94,6 +94,68 @@ class TestStages:
         assert module.back_gate_capacitance_f > 0.0
 
 
+class TestNetlistDecodes:
+    """Each consumer decodes a netlist once and reuses its plan."""
+
+    @pytest.fixture
+    def plan_builds(self, monkeypatch):
+        from repro.circuits.plan import NetlistPlan
+
+        builds = []
+        decode = NetlistPlan.__init__
+
+        def counted(plan, *args, **kwargs):
+            builds.append(args[0].name)
+            decode(plan, *args, **kwargs)
+
+        monkeypatch.setattr(NetlistPlan, "__init__", counted)
+        return builds
+
+    def test_activity_and_module_parameters_decode_twice(
+        self, flow, datapath, plan_builds
+    ):
+        # One plan for the simulator, one for the switched capacitance
+        # and both leakage corners.
+        unit = datapath["multiplier"]
+        report = flow.unit_activity(unit.netlist, unit.vectors)
+        module = flow.module_parameters(unit.netlist, report)
+        assert plan_builds == [unit.netlist.name] * 2
+        assert module.switched_capacitance_f == report.switched_capacitance(
+            unit.netlist, flow.technology, flow.vdd
+        )
+
+    def test_priced_consumers_decode_no_plan(
+        self, flow, datapath, plan_builds
+    ):
+        from repro.power.estimator import PowerEstimator
+        from repro.power.optimizer import ModuleThroughputOptimizer
+
+        unit = datapath["adder"]
+        report = flow.unit_activity(unit.netlist, unit.vectors)
+        optimizer = ModuleThroughputOptimizer(
+            unit.netlist, flow.technology, report
+        )
+        estimator = PowerEstimator(unit.netlist, flow.technology)
+        del plan_builds[:]
+        point = optimizer.energy_per_operation(0.8, 0.2, 1e-6)
+        power = estimator.switching_power(report, 0.8, 1e6)
+        assert plan_builds == []
+        energy = report.switching_energy_per_cycle(
+            unit.netlist, flow.technology, 0.8
+        )
+        assert point.switching_energy_j == energy
+        assert power == energy * 1e6
+
+    def test_module_optimizer_rejects_foreign_report(self, flow, datapath):
+        from repro.errors import ProfileError
+        from repro.power.optimizer import ModuleThroughputOptimizer
+
+        adder, shifter = datapath["adder"], datapath["shifter"]
+        report = flow.unit_activity(shifter.netlist, shifter.vectors)
+        with pytest.raises(ProfileError, match="report is for"):
+            ModuleThroughputOptimizer(adder.netlist, flow.technology, report)
+
+
 class TestEvaluation:
     def test_covers_all_units(self, idea_evaluation):
         assert set(idea_evaluation.units) == {

@@ -8,7 +8,7 @@ percentile from the two bracketing shift order statistics.
 :class:`PerInstanceModule` is the chain those shortcuts replace, built
 on the per-pin, per-instance oracle in
 ``tests/circuits/netlist_oracle.py``: static timing at every sample,
-one memoized characterizer leakage per instance and shift, per-net
+one scalar characterizer leakage per instance and shift, per-net
 switched capacitance, and the full delay vector's
 :meth:`~repro.analysis.variation.Distribution.percentile`.  The
 optimizer's locus points, sweeps and optima must match it bit for bit.

@@ -65,7 +65,7 @@ class PerVtRing:
 
     def energy_per_cycle(self, vdd, vt, cycle_time_s):
         corner = self.corner(vt)
-        load = corner._input_capacitance(self.inverter, vdd)
+        load = self.inverter.input_capacitance(corner.technology, vdd)
         switching = (
             self.stages
             * self.activity
@@ -85,7 +85,7 @@ class PerVtRing:
         )
 
     def _percentile_delay(self, corner, vdd, shifts, percentile):
-        load = corner._input_capacitance(self.inverter, vdd)
+        load = self.inverter.input_capacitance(corner.technology, vdd)
         return Distribution(
             tuple(
                 corner.propagation_delay(self.inverter, vdd, load, shift)

@@ -467,9 +467,6 @@ class TestModuleOracle:
         point = optimizer.locus_point(0.2, target, 0.5)
         assert isinstance(point, StatisticalOperatingPoint)
         assert point == oracle.locus_point(0.2, target, 0.5, self.SPEC)
-        # The plan calls its cells' corner plans directly: its
-        # characterizer memoizes nothing.
-        assert optimizer._plan.characterizer.family_sizes() == {}
 
     def test_sweeps_identical(self, pair):
         make, oracle, target = pair

@@ -4,8 +4,8 @@
 cell's C(V) views once per supply, makes one kernel call per
 (cell, load) group and one leakage call per distinct cell.  The chain
 it replaced is kept in ``tests/circuits/netlist_oracle.py``: one C(V)
-view per load pin, one memoized characterizer delay per gate,
-levelization on every query and one memoized leakage per instance.
+view per load pin, one scalar characterizer delay per gate,
+levelization on every query and one scalar leakage per instance.
 On random builders, supplies, common shifts, per-instance shifts and
 size factors, both must give the same gate delays, arrival times,
 critical-path nets, slacks, per-net capacitances and leakage totals,

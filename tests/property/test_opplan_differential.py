@@ -319,8 +319,8 @@ class TestPlanMatchesPerPointPath:
     def test_planned_fanout_delay_matches_fanout_delay(
         self, make_technology, name, vdds, fanout, shift
     ):
-        # The scalar fanout_delay (a memo miss is a one-element plan
-        # call) against the oracle, asked twice so the second is a hit.
+        # The scalar fanout_delay (a one-element plan call) against the
+        # oracle, asked twice: the repeat answers exactly as the first.
         cell = _CELLS[name]
         characterizer = CellCharacterizer(make_technology())
         oracle = ChainOracle(make_technology())

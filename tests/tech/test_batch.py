@@ -160,14 +160,6 @@ class TestPlanMemo:
         characterizer.fanout_delay(cells["INV"], 0.9, fanout=3)
         assert characterizer.corner_plan(cells["INV"]) is inv
 
-    def test_clear_cache_invalidates_plans(self, characterizer, cells):
-        first = characterizer.corner_plan(cells["INV"])
-        before = sweep_delays(first, 0.8, 10e-15, SHIFTS)
-        characterizer.clear_cache()
-        again = characterizer.corner_plan(cells["INV"])
-        assert first is not again
-        assert sweep_delays(again, 0.8, 10e-15, SHIFTS) == before
-
     def test_uncached_characterizer_builds_fresh_plans(self, cells):
         # The uncached reference is a fresh characterizer: it decodes
         # its own plan.

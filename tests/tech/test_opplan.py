@@ -7,6 +7,7 @@ input validation, the error types on bad corners, and the
 ``optimizer.plan_builds`` counter.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -58,12 +59,14 @@ class TestPlanMemoization:
         characterizer.propagation_delay(inv, 0.5, 10e-15)
         assert characterizer.corner_plan(inv) is plan
 
-    def test_clear_cache_drops_plans(self):
+    def test_equal_cells_share_one_plan(self):
+        # Cells key the plans by value: an equal copy of a cell is
+        # served by the plan already decoded.
         characterizer = CellCharacterizer(soi_low_vt())
-        inv = _CELLS["INV"]
-        stale = characterizer.corner_plan(inv)
-        characterizer.clear_cache()
-        assert characterizer.corner_plan(inv) is not stale
+        other = dataclasses.replace(_CELLS["INV"])
+        assert other is not _CELLS["INV"] and other == _CELLS["INV"]
+        plan = characterizer.corner_plan(_CELLS["INV"])
+        assert characterizer.corner_plan(other) is plan
 
     def test_uncached_characterizer_builds_fresh_plans(self):
         # The uncached reference is a fresh characterizer per query.
@@ -78,13 +81,13 @@ class TestPlanMemoization:
         with obs.enabled_scope():
             characterizer = CellCharacterizer(soi_low_vt())
             characterizer.corner_plan(inv)
-            characterizer.corner_plan(inv)  # memo hit
+            characterizer.corner_plan(inv)  # already decoded
             characterizer.corner_plan(nand)
             counters = obs.snapshot()["counters"]
         assert counters["optimizer.plan_builds"] == 2
 
     def test_plan_builds_counter_uncached(self):
-        # Scalar misses decode the cell's plan once; a fresh
+        # Scalar queries decode the cell's plan once; a fresh
         # characterizer decodes again.
         inv = _CELLS["INV"]
         with obs.enabled_scope():

@@ -54,10 +54,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([verb] + flag)
 
-    def test_contour_has_no_refinement(self, capsys):
+    @pytest.mark.parametrize("verb", ["contour", "surface"])
+    def test_has_no_refinement(self, verb, capsys):
         for flag in (["--refine", "2"], ["--refine-band", "0.3"]):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["contour"] + flag)
+                build_parser().parse_args([verb] + flag)
 
     def test_compare_workload_choices_enforced(self):
         with pytest.raises(SystemExit):
@@ -420,13 +421,6 @@ class TestSurfaceCommand:
         assert "locus" in output
         assert "refined grid" not in output
 
-    def test_refine_rows_printed(self, capsys):
-        assert main(self.BASE + ["--refine", "1"]) == 0
-        output = capsys.readouterr().out
-        assert "refined grid" in output
-        assert "points evaluated" in output
-        assert "cells refined/skipped" in output
-
     def test_infeasible_surface_reports_error(self, capsys):
         assert main(self.BASE[:-1] + ["1e12"]) == 1
         assert "no feasible" in capsys.readouterr().err
@@ -441,12 +435,8 @@ class TestSurfaceCommand:
         args = build_parser().parse_args(["surface"])
         assert args.technology == "soi"
         assert args.grid == 12
-        assert args.refine == 0
-        assert args.refine_band == 0.2
 
     def test_metrics_include_surface_spans(self, capsys):
-        # The process-wide ring cache may serve a warm run entirely
-        # from decoded plans, so only the spans are guaranteed.
         assert main(self.BASE + ["--metrics"]) == 0
         output = capsys.readouterr().out
         assert "flow.energy_surface" in output

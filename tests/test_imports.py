@@ -139,7 +139,7 @@ class TestLazyNamespaces:
     def test_star_import_binds_every_name(self):
         namespace = {}
         exec("from repro import *", namespace)  # noqa: S102
-        assert len(repro.__all__) == 65
+        assert len(repro.__all__) == 64
         assert set(repro.__all__) <= set(namespace)
         assert namespace["Mosfet"] is repro.device.mosfet.Mosfet
 
