@@ -17,12 +17,13 @@ measurements to ``BENCH_hotpaths.json`` at the repo root:
    repetition on a freshly built model.  Operating points must match
    exactly, and so must the two chains' ``optimum`` (its coarse scan
    one lockstep batch).
-3. **ISA interpreter** — the reference per-step loop (``run``) vs the
-   decoded block-dispatch engine (``run_fast``) on the Table-2 li-like
-   workload, and on matmul, which retires most of its instructions in
-   translated blocks.  Architectural state must be bit-identical.
-4. **ATOM profiler** — the hook-instrumented reference profile vs the
-   counter-based decoded profile (``run_counted`` +
+3. **ISA interpreter** — the if/elif per-step loop (the test-only
+   oracle in ``tests/isa/reference_machine.py``) vs the machine's
+   block dispatch (``Machine.run``) on the Table-2 li-like workload,
+   and on matmul, which retires most of its instructions in translated
+   blocks.  Architectural state must be bit-identical.
+4. **ATOM profiler** — an ``AtomProfiler`` hook on that oracle vs the
+   machine's counted profile (``profile_program``: ``run_counted`` +
    ``profile_from_counts``) on the same two workloads.  Profiles must
    be identical; the acceptance target is a >=5x speedup.
 5. **Batched variation engine** — the per-sample Monte-Carlo path (one
@@ -219,7 +220,7 @@ def bench_optimizer(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 3. ISA interpreter: reference stepper vs decoded dispatch engine
+# 3. ISA interpreter: reference stepper vs the machine's block dispatch
 # ----------------------------------------------------------------------
 _BENCH_WORKLOAD = "li"  # the Table-2 workload named by the target
 #: The workload that retires most of its instructions in translated
@@ -234,14 +235,16 @@ def _bench_program(quick: bool, name: str = _BENCH_WORKLOAD):
 
 
 def _bench_interpreter_on(quick: bool, name: str) -> dict:
-    reference = Machine(_bench_program(quick, name))
+    from tests.isa.reference_machine import ReferenceMachine
+
+    reference = ReferenceMachine(_bench_program(quick, name))
     retired, ref_seconds = _timed(lambda: reference.run())
 
     fast = Machine(_bench_program(quick, name))
     # Decode ahead of the timed run so its one-time cost is reported
     # separately from the steady-state dispatch rate.
     _, decode_seconds = _timed(lambda: fast.decode())
-    fast_retired, fast_seconds = _timed(lambda: fast.run_fast())
+    fast_retired, fast_seconds = _timed(lambda: fast.run())
 
     identical = (
         fast_retired == retired
@@ -264,6 +267,8 @@ def _bench_interpreter_on(quick: bool, name: str) -> dict:
 
 
 def bench_interpreter(quick: bool) -> dict:
+    # The reference stepper is a test-only oracle, imported from tests/.
+    sys.path.insert(0, str(REPO_ROOT))
     return {
         **_bench_interpreter_on(quick, _BENCH_WORKLOAD),
         _TRANSLATED_WORKLOAD: _bench_interpreter_on(
@@ -276,11 +281,14 @@ def bench_interpreter(quick: bool) -> dict:
 # 4. ATOM profiler: per-instruction hook vs decoded transition counters
 # ----------------------------------------------------------------------
 def _bench_profiler_on(quick: bool, name: str) -> dict:
-    def profile(engine):
-        return profile_program(_bench_program(quick, name), engine=engine)
+    from tests.isa.reference_machine import reference_profile
 
-    ref_profile, ref_seconds = _timed(lambda: profile("reference"))
-    fast_profile, fast_seconds = _timed(lambda: profile("fast"))
+    ref_profile, ref_seconds = _timed(
+        lambda: reference_profile(_bench_program(quick, name))
+    )
+    fast_profile, fast_seconds = _timed(
+        lambda: profile_program(_bench_program(quick, name))
+    )
     identical = (
         fast_profile.total_instructions == ref_profile.total_instructions
         and all(
@@ -307,6 +315,8 @@ def _bench_profiler_on(quick: bool, name: str) -> dict:
 
 
 def bench_profiler(quick: bool) -> dict:
+    # The hooked profile runs on a test-only oracle, imported from tests/.
+    sys.path.insert(0, str(REPO_ROOT))
     return {
         **_bench_profiler_on(quick, _BENCH_WORKLOAD),
         _TRANSLATED_WORKLOAD: _bench_profiler_on(quick, _TRANSLATED_WORKLOAD),

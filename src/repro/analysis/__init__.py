@@ -8,7 +8,7 @@ _lazy_namespace(globals(), {
         "Distribution", "MonteCarloAnalyzer",
         "lognormal_leakage_amplification",
     ),
-    ".sweep": ("Sweep1D", "Sweep2D", "sweep_1d", "sweep_2d"),
+    ".sweep": ("Sweep2D", "sweep_2d"),
     ".contour": (
         "RatioSurface", "energy_ratio_surface", "breakeven_bga",
         "zero_crossing_cells", "ApplicationPoint",

@@ -9,6 +9,7 @@ the shifter, 97 % for the multiplier" under the X-server duty cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -75,8 +76,11 @@ class TechnologyComparator:
         vtcmos_well_capacitance_f: Optional[float] = None,
         vtcmos_body_swing_v: float = 3.0,
     ):
-        if vdd <= 0.0 or t_cycle_s <= 0.0:
-            raise AnalysisError("vdd and cycle time must be positive")
+        if not (0.0 < vdd < math.inf and 0.0 < t_cycle_s < math.inf):
+            raise AnalysisError(
+                f"vdd and cycle time must be positive and finite, got "
+                f"{vdd} and {t_cycle_s}"
+            )
         self.module = module
         self.vdd = vdd
         self.t_cycle_s = t_cycle_s

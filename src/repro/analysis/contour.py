@@ -145,8 +145,11 @@ def breakeven_bga(
     """
     if not 0.0 <= fga <= 1.0:
         raise AnalysisError(f"fga must be in [0, 1], got {fga}")
-    if vdd <= 0.0 or t_cycle_s <= 0.0:
-        raise AnalysisError("vdd and cycle time must be positive")
+    if not (0.0 < vdd < math.inf and 0.0 < t_cycle_s < math.inf):
+        raise AnalysisError(
+            f"vdd and cycle time must be positive and finite, got "
+            f"{vdd} and {t_cycle_s}"
+        )
     overhead = module.back_gate_capacitance_f * module.back_gate_swing_v**2
     rescued = (
         (1.0 - fga)

@@ -1,58 +1,18 @@
-"""Generic parameter-sweep containers.
+"""The 2-D parameter-sweep grid.
 
-Thin, dependency-free structures the benchmarks use to hold the data
-series behind each figure: a 1-D sweep is a figure curve, a 2-D sweep
-is a contour-plot grid.
+A thin, dependency-free container for a contour-plot grid: the Fig. 10
+energy-ratio plane and the Figs. 3/4 energy surface hold their values
+in one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 
-__all__ = ["Sweep1D", "Sweep2D", "sweep_1d", "sweep_2d"]
-
-
-@dataclass(frozen=True)
-class Sweep1D:
-    """One curve: ``y = f(x)`` sampled over a grid."""
-
-    x_name: str
-    y_name: str
-    xs: Tuple[float, ...]
-    ys: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.xs) != len(self.ys):
-            raise AnalysisError("xs and ys must have equal length")
-        if not self.xs:
-            raise AnalysisError("sweep is empty")
-
-    def argmin(self) -> Tuple[float, float]:
-        """(x, y) of the minimum sample."""
-        index = min(range(len(self.ys)), key=self.ys.__getitem__)
-        return self.xs[index], self.ys[index]
-
-    def argmax(self) -> Tuple[float, float]:
-        """(x, y) of the maximum sample."""
-        index = max(range(len(self.ys)), key=self.ys.__getitem__)
-        return self.xs[index], self.ys[index]
-
-    def is_monotone(self, increasing: bool = True) -> bool:
-        """Whether the samples are sorted along y."""
-        ordered = sorted(self.ys, reverse=not increasing)
-        return list(self.ys) == ordered
-
-    def has_interior_minimum(self) -> bool:
-        """True when the minimum is not at either end (a U-shape)."""
-        index = min(range(len(self.ys)), key=self.ys.__getitem__)
-        return 0 < index < len(self.ys) - 1
-
-    def rows(self) -> List[Tuple[float, float]]:
-        """(x, y) pairs for table rendering."""
-        return list(zip(self.xs, self.ys))
+__all__ = ["Sweep2D", "sweep_2d"]
 
 
 @dataclass(frozen=True)
@@ -81,22 +41,6 @@ class Sweep2D:
         return sum(
             1 for row in self.zs for value in row if value is not None
         )
-
-
-def sweep_1d(
-    x_name: str,
-    y_name: str,
-    xs: Sequence[float],
-    fn: Callable[[float], float],
-) -> Sweep1D:
-    """Sample ``fn`` over ``xs``."""
-    if not xs:
-        raise AnalysisError("empty sweep grid")
-    values = tuple(float(fn(x)) for x in xs)
-    return Sweep1D(
-        x_name=x_name, y_name=y_name, xs=tuple(float(x) for x in xs),
-        ys=values,
-    )
 
 
 def sweep_2d(

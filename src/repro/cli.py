@@ -75,19 +75,14 @@ def _print_table(headers, rows, title: str) -> None:
     print(format_table(headers, rows, title=title))
 
 
-def _engine(args: argparse.Namespace) -> str:
-    return "reference" if args.reference else "fast"
-
-
 def _merged_profile(args: argparse.Namespace):
     """One fga/bga profile over every ``--workload``, in order."""
     from repro.isa.profiler import profile_program
     from repro.isa.workloads import build
 
-    programs = [build(name, args.scale) for name in args.workload]
     return functools.reduce(
         lambda a, b: a.merged_with(b),
-        [profile_program(p, engine=_engine(args)) for p in programs],
+        [profile_program(build(name, args.scale)) for name in args.workload],
     )
 
 
@@ -298,7 +293,6 @@ def _cmd_compare(args: argparse.Namespace) -> Tuple[dict, dict]:
     )
     inputs = {
         "workload": list(args.workload),
-        "engine": _engine(args),
         "scale": args.scale,
         "duty": args.duty,
         "width": args.width,
@@ -747,17 +741,6 @@ _RECORD = (
     ),
     _RUNS_ROOT_OPTION,
 )
-#: --reference escape hatch for the profiling verbs.
-_ENGINE = (
-    _option(
-        "--reference", action="store_true",
-        help=(
-            "profile through the hook-instrumented reference "
-            "interpreter instead of the decoded fast engine "
-            "(identical numbers, much slower)"
-        ),
-    ),
-)
 #: --yield-percentile / --sigma / --samples / --seed knobs.
 _YIELD = (
     _option(
@@ -806,7 +789,6 @@ VERBS = (
         _workload_option(["idea"]),
         _option("--scale", type=int, default=48),
         _option("--duty", type=float, default=1.0),
-        *_ENGINE,
         *_METRICS,
     ), _cmd_profile),
     Verb("activity", "switch-level activity histograms", (
@@ -832,7 +814,6 @@ VERBS = (
     ), _cmd_optimize),
     Verb("compare", "burst-mode technology comparison (Fig. 10)", (
         _workload_option(["espresso", "li", "idea"]),
-        *_ENGINE,
         _option("--scale", type=int, default=48),
         _option("--duty", type=float, default=0.2),
         _option("--width", type=int, default=8),

@@ -104,10 +104,6 @@ class LowVoltageDesignFlow:
         Operating supply [V].
     clock_hz:
         System clock; sets the cycle time leakage integrates over.
-    profile_engine:
-        ``"fast"`` (default) profiles workloads through the decoded
-        counter engine; ``"reference"`` steps the hook-instrumented
-        interpreter.  Both produce identical profiles.
     variation:
         Optional :class:`repro.power.optimizer.VariationSpec`; when
         set, throughput optimizers built by this flow solve supplies
@@ -121,7 +117,6 @@ class LowVoltageDesignFlow:
         technology: Optional[Technology] = None,
         vdd: float = 1.0,
         clock_hz: float = 1e6,
-        profile_engine: str = "fast",
         variation: Optional[VariationSpec] = None,
     ):
         from repro.power.optimizer import VariationSpec
@@ -130,11 +125,6 @@ class LowVoltageDesignFlow:
             raise AnalysisError(
                 f"vdd and clock must be positive and finite, got "
                 f"vdd {vdd}, clock {clock_hz}"
-            )
-        if profile_engine not in ("fast", "reference"):
-            raise AnalysisError(
-                f"unknown profile engine {profile_engine!r}; "
-                "use 'fast' or 'reference'"
             )
         if variation is not None and not isinstance(variation, VariationSpec):
             raise AnalysisError(
@@ -145,7 +135,6 @@ class LowVoltageDesignFlow:
         )
         self.vdd = vdd
         self.clock_hz = clock_hz
-        self.profile_engine = profile_engine
         self.variation = variation
 
     @property
@@ -163,11 +152,7 @@ class LowVoltageDesignFlow:
         from repro.isa.profiler import profile_program
 
         with obs.span("flow.profile"):
-            return profile_program(
-                program,
-                max_instructions=max_instructions,
-                engine=self.profile_engine,
-            )
+            return profile_program(program, max_instructions=max_instructions)
 
     # ------------------------------------------------------------------
     # Stage 2: node activity

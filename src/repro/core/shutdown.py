@@ -220,8 +220,17 @@ def synthetic_session_trace(
     """
     if n_periods < 2:
         raise AnalysisError("need at least two periods")
-    if heavy_tail <= 1.0:
-        raise AnalysisError("heavy_tail must exceed 1 (finite mean)")
+    if not (0.0 < mean_busy_cycles < math.inf
+            and 0.0 < mean_idle_cycles < math.inf):
+        raise AnalysisError(
+            f"mean busy and idle cycles must be positive and finite, got "
+            f"{mean_busy_cycles} and {mean_idle_cycles}"
+        )
+    if not 1.0 < heavy_tail < math.inf:
+        raise AnalysisError(
+            f"heavy_tail must be finite and exceed 1 (finite mean), got "
+            f"{heavy_tail}"
+        )
     rng = random.Random(seed)
     pareto_scale = mean_idle_cycles * (heavy_tail - 1.0) / heavy_tail
     trace: List[ActivityPeriod] = []

@@ -11,15 +11,14 @@ provides the offline equivalent:
   instructions use the ALU adder").
 * :mod:`~repro.isa.assembler` — a two-pass assembler.
 * :mod:`~repro.isa.machine` — an interpreter with an ATOM-style
-  per-instruction instrumentation hook (the reference path) and one
-  decoded engine (``run_counted``, with ``run_fast`` a thin wrapper)
-  that is bit-identical and much faster: it dispatches basic blocks,
-  counts their entries the way Pixie does, and runs hot blocks as
-  generated code (:mod:`~repro.isa.translate`).
-* :mod:`~repro.isa.profiler` — turns an execution trace into
-  per-functional-unit ``fga``/``bga`` numbers (Tables 1-3), by hook
-  or — the default — by folding the decoded engine's unit-class
-  transition counts.
+  per-instruction instrumentation hook.  It compiles each instruction
+  into a closure, dispatches basic blocks, counts their entries the way
+  Pixie does and runs hot blocks as generated code
+  (:mod:`~repro.isa.translate`); a machine with hooks steps the same
+  closures one instruction at a time.
+* :mod:`~repro.isa.profiler` — turns a run's unit-class transition
+  counts into per-functional-unit ``fga``/``bga`` numbers
+  (Tables 1-3).
 * :mod:`~repro.isa.workloads` — the three paper workloads (an
   espresso-like minimizer kernel, a li-like list interpreter, the IDEA
   cipher) plus extension workloads.

@@ -3,26 +3,18 @@
 The :class:`Machine` executes an assembled
 :class:`~repro.isa.assembler.Program` and, like ATOM, lets analysis
 code attach a per-instruction hook that observes every retired
-instruction.  The profiler in :mod:`repro.isa.profiler` is one such
-analysis; tests attach their own.
+instruction.  The recorders in :mod:`repro.isa.policy` and
+:mod:`repro.isa.operands` are such analyses; tests attach their own.
 
-Two execution engines share one architectural state:
-
-* the **reference** path — :meth:`Machine.step` / :meth:`Machine.run` —
-  dispatches each retired instruction through a mnemonic if/elif chain
-  and invokes every attached hook.  It is the specification.
-* the **decoded** path — :meth:`Machine.run_counted`, with
-  :meth:`Machine.run_fast` a thin wrapper over it — compiles each
-  instruction once into a specialized closure (operands bound as
-  locals, register file and memory captured directly, signed/shift
-  helpers inlined) and dispatches one basic block at a time, counting
-  block entries the way Pixie does.  A block entered ``_TIER_UP``
-  times is replaced by one generated function
-  (:mod:`repro.isa.translate`).  It is
-  bit-identical to the reference in architectural state, retirement
-  counts, and error behavior.  Hooks are the ATOM contract of the
-  reference path: :meth:`run_fast` transparently falls back to
-  :meth:`run` whenever a hook is attached.
+Each instruction is compiled once into a specialized closure (operands
+bound as locals, register file and memory captured directly,
+signed/shift helpers inlined).  A hook-free run dispatches one basic
+block at a time and counts block entries the way Pixie does; a block
+entered ``_TIER_UP`` times is replaced by one generated function
+(:mod:`repro.isa.translate`).  A machine with hooks steps the same
+closures one instruction at a time, calling every hook as its
+instruction retires, so :meth:`Machine.run` and
+:meth:`Machine.run_counted` honour hooks alike.
 
 Conventions: 32 registers (r0 hard-wired to zero), 32-bit two's
 complement words, word-addressed memory, ``HALT`` stops execution.
@@ -91,14 +83,9 @@ class PcFault(Exception):
         self.pc = pc
 
 
-def _to_signed(value: int) -> int:
-    value &= _WORD_MASK
-    return value - _TWO_32 if value & _SIGN_BIT else value
-
-
 @dataclass(frozen=True)
 class UnitClassCounts:
-    """Functional-unit-class transition counts from a counted fast run.
+    """Functional-unit-class transition counts from a counted run.
 
     Every instruction belongs to one **unit class** — the (interned)
     set of functional units its opcode exercises; class 0 is always the
@@ -290,8 +277,8 @@ def _compile_instruction(
     if mnemonic == "LW":
         rd, rs1, imm = ops
         if rd == 0:
-            # The address is masked non-negative, so the reference load
-            # can neither fault nor (with rd = r0) write — a pure no-op.
+            # The address is masked non-negative, so the load can
+            # neither fault nor (with rd = r0) write — a pure no-op.
             return _nop_slot
 
         def slot(pc, regs=regs, memory=memory, rd=rd, rs1=rs1, imm=imm):
@@ -402,8 +389,8 @@ class Machine:
         self.instructions_retired = 0
         self.memory_limit_words = memory_limit_words
         self._hooks: List[InstrumentationHook] = []
-        # Decoded-engine state, built lazily on first decoded run; the
-        # block table keeps this machine's translations.
+        # Decoded state, built lazily on the first run; the block table
+        # keeps this machine's translations.
         self._decoded: Optional[List[Callable[[int], int]]] = None
         self._class_ids: Optional[List[int]] = None
         self._unit_classes: Optional[Tuple[FrozenSet[str], ...]] = None
@@ -415,9 +402,9 @@ class Machine:
     def add_hook(self, hook: InstrumentationHook) -> None:
         """Attach a per-retired-instruction observer.
 
-        Hooks are a reference-path contract: while any hook is
-        attached, :meth:`run_fast` falls back to :meth:`run` so every
-        observer still sees every retired instruction.
+        While any hook is attached, :meth:`run` and :meth:`run_counted`
+        step one instruction at a time, so every observer sees every
+        retired instruction.
         """
         self._hooks.append(hook)
 
@@ -453,64 +440,14 @@ class Machine:
         self.memory[address] = value & _WORD_MASK
 
     # ------------------------------------------------------------------
-    # Reference execution
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Execute one instruction."""
-        if self.halted:
-            raise MachineError("machine is halted")
-        if not 0 <= self.pc < len(self.program.instructions):
-            raise MachineError(f"PC {self.pc} outside program")
-        instruction = self.program.instructions[self.pc]
-        current_pc = self.pc
-        self.pc += 1
-        self._execute(instruction)
-        self.instructions_retired += 1
-        if self._hooks:
-            for hook in self._hooks:
-                hook(current_pc, instruction)
-
-    def run(self, max_instructions: int = 50_000_000) -> int:
-        """Run to ``HALT`` on the reference path; returns instructions
-        retired this call."""
-        start = self.instructions_retired
-        started = time.perf_counter() if obs.ENABLED else 0.0
-        instructions = self.program.instructions
-        limit = len(instructions)
-        hooks = self._hooks
-        execute = self._execute
-        while not self.halted:
-            if self.instructions_retired - start >= max_instructions:
-                raise MachineError(
-                    f"instruction budget {max_instructions} exhausted "
-                    f"(pc={self.pc})"
-                )
-            pc = self.pc
-            if not 0 <= pc < limit:
-                raise MachineError(f"PC {pc} outside program")
-            instruction = instructions[pc]
-            self.pc = pc + 1
-            execute(instruction)
-            self.instructions_retired += 1
-            if hooks:
-                for hook in hooks:
-                    hook(pc, instruction)
-        retired = self.instructions_retired - start
-        if obs.ENABLED:
-            self._record_run_metrics(
-                "machine.run", retired, time.perf_counter() - started
-            )
-        return retired
-
-    # ------------------------------------------------------------------
-    # Decoded execution
+    # Execution
     # ------------------------------------------------------------------
     def decode(self) -> None:
         """Compile the program into the decoded dispatch table.
 
-        Called lazily by :meth:`run_fast` / :meth:`run_counted` on
-        first use; calling it eagerly just front-loads the (timed)
-        decode cost.  Idempotent.
+        Called lazily by :meth:`run` / :meth:`run_counted` on first
+        use; calling it eagerly just front-loads the (timed) decode
+        cost.  Idempotent.
         """
         if self._decoded is not None:
             return
@@ -533,8 +470,7 @@ class Machine:
                     classes.append(units)
                 class_ids.append(cid)
             # Imported here, not at module level, so that importing the
-            # toolkit does not load the translator; only decoded runs
-            # use it.
+            # toolkit does not load the translator; only runs use it.
             from repro.isa.translate import BlockTable
 
             self._decoded = decoded
@@ -550,68 +486,52 @@ class Machine:
 
         Every machine API keeps registers masked and r0 zero; this
         re-normalizes defensively (in place, identity preserved) so a
-        caller who poked ``machine.registers`` directly still gets the
-        reference semantics from the decoded path.
+        caller who poked ``machine.registers`` directly still gets
+        32-bit register semantics.
         """
         regs = self.registers
         regs[0] = 0
         for index in range(1, 32):
             regs[index] &= _WORD_MASK
 
-    def run_fast(self, max_instructions: int = 50_000_000) -> int:
-        """Run to ``HALT`` on the decoded path; returns instructions
-        retired this call.
+    def run(self, max_instructions: int = 50_000_000) -> int:
+        """Run to ``HALT``; returns instructions retired this call.
 
-        Bit-identical to :meth:`run` in architectural state
-        (registers, memory, pc, ``halted``, ``instructions_retired``)
-        and in error behavior (same :class:`MachineError` messages at
-        the same machine states).  It is :meth:`run_counted`'s block
-        dispatch with the profile left unfolded.  If any
-        instrumentation hook is attached, this transparently falls back
-        to the reference path so the ATOM contract — every hook sees
-        every retired instruction — is preserved.
+        Raises :class:`MachineError` when the budget runs out, the pc
+        leaves the program or a store would exceed the memory
+        footprint, leaving the machine at that stop.  It is
+        :meth:`run_counted`'s dispatch with the profile left unfolded.
         """
-        if self._hooks:
-            return self.run(max_instructions)
         started = time.perf_counter() if obs.ENABLED else 0.0
         start = self.instructions_retired
         self._dispatch(max_instructions, 0)
         retired = self.instructions_retired - start
         if obs.ENABLED:
             self._record_run_metrics(
-                "machine.run_fast", retired, time.perf_counter() - started
+                "machine.run", retired, time.perf_counter() - started
             )
         return retired
 
     def run_counted(
         self, max_instructions: int = 50_000_000, start_class: int = 0
     ) -> UnitClassCounts:
-        """Decoded run that also counts unit-class transitions.
+        """Run to ``HALT`` and count unit-class transitions.
 
-        Dispatches one basic block at a time (see
+        A hook-free run dispatches one basic block at a time (see
         :mod:`repro.isa.translate`) and counts block entries the way
         Pixie does: one increment per entry, keyed by (predecessor
         class, block).  At the end the counts are folded, through each
-        block's fixed internal transitions, into the k x k
-        (previous class, current class) matrix — everything the ATOM
-        profiler's per-instruction hook would have observed, without
-        calling any Python hook — see
-        :func:`repro.isa.profiler.profile_from_counts`.
+        block's fixed internal transitions, into the k x k (previous
+        class, current class) matrix.  A hooked run counts each
+        retirement's transition as it steps.  Either way the matrix
+        holds everything a per-instruction profiling hook would have
+        observed — see :func:`repro.isa.profiler.profile_from_counts`.
 
         ``start_class`` seeds the predecessor state (class 0, the
         empty set, means "nothing retired yet"); chaining the previous
         call's ``final_class`` continues run-length accounting across
         calls exactly like a persistent hook would.
-
-        Raises :class:`MachineError` if hooks are attached — counted
-        dispatch never invokes them, so use :meth:`run` with an
-        :class:`~repro.isa.profiler.AtomProfiler` instead.
         """
-        if self._hooks:
-            raise MachineError(
-                "run_counted does not dispatch hooks; use run() with an "
-                "AtomProfiler attached"
-            )
         if self._decoded is None:
             self.decode()
         classes = self._unit_classes
@@ -622,9 +542,9 @@ class Machine:
             )
         started = time.perf_counter() if obs.ENABLED else 0.0
         start = self.instructions_retired
-        final_class = self._dispatch(max_instructions, start_class)
+        final_class, stepped = self._dispatch(max_instructions, start_class)
         retired = self.instructions_retired - start
-        transitions = self._blocks.fold()
+        transitions = self._blocks.fold() if stepped is None else stepped
         if obs.ENABLED:
             self._record_run_metrics(
                 "machine.run_counted", retired,
@@ -637,28 +557,41 @@ class Machine:
             final_class=final_class,
         )
 
-    def _dispatch(self, max_instructions: int, start_class: int) -> int:
-        """The decoded engine's run; returns the final class.
+    def _dispatch(
+        self, max_instructions: int, start_class: int
+    ) -> Tuple[int, Optional[List[int]]]:
+        """Run from ``self.pc``; returns the final class and, for a
+        hooked run, its class-transition matrix.
 
-        Runs the block table's dispatch loop (see
-        :meth:`~repro.isa.translate.BlockTable.run`), which leaves the
-        run's Pixie block-entry counts behind, and maps its stop to the
-        machine state and :class:`MachineError` the reference path
-        leaves at the same stop.
+        A hook-free run goes through the block table's dispatch loop
+        (see :meth:`~repro.isa.translate.BlockTable.run`), which leaves
+        the run's Pixie block-entry counts behind for
+        :meth:`~repro.isa.translate.BlockTable.fold`; a hooked run
+        steps (:meth:`_step`) and counts its transitions itself.  Both
+        report the same stops, which map to the machine state and
+        :class:`MachineError` here.
         """
         if self._decoded is None:
             self.decode()
         self._normalize_registers()
         if self.halted:
             self._blocks.reset()  # nothing runs: empty counts
-            return start_class
-        stop, pc, retired, final_class = self._blocks.run(
-            self.pc, max_instructions, start_class
-        )
-        self.instructions_retired += retired
+            return start_class, None
+        start = self.instructions_retired
+        stepped = None
+        if self._hooks:
+            stepped = [0] * len(self._unit_classes) ** 2
+            stop, pc, retired, final_class = self._step(
+                self.pc, max_instructions, start_class, stepped
+            )
+        else:
+            stop, pc, retired, final_class = self._blocks.run(
+                self.pc, max_instructions, start_class
+            )
+        self.instructions_retired = start + retired
         if stop == "store":
-            # The faulting store did not retire, but the reference path
-            # had already advanced the pc past it.
+            # The faulting store did not retire, but the pc has already
+            # moved past it.
             self.pc = pc + 1
             raise MachineError(
                 f"memory footprint exceeded {self.memory_limit_words} words"
@@ -670,7 +603,55 @@ class Machine:
             raise MachineError(
                 f"instruction budget {max_instructions} exhausted (pc={pc})"
             )
-        return final_class
+        return final_class, stepped
+
+    def _step(
+        self, pc: int, budget: int, start_class: int, transitions: List[int]
+    ) -> Tuple[str, int, int, int]:
+        """The hooked run: one closure per instruction, with every hook
+        called as its instruction retires.
+
+        Returns what :meth:`~repro.isa.translate.BlockTable.run`
+        returns, and adds one to ``transitions[prev * k + class]`` per
+        retirement.  The budget is checked before each fetch, then the
+        pc.  A HALT or a branch to a negative pc retires; a faulting
+        store does not.  Before a hook runs, ``pc`` and
+        ``instructions_retired`` already hold their values after the
+        retirement.
+        """
+        decoded = self._decoded
+        limit = len(decoded)
+        class_ids = self._class_ids
+        instructions = self.program.instructions
+        hooks = self._hooks
+        k = len(self._unit_classes)
+        start = self.instructions_retired
+        prev = start_class
+        retired = 0
+        while True:
+            if retired >= budget:
+                return "budget", pc, retired, start_class
+            if not 0 <= pc < limit:
+                return "pc", pc, retired, start_class
+            try:
+                next_pc = decoded[pc](pc)
+            except Halt as halt:
+                next_pc = halt.next_pc
+            except PcFault as fault:
+                next_pc = fault.pc
+            except StoreFault:
+                return "store", pc, retired, start_class
+            retired += 1
+            current = class_ids[pc]
+            transitions[prev * k + current] += 1
+            prev = current
+            self.pc = next_pc
+            self.instructions_retired = start + retired
+            for hook in hooks:
+                hook(pc, instructions[pc])
+            if self.halted:
+                return "halt", next_pc, retired, prev
+            pc = next_pc
 
     @staticmethod
     def _record_run_metrics(
@@ -680,93 +661,3 @@ class Machine:
         obs.observe_seconds(timer, elapsed)
         if elapsed > 0.0:
             obs.gauge("machine.instructions_per_s", retired / elapsed)
-
-    # ------------------------------------------------------------------
-    def _execute(self, instruction: Instruction) -> None:
-        mnemonic = instruction.mnemonic
-        ops = instruction.operands
-        read = self.read_register
-        write = self.write_register
-
-        if mnemonic == "ADD":
-            write(ops[0], read(ops[1]) + read(ops[2]))
-        elif mnemonic == "SUB":
-            write(ops[0], read(ops[1]) - read(ops[2]))
-        elif mnemonic == "ADDI":
-            write(ops[0], read(ops[1]) + ops[2])
-        elif mnemonic == "SLT":
-            write(
-                ops[0],
-                int(_to_signed(read(ops[1])) < _to_signed(read(ops[2]))),
-            )
-        elif mnemonic == "SLTU":
-            write(ops[0], int(read(ops[1]) < read(ops[2])))
-        elif mnemonic == "SLTI":
-            write(ops[0], int(_to_signed(read(ops[1])) < ops[2]))
-        elif mnemonic == "SLL":
-            write(ops[0], read(ops[1]) << (read(ops[2]) & 31))
-        elif mnemonic == "SRL":
-            write(ops[0], read(ops[1]) >> (read(ops[2]) & 31))
-        elif mnemonic == "SRA":
-            write(ops[0], _to_signed(read(ops[1])) >> (read(ops[2]) & 31))
-        elif mnemonic == "SLLI":
-            write(ops[0], read(ops[1]) << (ops[2] & 31))
-        elif mnemonic == "SRLI":
-            write(ops[0], read(ops[1]) >> (ops[2] & 31))
-        elif mnemonic == "SRAI":
-            write(ops[0], _to_signed(read(ops[1])) >> (ops[2] & 31))
-        elif mnemonic == "MUL":
-            write(ops[0], read(ops[1]) * read(ops[2]))
-        elif mnemonic == "MULHU":
-            write(ops[0], (read(ops[1]) * read(ops[2])) >> 32)
-        elif mnemonic == "AND":
-            write(ops[0], read(ops[1]) & read(ops[2]))
-        elif mnemonic == "OR":
-            write(ops[0], read(ops[1]) | read(ops[2]))
-        elif mnemonic == "XOR":
-            write(ops[0], read(ops[1]) ^ read(ops[2]))
-        elif mnemonic == "ANDI":
-            write(ops[0], read(ops[1]) & (ops[2] & _WORD_MASK))
-        elif mnemonic == "ORI":
-            write(ops[0], read(ops[1]) | (ops[2] & _WORD_MASK))
-        elif mnemonic == "XORI":
-            write(ops[0], read(ops[1]) ^ (ops[2] & _WORD_MASK))
-        elif mnemonic == "LUI":
-            write(ops[0], (ops[1] & 0xFFFF) << 16)
-        elif mnemonic == "LW":
-            address = (read(ops[1]) + ops[2]) & _WORD_MASK
-            write(ops[0], self.read_memory(address))
-        elif mnemonic == "SW":
-            address = (read(ops[1]) + ops[2]) & _WORD_MASK
-            self.write_memory(address, read(ops[0]))
-        elif mnemonic == "BEQ":
-            if read(ops[0]) == read(ops[1]):
-                self.pc = ops[2]
-        elif mnemonic == "BNE":
-            if read(ops[0]) != read(ops[1]):
-                self.pc = ops[2]
-        elif mnemonic == "BLT":
-            if _to_signed(read(ops[0])) < _to_signed(read(ops[1])):
-                self.pc = ops[2]
-        elif mnemonic == "BGE":
-            if _to_signed(read(ops[0])) >= _to_signed(read(ops[1])):
-                self.pc = ops[2]
-        elif mnemonic == "BLTU":
-            if read(ops[0]) < read(ops[1]):
-                self.pc = ops[2]
-        elif mnemonic == "BGEU":
-            if read(ops[0]) >= read(ops[1]):
-                self.pc = ops[2]
-        elif mnemonic == "JAL":
-            write(ops[0], self.pc)
-            self.pc = ops[1]
-        elif mnemonic == "JALR":
-            return_address = self.pc
-            self.pc = (read(ops[1]) + ops[2]) & _WORD_MASK
-            write(ops[0], return_address)
-        elif mnemonic == "HALT":
-            self.halted = True
-        elif mnemonic == "NOP":
-            pass
-        else:  # pragma: no cover - spec table is static
-            raise MachineError(f"unimplemented mnemonic {mnemonic!r}")

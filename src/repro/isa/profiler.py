@@ -14,19 +14,13 @@ that use the unit; we count run onsets.  ``bga`` is the probability the
 unit's V_T control (SOIAS back gate / MTCMOS sleep signal) must toggle
 in a cycle, so runs — not uses — are what cost back-gate energy.
 
-Two engines produce the same numbers:
-
-* the **reference** engine attaches an :class:`AtomProfiler` hook and
-  steps the machine — analysis code interposed per retired
-  instruction, the original ATOM picture;
-* the **fast** engine (the default) follows Pixie's and ATOM's actual
-  design point — the analysis is *compiled into* the instrumented
-  program: the machine's decoded dispatch loop counts basic-block
-  entries by predecessor functional-unit class and folds them into a
-  class-transition matrix
-  (:meth:`~repro.isa.machine.Machine.run_counted`), and
-  :func:`profile_from_counts` folds that matrix into the identical
-  per-unit uses/runs afterwards.  No Python hook runs.
+The numbers come the way Pixie and ATOM produce theirs: the analysis
+is *compiled into* the instrumented program.  The machine counts
+basic-block entries by predecessor functional-unit class and folds
+them into a class-transition matrix
+(:meth:`~repro.isa.machine.Machine.run_counted`), and
+:func:`profile_from_counts` folds that matrix into per-unit uses and
+runs afterwards.  No Python hook runs unless the caller attached one.
 """
 
 from __future__ import annotations
@@ -36,13 +30,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ProfileError
 from repro.isa.assembler import Program
-from repro.isa.instructions import FUNCTIONAL_UNITS, Instruction
+from repro.isa.instructions import FUNCTIONAL_UNITS
 from repro.isa.machine import Machine, UnitClassCounts
 
 __all__ = [
     "UnitStats",
     "FunctionalUnitProfile",
-    "AtomProfiler",
     "profile_from_counts",
     "profile_program",
 ]
@@ -154,54 +147,6 @@ class FunctionalUnitProfile:
         )
 
 
-class AtomProfiler:
-    """Instrumentation hook that accumulates per-unit use/run counts.
-
-    Attach to a :class:`Machine` with ``machine.add_hook(profiler)``;
-    the object is callable with the hook signature.
-    """
-
-    def __init__(self, units: Tuple[str, ...] = FUNCTIONAL_UNITS):
-        self.units = units
-        self.uses: Dict[str, int] = {unit: 0 for unit in units}
-        self.runs: Dict[str, int] = {unit: 0 for unit in units}
-        self.total = 0
-        self._active_last_cycle: Dict[str, bool] = {
-            unit: False for unit in units
-        }
-
-    def __call__(self, pc: int, instruction: Instruction) -> None:
-        self.total += 1
-        used = instruction.units
-        for unit in self.units:
-            if unit in used:
-                self.uses[unit] += 1
-                if not self._active_last_cycle[unit]:
-                    self.runs[unit] += 1
-                self._active_last_cycle[unit] = True
-            else:
-                self._active_last_cycle[unit] = False
-
-    def profile(self, program_name: str) -> FunctionalUnitProfile:
-        """Freeze the counters into a :class:`FunctionalUnitProfile`."""
-        if self.total == 0:
-            raise ProfileError("no instructions retired; nothing to profile")
-        units = {
-            unit: UnitStats(
-                unit=unit,
-                uses=self.uses[unit],
-                runs=self.runs[unit],
-                total_instructions=self.total,
-            )
-            for unit in self.units
-        }
-        return FunctionalUnitProfile(
-            program_name=program_name,
-            total_instructions=self.total,
-            units=units,
-        )
-
-
 def profile_from_counts(
     program_name: str,
     counts: UnitClassCounts,
@@ -214,7 +159,7 @@ def profile_from_counts(
     unit in ``c``, and starts a run of unit ``u`` exactly when ``u`` is
     in ``c`` but not in the predecessor class ``p``.  Summing
     ``transitions[p][c]`` under those predicates therefore reproduces
-    the :class:`AtomProfiler` hook's counters without having observed
+    what a per-instruction hook would count, without having observed
     any individual instruction.
     """
     if counts.retired == 0:
@@ -254,7 +199,6 @@ def profile_program(
     program: Program,
     max_instructions: int = 50_000_000,
     machine: Optional[Machine] = None,
-    engine: str = "fast",
 ) -> FunctionalUnitProfile:
     """Run a program to completion and return its unit profile.
 
@@ -265,28 +209,11 @@ def profile_program(
     max_instructions:
         Execution budget guard.
     machine:
-        Optionally a pre-configured machine (e.g. with extra hooks);
-        a fresh one is created otherwise.
-    engine:
-        ``"fast"`` (default) profiles through the decoded counter
-        path — no per-instruction Python hook; ``"reference"`` attaches
-        an :class:`AtomProfiler` hook and steps the reference
-        interpreter.  Both produce identical profiles.  A machine with
-        hooks already attached always takes the reference path, so
-        user instrumentation keeps observing every retired
-        instruction.
+        Optionally a pre-configured machine (e.g. with hooks, which
+        still observe every retired instruction); a fresh one is
+        created otherwise.
     """
-    if engine not in ("fast", "reference"):
-        raise ProfileError(
-            f"unknown profiling engine {engine!r}; use 'fast' or "
-            "'reference'"
-        )
     if machine is None:
         machine = Machine(program)
-    if engine == "fast" and not machine._hooks:
-        counts = machine.run_counted(max_instructions=max_instructions)
-        return profile_from_counts(program.name, counts)
-    profiler = AtomProfiler()
-    machine.add_hook(profiler)
-    machine.run(max_instructions=max_instructions)
-    return profiler.profile(program.name)
+    counts = machine.run_counted(max_instructions=max_instructions)
+    return profile_from_counts(program.name, counts)

@@ -4,8 +4,8 @@ A **dynamic basic block** runs from its entry pc through the next
 control transfer — BEQ, BNE, BLT, BGE, BLTU, BGEU, JAL, JALR or HALT —
 or to the end of the program if no transfer follows.  Inside a block
 the pc only ever advances by one, so a block is described by its entry
-and its last pc.  :meth:`BlockTable.run` is the decoded engine's one
-dispatch loop: it runs one block at a time and counts block entries
+and its last pc.  :meth:`BlockTable.run` is the dispatch loop of every
+hook-free run: it runs one block at a time and counts block entries
 the way Pixie does.
 
 Every block starts **cold**: it runs the machine's per-instruction
@@ -355,8 +355,9 @@ class BlockTable:
         SW that faulted; it did not retire); ``retired`` counts the
         instructions retired, and ``final_class`` is the class of the
         last one (``start_class`` seeds it; set on ``"halt"`` only).
-        The stops are the reference stepper's: it checks the budget
-        before each fetch, so an exhausted budget wins over a pc
+        The stops are the hooked stepper's
+        (:meth:`~repro.isa.machine.Machine._step`): it checks the
+        budget before each fetch, so an exhausted budget wins over a pc
         outside the program.
 
         While the budget left covers ``chunk`` of the longest possible

@@ -21,6 +21,7 @@ control-overhead and standby-leakage terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -79,8 +80,8 @@ class ModuleEnergyParameters:
             "back_gate_capacitance_f",
             "back_gate_swing_v",
         ):
-            if getattr(self, field_name) < 0.0:
-                raise AnalysisError(f"{field_name} must be >= 0")
+            if not 0.0 <= getattr(self, field_name) < math.inf:
+                raise AnalysisError(f"{field_name} must be >= 0 and finite")
         if self.leakage_high_vt_a > self.leakage_low_vt_a:
             raise AnalysisError(
                 "high-V_T leakage cannot exceed low-V_T leakage"
@@ -104,10 +105,12 @@ def _check_activities(fga: float, bga: float) -> None:
 
 
 def _check_operating_point(vdd: float, t_cycle_s: float) -> None:
-    if vdd <= 0.0:
-        raise AnalysisError("vdd must be positive")
-    if t_cycle_s <= 0.0:
-        raise AnalysisError("cycle time must be positive")
+    if not 0.0 < vdd < math.inf:
+        raise AnalysisError(f"vdd must be positive and finite, got {vdd}")
+    if not 0.0 < t_cycle_s < math.inf:
+        raise AnalysisError(
+            f"cycle time must be positive and finite, got {t_cycle_s}"
+        )
 
 
 def e_soi(
@@ -174,8 +177,10 @@ def e_mtcmos(
         if sleep_control_capacitance_f is None
         else sleep_control_capacitance_f
     )
-    if control_cap < 0.0:
-        raise AnalysisError("sleep control capacitance must be >= 0")
+    if not 0.0 <= control_cap < math.inf:
+        raise AnalysisError(
+            "sleep control capacitance must be >= 0 and finite"
+        )
     switching = fga * module.switched_capacitance_f * vdd * vdd
     control = bga * control_cap * vdd * vdd
     active_leak = fga * module.leakage_low_vt_a * vdd * t_cycle_s
@@ -201,8 +206,11 @@ def e_vtcmos(
     """
     _check_activities(fga, bga)
     _check_operating_point(vdd, t_cycle_s)
-    if well_capacitance_f < 0.0 or body_bias_swing_v < 0.0:
-        raise AnalysisError("well capacitance and swing must be >= 0")
+    if not (0.0 <= well_capacitance_f < math.inf
+            and 0.0 <= body_bias_swing_v < math.inf):
+        raise AnalysisError(
+            "well capacitance and swing must be >= 0 and finite"
+        )
     switching = fga * module.switched_capacitance_f * vdd * vdd
     control = bga * well_capacitance_f * body_bias_swing_v**2
     active_leak = fga * module.leakage_low_vt_a * vdd * t_cycle_s

@@ -1,41 +1,9 @@
-"""Unit tests for sweep containers."""
+"""Unit tests for the 2-D sweep grid."""
 
 import pytest
 
-from repro.analysis.sweep import Sweep1D, sweep_1d, sweep_2d
+from repro.analysis.sweep import sweep_2d
 from repro.errors import AnalysisError
-
-
-class TestSweep1D:
-    def test_samples_function(self):
-        sweep = sweep_1d("x", "x^2", [0.0, 1.0, 2.0], lambda x: x * x)
-        assert sweep.ys == (0.0, 1.0, 4.0)
-
-    def test_argmin_argmax(self):
-        sweep = sweep_1d("x", "y", [-2.0, 0.0, 3.0], lambda x: x * x)
-        assert sweep.argmin() == (0.0, 0.0)
-        assert sweep.argmax() == (3.0, 9.0)
-
-    def test_monotonicity_checks(self):
-        rising = sweep_1d("x", "y", [1.0, 2.0, 3.0], lambda x: x)
-        assert rising.is_monotone(increasing=True)
-        assert not rising.is_monotone(increasing=False)
-
-    def test_interior_minimum_detection(self):
-        u_shape = sweep_1d("x", "y", [-1.0, 0.0, 1.0], lambda x: x * x)
-        assert u_shape.has_interior_minimum()
-        slope = sweep_1d("x", "y", [0.0, 1.0], lambda x: x)
-        assert not slope.has_interior_minimum()
-
-    def test_rows(self):
-        sweep = sweep_1d("x", "y", [1.0, 2.0], lambda x: 2 * x)
-        assert sweep.rows() == [(1.0, 2.0), (2.0, 4.0)]
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            sweep_1d("x", "y", [], lambda x: x)
-        with pytest.raises(AnalysisError):
-            Sweep1D("x", "y", (1.0,), (1.0, 2.0))
 
 
 class TestSweep2D:

@@ -1,5 +1,7 @@
 """Unit tests for shutdown policies and the session-trace generator."""
 
+import math
+
 import pytest
 
 from repro.core.shutdown import (
@@ -87,6 +89,27 @@ class TestTraceGenerator:
             synthetic_session_trace(heavy_tail=1.0)
         with pytest.raises(AnalysisError):
             ActivityPeriod(busy=True, duration_cycles=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mean_busy_cycles": 0},
+            {"mean_busy_cycles": -5},
+            {"mean_busy_cycles": math.nan},
+            {"mean_busy_cycles": math.inf},
+            {"mean_idle_cycles": 0},
+            {"mean_idle_cycles": -1},
+            {"mean_idle_cycles": math.nan},
+            {"mean_idle_cycles": math.inf},
+            {"heavy_tail": math.nan},
+            {"heavy_tail": math.inf},
+        ],
+    )
+    def test_rejects_degenerate_means(self, kwargs):
+        # A zero busy mean divided by zero; the others clamped every
+        # period to one cycle, or drew from a NaN or infinite scale.
+        with pytest.raises(AnalysisError):
+            synthetic_session_trace(**kwargs)
 
 
 class TestPolicies:

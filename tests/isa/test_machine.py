@@ -1,4 +1,8 @@
-"""Unit tests for the ISA interpreter."""
+"""Unit tests for the ISA interpreter.
+
+Every "matches reference" test compares the machine against the
+test-only if/elif stepper in ``tests/isa/reference_machine.py``.
+"""
 
 import pytest
 
@@ -6,8 +10,9 @@ from repro import obs
 from repro.errors import MachineError
 from repro.isa.assembler import assemble
 from repro.isa.machine import Machine, _TIER_UP
-from repro.isa.profiler import AtomProfiler, profile_from_counts
+from repro.isa.profiler import profile_from_counts
 from repro.isa.translate import LOOP_PASSES, block_ends
+from tests.isa.reference_machine import AtomProfiler, ReferenceMachine
 
 
 def run(source, max_instructions=100_000):
@@ -204,12 +209,6 @@ class TestControlFlow:
         with pytest.raises(MachineError, match="budget"):
             machine.run(max_instructions=1000)
 
-    def test_step_after_halt_rejected(self):
-        machine = Machine(assemble("HALT"))
-        machine.run()
-        with pytest.raises(MachineError, match="halted"):
-            machine.step()
-
 
 class TestInstrumentation:
     def test_hook_sees_every_retired_instruction(self):
@@ -288,6 +287,16 @@ def _state(machine):
     )
 
 
+def _hook_stream(machine):
+    """Attach a hook recording what it sees at each retirement."""
+    stream = []
+    machine.add_hook(lambda pc, instr: stream.append((
+        pc, instr.mnemonic, machine.pc, machine.instructions_retired,
+        list(machine.registers), len(machine.memory),
+    )))
+    return stream
+
+
 def _translated(run):
     """Call ``run()`` with metrics on; return the blocks it translated."""
     with obs.enabled_scope(fresh=True):
@@ -296,13 +305,13 @@ def _translated(run):
 
 
 def _same_error_and_state(source, budget=50_000_000, **machine_kwargs):
-    """Run ``source`` into its error on the reference path and on both
-    decoded entry points; return the blocks the decoded runs translated."""
-    reference = Machine(assemble(source), **machine_kwargs)
+    """Run ``source`` into its error on the reference stepper and on both
+    machine entry points; return the blocks the machine runs translated."""
+    reference = ReferenceMachine(assemble(source), **machine_kwargs)
     with pytest.raises(MachineError) as ref_err:
         reference.run(max_instructions=budget)
     with obs.enabled_scope(fresh=True):
-        for entry_point in ("run_fast", "run_counted"):
+        for entry_point in ("run", "run_counted"):
             fast = Machine(assemble(source), **machine_kwargs)
             with pytest.raises(MachineError) as fast_err:
                 getattr(fast, entry_point)(max_instructions=budget)
@@ -315,7 +324,7 @@ def _entry_retirements(source, label):
     """Instructions retired before each execution of ``label``, and the
     length of the block entered there."""
     program = assemble(source)
-    machine = Machine(program)
+    machine = ReferenceMachine(program)
     entry = program.labels[label]
     retired = []
     machine.add_hook(
@@ -328,10 +337,10 @@ def _entry_retirements(source, label):
 
 class TestDecodedEngine:
     def test_same_architectural_state_as_reference(self):
-        reference = Machine(assemble(LOOP_SOURCE))
+        reference = ReferenceMachine(assemble(LOOP_SOURCE))
         reference.run()
         fast = Machine(assemble(LOOP_SOURCE))
-        retired = fast.run_fast()
+        retired = fast.run()
         assert retired == reference.instructions_retired
         assert _state(fast) == _state(reference)
 
@@ -343,12 +352,12 @@ class TestDecodedEngine:
         assert machine._decoded is decoded
 
     def test_budget_error_matches_reference(self):
-        reference = Machine(assemble("loop: J loop"))
+        reference = ReferenceMachine(assemble("loop: J loop"))
         with pytest.raises(MachineError) as ref_err:
             reference.run(max_instructions=1000)
         fast = Machine(assemble("loop: J loop"))
         with pytest.raises(MachineError) as fast_err:
-            fast.run_fast(max_instructions=1000)
+            fast.run(max_instructions=1000)
         assert str(fast_err.value) == str(ref_err.value)
         assert _state(fast) == _state(reference)
         # A budget ending at every offset of a translated block, both a
@@ -368,16 +377,16 @@ class TestDecodedEngine:
         # exhaustion past a chunk boundary must still be exact.
         fast = Machine(assemble("loop: J loop"))
         with pytest.raises(MachineError, match="budget 70000"):
-            fast.run_fast(max_instructions=70_000)
+            fast.run(max_instructions=70_000)
         assert fast.instructions_retired == 70_000
 
     def test_pc_out_of_range_matches_reference(self):
-        reference = Machine(assemble("NOP\nNOP"))
+        reference = ReferenceMachine(assemble("NOP\nNOP"))
         with pytest.raises(MachineError) as ref_err:
             reference.run()
         fast = Machine(assemble("NOP\nNOP"))
         with pytest.raises(MachineError) as fast_err:
-            fast.run_fast()
+            fast.run()
         assert str(fast_err.value) == str(ref_err.value)
         assert _state(fast) == _state(reference)
         # A taken branch or jump to a negative pc retires, then stops
@@ -401,12 +410,12 @@ class TestDecodedEngine:
 
     def test_memory_footprint_error_matches_reference(self):
         source = "LI r1, 0\nloop: SW r1, 0(r1)\nADDI r1, r1, 1\nJ loop"
-        reference = Machine(assemble(source), memory_limit_words=100)
+        reference = ReferenceMachine(assemble(source), memory_limit_words=100)
         with pytest.raises(MachineError) as ref_err:
             reference.run()
         fast = Machine(assemble(source), memory_limit_words=100)
         with pytest.raises(MachineError) as fast_err:
-            fast.run_fast()
+            fast.run()
         assert str(fast_err.value) == str(ref_err.value)
         assert _state(fast) == _state(reference)
         # The same loop storing each address many times, so the store
@@ -420,19 +429,60 @@ class TestDecodedEngine:
         ):
             assert _same_error_and_state(source, memory_limit_words=100) > 0
 
-    def test_hooks_fall_back_to_reference_path(self):
-        machine = Machine(assemble(LOOP_SOURCE))
-        seen = []
-        machine.add_hook(lambda pc, instr: seen.append(instr.mnemonic))
-        retired = machine.run_fast()
-        assert len(seen) == retired
-        assert seen[-1] == "HALT"
+    def test_hooked_run_matches_reference(self):
+        # A halting run, then a budget stop, a branch to a negative pc
+        # and a store over the footprint: the same hook stream, error
+        # and state as the reference stepper's.
+        store = (
+            f"LI r1, 0\nloop: SRLI r2, r1, {_REPEAT_SHIFT}\n"
+            "SW r1, 0(r2)\nADDI r1, r1, 1\nJ loop"
+        )
+        for source, budget, machine_kwargs in (
+            (SELF_LOOP_SOURCE, 50_000_000, {}),
+            (SELF_LOOP_SOURCE, STOP, {}),
+            ("ADDI r1, r1, 1\nBEQ r0, r0, -1\nHALT", 50_000_000, {}),
+            (store, 50_000_000, {"memory_limit_words": 100}),
+        ):
+            outcomes = []
+            for machine_class in (ReferenceMachine, Machine):
+                machine = machine_class(assemble(source), **machine_kwargs)
+                stream = _hook_stream(machine)
+                try:
+                    machine.run(max_instructions=budget)
+                    error = None
+                except MachineError as exc:
+                    error = str(exc)
+                outcomes.append((error, stream, _state(machine)))
+            assert outcomes[1] == outcomes[0]
+            assert len(outcomes[0][1]) == outcomes[0][2][2]
 
-    def test_run_counted_rejects_hooks(self):
-        machine = Machine(assemble(LOOP_SOURCE))
-        machine.add_hook(lambda pc, instr: None)
-        with pytest.raises(MachineError, match="hook"):
-            machine.run_counted()
+    def test_run_counted_runs_hooks(self):
+        # A hooked counted run calls the hook once per retirement and
+        # returns the hook-free run's counts, whose profile is the
+        # reference AtomProfiler's.
+        program = assemble(SELF_LOOP_SOURCE)
+        hooked = Machine(program)
+        seen = []
+        hooked.add_hook(lambda pc, instr: seen.append(pc))
+        counts = hooked.run_counted()
+        assert counts == Machine(program).run_counted()
+        assert len(seen) == counts.retired == hooked.instructions_retired
+        profiler = AtomProfiler()
+        reference = ReferenceMachine(program)
+        reference.add_hook(profiler)
+        reference.run()
+        assert _state(hooked) == _state(reference)
+        assert (
+            profile_from_counts("loop", counts).units
+            == profiler.profile("loop").units
+        )
+        # Any start class seeds the hooked count as it seeds the fold.
+        for start_class in range(len(counts.classes)):
+            again = Machine(program)
+            again.add_hook(lambda pc, instr: None)
+            assert again.run_counted(start_class=start_class) == (
+                Machine(program).run_counted(start_class=start_class)
+            )
 
     def test_run_counted_counts_match_retirements(self):
         machine = Machine(assemble(LOOP_SOURCE))
@@ -457,12 +507,12 @@ class TestDecodedEngine:
         JALR r6, r5, 0
         done: HALT
         """
-        reference = Machine(assemble(source))
+        reference = ReferenceMachine(assemble(source))
         reference.run()
         fast = Machine(assemble(source))
-        assert _translated(fast.run_fast) > 0
+        assert _translated(fast.run) > 0
         assert _state(fast) == _state(reference)
-        hooked = Machine(assemble(source))
+        hooked = ReferenceMachine(assemble(source))
         profiler = AtomProfiler()
         hooked.add_hook(profiler)
         hooked.run()
@@ -481,23 +531,27 @@ class TestDecodedEngine:
         # then runs them as generated code.
         for exit_line in ("HALT", "", "BEQ r0, r0, -1", "J -2"):
             source = f"ADDI r1, r1, 1\nADD r2, r2, r1\n{exit_line}"
-            machines = {
-                entry_point: Machine(assemble(source))
-                for entry_point in ("run", "run_fast", "run_counted")
-            }
+            reference = ReferenceMachine(assemble(source))
+            fast = Machine(assemble(source))
+            counted = Machine(assemble(source))
+            runs = (
+                (reference, reference.run),
+                (fast, fast.run),
+                (counted, counted.run_counted),
+            )
             with obs.enabled_scope(fresh=True):
                 for _ in range(_TIER_UP + 3):
                     messages = set()
-                    for entry_point, machine in machines.items():
+                    for machine, run_machine in runs:
                         machine.pc = 0
                         machine.halted = False
                         try:
-                            getattr(machine, entry_point)()
+                            run_machine()
                         except MachineError as error:
                             messages.add(str(error))
                         else:
                             messages.add(None)
-                        assert _state(machine) == _state(machines["run"])
+                        assert _state(machine) == _state(reference)
                     assert len(messages) == 1
                 assert obs.counter_value("machine.translations") == 2
 
@@ -538,7 +592,7 @@ class TestDecodedEngine:
             retired=first.retired + second.retired,
             final_class=second.final_class,
         )
-        hooked = Machine(program)
+        hooked = ReferenceMachine(program)
         profiler = AtomProfiler()
         hooked.add_hook(profiler)
         hooked.run()
@@ -573,10 +627,10 @@ class TestOriImmediateMasking:
 
     def test_ori_large_immediate_both_paths(self):
         source = "LUI r1, 0x00F0\nORI r2, r1, -256\nHALT"
-        reference = Machine(assemble(source))
+        reference = ReferenceMachine(assemble(source))
         reference.run()
         fast = Machine(assemble(source))
-        fast.run_fast()
+        fast.run()
         expected = (0x00F0 << 16) | (-256 & 0xFFFFFFFF)
         assert reference.read_register(2) == expected
         assert fast.read_register(2) == expected

@@ -6,10 +6,11 @@ from repro.errors import ProfileError
 from repro.isa.assembler import assemble
 from repro.isa.instructions import FUNCTIONAL_UNITS, instruction_set
 from repro.isa.machine import Machine
-from repro.isa.profiler import (
+from repro.isa.profiler import profile_from_counts, profile_program
+from tests.isa.reference_machine import (
     AtomProfiler,
-    profile_from_counts,
-    profile_program,
+    ReferenceMachine,
+    reference_profile,
 )
 
 
@@ -97,8 +98,12 @@ class TestCounting:
             profile.fga("fpu")
 
     def test_empty_profile_rejected(self):
+        # A halted machine retires nothing.
+        program = assemble("HALT")
+        machine = Machine(program)
+        machine.halted = True
         with pytest.raises(ProfileError, match="no instructions"):
-            AtomProfiler().profile("empty")
+            profile_program(program, machine=machine)
 
 
 class TestDutyCycleScaling:
@@ -155,9 +160,11 @@ HALT
 
 
 class TestProfilingEngines:
+    """The profile against the reference stepper's AtomProfiler hook."""
+
     def test_engines_produce_identical_profiles(self):
-        fast = profile_program(assemble(MIXED_SOURCE), engine="fast")
-        ref = profile_program(assemble(MIXED_SOURCE), engine="reference")
+        fast = profile_program(assemble(MIXED_SOURCE))
+        ref = reference_profile(assemble(MIXED_SOURCE))
         assert fast.total_instructions == ref.total_instructions
         for unit in FUNCTIONAL_UNITS:
             assert fast.stats(unit).uses == ref.stats(unit).uses
@@ -165,32 +172,31 @@ class TestProfilingEngines:
             assert fast.fga(unit) == ref.fga(unit)
             assert fast.bga(unit) == ref.bga(unit)
 
-    def test_fast_is_the_default_engine(self):
+    def test_profile_program_folds_run_counted(self):
         program = assemble(MIXED_SOURCE)
-        default = profile_program(program)
-        fast = profile_program(assemble(MIXED_SOURCE), engine="fast")
-        assert default.units == fast.units
+        counts = Machine(assemble(MIXED_SOURCE)).run_counted()
+        assert (
+            profile_program(program)
+            == profile_from_counts(program.name, counts)
+        )
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ProfileError, match="unknown profiling engine"):
-            profile_program(assemble("HALT"), engine="turbo")
-
-    def test_hooked_machine_takes_reference_path(self):
-        # A user hook must keep observing every retired instruction
-        # even when the fast engine is requested.
+    def test_hooked_machine_profile_equals_hook_free(self):
+        # A user hook keeps observing every retired instruction, and
+        # the profile is the hook-free one.
         program = assemble(MIXED_SOURCE)
         machine = Machine(program)
         seen = []
         machine.add_hook(lambda pc, instr: seen.append(pc))
-        profile = profile_program(program, machine=machine, engine="fast")
+        profile = profile_program(program, machine=machine)
         assert len(seen) == profile.total_instructions
+        assert profile == profile_program(program)
 
     def test_profile_from_counts_matches_hook_profiler(self):
         machine = Machine(assemble(MIXED_SOURCE))
         counts = machine.run_counted()
         from_counts = profile_from_counts("mixed", counts)
 
-        hooked = Machine(assemble(MIXED_SOURCE))
+        hooked = ReferenceMachine(assemble(MIXED_SOURCE))
         profiler = AtomProfiler()
         hooked.add_hook(profiler)
         hooked.run()

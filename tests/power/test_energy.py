@@ -1,7 +1,11 @@
 """Unit tests for the Eq. 3/4 energy models and their variants."""
 
+import math
+
 import pytest
 
+from repro.analysis.comparator import TechnologyComparator
+from repro.analysis.contour import breakeven_bga
 from repro.circuits.builders import ripple_carry_adder
 from repro.device.technology import soi_low_vt, soias_technology
 from repro.errors import AnalysisError
@@ -10,6 +14,7 @@ from repro.power.energy import (
     e_mtcmos,
     e_soi,
     e_soias,
+    e_soias_gated,
     e_vtcmos,
     energy_ratio_soias_vs_soi,
     module_parameters_from_activity,
@@ -162,6 +167,70 @@ class TestParameterValidation:
 
     def test_with_back_gate_swing(self, module):
         assert module.with_back_gate_swing(1.5).back_gate_swing_v == 1.5
+
+
+#: Every entry point of the Eq. 3/4 algebra, as (module, vdd, t_cycle)
+#: -> energy, saving or break-even.
+ENERGY_ENTRY_POINTS = {
+    "e_soi": lambda m, vdd, t: e_soi(m, 0.5, vdd, t),
+    "e_soias": lambda m, vdd, t: e_soias(m, 0.5, 0.1, vdd, t),
+    "e_mtcmos": lambda m, vdd, t: e_mtcmos(m, 0.5, 0.1, vdd, t),
+    "e_vtcmos": lambda m, vdd, t: e_vtcmos(m, 0.5, 0.1, vdd, t, 6e-12, 3.0),
+    "e_soias_gated": lambda m, vdd, t: e_soias_gated(m, 0.5, 0.6, 0.1, vdd, t),
+    "breakeven_bga": lambda m, vdd, t: breakeven_bga(m, 0.5, vdd, t),
+    "comparator": lambda m, vdd, t: TechnologyComparator(
+        m, vdd, t
+    ).verdict("soias", 0.5, 0.1).saving_percent,
+}
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("entry", sorted(ENERGY_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "vdd, t_cycle",
+        [
+            (math.nan, T_CYCLE),
+            (math.inf, T_CYCLE),
+            (VDD, math.nan),
+            (VDD, math.inf),
+        ],
+    )
+    def test_operating_point_rejected(self, module, entry, vdd, t_cycle):
+        with pytest.raises(AnalysisError, match="finite"):
+            ENERGY_ENTRY_POINTS[entry](module, vdd, t_cycle)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "switched_capacitance_f",
+            "leakage_low_vt_a",
+            "leakage_high_vt_a",
+            "back_gate_capacitance_f",
+            "back_gate_swing_v",
+        ],
+    )
+    def test_module_field_rejected(self, module, field, value):
+        fields = {
+            "name": "bad",
+            "switched_capacitance_f": 1e-13,
+            "leakage_low_vt_a": 1e-9,
+            "leakage_high_vt_a": 1e-12,
+            "back_gate_capacitance_f": 1e-12,
+            "back_gate_swing_v": 1.0,
+            field: value,
+        }
+        with pytest.raises(AnalysisError, match="finite"):
+            ModuleEnergyParameters(**fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_control_capacitance_and_swing_rejected(self, module, value):
+        with pytest.raises(AnalysisError, match="finite"):
+            e_mtcmos(module, 0.5, 0.1, VDD, T_CYCLE, value)
+        with pytest.raises(AnalysisError, match="finite"):
+            e_vtcmos(module, 0.5, 0.1, VDD, T_CYCLE, value, 3.0)
+        with pytest.raises(AnalysisError, match="finite"):
+            e_vtcmos(module, 0.5, 0.1, VDD, T_CYCLE, 6e-12, value)
 
 
 class TestExtractionFromActivity:

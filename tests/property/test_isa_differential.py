@@ -1,10 +1,13 @@
-"""Differential tests: decoded fast engine vs the reference stepper.
+"""Differential tests: the machine vs the reference stepper.
 
-Random short programs (every mnemonic reachable, loops bounded) are
-executed on both engines; architectural state, retirement counts and
-the full functional-unit profile must be bit-identical.  Some loops
-run past the decoded engine's tier-up point, so their blocks are
-checked as generated code too.
+Random short programs (every mnemonic reachable, loops bounded) run on
+the machine and on the test-only if/elif stepper in
+``tests/isa/reference_machine.py``; architectural state, retirement
+counts, errors and the full functional-unit profile must be
+bit-identical.  Some loops run past the machine's tier-up point, so
+their blocks are checked as generated code too.  Hooked runs, which
+step the decoded closures, must also hand every hook the stepper's
+view of each retirement.
 """
 
 from hypothesis import given, settings
@@ -15,7 +18,12 @@ from repro.errors import MachineError
 from repro.isa.assembler import assemble
 from repro.isa.instructions import FUNCTIONAL_UNITS, instruction_set
 from repro.isa.machine import Machine, _TIER_UP
-from repro.isa.profiler import profile_program
+from repro.isa.profiler import profile_from_counts, profile_program
+from tests.isa.reference_machine import (
+    AtomProfiler,
+    ReferenceMachine,
+    reference_profile,
+)
 
 # Register conventions for generated programs: r1 is the memory base,
 # r14 the loop counter, r15 the link register; bodies write r2..r13.
@@ -133,11 +141,11 @@ def programs(draw):
 
 
 def _run_both(source):
-    """Execute on both engines; return the two machines."""
-    reference = Machine(assemble(source, name="diff"))
+    """Execute on the stepper and the machine; return the two machines."""
+    reference = ReferenceMachine(assemble(source, name="diff"))
     reference.run()
     fast = Machine(assemble(source, name="diff"))
-    fast.run_fast()
+    fast.run()
     return reference, fast
 
 
@@ -149,12 +157,33 @@ def _assert_same_state(reference, fast):
     assert fast.halted == reference.halted
 
 
+def _state(machine):
+    return (
+        list(machine.registers), dict(machine.memory), machine.pc,
+        machine.halted, machine.instructions_retired,
+    )
+
+
+def _hooked_run(machine, entry_point, budget):
+    """Run ``machine`` with a hook recording what it sees at each
+    retirement; return (error, hook stream, final state, result)."""
+    stream = []
+    machine.add_hook(lambda pc, instr: stream.append((
+        pc, instr.mnemonic, machine.pc, machine.instructions_retired,
+        list(machine.registers), len(machine.memory),
+    )))
+    try:
+        result = getattr(machine, entry_point)(max_instructions=budget)
+        error = None
+    except MachineError as exc:
+        result, error = None, str(exc)
+    return error, stream, _state(machine), result
+
+
 def _assert_same_profile(source):
     program = assemble(source, name="diff")
-    ref = profile_program(
-        assemble(source, name="diff"), engine="reference"
-    )
-    fast = profile_program(program, engine="fast")
+    ref = reference_profile(assemble(source, name="diff"))
+    fast = profile_program(program)
     assert fast.total_instructions == ref.total_instructions
     for unit in FUNCTIONAL_UNITS:
         assert fast.stats(unit).uses == ref.stats(unit).uses, unit
@@ -186,20 +215,49 @@ class TestDifferentialExecution:
             ({"memory_limit_words": words}, {}),
         ):
             outcomes = []
-            for entry_point in ("run", "run_fast", "run_counted"):
+            for machine_class, entry_point in (
+                (ReferenceMachine, "run"),
+                (Machine, "run"),
+                (Machine, "run_counted"),
+            ):
                 program = assemble(source, name="diff")
-                machine = Machine(program, **machine_kwargs)
+                machine = machine_class(program, **machine_kwargs)
                 try:
                     getattr(machine, entry_point)(**run_kwargs)
                     error = None
                 except MachineError as exc:
                     error = str(exc)
-                outcomes.append((
-                    error, machine.registers, machine.memory, machine.pc,
-                    machine.halted, machine.instructions_retired,
-                ))
+                outcomes.append((error, _state(machine)))
             assert outcomes[1] == outcomes[0]
             assert outcomes[2] == outcomes[0]
+
+    @given(programs(), st.integers(0, 3000), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_random_programs_hooked_runs(self, source, budget, words):
+        # Hooked run and run_counted step the decoded closures: under a
+        # random budget and memory limit they raise the stepper's error
+        # (or none), leave its state and call every hook with its view
+        # of each retirement; a counted run that halts folds to the
+        # stepper's AtomProfiler profile.
+        reference = ReferenceMachine(
+            assemble(source, name="diff"), memory_limit_words=words
+        )
+        profiler = AtomProfiler()
+        reference.add_hook(profiler)
+        expected = _hooked_run(reference, "run", budget)
+        for entry_point in ("run", "run_counted"):
+            machine = Machine(
+                assemble(source, name="diff"), memory_limit_words=words
+            )
+            outcome = _hooked_run(machine, entry_point, budget)
+            assert outcome[:3] == expected[:3], entry_point
+        assert len(expected[1]) == reference.instructions_retired
+        counts = outcome[3]
+        if counts is not None:
+            assert (
+                profile_from_counts("diff", counts).units
+                == profiler.profile("diff").units
+            )
 
     def test_every_mnemonic_covered_differentially(self):
         # One deterministic program touching all 34 mnemonics, so the

@@ -60,6 +60,15 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([verb] + flag)
 
+    @pytest.mark.parametrize("verb", ["profile", "compare"])
+    def test_reference_flag_is_a_usage_error(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--reference"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --reference" in (
+            capsys.readouterr().err
+        )
+
     def test_compare_workload_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--workload", "doom"])
@@ -89,19 +98,6 @@ class TestProfileCommand:
         output = capsys.readouterr().out
         assert "duty 0.5" in output
 
-    def test_reference_engine_output_identical(self, capsys):
-        assert main(["profile", "--workload", "li", "--scale", "16"]) == 0
-        fast = capsys.readouterr().out
-        assert (
-            main(
-                ["profile", "--workload", "li", "--scale", "16",
-                 "--reference"]
-            )
-            == 0
-        )
-        reference = capsys.readouterr().out
-        assert fast == reference
-
     def test_profile_metrics_show_machine_counters(self, capsys):
         assert (
             main(
@@ -114,18 +110,6 @@ class TestProfileCommand:
         assert "Metrics: profile" in output
         assert "machine.instructions" in output
         assert "machine.run_counted" in output
-
-    def test_reference_metrics_use_reference_timer(self, capsys):
-        assert (
-            main(
-                ["profile", "--workload", "crc", "--scale", "8",
-                 "--reference", "--metrics"]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "machine.run " in output
-        assert "machine.run_counted" not in output
 
 
 class TestActivityCommand:
@@ -301,6 +285,10 @@ class TestNonFiniteInputs:
             ["activity", "--vdd", "nan"],
             ["shutdown", "--clock", "0"],
             ["shutdown", "--clock", "nan"],
+            ["shutdown", "--mean-busy", "0"],
+            ["shutdown", "--mean-busy", "-5"],
+            ["shutdown", "--mean-idle", "0"],
+            ["shutdown", "--mean-idle", "-1"],
             ["surface", "--grid", "4", "--stages", "100"],
             ["activity", "--vectors", "1"],
             ["characterize", "--vdd", "240"],

@@ -275,20 +275,24 @@ class TestMachineInstrumentation:
         return Machine(assemble(self.SOURCE))
 
     def test_run_records_instruction_counter_and_timer(self):
+        # A hooked run records the same metrics as a hook-free one.
+        machine = self._machine()
+        machine.add_hook(lambda pc, instr: None)
         with obs.enabled_scope(fresh=True):
-            retired = self._machine().run()
+            retired = machine.run()
             snap = obs.snapshot()
         assert snap["counters"]["machine.instructions"] == retired
         assert snap["timers"]["machine.run"]["count"] == 1
         assert snap["gauges"]["machine.instructions_per_s"] > 0
 
-    def test_run_fast_records_decode_span_and_rate(self):
+    def test_run_records_decode_span_and_rate(self):
         with obs.enabled_scope(fresh=True):
-            retired = self._machine().run_fast()
+            retired = self._machine().run()
             snap = obs.snapshot()
         assert snap["counters"]["machine.instructions"] == retired
         assert snap["timers"]["machine.decode"]["count"] == 1
-        assert snap["timers"]["machine.run_fast"]["count"] == 1
+        assert snap["timers"]["machine.run"]["count"] == 1
+        assert "machine.run_counted" not in snap["timers"]
         assert snap["gauges"]["machine.instructions_per_s"] > 0
 
     def test_run_counted_records_its_own_timer(self):
@@ -323,14 +327,14 @@ class TestMachineInstrumentation:
     def test_decode_span_recorded_once(self):
         machine = self._machine()
         with obs.enabled_scope(fresh=True):
-            machine.run_fast()
+            machine.run()
             machine.decode()  # second call is a no-op
             snap = obs.snapshot()
         assert snap["timers"]["machine.decode"]["count"] == 1
 
     def test_disabled_obs_records_nothing(self):
         assert not obs.is_enabled()
-        self._machine().run_fast()
+        self._machine().run()
         assert obs.snapshot()["counters"] == {}
 
 

@@ -26,6 +26,7 @@ from repro.switchsim.simulator import SwitchLevelSimulator
 from repro.switchsim.stimulus import random_bus_vectors
 from repro.tech.cells import standard_cells
 from repro.tech.characterize import CellCharacterizer
+from tests.isa.reference_machine import ReferenceMachine, reference_profile
 from tests.power.pervt_oracle import PerVtRing
 from tests.switchsim.event_oracle import ReferenceSimulator
 
@@ -277,16 +278,16 @@ class TestOptimizerCornerCacheEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Decoded ISA engine + counter profiler vs reference stepper
+# Decoded ISA machine + counter profiler vs the reference stepper
 # ----------------------------------------------------------------------
 class TestDecodedInterpreterEquivalence:
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_workload_state_identical(self, name):
         program = build_workload(name, scale=16)
-        reference = Machine(program)
+        reference = ReferenceMachine(program)
         reference.run()
         fast = Machine(build_workload(name, scale=16))
-        retired = fast.run_fast()
+        retired = fast.run()
         assert retired == reference.instructions_retired
         assert fast.registers == reference.registers
         assert fast.memory == reference.memory
@@ -295,10 +296,8 @@ class TestDecodedInterpreterEquivalence:
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_workload_profile_identical(self, name):
-        fast = profile_program(build_workload(name, scale=16), engine="fast")
-        ref = profile_program(
-            build_workload(name, scale=16), engine="reference"
-        )
+        fast = profile_program(build_workload(name, scale=16))
+        ref = reference_profile(build_workload(name, scale=16))
         assert fast.total_instructions == ref.total_instructions
         for unit in FUNCTIONAL_UNITS:
             assert fast.stats(unit) == ref.stats(unit), (name, unit)
@@ -312,7 +311,7 @@ class TestDecodedInterpreterEquivalence:
         with obs.enabled_scope(fresh=True):
             counts = fast.run_counted()
             assert obs.counter_value("machine.translations") > 0
-        reference = Machine(build_workload(name, scale=48))
+        reference = ReferenceMachine(build_workload(name, scale=48))
         k = len(counts.classes)
         transitions = [0] * (k * k)
         previous = [0]
